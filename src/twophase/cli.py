@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .errors import ConfigurationError, NumericalError, TwophaseError
 from .report import compute_spectrum, write_sweep_csv
 from .report import run as run_pipeline
-from .scenario import parse_scenario, scenario_from_dict
+from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 
 _STAGES = {
     "simulate": ("simulate",),
@@ -50,15 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    doc = copy.deepcopy(doc)
-    if args.n is not None:
-        doc.setdefault("domain", {})["n"] = args.n
-    if args.dt is not None:
-        doc.setdefault("run", {})["dt"] = args.dt
-    return doc
-
-
 def _set_path(doc: dict, key: str, value: float):
     parts = key.split(".")
     node = doc
@@ -67,6 +58,15 @@ def _set_path(doc: dict, key: str, value: float):
             node[part] = node.get(part, {}) if isinstance(node.get(part), dict) else {}
         node = node[part]
     node[parts[-1]] = value
+
+
+def _load_scenario(args) -> Scenario:
+    doc, name_hint = read_scenario_doc(args.scenario)
+    if args.n is not None:
+        _set_path(doc, "domain.n", args.n)
+    if args.dt is not None:
+        _set_path(doc, "run.dt", args.dt)
+    return scenario_from_dict(doc, name_hint=name_hint)
 
 
 def _parse_range(text: str) -> list:
@@ -96,15 +96,14 @@ def _sweep_point(doc: dict, key: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
-    scn = parse_scenario(args.scenario)     # validates the base file
-    doc = _apply_overrides(scn.raw, args)
+    scn = _load_scenario(args)
     key, rng = args.vary
     values = _parse_range(rng)
     workers = int(os.environ.get("TWOPHASE_THREADS", "0")) or min(
         len(values), os.cpu_count() or 1)
     rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in pool.map(lambda v: _sweep_point(doc, key, v), values):
+        for row in pool.map(lambda v: _sweep_point(scn.raw, key, v), values):
             rows.append(row)
     out_dir = args.out or scn.out_dir or "."
     path = os.path.join(out_dir, f"{scn.name}_sweep.csv")
@@ -118,8 +117,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)
-        scn_doc = parse_scenario(args.scenario).raw
-        scn = scenario_from_dict(_apply_overrides(scn_doc, args))
+        scn = _load_scenario(args)
         rep = run_pipeline(scn, out_dir=args.out,
                            stages=_STAGES[args.command])
         print(os.path.join(args.out or scn.out_dir or ".",

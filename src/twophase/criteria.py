@@ -100,14 +100,9 @@ def _edge_mixing_integrals(kernel: Kernel, grid: SizeGrid) -> np.ndarray:
     The double integral that must be positive for a cutoff at edge_k:
     offspring below the cutoff, parents above it.
     """
-    b = kernel.beta
-    h2 = grid.h * grid.h
-    # C[i, j] = sum of beta over rows < i and cols >= j
-    row_cum = np.cumsum(b, axis=0)          # rows <= i
-    out = np.empty(grid.n - 1)
-    for k in range(1, grid.n):
-        out[k - 1] = row_cum[k - 1, k:].sum() * h2
-    return out
+    # C[i, j] = sum of beta over rows <= i and cols >= j; I[k] = C[k-1, k]
+    C = np.cumsum(np.cumsum(kernel.beta, axis=0)[:, ::-1], axis=1)[:, ::-1]
+    return np.diagonal(C, offset=1) * grid.h ** 2
 
 
 def check_kernel_mixing(kernel: Kernel, grid: SizeGrid,
@@ -118,7 +113,10 @@ def check_kernel_mixing(kernel: Kernel, grid: SizeGrid,
     cutoff (witness = first failing cutoff).  mode="exists_eps": true iff
     it is positive at some cutoff (witness = first working cutoff).
     """
-    I = _edge_mixing_integrals(kernel, grid)
+    return _mixing(_edge_mixing_integrals(kernel, grid), grid, mode)
+
+
+def _mixing(I: np.ndarray, grid: SizeGrid, mode: str):
     edges = grid.edges[1:-1]
     pos = I > 0.0
     if mode == "all_eps":
@@ -143,12 +141,14 @@ def compute_b1_b2(kernel: Kernel, params: ModelParams,
     two supporting hypotheses fails: the kernel must mix at every cutoff
     above b1, and c1 must have some support in [b1, length].
     """
-    mixes_some, _ = check_kernel_mixing(kernel, grid, "exists_eps")
-    if not mixes_some:
-        return None, None, "kernel never mixes at any cutoff"
-    I = _edge_mixing_integrals(kernel, grid)
+    return _b1_b2(_edge_mixing_integrals(kernel, grid), params, grid)
+
+
+def _b1_b2(I: np.ndarray, params: ModelParams, grid: SizeGrid):
     edges = grid.edges[1:-1]
     pos = I > 0.0
+    if not pos.any():
+        return None, None, "kernel never mixes at any cutoff"
     first = int(np.argmax(pos))
     b1 = float(edges[first])
     if not pos[first:].all():
@@ -204,8 +204,9 @@ def full_verdict(kernel: Kernel, params: ModelParams, grid: SizeGrid) -> Verdict
     conditioned on the conservativity class and the tail behavior of mu
     and c2.
     """
-    mixes_all, w_all = check_kernel_mixing(kernel, grid, "all_eps")
-    mixes_some, w_some = check_kernel_mixing(kernel, grid, "exists_eps")
+    I = _edge_mixing_integrals(kernel, grid)
+    mixes_all, w_all = _mixing(I, grid, "all_eps")
+    mixes_some, w_some = _mixing(I, grid, "exists_eps")
     inf_c1, sup_c2 = check_supports(params, grid)
     reaches_zero = inf_c1 is not None and inf_c1 <= grid.h * (1 + 1e-9)
     reaches_max = (sup_c2 is not None
@@ -213,7 +214,7 @@ def full_verdict(kernel: Kernel, params: ModelParams, grid: SizeGrid) -> Verdict
     irreducible = mixes_all and reaches_zero and reaches_max
     b1 = b2 = blocked = None
     if mixes_some:
-        b1, b2, blocked = compute_b1_b2(kernel, params, grid)
+        b1, b2, blocked = _b1_b2(I, params, grid)
     cls, mmin, mmax, tail_mu, tail_c2, tail_w = classify_conservativity(
         kernel, params, grid)
     weak_ok = kernel.dominator is not None

@@ -43,12 +43,11 @@ class StepSizeError(NumericalError):
 
 
 class IterationError(NumericalError):
-    """An iterative solver hit its iteration cap; carries the last iterate."""
+    """A solver hit its iteration cap or found no positive solution."""
 
-    def __init__(self, message, estimate=None, iterate=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.iterate = iterate
 
 
 class InsufficientDataError(TwophaseError):

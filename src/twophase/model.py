@@ -103,6 +103,13 @@ def _expression(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     raise ConfigurationError(f"unknown builtin expression {name!r}")
 
 
+def _required(spec: dict, key: str):
+    if key not in spec:
+        raise ConfigurationError(
+            f"{spec.get('form')!r} descriptor is missing {key!r}")
+    return spec[key]
+
+
 def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
                        points: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample a coefficient descriptor at the cell centers.
@@ -121,9 +128,9 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
     elif isinstance(spec, dict):
         form = spec.get("form")
         if form == "constant":
-            vals = np.full(npts, float(spec["value"]))
+            vals = np.full(npts, float(_required(spec, "value")))
         elif form == "table":
-            pts = np.asarray(spec["points"], dtype=float)
+            pts = np.asarray(_required(spec, "points"), dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ConfigurationError("table points must be [s, value] pairs")
             order = np.argsort(pts[:, 0])
@@ -249,11 +256,11 @@ def _kernel_values(spec: KernelSpec, grid: SizeGrid) -> tuple[np.ndarray, Option
         if form == "constant":
             beta = np.full((grid.n, grid.n), float(spec.get("value", 1.0)))
         elif form == "product":
-            f = sample_coefficient(spec["offspring"], grid)   # factor in s
+            f = sample_coefficient(_required(spec, "offspring"), grid)  # in s
             g = sample_coefficient(spec.get("parent", 1.0), grid)  # factor in y
             beta = np.outer(f, g)
         elif form == "table":
-            beta = np.asarray(spec["values"], dtype=float)
+            beta = np.asarray(_required(spec, "values"), dtype=float)
             if beta.shape != (grid.n, grid.n):
                 raise ConfigurationError(
                     f"kernel table must be {grid.n}x{grid.n}, got {beta.shape}")

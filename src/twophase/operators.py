@@ -13,8 +13,9 @@ The full generator is assembled from four blocks on the doubled state
     on phase 1 only.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization
-(with a per-generator cache), by the analytic transport formula, and by
-a Neumann perturbation series whose divergence doubles as a spectral
+(with a per-generator cache), by the analytic transport formula (one
+O(n) forward sweep, shared with the recruitment-free probe), and by a
+Neumann perturbation series whose divergence doubles as a spectral
 indicator.
 """
 
@@ -30,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
-from .errors import (ConfigurationError, PreconditionError,
+from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
 from .model import Kernel, ModelParams, SizeGrid
 
@@ -190,32 +191,56 @@ def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGen
                              B3_block=B3, full=full)
 
 
+def transport_sweep(dx: float, gamma, rate, src, coupling) -> np.ndarray:
+    """Solve the coupled transport quadrature by one forward sweep.
+
+    Each argument is a pair (phase 1, phase 2) of length-n arrays or
+    scalars.  Phase k solves u_k = T_k[src_k + coupling_k * u_other] with
+    T_k[r](s_i) = (1/gamma_k(s_i)) sum_{y_j <= s_i} w_j r(y_j)
+    exp(-int_{y_j}^{s_i} rate_k/gamma_k), the exponent by midpoint sums and
+    w_j = dx, halved on the diagonal (the half weight keeps the quadrature
+    error within the first-order upwind error band).  The weights are
+    causal, so one pass carrying the past as a running sum solves the
+    system exactly, with one 2x2 block from the diagonal term per cell;
+    IterationError where a block has no positive inverse.
+    """
+    n = len(src[0])
+    gamma, rate, src, coupling = (
+        np.array([np.broadcast_to(x, n) for x in v], dtype=float)
+        for v in (gamma, rate, src, coupling))
+    inc = np.pad(rate * dx / gamma, ((0, 0), (0, 1)))
+    # decay[k][i] carries phase k's running sum from cell i to cell i + 1
+    decay = np.exp(-0.5 * (inc[:, :-1] + inc[:, 1:])).tolist()
+    inv, half, src, coupling = (x.tolist() for x in
+                                (1.0 / gamma, 0.5 * dx / gamma, src, coupling))
+    u1, u2 = [0.0] * n, [0.0] * n
+    acc1 = acc2 = 0.0
+    for i in range(n):
+        p = acc1 * inv[0][i] + half[0][i] * src[0][i]
+        q = acc2 * inv[1][i] + half[1][i] * src[1][i]
+        a, b = half[0][i] * coupling[0][i], half[1][i] * coupling[1][i]
+        if a * b >= 1.0:    # u1 = p + a*u2, u2 = q + b*u1 at this cell
+            raise IterationError(f"coupled transport block at cell {i} has "
+                                 f"no positive inverse (a*b = {a * b:g})")
+        u1[i] = (p + a * q) / (1.0 - a * b)
+        u2[i] = (q + b * p) / (1.0 - a * b)
+        acc1 = decay[0][i] * (acc1 + dx * (src[0][i] + coupling[0][i] * u2[i]))
+        acc2 = decay[1][i] * (acc2 + dx * (src[1][i] + coupling[1][i] * u1[i]))
+    return np.array([u1, u2])
+
+
 def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
                                  grid: SizeGrid) -> np.ndarray:
     """Closed-form transport resolvent, evaluated by midpoint quadrature.
 
     Computes u(s_i) = (1/gamma(s_i)) * sum_{y_j <= s_i} h(y_j)
-    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j, where the inner
-    integral uses cumulative midpoint sums of 1/gamma and the weight of
-    the diagonal term y_j = s_i is a half cell (the exact contribution of
-    [y, s_i] vanishes as the interval shrinks; the half weight keeps the
-    quadrature error within the first-order upwind error band).
+    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j: the uncoupled case
+    of ``transport_sweep`` with rate lambda.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(gamma <= 0):
+    if np.any(np.asarray(gamma) <= 0):
         raise PreconditionError("gamma must be strictly positive")
-    n, dx = grid.n, grid.h
-    # Phi[i] = int_0^{center_i} dz/gamma(z) by midpoint accumulation
-    inv = dx / gamma
-    Phi = np.cumsum(inv) - 0.5 * inv
-    # E[i, j] = exp(-lambda * (Phi_i - Phi_j)) for j <= i
-    D = Phi[:, None] - Phi[None, :]
-    with np.errstate(over="ignore"):
-        E = np.exp(-lam * np.tril(D))
-    W = np.tril(np.full((n, n), dx), -1) + np.diag(np.full(n, 0.5 * dx))
-    u = (np.tril(E) * W) @ h / gamma
-    return u
+    return transport_sweep(grid.h, (gamma, gamma), (lam, lam),
+                           (h, 0.0), (0.0, 0.0))[0]
 
 
 def resolvent_direct(gen: DiscreteGenerator, lam: float, H: StateVector,

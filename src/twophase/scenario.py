@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ _DOMAIN_KEYS = {"kind", "m", "smax", "n"}
 _COEFF_KEYS = {"gamma1", "gamma2", "mu", "c1", "c2", "gamma0"}
 _RUN_KEYS = {"dt", "T", "record_every", "u0"}
 _SPECTRAL_KEYS = {"tol", "shift0", "smax_list", "probe_lambdas"}
-_OUTPUT_KEYS = {"directory", "formats"}
+_OUTPUT_KEYS = {"directory"}
 _U0_KEYS = {"u1", "u2", "normalize"}
 
 DEFAULT_DT = 1e-3
@@ -62,7 +62,6 @@ class Scenario:
     smax_list: list
     probe_lambdas: list
     out_dir: Optional[str]
-    formats: list = field(default_factory=lambda: ["csv", "json"])
 
     def initial_state(self) -> StateVector:
         """Build U0: by default, the normalized indicator of the first
@@ -173,18 +172,17 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     outs = doc.get("outputs", {})
     _check_keys(outs, _OUTPUT_KEYS, "outputs")
     out_dir = outs.get("directory")
-    formats = list(outs.get("formats", ["csv", "json"]))
 
     return Scenario(name=str(doc.get("name", name_hint)),
                     raw=copy.deepcopy(doc), grid=grid, params=params,
                     kernel=kernel, dt=dt, T=T, record_every=record_every,
                     u0_spec=u0_spec, spectral_tol=tol, shift0=shift0,
                     smax_list=smax_list, probe_lambdas=probe_lambdas,
-                    out_dir=out_dir, formats=formats)
+                    out_dir=out_dir)
 
 
-def parse_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file (JSON)."""
+def read_scenario_doc(path: str) -> tuple[dict, str]:
+    """Read a scenario file (JSON) unvalidated, with its file-name hint."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -193,5 +191,12 @@ def parse_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"scenario parse error in {path} at line {exc.lineno}: {exc.msg}")
-    name_hint = os.path.splitext(os.path.basename(path))[0]
+    if not isinstance(doc, dict):
+        raise ConfigurationError("scenario document must be a mapping")
+    return doc, os.path.splitext(os.path.basename(path))[0]
+
+
+def parse_scenario(path: str) -> Scenario:
+    """Parse and validate a scenario file (JSON)."""
+    doc, name_hint = read_scenario_doc(path)
     return scenario_from_dict(doc, name_hint=name_hint)

@@ -8,7 +8,7 @@ Four independent routes to spectral information are provided:
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
     the recruitment-free spectrum on an unbounded domain by solving the
-    coupled fixed-point system on growing truncations;
+    coupled transport system on growing truncations, one forward sweep each;
   * a trajectory fit extracting the Malthusian rate and the profile
     convergence rate (asynchronous exponential growth detection).
 """
@@ -16,7 +16,7 @@ Four independent routes to spectral information are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, PreconditionError)
 from .evolution import Trajectory
-from .model import Kernel, ModelParams, SizeGrid, build_grid
-from .operators import DiscreteGenerator, StateVector
+from .model import Kernel, ModelParams, build_grid
+from .operators import DiscreteGenerator, StateVector, transport_sweep
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -252,58 +252,22 @@ def spectral_gap_lower_bound(c1: float, c2: float, mu: float,
     return eps_bar, Delta, lambda_star
 
 
-def _weighted_transport_apply(rate: np.ndarray, gamma: np.ndarray,
-                              rhs: np.ndarray, grid: SizeGrid) -> np.ndarray:
-    """Evaluate u(s) = (1/gamma(s)) int_0^s rhs(y) exp(-int_y^s rate/gamma) dy.
-
-    Midpoint quadrature with a half-weight diagonal term, matching the
-    analytic transport resolvent (rate = lambda there; here the rate may
-    vary in s, as in the coupled fixed-point system).
-    """
-    n, dx = grid.n, grid.h
-    inc = rate * dx / gamma
-    Psi = np.cumsum(inc) - 0.5 * inc    # int_0^{center_i} rate/gamma
-    D = Psi[:, None] - Psi[None, :]
-    with np.errstate(over="ignore"):
-        E = np.exp(-np.tril(D))
-    W = np.tril(np.full((n, n), dx), -1) + np.diag(np.full(n, 0.5 * dx))
-    return (np.tril(E) * W) @ rhs / gamma
-
-
 def duhamel_solve(params: ModelParams, lam: float, h1: np.ndarray,
-                  h2: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 2000) -> StateVector:
-    """Solve the recruitment-free resolvent system by fixed-point iteration.
+                  h2: np.ndarray) -> StateVector:
+    """Solve the recruitment-free resolvent system by one forward sweep.
 
-    Iterates the coupled integral representation
-      u1 = T1[h1 + c2*u2],  u2 = T2[h2 + c1*u1]
-    where T1, T2 are the weighted transport solves with decay rates
-    lambda + mu + c1 and lambda + c2.  The composition is a cumulative
-    (Volterra-type) operator, so the iteration converges on any finite
-    truncation; the interesting signal is how the solution norm scales
-    with the truncation length.
+    Solves u1 = T1[h1 + c2*u2], u2 = T2[h2 + c1*u1] exactly, with T1, T2
+    the quadratures of ``transport_sweep`` at decay rates lambda + mu + c1
+    and lambda + c2.  IterationError when a cell block has no positive
+    inverse or the solution overflows.
     """
-    grid = params.grid
-    rate1 = lam + params.mu + params.c1
-    rate2 = lam + params.c2
-    u1 = np.zeros(grid.n)
-    u2 = np.zeros(grid.n)
-    for _ in range(max_iter):
-        u1_new = _weighted_transport_apply(rate1, params.gamma1,
-                                           h1 + params.c2 * u2, grid)
-        u2_new = _weighted_transport_apply(rate2, params.gamma2,
-                                           h2 + params.c1 * u1_new, grid)
-        delta = (np.abs(u1_new - u1).sum() + np.abs(u2_new - u2).sum()) * grid.h
-        scale = (np.abs(u1_new).sum() + np.abs(u2_new).sum()) * grid.h
-        u1, u2 = u1_new, u2_new
-        if not np.isfinite(scale):
-            raise IterationError(
-                f"fixed-point iterate overflowed at lambda={lam:g}")
-        if delta <= tol * max(scale, 1.0):
-            return StateVector(u1, u2, grid)
-    raise IterationError(
-        f"fixed-point iteration did not converge at lambda={lam:g}",
-        iterate=StateVector(u1, u2, grid))
+    u = transport_sweep(params.grid.h, (params.gamma1, params.gamma2),
+                        (lam + params.mu + params.c1, lam + params.c2),
+                        (h1, h2), (params.c2, params.c1))
+    if not np.isfinite(u).all():
+        raise IterationError(
+            f"recruitment-free resolvent overflowed at lambda={lam:g}")
+    return StateVector(u[0], u[1], params.grid)
 
 
 def _restrict_params(params: ModelParams, k: int) -> ModelParams:
@@ -321,7 +285,7 @@ def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
                       lam: float, smax_list) -> ProbeResult:
     """Classify lambda against the recruitment-free spectrum on [0, inf).
 
-    Solves the coupled fixed-point system with a fixed nonnegative
+    Solves the coupled transport system with a fixed nonnegative
     source supported in [0, 1] on each truncation in ``smax_list``
     (increasing, all within the sampled domain) and watches the L1 norm:
     ratios of successive truncations all <= 1.02 classify as

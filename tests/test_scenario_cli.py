@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import twophase
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
 from twophase.scenario import parse_scenario, scenario_from_dict
@@ -151,6 +153,35 @@ class TestCLI:
         assert lines[0].startswith("kernel.value,s_A,")
         assert len(lines) == 1 + 9
 
+    def test_nameless_scenario_outputs_named_after_file(self, tmp_path):
+        doc = minimal_doc()
+        del doc["name"]
+        doc["domain"]["n"] = 30
+        path = write(tmp_path, doc, name="plain.json")
+        out = tmp_path / "o"
+        assert run_cli(["criteria", path, "--out", str(out), "--n", "40"]) == 0
+        d = json.loads((out / "plain_report.json").read_text())
+        assert d["scenario"] == "plain"
+        assert d["scenario_echo"]["domain"]["n"] == 40
+        assert run_cli(["sweep", path, "--out", str(out),
+                        "--vary", "kernel.value", "1:2:1"]) == 0
+        assert (out / "plain_sweep.csv").exists()
+
+    def test_malformed_descriptors_exit_2(self, tmp_path):
+        table = {"form": "table", "s": [0.0, 0.5], "values": [1.0, 2.0]}
+        for section, key, spec in (
+                ("coefficients", "mu", table),
+                ("coefficients", "c1", {"form": "constant"}),
+                ("kernel", None, {"form": "table"}),
+                ("kernel", None, {"form": "product"}),
+                ("outputs", "formats", ["csv"])):
+            doc = minimal_doc()
+            if key is None:
+                doc[section] = spec
+            else:
+                doc.setdefault(section, {})[key] = spec
+            assert run_cli(["criteria", write(tmp_path, doc)]) == 2, spec
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as ei:
             cli_main(["frobnicate", "x.json"])
@@ -159,8 +190,13 @@ class TestCLI:
     def test_console_script_entry_point(self, tmp_path):
         path = write(tmp_path, minimal_doc())
         out = tmp_path / "o"
+        # the child imports the same package as this process, installed
+        # or from a source checkout
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "twophase.cli", "criteria", path,
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twophase.errors import ConfigurationError, PreconditionError
+from twophase.errors import (ConfigurationError, IterationError,
+                             PreconditionError)
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import StateVector, assemble
@@ -166,6 +167,44 @@ class TestInfiniteProbe:
         U2 = duhamel_solve(p, 0.3, src, src)
         assert np.all(U1.u1 - U2.u1 >= -1e-12)
         assert np.all(U1.u2 - U2.u2 >= -1e-12)
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    def test_duhamel_matches_dense_quadrature_solve(self, lam):
+        g = build_grid("truncated_infinite", 6.0, 60)
+        p = sample_params(dict(gamma1=lambda s: 1 + 0.5 * np.sin(s),
+                               gamma2=lambda s: 1.5 + 0.3 * np.cos(2 * s),
+                               mu=lambda s: 1 + 0.2 * s,
+                               c1=lambda s: 0.5 + 0.5 * np.exp(-s),
+                               c2=lambda s: 0.8 + 0.1 * s, gamma0=0.4), g)
+        n, dx = g.n, g.h
+        h1 = (g.centers <= 1.0).astype(float)
+        h2 = np.cos(g.centers) ** 2
+
+        def quadrature(rate, gamma):
+            # T[i, j] = w_j exp(-int_{y_j}^{s_i} rate/gamma) / gamma_i with
+            # midpoint sums in the exponent, w = dx below the diagonal and
+            # dx/2 on it
+            inc = rate * dx / gamma
+            psi = np.cumsum(inc) - 0.5 * inc
+            T = np.tril(np.exp(-np.tril(psi[:, None] - psi[None, :]))) * dx
+            T[np.diag_indices(n)] *= 0.5
+            return T / gamma[:, None]
+
+        T1 = quadrature(lam + p.mu + p.c1, p.gamma1)
+        T2 = quadrature(lam + p.c2, p.gamma2)
+        M = np.block([[np.eye(n), -T1 * p.c2], [-T2 * p.c1, np.eye(n)]])
+        dense = np.linalg.solve(M, np.concatenate([T1 @ h1, T2 @ h2]))
+        U = duhamel_solve(p, lam, h1, h2)
+        rel = np.abs(U.stacked() - dense).max() / np.abs(dense).max()
+        assert rel <= 1e-12
+
+    def test_strong_coupling_raises(self):
+        # a = b = h*c/(2 gamma) = 1.25: the half-weight diagonal block
+        # [[1, -a], [-b, 1]] has no positive inverse
+        g, p = tail_params(n=4, smax=10.0, c1=1.0)
+        src = np.ones(4)
+        with pytest.raises(IterationError):
+            duhamel_solve(p, 0.0, src, src)
 
     def test_nonzero_kernel_rejected(self):
         g, p = tail_params(n=100, smax=10.0)
