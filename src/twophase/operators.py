@@ -12,11 +12,14 @@ The full generator is assembled from four blocks on the doubled state
   * recruitment: dense midpoint quadrature of the birth kernel, acting
     on phase 1 only.
 
-Resolvents (lambda*I - M)^{-1} are available by direct factorization
-(with a per-generator cache), by the analytic transport formula (one
-O(n) forward sweep, shared with the recruitment-free probe), and by a
-Neumann perturbation series whose divergence doubles as a spectral
-indicator.
+Resolvents (lambda*I - M)^{-1} are available by direct factorization,
+by the analytic transport formula (one O(n) forward sweep, shared with
+the recruitment-free probe), and by a Neumann perturbation series whose
+divergence doubles as a spectral indicator.  The direct route is one
+sparse LU (SuperLU with a minimum-degree ordering of A + A^T, which
+keeps the block lower-bidiagonal transport/loss/coupling part nearly
+fill-free), cached per generator and shared by implicit steps,
+resolvents and eigensolves at every size.
 """
 
 from __future__ import annotations
@@ -24,22 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
 from .model import Kernel, ModelParams, SizeGrid
 
 WHICH_CHOICES = ("A", "A+B1", "B", "full")
-
-# Dense factorization below this size is faster than sparse and handles
-# the dense recruitment block without conversion overhead.
-_DENSE_CUTOFF = 3000
 
 
 @dataclass
@@ -85,28 +81,6 @@ class StateVector:
         return StateVector(self.u1.copy(), self.u2.copy(), self.grid)
 
 
-class _Factorization:
-    """LU factorization of (lambda*I - M), dense or sparse by size."""
-
-    def __init__(self, mat: sp.spmatrix):
-        if mat.shape[0] <= _DENSE_CUTOFF:
-            with warnings.catch_warnings():
-                # a shift landing exactly on an eigenvalue yields a
-                # singular factor; the caller detects the non-finite
-                # solve and moves the shift
-                warnings.simplefilter("ignore", LinAlgWarning)
-                self._dense = lu_factor(mat.toarray())
-            self._sparse = None
-        else:
-            self._dense = None
-            self._sparse = splu(mat.tocsc())
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return lu_solve(self._dense, rhs)
-        return self._sparse.solve(rhs)
-
-
 def _upwind_block(gamma_edges: np.ndarray, grid: SizeGrid) -> sp.csr_matrix:
     """Upwind matrix for -d/ds(gamma u) on one phase.
 
@@ -146,16 +120,19 @@ class DiscreteGenerator:
             return self.full
         raise ConfigurationError(f"unknown operator selection {which!r}")
 
-    def factorization(self, lam: float, which: str) -> _Factorization:
-        """Cached LU factorization of (lambda*I - selected block sum)."""
+    def factorization(self, lam: float, which: str) -> SuperLU:
+        """Cached sparse LU factorization of (lambda*I - selected block sum).
+
+        SpectralProximityError when the shift makes the matrix singular.
+        """
         key = (float(lam), which)
         fact = self._fact_cache.get(key)
         if fact is None:
             mat = sp.identity(2 * self.grid.n, format="csr") * float(lam) \
                 - self.block_sum(which)
             try:
-                fact = _Factorization(mat)
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                fact = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
                 raise SpectralProximityError(
                     f"factorization of (lambda - {which}) failed at "
                     f"lambda={lam:g}: {exc}", lam=lam)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
+import secrets
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,10 +50,15 @@ class RunReport:
 
 
 def atomic_write_text(path: str, text: str):
-    """Write a file via a temp sibling and an atomic rename."""
+    """Write a file via a temp sibling and an atomic rename.
+
+    The file is created with mode 0666 masked by the process umask, as
+    a plain ``open`` would.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(d, f".tmp-{os.getpid()}-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
-                     IterationError, NumericalError, PreconditionError)
+                     IterationError, NumericalError, PreconditionError,
+                     SpectralProximityError)
 from .evolution import Trajectory
 from .model import Kernel, ModelParams, build_grid
 from .operators import DiscreteGenerator, StateVector, transport_sweep
@@ -93,7 +94,7 @@ def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
     def certificate(lam):
         try:
             x = gen.factorization(lam, which).solve(ones)
-        except Exception:
+        except SpectralProximityError:
             return None
         if not np.all(np.isfinite(x)) or x.min() <= 0:
             return None
@@ -141,9 +142,11 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
     x = np.full(n2, 1.0 / n2)
     lam = None
     for it in range(max_iter):
-        fact = gen.factorization(sigma, which)
-        y = fact.solve(x)
-        if not np.all(np.isfinite(y)):
+        try:
+            y = gen.factorization(sigma, which).solve(x)
+        except SpectralProximityError:
+            y = None
+        if y is None or not np.all(np.isfinite(y)):
             # the shift landed on a discrete eigenvalue; nudge it off
             sigma += 0.1 * max(1.0, abs(sigma))
             continue
@@ -287,7 +290,8 @@ def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
 
     Solves the coupled transport system with a fixed nonnegative
     source supported in [0, 1] on each truncation in ``smax_list``
-    (increasing, all within the sampled domain) and watches the L1 norm:
+    (increasing, all within the sampled domain; ConfigurationError when
+    the mesh is too coarse to place the source) and watches the L1 norm:
     ratios of successive truncations all <= 1.02 classify as
     resolvent-bounded, all >= 1.2 as diverging, anything else as
     inconclusive.
@@ -301,6 +305,10 @@ def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
     grid = params.grid
     if smax_list[-1] > grid.length + 1e-9:
         raise ConfigurationError("largest truncation exceeds the sampled domain")
+    if grid.centers[0] > 1.0:
+        raise ConfigurationError(
+            f"no cell center lies in the probe source interval [0, 1] "
+            f"(h = {grid.h:g}); refine the mesh")
     norms = []
     for smax in smax_list:
         k = int(round(smax / grid.h))

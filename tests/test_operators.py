@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from twophase.errors import ConfigurationError
+from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, VolterraOp, assemble,
                                 resolvent_direct, resolvent_neumann,
                                 resolvent_transport_analytic,
                                 volterra_norm_sequence)
+from twophase.scenario import scenario_from_dict
 
 
 def make(n=100, m=1.0, kernel=1.0, **over):
@@ -138,6 +140,36 @@ class TestDirectResolvent:
             H = StateVector(rng.random(60), rng.random(60), g)
             U = resolvent_direct(gen, lam, H, "full")
             assert min(U.u1.min(), U.u2.min()) >= -1e-12
+
+
+    def test_singular_shift_raises_proximity_error(self):
+        # pure transport at gamma = 1, h = 0.01: lambda = -100 is the
+        # diagonal of the lower-bidiagonal operator, so lambda - M is
+        # singular
+        g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
+        H = StateVector(np.ones(100), np.ones(100), g)
+        with pytest.raises(SpectralProximityError):
+            resolvent_direct(gen, -100.0, H, "full")
+
+    def test_factorization_fill_stays_near_matrix_size(self):
+        # README demo generator (box kernel, n = 600) at the implicit
+        # step's shift 1/dt: the minimum-degree ordering keeps the LU
+        # factors within twice the nonzeros of lambda - M (a column
+        # ordering that ignores the bidiagonal structure fills ~14x)
+        scn = scenario_from_dict({
+            "name": "demo",
+            "domain": {"kind": "truncated_infinite", "smax": 30.0, "n": 600},
+            "coefficients": {
+                "gamma1": 1.0, "gamma2": 1.0, "mu": 1.0, "gamma0": 1.0,
+                "c1": {"form": "expression", "name": "indicator",
+                       "lo": 0.5, "hi": 1.0},
+                "c2": {"form": "expression", "name": "exp_decay"}},
+            "kernel": {"form": "indicator", "s_lo": 0.0, "s_hi": 1.0}})
+        gen = assemble(scn.params, scn.kernel, scn.grid)
+        lam = 1000.0
+        fact = gen.factorization(lam, "full")
+        mat = sp.identity(2 * scn.grid.n, format="csr") * lam - gen.full
+        assert fact.L.nnz + fact.U.nnz <= 2 * mat.nnz
 
 
 class TestNeumannSeries:

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 import twophase
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
+from twophase.report import atomic_write_text
 from twophase.scenario import parse_scenario, scenario_from_dict
 
 
@@ -181,6 +183,30 @@ class TestCLI:
             else:
                 doc.setdefault(section, {})[key] = spec
             assert run_cli(["criteria", write(tmp_path, doc)]) == 2, spec
+
+    def test_probe_without_source_cell_exit_2(self, tmp_path):
+        # h = 2.5: no cell center lies in the probe source [0, 1]
+        doc = minimal_doc(
+            domain={"kind": "truncated_infinite", "smax": 10.0, "n": 4},
+            spectral={"smax_list": [5, 10], "probe_lambdas": [0.5]})
+        doc["coefficients"].update(c1=0.5, c2=0.5)
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc),
+                        "--out", str(out)]) == 2
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert not d["complete"]
+        assert "source interval" in d["error"]
+
+    def test_artifacts_honour_umask(self, tmp_path):
+        path = tmp_path / "o" / "a.txt"
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert path.read_text() == "x\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert os.listdir(path.parent) == ["a.txt"]
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as ei:

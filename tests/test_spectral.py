@@ -77,6 +77,18 @@ class TestSpectralBound:
         assert min(eig.u1.min(), eig.u2.min()) >= -1e-12
 
 
+    def test_singular_initial_shift_is_nudged_off(self):
+        # lower-bidiagonal pure transport with gamma = 1 + s: the top
+        # diagonal entry -gamma(edge_1)/h = -11 is the rightmost
+        # eigenvalue, and a shift exactly on it makes the first
+        # factorization singular
+        g, p, K, gen = make(n=10, kernel=0.0, mu=0.0, c1=0.0, c2=0.0,
+                            gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
+        assert gen.full.diagonal().max() == -11.0
+        s, _ = spectral_bound(gen, "full", shift0=-11.0)
+        assert s == pytest.approx(-11.0, abs=1e-8)
+
+
 class TestClosedForms:
     def test_degenerate_special_case(self):
         assert closed_form_sB(0.0, 2.0, 1.0) == pytest.approx(-1.0)
@@ -205,6 +217,13 @@ class TestInfiniteProbe:
         src = np.ones(4)
         with pytest.raises(IterationError):
             duhamel_solve(p, 0.0, src, src)
+
+    def test_source_outside_mesh_rejected(self):
+        # h = 2.5 > 2: no cell center lies in the source interval [0, 1],
+        # so every truncation would see a zero source
+        g, p = tail_params(n=4, smax=10.0, c1=0.5, c2=0.5)
+        with pytest.raises(ConfigurationError, match="source interval"):
+            sB_probe_infinite(p, None, 0.0, [5, 10])
 
     def test_nonzero_kernel_rejected(self):
         g, p = tail_params(n=100, smax=10.0)
