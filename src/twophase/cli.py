@@ -96,11 +96,14 @@ def _sweep_point(doc: dict, key: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
+    threads = os.environ.get("TWOPHASE_THREADS") or "0"
+    if not threads.isdecimal():
+        raise ConfigurationError(f"TWOPHASE_THREADS must be a nonnegative "
+                                 f"integer, got {threads!r}")
     scn = _load_scenario(args)
     key, rng = args.vary
     values = _parse_range(rng)
-    workers = int(os.environ.get("TWOPHASE_THREADS", "0")) or min(
-        len(values), os.cpu_count() or 1)
+    workers = int(threads) or min(len(values), os.cpu_count() or 1)
     rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for row in pool.map(lambda v: _sweep_point(scn.raw, key, v), values):

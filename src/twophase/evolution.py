@@ -28,20 +28,18 @@ IDEAL_KINDS = ("both_min_size", "phase2_min_size", "phase2_only",
 class Trajectory:
     """Recorded evolution of a state under the implicit scheme.
 
-    ``times``/``states``/``masses``/``phase_masses`` hold the decimated
-    profile records; ``step_times``/``step_masses``/``step_phase_masses``
-    hold the per-step mass series.
+    ``times``/``states``/``masses`` hold the decimated profile records;
+    ``step_times``/``step_masses``/``step_phase_masses`` hold the per-step
+    mass series.
     """
 
     times: np.ndarray
     states: list
     masses: np.ndarray
-    phase_masses: np.ndarray
     step_times: np.ndarray
     step_masses: np.ndarray
     step_phase_masses: np.ndarray
     dt: float
-    record_every: int
 
 
 @dataclass
@@ -99,13 +97,11 @@ def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
             times.append(t)
             states.append(U.copy())
     masses = np.array([S.mass for S in states])
-    phase_masses = np.array([S.phase_masses for S in states])
     return Trajectory(times=np.array(times), states=states, masses=masses,
-                      phase_masses=phase_masses,
                       step_times=np.array(step_times),
                       step_masses=np.array(step_masses),
                       step_phase_masses=np.array(step_phase),
-                      dt=dt, record_every=record_every)
+                      dt=dt)
 
 
 def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassBalanceReport:
@@ -113,13 +109,17 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
 
     The source at a state is sum_j (sum_i beta[i,j]*h - mu[j]) * u1[j] * h,
     evaluated at the end of each step (matching backward Euler).  Requires
-    a uniformly-strided trajectory with at least two records.
+    at least two records with a uniform stride, except that the last may
+    be shorter (the final record of a run whose stride does not divide
+    the step count).
     """
     if len(traj.states) < 2:
         raise InsufficientDataError("mass balance needs at least 2 records")
     steps = np.diff(traj.times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ConfigurationError("mass balance requires a uniform record stride")
+    if not (np.allclose(steps[:-1], steps[0], rtol=1e-9, atol=1e-12)
+            and steps[-1] - steps[0] <= 1e-12 + 1e-9 * steps[0]):
+        raise ConfigurationError("mass balance requires a uniform record "
+                                 "stride (the last may be shorter)")
     h = kernel.grid.h
     col_births = kernel.beta.sum(axis=0) * h     # integral of beta(., y) ds
     net = col_births - params.mu                  # per-parent net source rate

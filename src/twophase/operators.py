@@ -18,8 +18,8 @@ the recruitment-free probe), and by a Neumann perturbation series whose
 divergence doubles as a spectral indicator.  The direct route is one
 sparse LU (SuperLU with a minimum-degree ordering of A + A^T, which
 keeps the block lower-bidiagonal transport/loss/coupling part nearly
-fill-free), cached per generator and shared by implicit steps,
-resolvents and eigensolves at every size.
+fill-free) at every size; a generator keeps only its last factor, which
+serves the repeated shifts of implicit steps, resolvents and eigensolves.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DiscreteGenerator:
     B2_block: sp.csr_matrix
     B3_block: sp.csr_matrix
     full: sp.csr_matrix
-    _fact_cache: dict = field(default_factory=dict, repr=False)
+    _last_fact: Optional[tuple] = field(default=None, repr=False)
 
     def block_sum(self, which: str) -> sp.csr_matrix:
         if which == "A":
@@ -121,13 +121,14 @@ class DiscreteGenerator:
         raise ConfigurationError(f"unknown operator selection {which!r}")
 
     def factorization(self, lam: float, which: str) -> SuperLU:
-        """Cached sparse LU factorization of (lambda*I - selected block sum).
+        """Sparse LU factorization of (lambda*I - selected block sum).
 
+        Only the last (lambda, which) factor is kept; a new key frees it first.
         SpectralProximityError when the shift makes the matrix singular.
         """
         key = (float(lam), which)
-        fact = self._fact_cache.get(key)
-        if fact is None:
+        if self._last_fact is None or self._last_fact[0] != key:
+            self._last_fact = None
             mat = sp.identity(2 * self.grid.n, format="csr") * float(lam) \
                 - self.block_sum(which)
             try:
@@ -136,8 +137,8 @@ class DiscreteGenerator:
                 raise SpectralProximityError(
                     f"factorization of (lambda - {which}) failed at "
                     f"lambda={lam:g}: {exc}", lam=lam)
-            self._fact_cache[key] = fact
-        return fact
+            self._last_fact = (key, fact)
+        return self._last_fact[1]
 
     def infinity_norm(self) -> float:
         return float(abs(self.full).sum(axis=1).max())

@@ -172,7 +172,7 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
             divergent = True
         else:
             s_B = float(s_B_val)
-    rep = SpectralReport(s_A=float(s_A), s_A_converged=True, eigfun=eigfun,
+    rep = SpectralReport(s_A=float(s_A), eigfun=eigfun,
                          s_B_surrogate=s_B, s_B_divergent=divergent)
     _closed_forms(scn, rep)
     if s_B is not None:
@@ -273,8 +273,8 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
                     traj, eig_candidate=rep.spectral.eigfun)
             elif scn.T > 0 and len(traj.step_times) // 2 >= 20:
                 rep.spectral = rep.spectral or SpectralReport(
-                    s_A=float("nan"), s_A_converged=False, eigfun=None,
-                    s_B_surrogate=None, s_B_divergent=False)
+                    s_A=float("nan"), eigfun=None, s_B_surrogate=None,
+                    s_B_divergent=False)
                 rep.spectral.aeg_fit = detect_AEG(traj)
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")

@@ -66,7 +66,6 @@ class SpectralReport:
     """Aggregated spectral quantities for one configuration."""
 
     s_A: float
-    s_A_converged: bool
     eigfun: Optional[StateVector]
     s_B_surrogate: Optional[float]      # None encodes the -inf marker
     s_B_divergent: bool
@@ -106,8 +105,8 @@ def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
                              "initial upper bound")
     step = max(1.0, 0.01 * abs(hi))
     lo = hi - step
-    while certificate(lo) is not None:
-        hi, x_hi = lo, certificate(lo)
+    while (x_lo := certificate(lo)) is not None:
+        hi, x_hi = lo, x_lo
         step *= 2.0
         lo = hi - step
         if step > 1e12:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from twophase.errors import InsufficientDataError, PreconditionError
+from twophase.errors import (ConfigurationError, InsufficientDataError,
+                             PreconditionError)
 from twophase.evolution import (evolve, ideal_invariance_probe, mass_balance,
                                 step_implicit)
 from twophase.model import build_grid, build_kernel, sample_params
@@ -139,6 +142,18 @@ class TestMassBalance:
         rate = (np.log(traj.step_masses[-1]) - np.log(traj.step_masses[0])) \
             / traj.step_times[-1]
         assert rate == pytest.approx(-1.0, rel=0.02)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.3, 0.6, 0.9, 1.3],
+                                       [0.0, 0.3, 0.4, 0.7, 1.0]])
+    def test_non_uniform_stride_rejected(self, times):
+        # only the last stride may differ, and only by being shorter
+        g, p, K, gen = make(n=20)
+        traj = evolve(gen, left_bump(g), 1e-2, 1.0, record_every=30)
+        assert np.allclose(np.diff(traj.times), [0.3, 0.3, 0.3, 0.1])
+        mass_balance(traj, K, p)
+        with pytest.raises(ConfigurationError):
+            mass_balance(dataclasses.replace(traj, times=np.array(times)),
+                         K, p)
 
     def test_insufficient_records(self):
         g, p, K, gen = make(n=20)

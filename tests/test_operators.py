@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import twophase.operators
 from twophase.errors import ConfigurationError, SpectralProximityError
+from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, VolterraOp, assemble,
                                 resolvent_direct, resolvent_neumann,
@@ -170,6 +172,25 @@ class TestDirectResolvent:
         fact = gen.factorization(lam, "full")
         mat = sp.identity(2 * scn.grid.n, format="csr") * lam - gen.full
         assert fact.L.nnz + fact.U.nnz <= 2 * mat.nnz
+
+    def test_factorization_keeps_one_live_factor(self, monkeypatch):
+        # the generator keeps only its last factor: repeated shifts
+        # factor once, and returning to an earlier shift factors again
+        calls = []
+        orig = twophase.operators.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(twophase.operators, "splu", counting_splu)
+        g, p, K, gen = make(n=40)
+        U = StateVector(np.ones(40), np.zeros(40), g)
+        evolve(gen, U, 1e-2, 0.5)
+        assert len(calls) == 1
+        gen.factorization(1.0, "full")
+        gen.factorization(2.0, "full")
+        gen.factorization(1.0, "full")
+        assert len(calls) == 4
 
 
 class TestNeumannSeries:

@@ -143,6 +143,27 @@ class TestCLI:
         assert d["complete"]
         assert d["spectral"]["aeg_fit"] is None
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_short_last_record_stride_accepted(self, tmp_path, command):
+        # 100 steps recorded every 30 end with a 10-step stride
+        doc = minimal_doc(run={"dt": 1e-2, "T": 1.0, "record_every": 30})
+        path = write(tmp_path, doc)
+        out = tmp_path / "o"
+        assert run_cli([command, path, "--out", str(out)]) == 0
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert d["complete"]
+        assert len(d["mass_balance"]["drift"]) == 4
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_sweep_bad_thread_count_exit_2(self, tmp_path, monkeypatch,
+                                           threads):
+        monkeypatch.setenv("TWOPHASE_THREADS", threads)
+        path = write(tmp_path, minimal_doc())
+        out = tmp_path / "o"
+        assert run_cli(["sweep", path, "--out", str(out),
+                        "--vary", "kernel.value", "0:1:0.5"]) == 2
+        assert not (out / "minimal_sweep.csv").exists()
+
     def test_sweep_row_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TWOPHASE_THREADS", "2")
         doc = minimal_doc()
