@@ -2,8 +2,12 @@
 
 Four independent routes to spectral information are provided:
 
-  * shift-and-invert power iteration for the rightmost eigenvalue and
-    its nonnegative (Perron) eigenvector of any assembled block sum;
+  * the rightmost eigenvalue and its nonnegative (Perron) eigenvector of
+    any assembled block sum: read exactly off the 2x2 cell blocks when
+    the sum is block lower triangular in per-cell order (no recruitment,
+    or a kernel that does not mix), and otherwise by shift-and-invert
+    power iteration on certified shifts with a positivity-certificate
+    bisection fallback;
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
@@ -20,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, PreconditionError,
@@ -77,35 +83,39 @@ class SpectralReport:
     probe: Optional[list] = None    # list of ProbeResult, one per lambda
 
 
-def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
-                         tol: float) -> tuple[float, np.ndarray]:
-    """Rightmost-eigenvalue location by the M-matrix positivity certificate.
+def _certificate(gen: DiscreteGenerator, which: str,
+                 lam: float) -> Optional[np.ndarray]:
+    """(lambda*I - M)^{-1} 1 when it is strictly positive, else None.
 
-    The selected block sum has the Metzler sign pattern (nonnegative
-    off-diagonal), so lambda exceeds its spectral bound exactly when
-    (lambda*I - M) is a nonsingular M-matrix, which holds iff the solve
-    (lambda*I - M) x = 1 returns a strictly positive x.  Bisection on
-    this certificate is immune to the non-normality that defeats power
-    iteration in the refinement-divergent regime.
+    The selected block sum M has the Metzler sign pattern (nonnegative
+    off-diagonal), so lambda lies above its spectral bound exactly when
+    (lambda*I - M) is a nonsingular M-matrix, which holds iff this solve
+    returns a strictly positive vector.
     """
-    ones = np.ones(2 * gen.grid.n)
+    try:
+        x = gen.factorization(lam, which).solve(np.ones(2 * gen.grid.n))
+    except SpectralProximityError:
+        return None
+    if not np.all(np.isfinite(x)) or x.min() <= 0:
+        return None
+    return x
 
-    def certificate(lam):
-        try:
-            x = gen.factorization(lam, which).solve(ones)
-        except SpectralProximityError:
-            return None
-        if not np.all(np.isfinite(x)) or x.min() <= 0:
-            return None
-        return x
 
-    x_hi = certificate(hi)
-    if x_hi is None:
-        raise NumericalError("positivity certificate failed at the "
-                             "initial upper bound")
+def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
+                         x_hi: np.ndarray,
+                         tol: float) -> tuple[float, np.ndarray]:
+    """Bisection on the positivity certificate, from a certified ``hi``.
+
+    The power loop's fallback for mixing kernels; ``x_hi`` is the
+    certificate at ``hi``.  Only the returned ``hi`` is certified (an
+    upper bound).  The shift where the computed certificate first fails
+    is not a lower bound: for a strongly non-normal matrix it fails far
+    above the spectrum (on the s>y kernel at n=800 near -471, with the
+    exact bound at -800.38).
+    """
     step = max(1.0, 0.01 * abs(hi))
     lo = hi - step
-    while (x_lo := certificate(lo)) is not None:
+    while (x_lo := _certificate(gen, which, lo)) is not None:
         hi, x_hi = lo, x_lo
         step *= 2.0
         lo = hi - step
@@ -113,7 +123,7 @@ def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
             raise NumericalError("could not bracket the spectral bound")
     while hi - lo > tol * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        x_mid = certificate(mid)
+        x_mid = _certificate(gen, which, mid)
         if x_mid is None:
             lo = mid
         else:
@@ -121,34 +131,93 @@ def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
     return hi, x_hi
 
 
-def spectral_bound(gen: DiscreteGenerator, which: str = "full",
-                   shift0: Optional[float] = None, tol: float = 1e-10,
-                   max_iter: int = 500) -> tuple[float, StateVector]:
-    """Rightmost real eigenvalue and nonnegative eigenvector of a block sum.
+def _cell_blocks(gen: DiscreteGenerator,
+                 which: str) -> Optional[tuple[np.ndarray, ...]]:
+    """2x2 diagonal cell blocks of a block lower triangular block sum.
 
-    Shift-and-invert power iteration: iterate x <- (sigma - M)^{-1} x,
-    estimate the eigenvalue as sigma - 1/theta with theta the Rayleigh
-    quotient of the inverse, and pull the shift down to estimate + 1
-    as the estimate stabilizes.  Positivity of the resolvent drives the
-    iterates to the Perron pair.
+    In per-cell (u1_i, u2_i) order the selected block sum M has the
+    diagonal blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
+    [M[n+i, i], M[n+i, n+i]]].  Returns (a, b, c, d) when no nonzero entry
+    of M feeds a cell from a later one, so that M is block lower
+    triangular and its spectrum is the union of the blocks'; None
+    otherwise.  "A", "A+B1" and "B" always qualify; "full" qualifies
+    exactly when the kernel does not mix (beta vanishes above the
+    diagonal: no offspring is smaller than its parent).
     """
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    n = gen.grid.n
+    M = gen.block_sum(which).tocoo()
+    if np.any((M.col % n > M.row % n) & (M.data != 0)):
+        return None
+    M = M.tocsr()
+    diag = M.diagonal()
+    return diag[:n], M.diagonal(n), M.diagonal(-n), diag[n:]
+
+
+def _block_eigenvalues(a, b, c, d) -> np.ndarray:
+    """Larger eigenvalue of each 2x2 block [[a, b], [c, d]] with b*c >= 0."""
+    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * c)
+
+
+def _exact_bound(gen: DiscreteGenerator, which: str,
+                 blocks: tuple) -> tuple[float, np.ndarray]:
+    """Spectral bound and nonnegative eigenvector of a block triangular sum.
+
+    The bound is the largest cell-block eigenvalue lambda, attained last
+    at cell k.  The eigenvector is zero before cell k and the block's
+    Perron vector v at cell k; the later cells solve
+    (lambda - M_{>k,>k}) x = M_{>k,k} v, whose matrix is a nonsingular
+    M-matrix because every later block eigenvalue lies below lambda.
+    """
+    a, b, c, d = blocks
+    n = gen.grid.n
+    lams = _block_eigenvalues(a, b, c, d)
+    lam = float(lams.max())
+    k = int(np.flatnonzero(lams == lam)[-1])
+    # (b, lam - a) and (lam - d, c) both span the block's eigenvector;
+    # lam >= max(a, d), so the one built on the larger gap cancels least
+    if a[k] < d[k]:
+        v = (b[k], lam - a[k])
+    else:
+        v = (lam - d[k], c[k])
+    if v == (0.0, 0.0):     # the block is lam*I or [[lam, b], [0, lam]]
+        v = (1.0, 0.0)
+    x = np.zeros(2 * n)
+    x[[k, n + k]] = v
+    if k < n - 1:
+        later = np.r_[k + 1:n, n + k + 1:2 * n]
+        rows = gen.block_sum(which)[later]
+        sub = sp.identity(len(later), format="csc") * lam \
+            - rows[:, later].tocsc()
+        x[later] = spsolve(sub, rows[:, [k, n + k]] @ np.array(v),
+                           permc_spec="MMD_AT_PLUS_A")
+    return lam, x
+
+
+def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
+                 tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+    """Shift-and-invert power iteration with certified shifts.
+
+    Every shift passes the positivity certificate, so it lies above the
+    spectral bound and the resolvent's dominant eigenvalue belongs to the
+    Perron pair; a re-centred shift that fails it is rejected and the
+    next move goes halfway back toward the current shift.
+    """
+    user_shift = shift0 is not None
+    top = float(shift0) if user_shift else gen.infinity_norm() + 1.0
+    x_top = _certificate(gen, which, top)
+    if x_top is None:
+        if user_shift:
+            raise ConfigurationError(
+                f"spectral.shift0 = {top:g} is not above the spectral bound "
+                f"of the {which!r} operator")
+        raise NumericalError("positivity certificate failed at the "
+                             "initial shift")
     n2 = 2 * gen.grid.n
-    if shift0 is None:
-        shift0 = gen.infinity_norm() + 1.0
-    sigma = float(shift0)
+    sigma, floor = top, -math.inf    # certified shift, highest failed one
     x = np.full(n2, 1.0 / n2)
     lam = None
     for it in range(max_iter):
-        try:
-            y = gen.factorization(sigma, which).solve(x)
-        except SpectralProximityError:
-            y = None
-        if y is None or not np.all(np.isfinite(y)):
-            # the shift landed on a discrete eigenvalue; nudge it off
-            sigma += 0.1 * max(1.0, abs(sigma))
-            continue
+        y = gen.factorization(sigma, which).solve(x)
         theta = float(x @ y) / float(x @ x)
         if theta == 0 or not np.isfinite(theta):
             raise IterationError(
@@ -164,23 +233,53 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
         # re-center the shift once the estimate settles; keep a unit
         # offset so the factorization stays well away from the spectrum
         if sigma > lam + 10.0 or sigma < lam + 0.5:
-            sigma = lam + 1.0
+            target = lam + 1.0
+            if target <= floor:
+                target = 0.5 * (floor + sigma)
+            if _certificate(gen, which, target) is not None:
+                sigma = target
+            else:
+                floor = max(floor, target)
     else:
         # slow algebraic convergence (large Jordan chains of the
-        # refinement-divergent regime); the certificate bisection below
-        # still locates the bound rigorously
+        # refinement-divergent regime)
         lam = None
     if x.sum() < 0:
         x = -x
     if lam is None or x.min() < -1e-8 * max(x.max(), 1e-300):
-        # severe non-normality (the refinement-divergent regime) leaves
-        # the iterate sign-indefinite; fall back to the rigorous
-        # positivity-certificate bisection.  A genuinely complex
-        # dominant pair would also land here, but the Perron root of
-        # these sign-structured operators is real, so the certificate
-        # still brackets the spectral bound.
-        lam, x = _perron_bound_bisect(gen, which, hi=float(shift0),
+        # severe non-normality leaves the iterate sign-indefinite; fall
+        # back to the certificate bisection from the initial shift.  The
+        # Perron root of these sign-structured operators is real, so a
+        # complex dominant pair cannot be the cause.
+        lam, x = _perron_bound_bisect(gen, which, hi=top, x_hi=x_top,
                                       tol=max(tol, 1e-6))
+    return lam, x
+
+
+def spectral_bound(gen: DiscreteGenerator, which: str = "full",
+                   shift0: Optional[float] = None, tol: float = 1e-10,
+                   max_iter: int = 500) -> tuple[float, StateVector]:
+    """Rightmost real eigenvalue and nonnegative eigenvector of a block sum.
+
+    A block sum that is block lower triangular in per-cell order (every
+    sum without recruitment, and the full generator of a kernel that
+    does not mix) is solved exactly from its 2x2 cell blocks, with no
+    factorization of the whole matrix; ``shift0`` is not used there.
+    Otherwise shift-and-invert power iteration: iterate
+    x <- (sigma - M)^{-1} x, estimate the eigenvalue as sigma - 1/theta
+    with theta the Rayleigh quotient of the inverse, and pull the shift
+    down to estimate + 1 as the estimate stabilizes, accepting only
+    shifts that the positivity certificate places above the bound.
+    Positivity of the resolvent drives the iterates to the Perron pair.
+    ConfigurationError when a given ``shift0`` is not above the bound.
+    """
+    if tol <= 0:
+        raise ConfigurationError("tol must be positive")
+    blocks = _cell_blocks(gen, which)
+    if blocks is not None:
+        lam, x = _exact_bound(gen, which, blocks)
+    else:
+        lam, x = _power_bound(gen, which, shift0, tol, max_iter)
     x = np.clip(x, 0.0, None)
     eig = StateVector.from_stacked(x, gen.grid)
     m = eig.mass
@@ -200,13 +299,7 @@ def recruitment_free_bound(gen: DiscreteGenerator) -> float:
     is the union of the 2x2 blocks' eigenvalues -- immune to the
     non-normality that defeats iterative eigensolvers here.
     """
-    p = gen.params
-    h = gen.grid.h
-    a = -p.gamma1_edges[1:] / h - p.mu - p.c1
-    d = -p.gamma2_edges[1:] / h - p.c2
-    mean = 0.5 * (a + d)
-    disc = 0.25 * (a - d) ** 2 + p.c1 * p.c2
-    return float((mean + np.sqrt(disc)).max())
+    return float(_block_eigenvalues(*_cell_blocks(gen, "B")).max())
 
 
 def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:

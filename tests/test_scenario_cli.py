@@ -218,6 +218,15 @@ class TestCLI:
         assert not d["complete"]
         assert "source interval" in d["error"]
 
+    def test_shift0_below_bound_exit_2(self, tmp_path):
+        doc = minimal_doc(spectral={"shift0": -5.0})
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc),
+                        "--out", str(out)]) == 2
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert not d["complete"]
+        assert "shift0" in d["error"]
+
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"
         old = os.umask(0o022)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import twophase.operators
 from twophase.errors import (ConfigurationError, IterationError,
-                             PreconditionError)
+                             PreconditionError, SpectralProximityError)
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import StateVector, assemble
@@ -87,6 +88,121 @@ class TestSpectralBound:
         assert gen.full.diagonal().max() == -11.0
         s, _ = spectral_bound(gen, "full", shift0=-11.0)
         assert s == pytest.approx(-11.0, abs=1e-8)
+
+
+def block_eigenvalues(gen):
+    # larger eigenvalue of each 2x2 diagonal cell block of the dense
+    # full matrix in per-cell (u1_i, u2_i) order, by LAPACK
+    n = gen.grid.n
+    M = gen.full.toarray()
+    i = np.arange(n)
+    blocks = np.empty((n, 2, 2))
+    blocks[:, 0, 0], blocks[:, 0, 1] = M[i, i], M[i, n + i]
+    blocks[:, 1, 0], blocks[:, 1, 1] = M[n + i, i], M[n + i, n + i]
+    return np.linalg.eigvals(blocks).real.max(axis=1)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    real = twophase.operators.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twophase.operators, "splu", counting)
+    return calls
+
+
+def reducible_generator():
+    # n=10, gamma = 1+s, no loss or coupling, box kernel 100 on
+    # s, y in [0, 0.2]: cells 0 and 1 of phase 1 form the block
+    # [[-1, 10], [21, -2]] with eigenvalues 13 and -16, and phase 2 is
+    # pure transport with eigenvalues -11, -12, ...
+    return make(n=10, kernel={"form": "indicator", "s_hi": 0.2,
+                              "y_hi": 0.2, "value": 100.0},
+                mu=0.0, c1=0.0, c2=0.0,
+                gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
+
+
+class TestExactRoute:
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    def test_growth_only_bound_from_cell_blocks(self, n, splu_calls):
+        g, p, K, gen = make(n=n, kernel={"form": "indicator",
+                                         "relation": "s>y"})
+        s, eig = spectral_bound(gen, "full", tol=1e-3)
+        best = block_eigenvalues(gen).max()
+        assert abs(s - best) <= 1e-12 * abs(best)
+        # [[-n-2, 1], [1, -n-1]]: -n - 3/2 + sqrt(5)/2
+        assert s == pytest.approx(-n - 1.5 + math.sqrt(1.25), rel=1e-12)
+        assert splu_calls == []
+        assert eig.mass == pytest.approx(1.0)
+
+    def test_lower_triangular_kernel_with_trailing_cells(self):
+        n = 12
+        g, p, K, gen = make(
+            n=n, kernel=lambda s, y: np.where(s >= y, 3.0 + 2.0 * s * y, 0.0),
+            gamma1=lambda s: 1 + 0.5 * s, gamma2=lambda s: 1.2 + s,
+            mu=lambda s: 1 + s, c1=lambda s: 0.5 + s, c2=lambda s: 2 - s)
+        assert np.all(np.diag(K.beta) > 0)
+        lams = block_eigenvalues(gen)
+        k = int(np.flatnonzero(lams == lams.max())[-1])
+        assert k < n - 1
+        s, eig = spectral_bound(gen, "full")
+        assert abs(s - lams.max()) <= 1e-12 * abs(s)
+        x = eig.stacked()
+        assert x.min() >= 0.0
+        assert eig.mass == pytest.approx(1.0, rel=1e-14)
+        res = np.abs(gen.full @ x - s * x).max()
+        assert res <= 1e-12 * abs(s) * x.max()
+        # zero before cell k, and the trailing solve fills later cells
+        assert not np.any(x[:k]) and not np.any(x[n:n + k])
+        assert x[k + 1:n].sum() + x[n + k + 1:].sum() > 0
+
+    def test_mixing_kernel_takes_power_route(self, splu_calls):
+        g, p, K, gen = make(n=50)
+        s, eig = spectral_bound(gen, "full")
+        assert splu_calls
+        dense = np.linalg.eigvals(gen.full.toarray()).real.max()
+        assert s == pytest.approx(dense, rel=1e-8)
+
+
+class TestCertifiedShifts:
+    def test_reducible_generator_keeps_top_eigenvalue(self):
+        g, p, K, gen = reducible_generator()
+        assert np.linalg.eigvals(gen.full.toarray()).real.max() \
+            == pytest.approx(13.0, abs=1e-10)
+        s, eig = spectral_bound(gen, "full")
+        assert s == pytest.approx(13.0, abs=1e-8)
+        assert min(eig.u1.min(), eig.u2.min()) >= 0.0
+
+    @pytest.mark.parametrize("shift0", [5.0, 13.0])
+    def test_shift0_at_or_below_bound_rejected(self, shift0):
+        g, p, K, gen = reducible_generator()
+        with pytest.raises(ConfigurationError, match="shift0"):
+            spectral_bound(gen, "full", shift0=shift0)
+
+    def test_singular_shift_in_power_loop_is_rejected(self, monkeypatch):
+        # the first re-centred shift (about 2.04, below the bound 13) is
+        # made exactly singular, as splu reports it; the loop must stay
+        # on certified shifts and still find the top eigenvalue
+        g, p, K, gen = reducible_generator()
+        top = gen.infinity_norm() + 1.0
+        real = gen.factorization
+        singular = []
+
+        def factorization(lam, which):
+            if lam != top and (not singular or lam == singular[0]):
+                singular.append(lam)
+                raise SpectralProximityError("Factor is exactly singular",
+                                             lam=lam)
+            return real(lam, which)
+
+        monkeypatch.setattr(gen, "factorization", factorization)
+        s, _ = spectral_bound(gen, "full")
+        assert len(singular) == 1 and singular[0] < 13.0
+        assert s == pytest.approx(13.0, abs=1e-8)
 
 
 class TestClosedForms:
