@@ -7,7 +7,8 @@ Subcommands: ``simulate`` (evolve + CSV export), ``spectrum``
 (eigensolve + closed forms + probe), ``criteria`` (hypothesis verdict),
 ``report`` (full pipeline), ``sweep`` (repeat the spectrum stage over a
 range of one scalar key, emitting a CSV).  Flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+out of memory.
 ``TWOPHASE_THREADS`` caps sweep parallelism.
 """
 
@@ -134,6 +135,9 @@ def main(argv=None) -> int:
         return 3
     except TwophaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -100,9 +100,7 @@ def _edge_mixing_integrals(kernel: Kernel, grid: SizeGrid) -> np.ndarray:
     The double integral that must be positive for a cutoff at edge_k:
     offspring below the cutoff, parents above it.
     """
-    # C[i, j] = sum of beta over rows <= i and cols >= j; I[k] = C[k-1, k]
-    C = np.cumsum(np.cumsum(kernel.beta, axis=0)[:, ::-1], axis=1)[:, ::-1]
-    return np.diagonal(C, offset=1) * grid.h ** 2
+    return kernel.cutoff_sums() * grid.h ** 2
 
 
 def check_kernel_mixing(kernel: Kernel, grid: SizeGrid,
@@ -174,7 +172,7 @@ def classify_conservativity(kernel: Kernel, params: ModelParams,
     for truncated unbounded domains -- minima of mu and c2 over the
     final 10% of cells as liminf surrogates, with the window length.
     """
-    margin = kernel.beta.sum(axis=0) * grid.h - params.mu
+    margin = kernel.column_sums() * grid.h - params.mu
     mmin, mmax = float(margin.min()), float(margin.max())
     if mmin >= -1e-12 and mmax <= 1e-12:
         cls = "neutral"

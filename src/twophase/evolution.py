@@ -59,7 +59,10 @@ class MassBalanceReport:
 
 
 def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVector:
-    """One backward-Euler step: returns (I - dt*gen.full)^{-1} U."""
+    """One backward-Euler step: returns (I - dt*gen.full)^{-1} U.
+
+    The result's components are views of one fresh array.
+    """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     lam = 1.0 / dt
@@ -67,8 +70,10 @@ def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVec
         fact = gen.factorization(lam, "full")
     except SpectralProximityError as exc:
         raise StepSizeError(f"implicit step factorization failed at dt={dt:g}: {exc}")
-    x = fact.solve(U.stacked()) * lam
-    if not np.all(np.isfinite(x)):
+    x = fact.solve(U.stacked())
+    x *= lam
+    # one pass: a non-finite entry makes the sum non-finite
+    if not math.isfinite(x.sum()):
         raise StepSizeError(f"implicit step produced non-finite state at dt={dt:g}")
     return StateVector.from_stacked(x, gen.grid)
 
@@ -83,24 +88,23 @@ def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
     nsteps = 0 if T == 0 else math.ceil(T / dt - 1e-12)
     U = U0.copy()
     times = [0.0]
-    states = [U.copy()]
-    step_times = [0.0]
-    step_masses = [U.mass]
-    step_phase = [U.phase_masses]
+    states = [U]
+    # per-step phase sums; each step returns a new state, so records
+    # need no copy
+    sums = np.empty((nsteps + 1, 2))
+    sums[0] = U.u1.sum(), U.u2.sum()
     for k in range(1, nsteps + 1):
         U = step_implicit(gen, U, dt)
-        t = k * dt
-        step_times.append(t)
-        step_masses.append(U.mass)
-        step_phase.append(U.phase_masses)
+        sums[k] = U.u1.sum(), U.u2.sum()
         if k % record_every == 0 or k == nsteps:
-            times.append(t)
-            states.append(U.copy())
+            times.append(k * dt)
+            states.append(U)
+    h = gen.grid.h
     masses = np.array([S.mass for S in states])
     return Trajectory(times=np.array(times), states=states, masses=masses,
-                      step_times=np.array(step_times),
-                      step_masses=np.array(step_masses),
-                      step_phase_masses=np.array(step_phase),
+                      step_times=np.arange(nsteps + 1) * dt,
+                      step_masses=(sums[:, 0] + sums[:, 1]) * h,
+                      step_phase_masses=sums * h,
                       dt=dt)
 
 
@@ -121,7 +125,7 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
         raise ConfigurationError("mass balance requires a uniform record "
                                  "stride (the last may be shorter)")
     h = kernel.grid.h
-    col_births = kernel.beta.sum(axis=0) * h     # integral of beta(., y) ds
+    col_births = kernel.column_sums() * h     # integral of beta(., y) ds
     net = col_births - params.mu                  # per-parent net source rate
     g1e = params.gamma1_edges[-1]
     g2e = params.gamma2_edges[-1]

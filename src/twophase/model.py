@@ -7,12 +7,18 @@ Discontinuous coefficients (indicators, step tables) are sampled
 pointwise at centers, so a cell straddling a jump takes the center
 value -- a deterministic O(h) bias.
 
+The kernel keeps the structure of its built-in form: rank-1 factors
+(constant, product, box indicator) or a strict triangle (``s>y``,
+``s<y``), so its derived quantities cost O(n) and no n x n array is
+allocated; only tables and callables are sampled densely.
+
 Instances are immutable after construction and safe to share between
 threads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -223,101 +229,233 @@ def sample_params(specs: dict, grid: SizeGrid) -> ModelParams:
 
 KernelSpec = Union[float, int, Callable[[np.ndarray, np.ndarray], np.ndarray], dict]
 
+LOWER, UPPER = "s>y", "s<y"
+
 
 @dataclass(frozen=True)
 class Kernel:
-    """Cell-averaged recruitment kernel beta(s_i, y_j) and derived scalars.
+    """Cell-center recruitment kernel beta(s_i, y_j) and derived scalars.
 
-    ``k_beta`` is the max over columns j of sum_i beta[i, j] * h (the
-    discrete bound on the integral operator norm), ``beta1`` the row-wise
-    minimum over y.  ``dominator`` is an optional grid function bounding
+    The kernel keeps the structure of its form, so that every derived
+    quantity below costs O(n) and allocates no n x n array:
+
+      * ``factors`` = (f, g) for the rank-1 forms (constant, product, box
+        indicator): beta[i, j] = f[i] * g[j];
+      * ``triangle`` = (value, relation) for the indicators ``"s>y"``
+        (beta = value strictly below the diagonal) and ``"s<y"``
+        (strictly above it);
+      * ``dense`` for tables and callables.
+
+    Exactly one of the three is set.  ``k_beta`` is the max over columns
+    j of sum_i beta[i, j] * h (the discrete bound on the integral
+    operator norm), ``beta1`` the row-wise minimum over y.
+    ``dominator`` is an optional grid function bounding
     beta(s, y) <= dominator(s) for all y (sufficient condition for weak
     compactness of the recruitment operator).
     """
 
     grid: SizeGrid
-    beta: np.ndarray
     k_beta: float
     beta1: np.ndarray
     dominator: Optional[np.ndarray] = None
+    factors: Optional[tuple[np.ndarray, np.ndarray]] = None
+    triangle: Optional[tuple[float, str]] = None
+    dense: Optional[np.ndarray] = None
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The n x n kernel samples, materialized on each access for the
+        structured forms (a test oracle and the general factor route)."""
+        if self.dense is not None:
+            return self.dense
+        if self.factors is not None:
+            return np.outer(*self.factors)
+        value, relation = self.triangle
+        lower = np.tri(self.grid.n, k=-1)
+        return (lower if relation == LOWER else lower.T) * value
+
+    def _triangle_line_sums(self, rows: bool) -> np.ndarray:
+        # line k of a strict triangle holds k entries when it enters the
+        # triangle from its short side (rows of s>y, columns of s<y),
+        # else n-1-k
+        n = self.grid.n
+        value, relation = self.triangle
+        k = np.arange(n, dtype=float)
+        return value * (k if (relation == LOWER) == rows else n - 1 - k)
+
+    def row_sums(self) -> np.ndarray:
+        """sum_j beta[i, j] for every offspring cell i."""
+        if self.factors is not None:
+            f, g = self.factors
+            return f * g.sum()
+        if self.triangle is not None:
+            return self._triangle_line_sums(rows=True)
+        return self.dense.sum(axis=1)
+
+    def column_sums(self) -> np.ndarray:
+        """sum_i beta[i, j] for every parent cell j."""
+        if self.factors is not None:
+            f, g = self.factors
+            return g * f.sum()
+        if self.triangle is not None:
+            return self._triangle_line_sums(rows=False)
+        return self.dense.sum(axis=0)
+
+    def diagonal(self) -> np.ndarray:
+        """beta[i, i]: recruitment into the parent's own cell."""
+        if self.factors is not None:
+            f, g = self.factors
+            return f * g
+        if self.triangle is not None:
+            return np.zeros(self.grid.n)
+        return np.diagonal(self.dense).copy()
+
+    def cutoff_sums(self) -> np.ndarray:
+        """S[k-1] = sum of beta[i, j] over i < k <= j, for k = 1..n-1.
+
+        The kernel mass with offspring below the cell edge k and parents
+        above it; some S[k] > 0 exactly when the kernel mixes (some
+        beta[i, j] > 0 with i < j).
+        """
+        n = self.grid.n
+        if self.factors is not None:
+            f, g = self.factors
+            return np.cumsum(f)[:-1] * np.cumsum(g[::-1])[::-1][1:]
+        if self.triangle is not None:
+            value, relation = self.triangle
+            if relation == LOWER:
+                return np.zeros(n - 1)
+            k = np.arange(1, n, dtype=float)
+            return value * k * (n - k)
+        # C[i, j] = sum of beta over rows <= i and cols >= j; S[k-1] = C[k-1, k]
+        C = np.cumsum(np.cumsum(self.dense, axis=0)[:, ::-1], axis=1)[:, ::-1]
+        return np.diagonal(C, offset=1).copy()
 
 
-def _kernel_values(spec: KernelSpec, grid: SizeGrid) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _rank_one(f: np.ndarray, g: np.ndarray) -> dict:
+    """Factors (f, g) of a rank-1 kernel, both negated when both are
+    nonpositive, so that a nonnegative kernel has nonnegative factors
+    unless one of them is zero."""
+    if np.all(f <= 0) and np.all(g <= 0):
+        f, g = -f, -g
+    return {"factors": (f + 0.0, g + 0.0)}
+
+
+def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.ndarray]]:
+    """Structured samples of a kernel spec: one of factors, triangle or
+    dense (as Kernel keeps them), and the sampled dominator."""
     s = grid.centers
-    S, Y = np.meshgrid(s, s, indexing="ij")
+    ones = np.ones(grid.n)
     dominator = None
     if isinstance(spec, (int, float)):
-        beta = np.full((grid.n, grid.n), float(spec))
+        form = _rank_one(np.full(grid.n, float(spec)), ones)
     elif callable(spec):
-        beta = np.asarray(spec(S, Y), dtype=float)
+        S, Y = np.meshgrid(s, s, indexing="ij")
+        form = {"dense": np.array(spec(S, Y), dtype=float)}
     elif isinstance(spec, dict):
-        form = spec.get("form")
+        kind = spec.get("form")
         scale = float(spec.get("scale", 1.0))
-        if form == "constant":
-            beta = np.full((grid.n, grid.n), float(spec.get("value", 1.0)))
-        elif form == "product":
+        if kind == "constant":
+            value = float(spec.get("value", 1.0)) * scale
+            form = _rank_one(np.full(grid.n, value), ones)
+        elif kind == "product":
             f = sample_coefficient(_required(spec, "offspring"), grid)  # in s
             g = sample_coefficient(spec.get("parent", 1.0), grid)  # factor in y
-            beta = np.outer(f, g)
-        elif form == "table":
+            form = _rank_one(f * scale, g)
+        elif kind == "table":
             beta = np.asarray(_required(spec, "values"), dtype=float)
             if beta.shape != (grid.n, grid.n):
                 raise ConfigurationError(
                     f"kernel table must be {grid.n}x{grid.n}, got {beta.shape}")
-            beta = beta.copy()
-        elif form == "indicator":
+            form = {"dense": beta * scale}
+        elif kind == "indicator":
             relation = spec.get("relation")
-            value = float(spec.get("value", 1.0))
-            if relation == "s>y":
-                beta = np.where(S > Y, value, 0.0)
-            elif relation == "s<y":
-                beta = np.where(S < Y, value, 0.0)
+            value = float(spec.get("value", 1.0)) * scale
+            if relation in (LOWER, UPPER):
+                form = {"triangle": (value, relation)}
             elif relation is None:
-                s_lo = float(spec.get("s_lo", 0.0))
-                s_hi = float(spec.get("s_hi", np.inf))
-                y_lo = float(spec.get("y_lo", 0.0))
-                y_hi = float(spec.get("y_hi", np.inf))
-                beta = np.where((S >= s_lo) & (S <= s_hi)
-                                & (Y >= y_lo) & (Y <= y_hi), value, 0.0)
+                def box(lo, hi):
+                    return ((s >= float(spec.get(lo, 0.0)))
+                            & (s <= float(spec.get(hi, np.inf)))).astype(float)
+                form = _rank_one(box("s_lo", "s_hi") * value,
+                                 box("y_lo", "y_hi"))
             else:
                 raise ConfigurationError(f"unknown kernel relation {relation!r}")
         else:
-            raise ConfigurationError(f"unknown kernel form {form!r}")
-        beta = beta * scale
+            raise ConfigurationError(f"unknown kernel form {kind!r}")
         if "dominator" in spec and spec["dominator"] is not None:
             dominator = sample_coefficient(spec["dominator"], grid) * scale
     else:
         raise ConfigurationError(f"cannot interpret kernel spec {spec!r}")
-    if beta.shape != (grid.n, grid.n):
+    if "dense" in form and form["dense"].shape != (grid.n, grid.n):
         raise ConfigurationError("kernel sample has wrong shape")
-    return beta, dominator
+    return form, dominator
+
+
+def _row_extremes(form: dict, grid: SizeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Row minimum and maximum over y of a validated kernel form."""
+    if "factors" in form:
+        f, g = form["factors"]
+        return f * g.min(), f * g.max()
+    if "triangle" in form:
+        value, relation = form["triangle"]
+        i = np.arange(grid.n)
+        has_entry = i > 0 if relation == LOWER else i < grid.n - 1
+        return np.zeros(grid.n), np.where(has_entry, value, 0.0)
+    beta = form["dense"]
+    return beta.min(axis=1), beta.max(axis=1)
+
+
+def _check_kernel_values(form: dict, grid: SizeGrid):
+    """ValidationError unless every kernel sample is finite and >= 0."""
+    c = grid.centers
+    if "factors" in form:
+        f, g = form["factors"]
+        finite = (np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+                  and np.isfinite(np.abs(f).max() * np.abs(g).max()))
+        # the smallest product f[i] * g[j] pairs extremes of f and g
+        i, j = min(((i, j) for i in (np.argmin(f), np.argmax(f))
+                    for j in (np.argmin(g), np.argmax(g))),
+                   key=lambda ij: f[ij[0]] * g[ij[1]])
+        negative = f[i] * g[j] < 0
+    elif "triangle" in form:
+        value, relation = form["triangle"]
+        finite = np.isfinite(value)
+        i, j = (1, 0) if relation == LOWER else (0, 1)
+        negative = value < 0
+    else:
+        beta = form["dense"]
+        finite = np.all(np.isfinite(beta))
+        i, j = np.unravel_index(int(np.argmin(beta)), beta.shape)
+        negative = beta[i, j] < 0
+    if not finite:
+        raise ValidationError("kernel sample is not finite", field="kernel")
+    if negative:
+        raise ValidationError(
+            f"kernel is negative at (s={c[i]:g}, y={c[j]:g})",
+            field="kernel", cell=int(i))
 
 
 def build_kernel(spec: KernelSpec, grid: SizeGrid) -> Kernel:
     """Sample the recruitment kernel at (center_i, center_j) pairs.
 
-    Computes k_beta (max h-weighted column sum) and beta1 (row minimum
-    over the parent-size axis) by their exact discrete formulas.
+    Built-in forms keep their rank-1 or triangle structure (see
+    ``Kernel``); tables and callables are sampled densely.  Computes
+    k_beta (max h-weighted column sum) and beta1 (row minimum over the
+    parent-size axis) by their exact discrete formulas.
     """
-    beta, dominator = _kernel_values(spec, grid)
-    if not np.all(np.isfinite(beta)):
-        raise ValidationError("kernel sample is not finite", field="kernel")
-    if np.any(beta < 0):
-        i, j = np.unravel_index(int(np.argmin(beta)), beta.shape)
-        raise ValidationError(
-            f"kernel is negative at (s={grid.centers[i]:g}, y={grid.centers[j]:g})",
-            field="kernel", cell=int(i))
+    form, dominator = _kernel_form(spec, grid)
+    _check_kernel_values(form, grid)
+    beta1, row_max = _row_extremes(form, grid)
     if dominator is not None:
-        if np.any(beta > dominator[:, None] + 1e-12 * max(1.0, float(beta.max(initial=0.0)))):
+        if np.any(row_max > dominator + 1e-12 * max(1.0, float(row_max.max()))):
             raise ValidationError("dominator does not bound the kernel",
                                   field="kernel.dominator")
-    k_beta = float((beta.sum(axis=0) * grid.h).max())
-    beta1 = beta.min(axis=1).copy()
-    beta = beta.copy()
-    beta.setflags(write=False)
-    beta1.setflags(write=False)
-    if dominator is not None:
-        dominator = dominator.copy()
         dominator.setflags(write=False)
-    return Kernel(grid=grid, beta=beta, k_beta=k_beta, beta1=beta1,
-                  dominator=dominator)
+    for arr in (beta1, *form.get("factors", ()), form.get("dense")):
+        if arr is not None:
+            arr.setflags(write=False)
+    kernel = Kernel(grid=grid, k_beta=0.0, beta1=beta1, dominator=dominator,
+                    **form)
+    k_beta = float((kernel.column_sums() * grid.h).max())
+    return dataclasses.replace(kernel, k_beta=k_beta)

@@ -1,7 +1,7 @@
 """Discrete generator assembly and three independent resolvent routes.
 
-The full generator is assembled from four blocks on the doubled state
-(u1 stacked over u2, length 2n):
+The full generator acts on the doubled state (u1 stacked over u2,
+length 2n) as the sum of four blocks:
 
   * transport: first-order conservative upwind discretization of
     -d/ds(gamma u) with zero inflow at s=0 and free outflow on the right
@@ -9,33 +9,48 @@ The full generator is assembled from four blocks on the doubled state
   * loss diagonal: -(mu + c1) on phase 1, -c2 on phase 2;
   * phase coupling: +c2 from phase 2 into phase 1 and +c1 the other way
     (cell-local, so two diagonal off-blocks);
-  * recruitment: dense midpoint quadrature of the birth kernel, acting
-    on phase 1 only.
+  * recruitment: midpoint quadrature of the birth kernel, acting on
+    phase 1 only.
+
+A generator keeps the per-cell arrays of the first three blocks and the
+structured kernel; the sparse blocks are built on first use and cached.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization,
 by the analytic transport formula (one O(n) forward sweep, shared with
 the recruitment-free probe), and by a Neumann perturbation series whose
 divergence doubles as a spectral indicator.  The direct route is one
-sparse LU (SuperLU with a minimum-degree ordering of A + A^T, which
-keeps the block lower-bidiagonal transport/loss/coupling part nearly
-fill-free) at every size; a generator keeps only its last factor, which
-serves the repeated shifts of implicit steps, resolvents and eigensolves.
+sparse LU (SuperLU).  For a rank-1 kernel the full generator is factored
+as the fill-free LU of lambda - B (transport, loss and coupling) plus a
+Sherman-Morrison correction, O(n) per solve; other kernels factor
+lambda - M itself with a minimum-degree ordering of A + A^T.  A
+generator keeps only its last factor, which serves the repeated shifts
+of implicit steps, resolvents and eigensolves.  scipy is imported only
+by the code that builds sparse blocks or factors them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
 from .model import Kernel, ModelParams, SizeGrid
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
+
 WHICH_CHOICES = ("A", "A+B1", "B", "full")
+
+
+def splu(A, **kwargs) -> "SuperLU":
+    """``scipy.sparse.linalg.splu``, imported on first use."""
+    from scipy.sparse.linalg import splu as _splu
+    return _splu(A, **kwargs)
 
 
 @dataclass
@@ -70,8 +85,9 @@ class StateVector:
 
     @classmethod
     def from_stacked(cls, x: np.ndarray, grid: SizeGrid) -> "StateVector":
+        """The state whose components are views of the halves of ``x``."""
         n = grid.n
-        return cls(u1=x[:n].copy(), u2=x[n:].copy(), grid=grid)
+        return cls(u1=x[:n], u2=x[n:], grid=grid)
 
     @classmethod
     def zero(cls, grid: SizeGrid) -> "StateVector":
@@ -81,35 +97,98 @@ class StateVector:
         return StateVector(self.u1.copy(), self.u2.copy(), self.grid)
 
 
-def _upwind_block(gamma_edges: np.ndarray, grid: SizeGrid) -> sp.csr_matrix:
-    """Upwind matrix for -d/ds(gamma u) on one phase.
+class _RankOneFactor:
+    """Solves (lambda - B - u v^T) x = b around one LU of lambda - B.
 
-    The flux through edge i is gamma(edge_i) times the density in the
-    cell left of the edge; inflow at edge 0 is zero, outflow through the
-    last edge is free.  Column i sums to -gamma(edge_{i+1})/h * h ... i.e.
-    all columns telescope to 0 except the last, which loses the outflow.
+    The rank-1 kernel beta = f g^T puts u v^T = h (f, 0) (g, 0)^T in the
+    full generator.  By the Sherman-Morrison identity,
+    x = y + w (v.y) / (1 - v.w) with y = LU^{-1} b and w = LU^{-1} u.
+    Other attributes (L, U, perm_r, perm_c, shape, nnz) are those of the
+    LU of lambda - B.
     """
-    n, h = grid.n, grid.h
-    diag = -gamma_edges[1:] / h          # outgoing flux of cell i
-    sub = gamma_edges[1:-1] / h          # incoming flux of cell i from i-1
-    return sp.diags([diag, sub], [0, -1], format="csr")
+
+    def __init__(self, lu: "SuperLU", hf: np.ndarray, g: np.ndarray,
+                 lam: float):
+        n = g.size
+        w = lu.solve(np.concatenate([hf, np.zeros(n)]))
+        denom = 1.0 - float(g @ w[:n])
+        if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(w).all():
+            raise SpectralProximityError(
+                f"rank-1 correction of (lambda - full) is singular at "
+                f"lambda={lam:g} (1 - v.w = {denom:g})", lam=lam)
+        self._lu, self._g, self._w = lu, g, w / denom
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side of length 2n."""
+        x = self._lu.solve(rhs)
+        x += self._w * (self._g @ x[:self._g.size])
+        return x
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._lu, name)
 
 
 @dataclass
 class DiscreteGenerator:
-    """Assembled discrete generator with factorized resolvent access."""
+    """Discrete generator kept as per-cell arrays, with factorized
+    resolvent access.
+
+    ``outflow[k]`` = gamma_k(edge_{i+1})/h and ``inflow[k]`` =
+    gamma_k(edge_i)/h (cells 1..n-1) are the upwind rates of phase k,
+    ``loss`` = (mu + c1, c2) the loss rates, and ``coupling`` = (c2, c1)
+    the rates into phase 1 from phase 2 and back.  The sparse blocks
+    ``A_block`` (transport), ``B1_block`` (loss), ``B2_block``
+    (coupling), ``B3_block`` (recruitment) and ``full`` are built on
+    first use.
+    """
 
     grid: SizeGrid
     params: ModelParams
     kernel: Kernel
-    A_block: sp.csr_matrix
-    B1_block: sp.csr_matrix
-    B2_block: sp.csr_matrix
-    B3_block: sp.csr_matrix
-    full: sp.csr_matrix
+    outflow: np.ndarray
+    inflow: np.ndarray
+    loss: np.ndarray
+    coupling: np.ndarray
     _last_fact: Optional[tuple] = field(default=None, repr=False)
 
-    def block_sum(self, which: str) -> sp.csr_matrix:
+    @functools.cached_property
+    def A_block(self) -> "sp.csr_matrix":
+        """Upwind transport, one lower-bidiagonal block per phase: the
+        flux through an edge is gamma there times the density of the cell
+        left of it, with zero inflow at s=0 and free outflow on the right."""
+        import scipy.sparse as sp
+        return sp.block_diag(
+            [sp.diags([-self.outflow[k], self.inflow[k]], [0, -1])
+             for k in (0, 1)], format="csr")
+
+    @functools.cached_property
+    def B1_block(self) -> "sp.csr_matrix":
+        import scipy.sparse as sp
+        return sp.diags(-self.loss.ravel(), format="csr")
+
+    @functools.cached_property
+    def B2_block(self) -> "sp.csr_matrix":
+        import scipy.sparse as sp
+        return sp.bmat([[None, sp.diags(self.coupling[0])],
+                        [sp.diags(self.coupling[1]), None]], format="csr")
+
+    @functools.cached_property
+    def B3_block(self) -> "sp.csr_matrix":
+        """The recruitment quadrature B3[i, j] = beta(s_i, y_j) * h in the
+        phase-1/phase-1 position (newborns are active)."""
+        import scipy.sparse as sp
+        n = self.grid.n
+        return sp.bmat([[sp.csr_matrix(self.kernel.beta * self.grid.h), None],
+                        [None, sp.csr_matrix((n, n))]], format="csr")
+
+    @functools.cached_property
+    def full(self) -> "sp.csr_matrix":
+        return (self.A_block + self.B1_block + self.B2_block
+                + self.B3_block).tocsr()
+
+    def block_sum(self, which: str) -> "sp.csr_matrix":
         if which == "A":
             return self.A_block
         if which == "A+B1":
@@ -120,53 +199,63 @@ class DiscreteGenerator:
             return self.full
         raise ConfigurationError(f"unknown operator selection {which!r}")
 
-    def factorization(self, lam: float, which: str) -> SuperLU:
+    def factorization(self, lam: float, which: str):
         """Sparse LU factorization of (lambda*I - selected block sum).
 
-        Only the last (lambda, which) factor is kept; a new key frees it first.
-        SpectralProximityError when the shift makes the matrix singular.
+        The full generator of a rank-1 kernel is factored as the LU of
+        lambda - B plus a Sherman-Morrison correction (same ``solve``).
+        Only the last (lambda, which) factor is kept; a new key frees it
+        first.  SpectralProximityError when the shift makes the matrix
+        (or the correction) singular.
         """
         key = (float(lam), which)
         if self._last_fact is None or self._last_fact[0] != key:
+            import scipy.sparse as sp
             self._last_fact = None
+            rank_one = which == "full" and self.kernel.factors is not None
+            base = "B" if rank_one else which
             mat = sp.identity(2 * self.grid.n, format="csr") * float(lam) \
-                - self.block_sum(which)
+                - self.block_sum(base)
+            # COLAMD keeps the LU of the block bidiagonal sums fill-free
+            # and solves fastest; a dense kernel block needs minimum degree
+            order = "MMD_AT_PLUS_A" if base == "full" else "COLAMD"
             try:
-                fact = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                fact = splu(mat.tocsc(), permc_spec=order)
             except RuntimeError as exc:
                 raise SpectralProximityError(
-                    f"factorization of (lambda - {which}) failed at "
+                    f"factorization of (lambda - {base}) failed at "
                     f"lambda={lam:g}: {exc}", lam=lam)
+            if rank_one:
+                f, g = self.kernel.factors
+                fact = _RankOneFactor(fact, self.grid.h * f, g, lam)
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
     def infinity_norm(self) -> float:
-        return float(abs(self.full).sum(axis=1).max())
+        """Max absolute row sum of the full generator, from the arrays."""
+        h = self.grid.h
+        beta_diag = self.kernel.diagonal()
+        diag = -(self.outflow + self.loss)
+        diag[0] += h * beta_diag
+        off = np.pad(self.inflow, ((0, 0), (1, 0))) + self.coupling
+        off[0] += h * (self.kernel.row_sums() - beta_diag)
+        return float((np.abs(diag) + off).max())
 
 
 def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGenerator:
-    """Assemble all generator blocks on one grid.
+    """Collect the generator's per-cell arrays on one grid.
 
     The recruitment quadrature is B3[i, j] = beta(s_i, y_j) * h, placed
     in the phase-1/phase-1 position (newborns are active).
     """
     if not (params.grid.same_as(grid) and kernel.grid.same_as(grid)):
         raise ConfigurationError("params and kernel must share the grid")
-    n = grid.n
-    A1 = _upwind_block(params.gamma1_edges, grid)
-    A2 = _upwind_block(params.gamma2_edges, grid)
-    A = sp.block_diag([A1, A2], format="csr")
-
-    B1 = sp.diags(np.concatenate([-(params.mu + params.c1), -params.c2]),
-                  format="csr")
-    B2 = sp.bmat([[None, sp.diags(params.c2)],
-                  [sp.diags(params.c1), None]], format="csr")
-    B3 = sp.bmat([[sp.csr_matrix(kernel.beta * grid.h), None],
-                  [None, sp.csr_matrix((n, n))]], format="csr")
-    full = (A + B1 + B2 + B3).tocsr()
-    return DiscreteGenerator(grid=grid, params=params, kernel=kernel,
-                             A_block=A, B1_block=B1, B2_block=B2,
-                             B3_block=B3, full=full)
+    edges = np.array([params.gamma1_edges, params.gamma2_edges]) / grid.h
+    return DiscreteGenerator(
+        grid=grid, params=params, kernel=kernel,
+        outflow=edges[:, 1:], inflow=edges[:, 1:-1],
+        loss=np.array([params.mu + params.c1, params.c2]),
+        coupling=np.array([params.c2, params.c1]))
 
 
 def transport_sweep(dx: float, gamma, rate, src, coupling) -> np.ndarray:
@@ -320,20 +409,18 @@ class VolterraOp:
 
 
 def volterra_norm_sequence(V: VolterraOp, N: int) -> np.ndarray:
-    """Return the sequence ||V^n||_1^(1/n) for n = 1..N.
+    """Return the sequence ||V^m||_1^(1/m) for m = 1..N.
 
     The operator 1-norm is taken with respect to the h-weighted discrete
     L1 norm, which for the uniform mesh reduces to the max column sum of
-    the matrix.  The sequence is bounded by (k^n m^n / n!)^(1/n) up to
+    the matrix.  V = k h L with L the lower triangle of ones, and the
+    first column of L^m sums to C(n+m-1, m) (hockey-stick identity), so
+    ||V^m||_1 = (|k| h)^m C(n+m-1, m) exactly; the binomial is summed in
+    log space.  The sequence is bounded by (k^m len^m / m!)^(1/m) up to
     O(h) and decreases toward zero.
     """
     if N < 1:
         raise ConfigurationError("N must be >= 1")
-    M = V.matrix()
-    P = np.eye(V.grid.n)
-    out = np.empty(N)
-    for n in range(1, N + 1):
-        P = P @ M
-        norm = float(np.abs(P).sum(axis=0).max())
-        out[n - 1] = norm ** (1.0 / n)
-    return out
+    n, m = V.grid.n, np.arange(1, N + 1)
+    log_binom = np.cumsum(np.log((n - 1 + m) / m))
+    return abs(V.k) * V.grid.h * np.exp(log_binom / m)

@@ -166,7 +166,8 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
         s_B_val = recruitment_free_bound(gen)
         # below this level the discrete value is a mesh artifact of an
         # operator whose continuum spectrum is empty
-        bc_norm = float(abs(gen.B1_block + gen.B2_block).sum(axis=1).max())
+        # max absolute row sum of the loss + coupling part B1 + B2
+        bc_norm = float((gen.loss + gen.coupling).max())
         threshold = -gen.params.gamma0 / scn.grid.h + bc_norm
         if s_B_val < threshold:
             divergent = True
@@ -240,8 +241,8 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
         stages=STAGES_ALL) -> RunReport:
     """Execute the requested pipeline stages and write artifacts.
 
-    Any stage failure writes a partial report marked incomplete before
-    the error propagates.
+    Any stage failure, including a MemoryError, writes a partial report
+    marked incomplete before the error propagates.
     """
     out_dir = out_dir or scn.out_dir or "."
     rep = RunReport(scenario_name=scn.name, scenario_echo=scn.raw)
@@ -287,8 +288,9 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
         rep.complete = True
         atomic_write_text(report_path, report_to_json(rep))
         return rep
-    except TwophaseError as exc:
-        rep.error = str(exc)
+    except (TwophaseError, MemoryError) as exc:
+        rep.error = str(exc) if isinstance(exc, TwophaseError) \
+            else f"out of memory: {exc}"
         rep.complete = False
         rep.checks = _build_checks(rep)
         atomic_write_text(report_path, report_to_json(rep))

@@ -24,15 +24,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, PreconditionError,
                      SpectralProximityError)
 from .evolution import Trajectory
 from .model import Kernel, ModelParams, build_grid
-from .operators import DiscreteGenerator, StateVector, transport_sweep
+from .operators import (WHICH_CHOICES, DiscreteGenerator, StateVector,
+                        transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -137,20 +136,29 @@ def _cell_blocks(gen: DiscreteGenerator,
 
     In per-cell (u1_i, u2_i) order the selected block sum M has the
     diagonal blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
-    [M[n+i, i], M[n+i, n+i]]].  Returns (a, b, c, d) when no nonzero entry
-    of M feeds a cell from a later one, so that M is block lower
-    triangular and its spectrum is the union of the blocks'; None
-    otherwise.  "A", "A+B1" and "B" always qualify; "full" qualifies
-    exactly when the kernel does not mix (beta vanishes above the
-    diagonal: no offspring is smaller than its parent).
+    [M[n+i, i], M[n+i, n+i]]], read off the generator's per-cell arrays.
+    Returns (a, b, c, d) when no nonzero entry of M feeds a cell from a
+    later one, so that M is block lower triangular and its spectrum is
+    the union of the blocks'; None otherwise.  "A", "A+B1" and "B"
+    always qualify; "full" qualifies exactly when the kernel does not
+    mix (beta vanishes above the diagonal: no offspring is smaller than
+    its parent).
     """
-    n = gen.grid.n
-    M = gen.block_sum(which).tocoo()
-    if np.any((M.col % n > M.row % n) & (M.data != 0)):
+    if which not in WHICH_CHOICES:
+        raise ConfigurationError(f"unknown operator selection {which!r}")
+    if which == "full" and gen.kernel.cutoff_sums().any():
         return None
-    M = M.tocsr()
-    diag = M.diagonal()
-    return diag[:n], M.diagonal(n), M.diagonal(-n), diag[n:]
+    if which == "A":
+        a, d = -gen.outflow
+    else:
+        a, d = -(gen.outflow + gen.loss)
+    if which == "full":
+        a = a + gen.kernel.diagonal() * gen.grid.h
+    if which in ("A", "A+B1"):
+        b = c = np.zeros(gen.grid.n)
+    else:
+        b, c = gen.coupling
+    return a, b, c, d
 
 
 def _block_eigenvalues(a, b, c, d) -> np.ndarray:
@@ -184,6 +192,8 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
     x = np.zeros(2 * n)
     x[[k, n + k]] = v
     if k < n - 1:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import spsolve
         later = np.r_[k + 1:n, n + k + 1:2 * n]
         rows = gen.block_sum(which)[later]
         sub = sp.identity(len(later), format="csc") * lam \
@@ -388,7 +398,7 @@ def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
     resolvent-bounded, all >= 1.2 as diverging, anything else as
     inconclusive.
     """
-    if kernel_zeroed is not None and np.any(kernel_zeroed.beta != 0):
+    if kernel_zeroed is not None and kernel_zeroed.column_sums().any():
         raise PreconditionError("the probe targets the recruitment-free "
                                 "generator; pass a zero kernel or None")
     smax_list = sorted(float(s) for s in smax_list)

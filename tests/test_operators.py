@@ -262,6 +262,19 @@ class TestVolterra:
             bound = 2.0 * 1.5 ** n / math.factorial(n - 1)
             assert norm <= bound
 
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+    def test_exact_norms_match_dense_powers(self, k):
+        g = build_grid("finite", 1.0, 200)
+        V = VolterraOp(k, g)
+        M = V.matrix()
+        P = np.eye(200)
+        dense = []
+        for m in range(1, 31):
+            P = P @ M
+            dense.append(np.abs(P).sum(axis=0).max() ** (1.0 / m))
+        seq = volterra_norm_sequence(V, 30)
+        assert np.abs(seq / dense - 1.0).max() <= 1e-13
+
     def test_apply_is_cumulative_sum(self):
         g = build_grid("finite", 1.0, 10)
         V = VolterraOp(2.0, g)

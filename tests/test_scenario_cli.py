@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import twophase
+import twophase.cli
+import twophase.report
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
 from twophase.report import atomic_write_text
@@ -226,6 +228,59 @@ class TestCLI:
         d = json.loads((out / "minimal_report.json").read_text())
         assert not d["complete"]
         assert "shift0" in d["error"]
+
+    @pytest.mark.parametrize("command, stage", [
+        ("criteria", "full_verdict"), ("spectrum", "spectral_bound"),
+        ("report", "evolve")])
+    def test_memory_error_in_stage_exit_3(self, tmp_path, monkeypatch,
+                                          command, stage, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 19.5 GiB")
+        monkeypatch.setattr(twophase.report, stage, exhausted)
+        doc = minimal_doc(run={"dt": 1e-2, "T": 1.0, "record_every": 10})
+        out = tmp_path / "o"
+        assert run_cli([command, write(tmp_path, doc), "--out", str(out)]) == 3
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert not d["complete"]
+        assert d["error"] == "out of memory: Unable to allocate 19.5 GiB"
+        assert "out of memory" in capsys.readouterr().err
+
+    def test_memory_error_in_sweep_exit_3(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(twophase.cli, "compute_spectrum", exhausted)
+        monkeypatch.setenv("TWOPHASE_THREADS", "1")
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
+                        str(out), "--vary", "kernel.value", "0:1:0.5"]) == 3
+
+    def test_import_and_growth_only_spectrum_leave_scipy_unimported(
+            self, tmp_path):
+        # scipy is imported only to factor: neither the import nor the
+        # exact-route eigensolve of a non-mixing kernel loads it
+        doc = {"name": "growth",
+               "domain": {"kind": "finite", "m": 1.0, "n": 800},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": {"form": "indicator", "relation": "s>y"}}
+        code = (
+            "import sys\n"
+            "import twophase\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded(), loaded()\n"
+            "from twophase.cli import main\n"
+            "assert main(['spectrum', sys.argv[1], '--out', sys.argv[2]]) "
+            "== 0\n"
+            "assert not loaded(), loaded()\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "growth_report.json").exists()
 
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"

@@ -81,8 +81,9 @@ class TestSpectralBound:
     def test_singular_initial_shift_is_nudged_off(self):
         # lower-bidiagonal pure transport with gamma = 1 + s: the top
         # diagonal entry -gamma(edge_1)/h = -11 is the rightmost
-        # eigenvalue, and a shift exactly on it makes the first
-        # factorization singular
+        # eigenvalue.  The kernel is zero, so the bound is read exactly
+        # off the cell blocks and the shift0 on that eigenvalue, which
+        # would make a factorization singular, is never used
         g, p, K, gen = make(n=10, kernel=0.0, mu=0.0, c1=0.0, c2=0.0,
                             gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
         assert gen.full.diagonal().max() == -11.0

@@ -1,0 +1,221 @@
+"""Structured kernels and generators against dense oracles.
+
+Every built-in kernel form keeps rank-1 factors or a strict triangle;
+each derived quantity, the cell-block qualification and the rank-1
+(Sherman-Morrison) factor are checked here against formulas on the
+dense ``Kernel.beta`` and the dense generator, at n <= 60.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from twophase.criteria import _edge_mixing_integrals, full_verdict
+from twophase.errors import SpectralProximityError, ValidationError
+from twophase.evolution import step_implicit
+from twophase.model import build_grid, build_kernel, sample_params
+from twophase.operators import (StateVector, _RankOneFactor, assemble,
+                                resolvent_direct)
+from twophase.spectral import _cell_blocks, spectral_bound
+
+# every built-in kernel form, plus the dense ones, for the oracle tests
+# below; each is checked against formulas on the dense Kernel.beta
+KERNEL_FORMS = {
+    "scalar": 1.5,
+    "zero": 0.0,
+    "constant": {"form": "constant", "value": 2.0},
+    "product": {"form": "product",
+                "offspring": {"form": "expression", "name": "exp_decay"},
+                "parent": {"form": "expression", "name": "linear",
+                           "intercept": 0.5}},
+    "product_scaled": {"form": "product", "scale": 1.7,
+                       "offspring": {"form": "table",
+                                     "points": [[0.0, 2.0], [0.4, 0.0]]}},
+    "box": {"form": "indicator", "s_lo": 0.2, "s_hi": 0.6, "value": 3.0},
+    "box_y_bounds": {"form": "indicator", "s_hi": 0.3, "y_lo": 0.5,
+                     "y_hi": 0.9},
+    "box_no_mixing": {"form": "indicator", "s_lo": 0.5, "y_hi": 0.4},
+    "lower": {"form": "indicator", "relation": "s>y", "value": 2.0},
+    "upper": {"form": "indicator", "relation": "s<y", "scale": 0.5},
+    "dominated": {"form": "constant", "value": 1.0, "scale": 0.5,
+                  "dominator": 2.0},
+    "lower_dominated": {"form": "indicator", "relation": "s>y",
+                        "dominator": 1.0},
+    "table": {"form": "table",
+              "values": np.add.outer(np.arange(37.0), np.arange(37.0))
+              .tolist()},
+    "callable": lambda s, y: np.where(s >= y, 1.0 + s * y, 0.0),
+}
+
+
+class TestKernelStructure:
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    def test_derived_quantities_match_dense_oracle(self, name):
+        g = build_grid("finite", 1.0, 37)
+        K = build_kernel(KERNEL_FORMS[name], g)
+        beta = K.beta
+        assert beta.shape == (37, 37) and beta.min() >= 0
+        assert K.k_beta == pytest.approx((beta.sum(axis=0) * g.h).max(),
+                                         rel=1e-14, abs=0)
+        assert np.array_equal(K.beta1, beta.min(axis=1))
+        assert np.allclose(K.column_sums(), beta.sum(axis=0),
+                           rtol=1e-14, atol=0)
+        assert np.allclose(K.row_sums(), beta.sum(axis=1), rtol=1e-14, atol=0)
+        assert np.array_equal(K.diagonal(), np.diag(beta))
+        cut = [beta[:k, k:].sum() for k in range(1, 37)]
+        assert np.allclose(K.cutoff_sums(), cut, rtol=1e-14, atol=0)
+        if K.dominator is not None:
+            assert np.all(beta <= K.dominator[:, None])
+
+    def test_structured_forms_store_no_dense_array(self):
+        g = build_grid("finite", 1.0, 37)
+        for name, spec in KERNEL_FORMS.items():
+            K = build_kernel(spec, g)
+            assert (K.dense is None) == (name not in ("table", "callable"))
+            assert (K.triangle is not None) == name.startswith(("lower",
+                                                                  "upper"))
+
+    @pytest.mark.parametrize("spec", [
+        {"form": "indicator", "relation": "s>y", "value": 2.0,
+         "dominator": 1.5},
+        {"form": "product", "offspring": 1.0,
+         "parent": {"form": "expression", "name": "linear"},
+         "dominator": 0.9}])
+    def test_structured_dominator_violation_rejected(self, spec):
+        g = build_grid("finite", 1.0, 10)
+        with pytest.raises(ValidationError, match="dominator"):
+            build_kernel(spec, g)
+
+    @pytest.mark.parametrize("spec", [
+        {"form": "product", "offspring": {"form": "expression",
+                                          "name": "linear",
+                                          "intercept": -0.5},
+         "parent": -1.0},
+        {"form": "indicator", "relation": "s<y", "value": -1.0},
+        {"form": "constant", "value": -2.0}])
+    def test_structured_negative_kernel_rejected(self, spec):
+        g = build_grid("finite", 1.0, 10)
+        with pytest.raises(ValidationError, match="negative"):
+            build_kernel(spec, g)
+
+    def test_negative_factors_with_positive_product_accepted(self):
+        g = build_grid("finite", 1.0, 10)
+        K = build_kernel({"form": "product", "offspring": -2.0,
+                          "parent": -0.5}, g)
+        assert np.all(K.beta == 1.0)
+        assert np.all(K.factors[0] >= 0) and np.all(K.factors[1] >= 0)
+
+
+RATES = dict(gamma1=lambda s: 1 + s, gamma2=lambda s: 1.5 - 0.5 * s,
+             mu=lambda s: 0.5 + s, c1=lambda s: 1 + 0.5 * np.sin(3 * s),
+             c2=lambda s: 0.8 + 0.2 * s, gamma0=0.5)
+
+
+def generator(spec, n=37, m=1.0, **over):
+    g = build_grid("finite", m, n)
+    p = sample_params(dict(RATES, **over), g)
+    K = build_kernel(spec, g)
+    return g, p, K, assemble(p, K, g)
+
+
+def dense_generator(g, p, K):
+    # the four blocks written out densely from the model formulas
+    n, h = g.n, g.h
+    M = np.zeros((2 * n, 2 * n))
+    for k, ge in enumerate((p.gamma1_edges, p.gamma2_edges)):
+        i = np.arange(n) + k * n
+        M[i, i] = -ge[1:] / h
+        M[i[1:], i[:-1]] = ge[1:-1] / h
+    i = np.arange(n)
+    M[i, i] -= p.mu + p.c1
+    M[n + i, n + i] -= p.c2
+    M[i, n + i] = p.c2
+    M[n + i, i] = p.c1
+    M[:n, :n] += K.beta * h
+    return M
+
+
+class TestGeneratorStructure:
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    def test_cell_blocks_and_norm_match_dense_generator(self, name):
+        g, p, K, gen = generator(KERNEL_FORMS[name])
+        n, M = g.n, dense_generator(g, p, K)
+        assert np.allclose(gen.full.toarray(), M, rtol=1e-15, atol=0)
+        i = np.arange(n)
+        mixes = bool(np.triu(K.beta, 1).any())
+        assert (_cell_blocks(gen, "full") is None) == mixes
+        for which in ("A", "A+B1", "B") + (() if mixes else ("full",)):
+            D = gen.block_sum(which).toarray() if which != "full" else M
+            a, b, c, d = _cell_blocks(gen, which)
+            assert np.array_equal(a, D[i, i])
+            assert np.array_equal(b, D[i, n + i])
+            assert np.array_equal(c, D[n + i, i])
+            assert np.array_equal(d, D[n + i, n + i])
+        assert gen.infinity_norm() == pytest.approx(
+            np.abs(M).sum(axis=1).max(), rel=1e-14, abs=0)
+        I = _edge_mixing_integrals(K, g)
+        assert np.array_equal(I > 0, [K.beta[:k, k:].any()
+                                      for k in range(1, n)])
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    @pytest.mark.parametrize("offset", [0.5, 100.0])
+    def test_factor_solve_matches_dense_solve(self, name, offset):
+        # a shift just above max(s_A, 0) and one of implicit-step size
+        # (the non-mixing generators are strongly non-normal: just above
+        # their s_A ~ -1/h any solve amplifies rounding far past 1e-12);
+        # rank-1 kernels take the Sherman-Morrison route
+        g, p, K, gen = generator(KERNEL_FORMS[name])
+        M = dense_generator(g, p, K)
+        lam = max(float(np.linalg.eigvals(M).real.max()), 0.0) + offset
+        fact = gen.factorization(lam, "full")
+        assert isinstance(fact, _RankOneFactor) == (K.factors is not None)
+        rhs = np.random.default_rng(11).random(2 * g.n)
+        ref = np.linalg.solve(lam * np.eye(2 * g.n) - M, rhs)
+        x = fact.solve(rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_vanishing_sherman_morrison_denominator_raises(self):
+        # pure transport at gamma = 1, h = 0.5 with beta = e_0 e_0^T:
+        # lambda - B is nonsingular at lambda = h - 1/h = -1.5, where
+        # 1 - h g.(lambda - B)^{-1}(f, 0) = 1 - h/(lambda + 1/h) = 0 and
+        # lambda - full is exactly singular
+        g, p, K, gen = generator(
+            {"form": "indicator", "s_hi": 0.3, "y_hi": 0.3}, n=4, m=2.0,
+            gamma1=1.0, gamma2=1.0, mu=0.0, c1=0.0, c2=0.0, gamma0=1.0)
+        lam = -1.5
+        dense = lam * np.eye(8) - dense_generator(g, p, K)
+        assert np.linalg.matrix_rank(dense) == 7
+        with pytest.raises(SpectralProximityError, match="rank-1"):
+            gen.factorization(lam, "full")
+        H = StateVector(np.ones(4), np.ones(4), g)
+        with pytest.raises(SpectralProximityError):
+            resolvent_direct(gen, lam, H, "full")
+        # a shift off the singular one solves as the dense system does
+        lam = -1.25
+        x = resolvent_direct(gen, lam, H, "full").stacked()
+        ref = np.linalg.solve(lam * np.eye(8) - dense_generator(g, p, K),
+                              H.stacked())
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_constant_kernel_pipeline_allocates_no_dense_array(self):
+        # n = 5000: a dense kernel or generator would take 200 MB
+        def pipeline(n):
+            g = build_grid("finite", 1.0, n)
+            p = sample_params(dict(gamma1=1.0, gamma2=1.0, mu=1.0, c1=1.0,
+                                   c2=1.0, gamma0=1.0), g)
+            K = build_kernel(1.0, g)
+            gen = assemble(p, K, g)
+            full_verdict(K, p, g)
+            U = StateVector(np.ones(n), np.zeros(n), g)
+            return step_implicit(gen, U, 1e-3)
+
+        pipeline(50)       # imports scipy outside the traced window
+        tracemalloc.start()
+        try:
+            U = pipeline(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(U.mass)
+        assert peak < 20 * 2 ** 20
