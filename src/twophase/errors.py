@@ -43,11 +43,16 @@ class StepSizeError(NumericalError):
 
 
 class IterationError(NumericalError):
-    """A solver hit its iteration cap or found no positive solution."""
+    """A solver hit its iteration cap or found no positive solution.
 
-    def __init__(self, message, estimate=None):
+    Carries the last estimate and, when the solver has one, a bracket
+    (lo, hi) that still holds the answer.
+    """
+
+    def __init__(self, message, estimate=None, bracket=None):
         super().__init__(message)
         self.estimate = estimate
+        self.bracket = bracket
 
 
 class InsufficientDataError(TwophaseError):

@@ -24,8 +24,11 @@ as the fill-free LU of lambda - B (transport, loss and coupling) plus a
 Sherman-Morrison correction, O(n) per solve; other kernels factor
 lambda - M itself with a minimum-degree ordering of A + A^T.  A
 generator keeps only its last factor, which serves the repeated shifts
-of implicit steps, resolvents and eigensolves.  scipy is imported only
-by the code that builds sparse blocks or factors them.
+of implicit steps, resolvents and eigensolves.  The recruitment-free
+sums are block lower bidiagonal in per-cell order, so
+``DiscreteGenerator.block_sweep`` solves them by one forward sweep over
+the 2x2 cell blocks, with no factor.  scipy is imported only by the
+code that builds sparse blocks or factors them.
 """
 
 from __future__ import annotations
@@ -231,6 +234,46 @@ class DiscreteGenerator:
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
+    def block_sweep(self, lam: float, rhs: np.ndarray, blocks: tuple,
+                    start: int = 0) -> np.ndarray:
+        """Solve (lambda - M) x = rhs by one forward sweep over the cells.
+
+        M is a recruitment-free block sum ("A", "A+B1" or "B") given by its
+        2x2 cell blocks (a, b, c, d): in per-cell order it is block lower
+        bidiagonal, cell i also taking ``inflow[k][i-1]`` times phase k of
+        cell i - 1.  Cells before ``start`` are taken as zero.  lambda
+        must lie above the larger eigenvalue of every block from
+        ``start`` on; each block of lambda - M is then an M-matrix with a
+        nonnegative inverse, so a nonnegative ``rhs`` gives a nonnegative
+        x, and an overflow reads +inf, never NaN.  O(n), with no LU and
+        no pivoting.
+        """
+        n = self.grid.n
+        a, b, c, d = (v[start:] for v in blocks)
+        gap = lam - block_eigenvalues(a, b, c, d)
+        # lambda - a and lambda - d are at least the gap when exact, and
+        # (lambda - larger)(lambda - smaller eigenvalue) stays positive
+        # where (lambda - a)(lambda - d) - bc can round to zero or below
+        ea, ed = np.maximum(lam - a, gap), np.maximum(lam - d, gap)
+        det = gap * (ea + ed - gap)
+        i11, i12, i21, i22 = (v.tolist() for v in (ed / det, b / det,
+                                                   c / det, ea / det))
+        in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0)))[:, start:].tolist()
+        r1, r2 = rhs[start:n].tolist(), rhs[n + start:].tolist()
+        x1, x2 = [0.0] * (n - start), [0.0] * (n - start)
+        p1 = p2 = 0.0
+        for i in range(n - start):
+            p = r1[i] + in1[i] * p1
+            q = r2[i] + in2[i] * p2
+            # a zero coupling rate passes nothing on, even from an
+            # overflowed phase (0 * inf would be NaN)
+            p1 = i11[i] * p + (i12[i] and i12[i] * q)
+            p2 = (i21[i] and i21[i] * p) + i22[i] * q
+            x1[i], x2[i] = p1, p2
+        x = np.zeros(2 * n)
+        x[start:n], x[n + start:] = x1, x2
+        return x
+
     def infinity_norm(self) -> float:
         """Max absolute row sum of the full generator, from the arrays."""
         h = self.grid.h
@@ -240,6 +283,11 @@ class DiscreteGenerator:
         off = np.pad(self.inflow, ((0, 0), (1, 0))) + self.coupling
         off[0] += h * (self.kernel.row_sums() - beta_diag)
         return float((np.abs(diag) + off).max())
+
+
+def block_eigenvalues(a, b, c, d) -> np.ndarray:
+    """Larger eigenvalue of each 2x2 block [[a, b], [c, d]] with b*c >= 0."""
+    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * c)
 
 
 def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGenerator:
@@ -342,7 +390,8 @@ def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
     """Resolvent by the perturbation series around a simpler block sum.
 
     split="B3-series": resolvent of the full generator as the series
-    sum_k R_B (B3 R_B)^k H around the recruitment-free part.
+    sum_k R_B (B3 R_B)^k H around the recruitment-free part; a rank-1
+    kernel f g^T applies B3 as h f (g . u1), with no n x n block.
     split="B2-series": resolvent of A+B1+B2 as the series around A+B1
     with the phase coupling as perturbation.
 
@@ -352,10 +401,18 @@ def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
     divergence, which signals lambda at or below the spectral bound of
     the perturbed operator.
     """
-    if split == "B3-series":
-        base, pert = "B", gen.B3_block
+    n = gen.grid.n
+    if split == "B3-series" and gen.kernel.factors is not None:
+        f, g = gen.kernel.factors
+        hf = gen.grid.h * f
+
+        def pert(x):
+            return np.concatenate([hf * (g @ x[:n]), np.zeros(n)])
+        base = "B"
+    elif split == "B3-series":
+        base, pert = "B", gen.B3_block.__matmul__
     elif split == "B2-series":
-        base, pert = "A+B1", gen.B2_block
+        base, pert = "A+B1", gen.B2_block.__matmul__
     else:
         raise ConfigurationError(f"unknown split {split!r}")
     fact = gen.factorization(lam, base)
@@ -369,7 +426,7 @@ def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
     high_ratio_streak = 0
     ratio = 0.0
     for k in range(2, max_terms + 1):
-        fed = pert @ term
+        fed = pert(term)
         if not np.any(fed):
             # the perturbation annihilates the iterate; series truncates
             return NeumannResult(StateVector.from_stacked(total, gen.grid),

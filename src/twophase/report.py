@@ -92,16 +92,17 @@ def write_sweep_csv(path: str, key: str, rows: list):
 
 
 def _jsonable(obj):
+    """JSON-ready form of a report value, built without copying it:
+    dataclasses field by field (a state keeps its grid), arrays as lists."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, StateVector):
-        return {"u1": obj.u1.tolist(), "u2": obj.u2.tolist()}
     if dataclasses.is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -158,8 +159,8 @@ def compute_spectrum(scn: Scenario) -> SpectralReport:
 
 
 def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
-    s_A, eigfun = spectral_bound(gen, "full", shift0=scn.shift0,
-                                 tol=scn.spectral_tol)
+    bound = spectral_bound(gen, "full", shift0=scn.shift0,
+                           tol=scn.spectral_tol)
     s_B = None
     divergent = False
     if scn.grid.kind == FINITE:
@@ -173,8 +174,9 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
             divergent = True
         else:
             s_B = float(s_B_val)
-    rep = SpectralReport(s_A=float(s_A), eigfun=eigfun,
-                         s_B_surrogate=s_B, s_B_divergent=divergent)
+    rep = SpectralReport(s_A=bound.s, eigfun=bound.eigfun,
+                         s_B_surrogate=s_B, s_B_divergent=divergent,
+                         s_A_route=bound.route, s_A_bracket=bound.bracket)
     _closed_forms(scn, rep)
     if s_B is not None:
         rep.gap = rep.s_A - s_B

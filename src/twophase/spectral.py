@@ -3,11 +3,17 @@
 Four independent routes to spectral information are provided:
 
   * the rightmost eigenvalue and its nonnegative (Perron) eigenvector of
-    any assembled block sum: read exactly off the 2x2 cell blocks when
-    the sum is block lower triangular in per-cell order (no recruitment,
-    or a kernel that does not mix), and otherwise by shift-and-invert
-    power iteration on certified shifts with a positivity-certificate
-    bisection fallback;
+    any assembled block sum, with a bracket and the name of the route
+    that produced them:
+      - ``exact``: read off the 2x2 cell blocks when the sum is block
+        lower triangular in per-cell order (no recruitment, or a kernel
+        that does not mix);
+      - ``characteristic``: for a mixing rank-1 kernel beta = f g^T, the
+        root above s_B of the discrete characteristic equation
+        phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
+        O(n) forward sweep, with a bracket phi(lo) > 1 >= phi(hi);
+      - ``power``: shift-and-invert power iteration on certified shifts
+        for every other kernel, with a Collatz-Wielandt bracket;
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
@@ -31,7 +37,7 @@ from .errors import (ConfigurationError, InsufficientDataError,
 from .evolution import Trajectory
 from .model import Kernel, ModelParams, build_grid
 from .operators import (WHICH_CHOICES, DiscreteGenerator, StateVector,
-                        transport_sweep)
+                        block_eigenvalues, transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -68,7 +74,12 @@ class ProbeResult:
 
 @dataclass
 class SpectralReport:
-    """Aggregated spectral quantities for one configuration."""
+    """Aggregated spectral quantities for one configuration.
+
+    ``s_A_route`` names how ``s_A`` was obtained (``exact``,
+    ``characteristic`` or ``power``) and ``s_A_bracket`` = (lo, hi)
+    holds it.
+    """
 
     s_A: float
     eigfun: Optional[StateVector]
@@ -80,6 +91,24 @@ class SpectralReport:
     gap: Optional[float] = None
     aeg_fit: Optional[AEGFit] = None
     probe: Optional[list] = None    # list of ProbeResult, one per lambda
+    s_A_route: Optional[str] = None
+    s_A_bracket: Optional[tuple] = None
+
+
+@dataclass
+class SpectralBound:
+    """Spectral bound, its eigenvector, route and bracket (lo, hi).
+
+    Unpacks as the pair ``s, eigfun``.
+    """
+
+    s: float
+    eigfun: StateVector
+    route: str
+    bracket: tuple
+
+    def __iter__(self):
+        return iter((self.s, self.eigfun))
 
 
 def _certificate(gen: DiscreteGenerator, which: str,
@@ -98,36 +127,6 @@ def _certificate(gen: DiscreteGenerator, which: str,
     if not np.all(np.isfinite(x)) or x.min() <= 0:
         return None
     return x
-
-
-def _perron_bound_bisect(gen: DiscreteGenerator, which: str, hi: float,
-                         x_hi: np.ndarray,
-                         tol: float) -> tuple[float, np.ndarray]:
-    """Bisection on the positivity certificate, from a certified ``hi``.
-
-    The power loop's fallback for mixing kernels; ``x_hi`` is the
-    certificate at ``hi``.  Only the returned ``hi`` is certified (an
-    upper bound).  The shift where the computed certificate first fails
-    is not a lower bound: for a strongly non-normal matrix it fails far
-    above the spectrum (on the s>y kernel at n=800 near -471, with the
-    exact bound at -800.38).
-    """
-    step = max(1.0, 0.01 * abs(hi))
-    lo = hi - step
-    while (x_lo := _certificate(gen, which, lo)) is not None:
-        hi, x_hi = lo, x_lo
-        step *= 2.0
-        lo = hi - step
-        if step > 1e12:
-            raise NumericalError("could not bracket the spectral bound")
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        x_mid = _certificate(gen, which, mid)
-        if x_mid is None:
-            lo = mid
-        else:
-            hi, x_hi = mid, x_mid
-    return hi, x_hi
 
 
 def _cell_blocks(gen: DiscreteGenerator,
@@ -161,11 +160,6 @@ def _cell_blocks(gen: DiscreteGenerator,
     return a, b, c, d
 
 
-def _block_eigenvalues(a, b, c, d) -> np.ndarray:
-    """Larger eigenvalue of each 2x2 block [[a, b], [c, d]] with b*c >= 0."""
-    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * c)
-
-
 def _exact_bound(gen: DiscreteGenerator, which: str,
                  blocks: tuple) -> tuple[float, np.ndarray]:
     """Spectral bound and nonnegative eigenvector of a block triangular sum.
@@ -174,11 +168,13 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
     at cell k.  The eigenvector is zero before cell k and the block's
     Perron vector v at cell k; the later cells solve
     (lambda - M_{>k,>k}) x = M_{>k,k} v, whose matrix is a nonsingular
-    M-matrix because every later block eigenvalue lies below lambda.
+    M-matrix because every later block eigenvalue lies below lambda: one
+    forward sweep for a recruitment-free sum, a sparse solve for the full
+    generator, whose kernel also feeds later cells.
     """
     a, b, c, d = blocks
     n = gen.grid.n
-    lams = _block_eigenvalues(a, b, c, d)
+    lams = block_eigenvalues(a, b, c, d)
     lam = float(lams.max())
     k = int(np.flatnonzero(lams == lam)[-1])
     # (b, lam - a) and (lam - d, c) both span the block's eigenvector;
@@ -191,7 +187,11 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
         v = (1.0, 0.0)
     x = np.zeros(2 * n)
     x[[k, n + k]] = v
-    if k < n - 1:
+    if k < n - 1 and which != "full":
+        rhs = np.zeros(2 * n)
+        rhs[[k + 1, n + k + 1]] = gen.inflow[:, k] * v
+        x += gen.block_sweep(lam, rhs, blocks, start=k + 1)
+    elif k < n - 1:
         import scipy.sparse as sp
         from scipy.sparse.linalg import spsolve
         later = np.r_[k + 1:n, n + k + 1:2 * n]
@@ -203,19 +203,150 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
     return lam, x
 
 
+def characteristic_function(gen: DiscreteGenerator, lam: float,
+                            rhs: Optional[np.ndarray] = None
+                            ) -> tuple[float, np.ndarray]:
+    """h g.x_1 and x = (lambda - B)^{-1} rhs for a rank-1 kernel f g^T.
+
+    With the default rhs = (f, 0) the value is phi(lambda), the discrete
+    characteristic function; with rhs = (lambda - B)^{-1}(f, 0) it is
+    -phi'(lambda).  One forward sweep (``DiscreteGenerator.block_sweep``),
+    valid for lambda above s_B, where phi is positive, decreasing and
+    log-convex.  An overflow reads +inf, never NaN.
+    """
+    f, g = gen.kernel.factors
+    n = gen.grid.n
+    if rhs is None:
+        rhs = np.concatenate([f, np.zeros(n)])
+    x = gen.block_sweep(lam, rhs, _cell_blocks(gen, "B"))
+    seen = g > 0        # cells g ignores add nothing, even where x is inf
+    return gen.grid.h * float(g[seen] @ x[:n][seen]), x
+
+
+def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
+                          tol: float, max_iter: int):
+    """Root of phi(lambda) = 1 above s_B for a mixing rank-1 kernel.
+
+    A safeguarded Newton iteration on log phi (convex and decreasing)
+    inside the bracket [lo, hi] with phi(lo) > 1 >= phi(hi), which opens
+    at [s_B, shift0 or ||M||_inf + 1]; every evaluation moves one end,
+    a step that leaves the bracket is a bisection, and the loop stops at
+    hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
+    the tolerance, the point it reached is the root to far better than
+    tol, and one evaluation just across it closes the bracket.  The
+    eigenvector is the sweep (lambda - B)^{-1}(f, 0) at the end with phi
+    nearer 1.  If phi(s_B+) <= 1, then s_A = s_B (see
+    ``_boundary_eigenvector``).
+    """
+    blocks = _cell_blocks(gen, "B")
+    s_B = float(block_eigenvalues(*blocks).max())
+    user_shift = shift0 is not None
+    hi = float(shift0) if user_shift else gen.infinity_norm() + 1.0
+    phi_hi, x_hi = characteristic_function(gen, hi) if hi > s_B \
+        else (math.inf, None)
+    if phi_hi >= 1.0:
+        if user_shift:
+            raise ConfigurationError(
+                f"spectral.shift0 = {hi:g} is not above the spectral bound "
+                f"of the 'full' operator")
+        raise NumericalError("characteristic function is not below 1 at "
+                             "the initial shift")
+    phi_lo, x_lo = characteristic_function(gen, np.nextafter(s_B, math.inf))
+    if phi_lo <= 1.0:
+        return s_B, _boundary_eigenvector(gen, blocks, phi_lo, x_lo), \
+            (s_B, s_B)
+    lo = s_B
+    lam, phi, x, step = hi, phi_hi, x_hi, math.inf
+    for _ in range(max_iter):
+        if hi - lo <= tol * max(1.0, abs(hi)):
+            break
+        width = tol * max(1.0, abs(lam))
+        if abs(step) <= 0.25 * width:
+            # a Newton step this short left lambda on the root to far
+            # within tol: step just across it
+            nxt, step = lam + 0.5 * width * (1 if phi > 1 else -1), math.inf
+        else:
+            step = _newton_step(gen, lam, phi, x)
+            nxt = lam + step
+        if not lo < nxt < hi:
+            nxt, step = 0.5 * (lo + hi), math.inf
+            if not lo < nxt < hi:       # lo and hi are adjacent floats
+                break
+        lam = nxt
+        phi, x = characteristic_function(gen, lam)
+        if phi > 1.0:
+            lo, phi_lo, x_lo = lam, phi, x
+        else:
+            hi, phi_hi, x_hi = lam, phi, x
+    else:
+        raise IterationError(
+            f"characteristic equation did not settle in {max_iter} steps: "
+            f"s_A in [{lo:.12g}, {hi:.12g}]", estimate=hi, bracket=(lo, hi))
+
+    def distance(p):
+        return abs(math.log(p)) if p > 0 else math.inf
+    lam, x = (lo, x_lo) if distance(phi_lo) < distance(phi_hi) else (hi, x_hi)
+    return lam, x, (lo, hi)
+
+
+def _newton_step(gen: DiscreteGenerator, lam: float, phi: float,
+                 x: np.ndarray) -> float:
+    """Newton step on log phi from lambda, NaN when phi or phi' is not
+    finite and nonzero (x is the sweep that gave phi)."""
+    if not 0.0 < phi < math.inf:
+        return math.nan
+    dphi = -characteristic_function(gen, lam, x)[0]
+    if not -math.inf < dphi < 0.0:
+        return math.nan
+    return -math.log(phi) * phi / dphi
+
+
+def _boundary_eigenvector(gen: DiscreteGenerator, blocks: tuple,
+                          phi: float, w: np.ndarray) -> np.ndarray:
+    """Nonnegative eigenvector for s_A = s_B when phi(s_B+) <= 1.
+
+    With x_B the Perron vector of B and w = (s_B+ - B)^{-1}(f, 0), the
+    vector x = alpha x_B + h w with alpha = (1 - phi)/(g.x_B1) solves
+    M x = s_B x, since h g.w_1 = phi; when g.x_B1 = 0, x_B itself does.
+    """
+    n = gen.grid.n
+    g = gen.kernel.factors[1]
+    x_B = _exact_bound(gen, "B", blocks)[1]
+    seen = float(g @ x_B[:n])
+    if seen > 0 and np.isfinite(w).all():
+        return (1.0 - phi) / seen * x_B + gen.grid.h * w
+    return x_B
+
+
+def _collatz_wielandt(M, x: np.ndarray) -> tuple[float, float]:
+    """Bracket min_i (Mx)_i/x_i <= s(M) <= max_i (Mx)_i/x_i for a Metzler M.
+
+    Taken on the nonnegative part of x: the lower end holds for any
+    nonnegative x != 0 (minimum over its support), the upper end only
+    for x > 0 and is infinite otherwise (Horn & Johnson, *Matrix
+    Analysis*, ch. 8).
+    """
+    x = np.clip(x, 0.0, None)
+    pos = x > 0
+    ratio = (M @ x)[pos] / x[pos]
+    return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
+
+
 def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
-                 tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+                 tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
     Every shift passes the positivity certificate, so it lies above the
     spectral bound and the resolvent's dominant eigenvalue belongs to the
     Perron pair; a re-centred shift that fails it is rejected and the
-    next move goes halfway back toward the current shift.
+    next move goes halfway back toward the current shift.  Returns the
+    estimate, the final iterate and its Collatz-Wielandt bracket;
+    IterationError, carrying that bracket, when ``max_iter`` runs out or
+    the final iterate is not strictly positive.
     """
     user_shift = shift0 is not None
     top = float(shift0) if user_shift else gen.infinity_norm() + 1.0
-    x_top = _certificate(gen, which, top)
-    if x_top is None:
+    if _certificate(gen, which, top) is None:
         if user_shift:
             raise ConfigurationError(
                 f"spectral.shift0 = {top:g} is not above the spectral bound "
@@ -225,7 +356,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
     n2 = 2 * gen.grid.n
     sigma, floor = top, -math.inf    # certified shift, highest failed one
     x = np.full(n2, 1.0 / n2)
-    lam = None
+    lam = problem = None
     for it in range(max_iter):
         y = gen.factorization(sigma, which).solve(x)
         theta = float(x @ y) / float(x @ x)
@@ -251,52 +382,74 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
             else:
                 floor = max(floor, target)
     else:
-        # slow algebraic convergence (large Jordan chains of the
-        # refinement-divergent regime)
-        lam = None
+        problem = f"did not settle in {max_iter} steps"
     if x.sum() < 0:
         x = -x
-    if lam is None or x.min() < -1e-8 * max(x.max(), 1e-300):
-        # severe non-normality leaves the iterate sign-indefinite; fall
-        # back to the certificate bisection from the initial shift.  The
-        # Perron root of these sign-structured operators is real, so a
-        # complex dominant pair cannot be the cause.
-        lam, x = _perron_bound_bisect(gen, which, hi=top, x_hi=x_top,
-                                      tol=max(tol, 1e-6))
-    return lam, x
+    if problem is None and x.min() <= 0:
+        problem = "ended on an iterate that is not strictly positive"
+    bracket = _collatz_wielandt(gen.block_sum(which), x)
+    if problem is not None:
+        raise IterationError(
+            f"power iteration {problem}: s_A in [{bracket[0]:.12g}, "
+            f"{bracket[1]:.12g}]", estimate=lam, bracket=bracket)
+    return lam, x, bracket
 
 
 def spectral_bound(gen: DiscreteGenerator, which: str = "full",
                    shift0: Optional[float] = None, tol: float = 1e-10,
-                   max_iter: int = 500) -> tuple[float, StateVector]:
+                   max_iter: int = 500) -> SpectralBound:
     """Rightmost real eigenvalue and nonnegative eigenvector of a block sum.
 
-    A block sum that is block lower triangular in per-cell order (every
-    sum without recruitment, and the full generator of a kernel that
-    does not mix) is solved exactly from its 2x2 cell blocks, with no
-    factorization of the whole matrix; ``shift0`` is not used there.
-    Otherwise shift-and-invert power iteration: iterate
-    x <- (sigma - M)^{-1} x, estimate the eigenvalue as sigma - 1/theta
-    with theta the Rayleigh quotient of the inverse, and pull the shift
-    down to estimate + 1 as the estimate stabilizes, accepting only
-    shifts that the positivity certificate places above the bound.
-    Positivity of the resolvent drives the iterates to the Perron pair.
-    ConfigurationError when a given ``shift0`` is not above the bound.
+    Three routes, chosen from the operator's structure:
+
+      * ``exact``: a block sum that is block lower triangular in
+        per-cell order (every sum without recruitment, and the full
+        generator of a kernel that does not mix) is solved from its 2x2
+        cell blocks, with no factorization of the whole matrix; the
+        bracket is (s, s) and ``shift0`` is not used;
+      * ``characteristic``: the full generator of a mixing rank-1 kernel
+        f g^T; s is the root above s_B of
+        phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1 (s = s_B when
+        phi(s_B+) <= 1), found by safeguarded Newton on log phi from
+        O(n) forward sweeps, with no LU; the bracket (lo, hi) has
+        phi(lo) > 1 >= phi(hi) and hi - lo <= tol * max(1, |hi|);
+      * ``power``: every other kernel (tables, callables, ``s<y``), by
+        shift-and-invert power iteration x <- (sigma - M)^{-1} x that
+        estimates the eigenvalue as sigma - 1/theta (theta the Rayleigh
+        quotient of the inverse) until successive estimates differ by
+        less than ``tol``, and pulls the shift down to estimate + 1,
+        accepting only shifts that the positivity certificate places
+        above the bound; the bracket is the Collatz-Wielandt bracket of
+        the final iterate.
+
+    ``shift0`` opens the characteristic bracket from above, or is the
+    first power-iteration shift (default ||M||_inf + 1).
+    ConfigurationError when a given ``shift0`` is not above the bound;
+    IterationError (with the bracket reached) when an iterative route
+    does not settle in ``max_iter`` steps or, for the power route, ends
+    on an iterate that is not strictly positive.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     blocks = _cell_blocks(gen, which)
     if blocks is not None:
+        route = "exact"
         lam, x = _exact_bound(gen, which, blocks)
+        bracket = (lam, lam)
+    elif gen.kernel.factors is not None:
+        route = "characteristic"
+        lam, x, bracket = _characteristic_bound(gen, shift0, tol, max_iter)
     else:
-        lam, x = _power_bound(gen, which, shift0, tol, max_iter)
+        route = "power"
+        lam, x, bracket = _power_bound(gen, which, shift0, tol, max_iter)
     x = np.clip(x, 0.0, None)
     eig = StateVector.from_stacked(x, gen.grid)
     m = eig.mass
     if m > 0:
         eig.u1 /= m
         eig.u2 /= m
-    return float(lam), eig
+    return SpectralBound(float(lam), eig, route,
+                         tuple(float(v) for v in bracket))
 
 
 def recruitment_free_bound(gen: DiscreteGenerator) -> float:
@@ -309,7 +462,7 @@ def recruitment_free_bound(gen: DiscreteGenerator) -> float:
     is the union of the 2x2 blocks' eigenvalues -- immune to the
     non-normality that defeats iterative eigensolvers here.
     """
-    return float(_block_eigenvalues(*_cell_blocks(gen, "B")).max())
+    return float(block_eigenvalues(*_cell_blocks(gen, "B")).max())
 
 
 def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,43 @@ class TestNeumannSeries:
         res = resolvent_neumann(gen, s_full - 0.5, H, "B3-series",
                                 max_terms=400)
         assert res.status == "diverged"
+
+    @pytest.mark.parametrize("kernel", [
+        1.0,
+        {"form": "product", "offspring": {"form": "expression",
+                                          "name": "exp_decay"},
+         "parent": {"form": "expression", "name": "linear"}},
+        {"form": "indicator", "s_hi": 0.4, "y_lo": 0.3, "value": 3.0}])
+    def test_rank_one_term_matches_sparse_product(self, kernel):
+        # a rank-1 kernel feeds each term as h f (g . u1); the same values
+        # as a dense table go through the sparse B3 block
+        g, p, K, gen = make(n=60, kernel=kernel)
+        table = make(n=60, kernel={"form": "table",
+                                   "values": K.beta.tolist()})[3]
+        H = StateVector(np.ones(60), g.centers, g)
+        res = resolvent_neumann(gen, 1.0, H, "B3-series", tol=1e-12)
+        ref = resolvent_neumann(table, 1.0, H, "B3-series", tol=1e-12)
+        assert res.status == ref.status == "converged"
+        assert res.terms_used == ref.terms_used > 2
+        x, y = res.state.stacked(), ref.state.stacked()
+        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+    def test_rank_one_series_builds_no_kernel_block(self):
+        # n = 2000: the sparse block of a constant kernel holds 4,000,000
+        # entries
+        g, p, K, gen = make(n=50)
+        resolvent_neumann(gen, 1.0, StateVector(np.ones(50), np.ones(50), g),
+                          "B3-series")     # imports scipy outside the window
+        g, p, K, gen = make(n=2000)
+        H = StateVector(np.ones(2000), np.ones(2000), g)
+        tracemalloc.start()
+        try:
+            res = resolvent_neumann(gen, 1.0, H, "B3-series")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "converged"
+        assert peak < 5 * 2 ** 20
 
     def test_b2_split_agrees_with_direct(self):
         g, p, K, gen = make(n=80)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import twophase
@@ -11,6 +13,7 @@ import twophase.cli
 import twophase.report
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
+from twophase.operators import StateVector
 from twophase.report import atomic_write_text
 from twophase.scenario import parse_scenario, scenario_from_dict
 
@@ -80,6 +83,57 @@ class TestParseScenario:
 
 def run_cli(args):
     return cli_main(args)
+
+
+def demo_doc(T):
+    # the README demo, run for T
+    return {
+        "name": "demo",
+        "domain": {"kind": "truncated_infinite", "smax": 30.0, "n": 600},
+        "coefficients": {
+            "gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+            "c1": {"form": "expression", "name": "indicator",
+                   "lo": 0.5, "hi": 1.0},
+            "c2": {"form": "expression", "name": "exp_decay"},
+            "gamma0": 1.0},
+        "kernel": {"form": "indicator", "s_lo": 0.0, "s_hi": 1.0},
+        "run": {"dt": 1e-3, "T": T, "record_every": 100},
+        "spectral": {"tol": 1e-10, "smax_list": [10, 20, 30],
+                     "probe_lambdas": [-0.5, 0.5]}}
+
+
+def asdict_jsonable(obj):
+    # the serializer as it was, through dataclasses.asdict (deep copies)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, StateVector):
+        return {"u1": obj.u1.tolist(), "u2": obj.u2.tolist()}
+    if dataclasses.is_dataclass(obj):
+        return {k: asdict_jsonable(v)
+                for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {str(k): asdict_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [asdict_jsonable(v) for v in obj]
+    return str(obj)
+
+
+class TestReportJSON:
+    def test_text_equals_asdict_serialization(self, tmp_path, monkeypatch):
+        rep = twophase.report.run(scenario_from_dict(demo_doc(T=0.5)),
+                                  out_dir=str(tmp_path))
+        text = twophase.report.report_to_json(rep)
+        monkeypatch.setattr(twophase.report, "_jsonable", asdict_jsonable)
+        assert twophase.report.report_to_json(rep) == text
+        spectral = json.loads(text)["spectral"]
+        assert spectral["eigfun"]["grid"]["n"] == 600
+        assert spectral["s_A_route"] == "characteristic"
+        lo, hi = spectral["s_A_bracket"]
+        assert lo <= spectral["s_A"] <= hi
 
 
 class TestCLI:
@@ -256,13 +310,23 @@ class TestCLI:
 
     def test_import_and_growth_only_spectrum_leave_scipy_unimported(
             self, tmp_path):
-        # scipy is imported only to factor: neither the import nor the
-        # exact-route eigensolve of a non-mixing kernel loads it
+        # scipy is imported only to factor: neither the import, nor the
+        # exact-route eigensolve of a non-mixing kernel, nor a sweep or a
+        # spectrum on the characteristic route of a rank-1 kernel loads it
         doc = {"name": "growth",
                "domain": {"kind": "finite", "m": 1.0, "n": 800},
                "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
                                 "c1": 1.0, "c2": 1.0},
                "kernel": {"form": "indicator", "relation": "s>y"}}
+        box = {"name": "box",
+               "domain": {"kind": "truncated_infinite", "smax": 40.0,
+                          "n": 200},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": {"form": "indicator", "value": 2.0, "s_hi": 1.0},
+               "spectral": {"smax_list": [10, 20, 40],
+                            "probe_lambdas": [-0.5, 0.5]}}
+        constant = minimal_doc(name="constant")
         code = (
             "import sys\n"
             "import twophase\n"
@@ -270,17 +334,26 @@ class TestCLI:
             "                        if m.split('.')[0] == 'scipy')\n"
             "assert not loaded(), loaded()\n"
             "from twophase.cli import main\n"
-            "assert main(['spectrum', sys.argv[1], '--out', sys.argv[2]]) "
-            "== 0\n"
+            "growth, box, constant, out = sys.argv[1:]\n"
+            "assert main(['spectrum', growth, '--out', out]) == 0\n"
+            "assert not loaded(), loaded()\n"
+            "assert main(['sweep', box, '--out', out, '--vary', "
+            "'coefficients.mu', '0.5:1.0:0.25']) == 0\n"
+            "assert not loaded(), loaded()\n"
+            "assert main(['spectrum', constant, '--out', out]) == 0\n"
             "assert not loaded(), loaded()\n")
         src = os.path.dirname(os.path.dirname(twophase.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", code, write(tmp_path, doc),
+             write(tmp_path, box, "box.json"),
+             write(tmp_path, constant, "constant.json"),
              str(tmp_path / "o")], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "o" / "growth_report.json").exists()
+        for name in ("growth_report.json", "box_sweep.csv",
+                     "constant_report.json"):
+            assert (tmp_path / "o" / name).exists()
 
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"

@@ -9,10 +9,11 @@ from twophase.errors import (ConfigurationError, IterationError,
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import StateVector, assemble
-from twophase.spectral import (closed_form_poly, closed_form_sB, detect_AEG,
-                               duhamel_solve, recruitment_free_bound,
-                               sB_probe_infinite, spectral_bound,
-                               spectral_gap_lower_bound)
+from twophase.scenario import scenario_from_dict
+from twophase.spectral import (characteristic_function, closed_form_poly,
+                               closed_form_sB, detect_AEG, duhamel_solve,
+                               recruitment_free_bound, sB_probe_infinite,
+                               spectral_bound, spectral_gap_lower_bound)
 
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
@@ -116,13 +117,23 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def reducible_generator():
+REDUCIBLE_BOX = {"form": "indicator", "s_hi": 0.2, "y_hi": 0.2,
+                 "value": 100.0}
+
+
+def table_of(spec, n):
+    # the same kernel values as a dense table, which takes the power route
+    beta = build_kernel(spec, build_grid("finite", 1.0, n)).beta
+    return {"form": "table", "values": beta.tolist()}
+
+
+def reducible_generator(table=False):
     # n=10, gamma = 1+s, no loss or coupling, box kernel 100 on
     # s, y in [0, 0.2]: cells 0 and 1 of phase 1 form the block
     # [[-1, 10], [21, -2]] with eigenvalues 13 and -16, and phase 2 is
     # pure transport with eigenvalues -11, -12, ...
-    return make(n=10, kernel={"form": "indicator", "s_hi": 0.2,
-                              "y_hi": 0.2, "value": 100.0},
+    return make(n=10, kernel=table_of(REDUCIBLE_BOX, 10) if table
+                else REDUCIBLE_BOX,
                 mu=0.0, c1=0.0, c2=0.0,
                 gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
 
@@ -162,11 +173,20 @@ class TestExactRoute:
         assert x[k + 1:n].sum() + x[n + k + 1:].sum() > 0
 
     def test_mixing_kernel_takes_power_route(self, splu_calls):
-        g, p, K, gen = make(n=50)
+        g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
         s, eig = spectral_bound(gen, "full")
         assert splu_calls
         dense = np.linalg.eigvals(gen.full.toarray()).real.max()
         assert s == pytest.approx(dense, rel=1e-8)
+
+    def test_mixing_rank_one_kernel_takes_characteristic_route(
+            self, splu_calls):
+        g, p, K, gen = make(n=50)
+        bound = spectral_bound(gen, "full")
+        assert bound.route == "characteristic"
+        assert splu_calls == []
+        dense = np.linalg.eigvals(gen.full.toarray()).real.max()
+        assert bound.s == pytest.approx(dense, rel=1e-8)
 
 
 class TestCertifiedShifts:
@@ -180,6 +200,13 @@ class TestCertifiedShifts:
 
     @pytest.mark.parametrize("shift0", [5.0, 13.0])
     def test_shift0_at_or_below_bound_rejected(self, shift0):
+        g, p, K, gen = reducible_generator(table=True)
+        with pytest.raises(ConfigurationError, match="shift0"):
+            spectral_bound(gen, "full", shift0=shift0)
+
+    @pytest.mark.parametrize("shift0", [-11.0, 5.0, 13.0])
+    def test_shift0_at_or_below_bound_rejected_characteristic(self, shift0):
+        # -11 is s_B itself, where the sweep is not defined
         g, p, K, gen = reducible_generator()
         with pytest.raises(ConfigurationError, match="shift0"):
             spectral_bound(gen, "full", shift0=shift0)
@@ -188,7 +215,7 @@ class TestCertifiedShifts:
         # the first re-centred shift (about 2.04, below the bound 13) is
         # made exactly singular, as splu reports it; the loop must stay
         # on certified shifts and still find the top eigenvalue
-        g, p, K, gen = reducible_generator()
+        g, p, K, gen = reducible_generator(table=True)
         top = gen.infinity_norm() + 1.0
         real = gen.factorization
         singular = []
@@ -204,6 +231,175 @@ class TestCertifiedShifts:
         s, _ = spectral_bound(gen, "full")
         assert len(singular) == 1 and singular[0] < 13.0
         assert s == pytest.approx(13.0, abs=1e-8)
+
+
+def dense_phi(gen, lam):
+    # the characteristic function h g.[(lambda - B)^{-1}(f, 0)]_1 from a
+    # dense LAPACK solve
+    n = gen.grid.n
+    f, g = gen.kernel.factors
+    B = gen.block_sum("B").toarray()
+    x = np.linalg.solve(lam * np.eye(2 * n) - B,
+                        np.concatenate([f, np.zeros(n)]))
+    return gen.grid.h * g @ x[:n]
+
+
+def dense_root(gen):
+    # bisection on the dense phi between s_B and ||M||_inf + 1
+    lo, hi = recruitment_free_bound(gen), gen.infinity_norm() + 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if dense_phi(gen, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def mu_step_generator(n, value):
+    # mortality steps from 0 to 50 at s = 0.3 and the box kernel sits on
+    # [0.5, 1]^2: s_B = -n comes from the cells below 0.3, which the
+    # kernel never reaches
+    return make(n=n, kernel={"form": "indicator", "s_lo": 0.5, "y_lo": 0.5,
+                             "value": value},
+                mu={"form": "table", "points": [[0.0, 0.0], [0.3, 50.0]]})
+
+
+def assert_eigenpair(gen, bound):
+    x = bound.eigfun.stacked()
+    assert x.min() >= 0.0
+    assert bound.eigfun.mass == pytest.approx(1.0, rel=1e-14)
+    res = np.abs(gen.full @ x - bound.s * x).max()
+    assert res <= 1e-12 * max(1.0, abs(bound.s)) * x.max()
+
+
+RANK_ONE = {
+    "constant": dict(n=50),
+    "product": dict(n=100, kernel={"form": "product",
+                                   "offspring": {"form": "expression",
+                                                 "name": "exp_decay"},
+                                   "parent": {"form": "expression",
+                                              "name": "linear",
+                                              "intercept": 0.5}},
+                    mu=lambda s: 1 + s, gamma1=lambda s: 1 + s),
+    "box": dict(n=80, kernel={"form": "indicator", "s_hi": 0.3,
+                              "y_lo": 0.5, "value": 30.0},
+                c1=lambda s: 0.5 + s),
+}
+
+
+class TestCharacteristicRoute:
+    @pytest.mark.parametrize("name", sorted(RANK_ONE))
+    def test_root_matches_dense_oracle(self, name, splu_calls):
+        g, p, K, gen = make(**RANK_ONE[name])
+        bound = spectral_bound(gen, "full")
+        assert bound.route == "characteristic"
+        root = dense_root(gen)
+        assert abs(bound.s - root) <= 1e-12 * abs(root)
+        lo, hi = bound.bracket
+        assert lo <= bound.s <= hi
+        assert hi - lo <= 1e-10 * max(1.0, abs(hi))
+        # the sweep certifies the bracket and agrees with the dense phi
+        phi_lo = characteristic_function(gen, lo)[0]
+        phi_hi = characteristic_function(gen, hi)[0]
+        assert phi_lo > 1.0 >= phi_hi
+        assert phi_lo == pytest.approx(dense_phi(gen, lo), rel=1e-12)
+        assert phi_hi == pytest.approx(dense_phi(gen, hi), rel=1e-12)
+        assert_eigenpair(gen, bound)
+        assert splu_calls == []
+
+    def test_mu_step_root(self):
+        # the root in 60-digit arithmetic is -29.25155186452381165; a
+        # dense double-precision solve puts it at -29.2515574 (the forward
+        # error of a strongly non-normal solve), and so did the power loop
+        g, p, K, gen = mu_step_generator(60, 0.01)
+        bound = spectral_bound(gen, "full")
+        root = -29.25155186452381165
+        assert abs(bound.s - root) <= 1e-12 * abs(root)
+        lo, hi = bound.bracket
+        assert lo <= root <= hi and hi - lo <= 1e-10 * abs(hi)
+        assert_eigenpair(gen, bound)
+
+    @pytest.mark.parametrize("value", [1e-6, 1.0])
+    def test_weak_recruitment_leaves_s_B(self, value):
+        # phi(s_B+) = 0.55 * value <= 1: the recruitment cannot lift the
+        # bound, which stays exactly at s_B = -10
+        g, p, K, gen = mu_step_generator(10, value)
+        s_B = recruitment_free_bound(gen)
+        assert s_B == -10.0
+        phi = characteristic_function(gen, np.nextafter(s_B, math.inf))[0]
+        assert phi == pytest.approx(0.55 * value, rel=0.01)
+        bound = spectral_bound(gen, "full")
+        assert bound.route == "characteristic"
+        assert bound.s == -10.0 and bound.bracket == (-10.0, -10.0)
+        assert_eigenpair(gen, bound)
+
+    def test_phi_above_s_B_on_demo_generator_reads_inf(self):
+        # the README demo: the transport chain grows like 20 per cell just
+        # above s_B = -20 and overflows, while c1 vanishes outside [0.5, 1]
+        scn = scenario_from_dict({
+            "name": "demo",
+            "domain": {"kind": "truncated_infinite", "smax": 30.0, "n": 600},
+            "coefficients": {
+                "gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                "c1": {"form": "expression", "name": "indicator",
+                       "lo": 0.5, "hi": 1.0},
+                "c2": {"form": "expression", "name": "exp_decay"},
+                "gamma0": 1.0},
+            "kernel": {"form": "indicator", "s_lo": 0.0, "s_hi": 1.0}})
+        gen = assemble(scn.params, scn.kernel, scn.grid)
+        s_B = recruitment_free_bound(gen)
+        for lam in (np.nextafter(s_B, math.inf), s_B + 1e-9, s_B + 1.0):
+            phi, x = characteristic_function(gen, lam)
+            assert phi == math.inf
+            assert not np.isnan(x).any()
+
+
+class TestPowerRoute:
+    def test_converged_iterate_gives_collatz_wielandt_bracket(self):
+        g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
+        bound = spectral_bound(gen, "full")
+        assert bound.route == "power"
+        lo, hi = bound.bracket
+        dense = np.linalg.eigvals(gen.full.toarray()).real.max()
+        assert lo <= dense <= hi and lo <= bound.s <= hi
+        assert hi - lo <= 1e-9 * abs(dense)
+
+    def test_max_iter_raises_with_bracket(self):
+        g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
+        with pytest.raises(IterationError, match="did not settle") as ei:
+            spectral_bound(gen, "full", max_iter=2)
+        lo, hi = ei.value.bracket
+        assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
+
+    def test_iterate_that_is_not_positive_raises(self, monkeypatch):
+        # every solve after the certificate at the first shift returns
+        # its last entry negated
+        g, p, K, gen = make(n=20, kernel=table_of(1.0, 20))
+        real = gen.factorization
+        calls = []
+
+        class Flipped:
+            def __init__(self, fact):
+                self.fact = fact
+
+            def solve(self, rhs):
+                y = self.fact.solve(rhs)
+                y[-1] = -abs(y[-1])
+                return y
+
+        def factorization(lam, which):
+            calls.append(lam)
+            fact = real(lam, which)
+            return fact if len(calls) == 1 else Flipped(fact)
+
+        monkeypatch.setattr(gen, "factorization", factorization)
+        with pytest.raises(IterationError, match="not strictly positive") \
+                as ei:
+            spectral_bound(gen, "full")
+        # the nonnegative part still bounds s_A from below
+        lo, hi = ei.value.bracket
+        assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max()
+        assert hi == math.inf
 
 
 class TestClosedForms:
