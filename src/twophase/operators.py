@@ -18,17 +18,22 @@ structured kernel; the sparse blocks are built on first use and cached.
 Resolvents (lambda*I - M)^{-1} are available by direct factorization,
 by the analytic transport formula (one O(n) forward sweep, shared with
 the recruitment-free probe), and by a Neumann perturbation series whose
-divergence doubles as a spectral indicator.  The direct route is one
-sparse LU (SuperLU).  For a rank-1 kernel the full generator is factored
-as the fill-free LU of lambda - B (transport, loss and coupling) plus a
-Sherman-Morrison correction, O(n) per solve; other kernels factor
-lambda - M itself with a minimum-degree ordering of A + A^T.  A
-generator keeps only its last factor, which serves the repeated shifts
-of implicit steps, resolvents and eigensolves.  The recruitment-free
-sums are block lower bidiagonal in per-cell order, so
-``DiscreteGenerator.block_sweep`` solves them by one forward sweep over
-the 2x2 cell blocks, with no factor.  scipy is imported only by the
-code that builds sparse blocks or factors them.
+divergence doubles as a spectral indicator.  In per-cell order
+(u1_i, u2_i) the recruitment-free sums are block lower bidiagonal with
+2x2 cell blocks, so the direct route factors lambda - M for them as
+L_b D with no fill and no pivoting: D the cell blocks, L_b unit lower
+banded, each solve one BLAS banded triangular solve (dtbsv) and a
+vectorised D^{-1}, O(n).  For a rank-1 kernel the full generator adds a
+Sherman-Morrison correction to that factor of lambda - B (transport,
+loss and coupling); only the other kernels (tables, callables, the
+triangles) take a sparse LU (SuperLU) of lambda - M with a
+minimum-degree ordering of A + A^T.  A generator keeps only its last
+factor, which serves the repeated shifts of implicit steps, resolvents
+and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a
+recruitment-free sum by one forward sweep over the same cell blocks,
+with no factor at all.  scipy is imported only by the code that builds
+sparse blocks or factors them; the banded route loads ``scipy.linalg``
+alone, never ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -100,37 +105,73 @@ class StateVector:
         return StateVector(self.u1.copy(), self.u2.copy(), self.grid)
 
 
+class _BandedFactor:
+    """Solves (lambda - M) x = scale * rhs for a recruitment-free block sum.
+
+    In per-cell order (u1_i, u2_i), lambda - M is block lower bidiagonal:
+    the 2x2 cell blocks D_i = lambda - [[a_i, b_i], [c_i, d_i]] on the
+    diagonal and -diag(inflow_i) below.  It factors with no fill and no
+    pivoting as L_b D, with D = blockdiag(D_i) and L_b unit lower banded
+    (bandwidth 3) whose subdiagonal blocks are -diag(inflow_i) D_{i-1}^-1.
+    A solve is one BLAS banded triangular solve (dtbsv) with L_b and the
+    vectorised D^-1 (kept times ``scale``).  Above every block eigenvalue
+    D^-1 >= 0 and L_b <= 0 off the diagonal, so a nonnegative rhs gives
+    a nonnegative x, with no negative rounding.  O(n) storage and work.
+    """
+
+    def __init__(self, lam: float, blocks: tuple, inflow: np.ndarray,
+                 scale: float):
+        from scipy.linalg.blas import dtbsv
+        i11, i12, i21, i22 = cell_inverse(lam, *blocks)
+        in1, in2 = inflow
+        # LAPACK lower band storage, band[k, j] = L_b[j + k, j]: columns
+        # 2i and 2i + 1 hold the block below the diagonal block of cell i
+        band = np.zeros((4, 2 * i11.size), order="F")
+        band[2, 0:-2:2], band[3, 0:-2:2] = -in1 * i11[:-1], -in2 * i21[:-1]
+        band[1, 1:-2:2], band[2, 1:-2:2] = -in1 * i12[:-1], -in2 * i22[:-1]
+        # D^-1 y in stacked order is cols[0] * y1 + cols[1] * y2
+        self._band, self._tbsv = band, dtbsv
+        self._cols = scale * np.array([[i11, i21], [i12, i22]])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side of length 2n (u1 over u2)."""
+        n = self._cols.shape[2]
+        y = np.empty(2 * n)
+        y[0::2], y[1::2] = rhs[:n], rhs[n:]
+        y = self._tbsv(3, self._band, y, lower=1, diag=1, overwrite_x=1)
+        x = self._cols[0] * y[0::2]
+        x += self._cols[1] * y[1::2]
+        return x.ravel()
+
+
 class _RankOneFactor:
-    """Solves (lambda - B - u v^T) x = b around one LU of lambda - B.
+    """Solves (lambda - B - u v^T) x = scale * rhs around the banded
+    factor of lambda - B.
 
     The rank-1 kernel beta = f g^T puts u v^T = h (f, 0) (g, 0)^T in the
     full generator.  By the Sherman-Morrison identity,
-    x = y + w (v.y) / (1 - v.w) with y = LU^{-1} b and w = LU^{-1} u.
-    Other attributes (L, U, perm_r, perm_c, shape, nnz) are those of the
-    LU of lambda - B.
+    x = y + w (v.y) / (1 - v.w) with y = scale (lambda - B)^{-1} rhs and
+    w = (lambda - B)^{-1} u; ``hf`` is h f / scale.
     """
 
-    def __init__(self, lu: "SuperLU", hf: np.ndarray, g: np.ndarray,
+    def __init__(self, base: _BandedFactor, hf: np.ndarray, g: np.ndarray,
                  lam: float):
         n = g.size
-        w = lu.solve(np.concatenate([hf, np.zeros(n)]))
+        w = base.solve(np.concatenate([hf, np.zeros(n)]))
         denom = 1.0 - float(g @ w[:n])
         if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(w).all():
             raise SpectralProximityError(
                 f"rank-1 correction of (lambda - full) is singular at "
                 f"lambda={lam:g} (1 - v.w = {denom:g})", lam=lam)
-        self._lu, self._g, self._w = lu, g, w / denom
+        from scipy.linalg.blas import daxpy, ddot
+        self._base, self._g, self._w = base, g, w / denom
+        self._axpy, self._dot = daxpy, ddot
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side of length 2n."""
-        x = self._lu.solve(rhs)
-        x += self._w * (self._g @ x[:self._g.size])
-        return x
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._lu, name)
+        x = self._base.solve(rhs)
+        # x += w (g.x_1) in place; ddot reads the first n entries of x
+        return self._axpy(self._w, x, a=self._dot(self._g, x))
 
 
 @dataclass
@@ -202,35 +243,72 @@ class DiscreteGenerator:
             return self.full
         raise ConfigurationError(f"unknown operator selection {which!r}")
 
-    def factorization(self, lam: float, which: str):
-        """Sparse LU factorization of (lambda*I - selected block sum).
+    def cell_blocks(self, which: str) -> Optional[tuple[np.ndarray, ...]]:
+        """2x2 diagonal cell blocks of a block lower triangular block sum.
 
-        The full generator of a rank-1 kernel is factored as the LU of
-        lambda - B plus a Sherman-Morrison correction (same ``solve``).
-        Only the last (lambda, which) factor is kept; a new key frees it
-        first.  SpectralProximityError when the shift makes the matrix
-        (or the correction) singular.
+        In per-cell (u1_i, u2_i) order the selected block sum M has the
+        diagonal blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
+        [M[n+i, i], M[n+i, n+i]]], read off the per-cell arrays.  Returns
+        (a, b, c, d) when no nonzero entry of M feeds a cell from a later
+        one, so that M is block lower triangular and its spectrum is the
+        union of the blocks'; None otherwise.  "A", "A+B1" and "B" always
+        qualify; "full" qualifies exactly when the kernel does not mix
+        (beta vanishes above the diagonal: no offspring is smaller than
+        its parent).
         """
-        key = (float(lam), which)
+        if which not in WHICH_CHOICES:
+            raise ConfigurationError(f"unknown operator selection {which!r}")
+        if which == "full" and self.kernel.cutoff_sums().any():
+            return None
+        if which == "A":
+            a, d = -self.outflow
+        else:
+            a, d = -(self.outflow + self.loss)
+        if which == "full":
+            a = a + self.kernel.diagonal() * self.grid.h
+        if which in ("A", "A+B1"):
+            b = c = np.zeros(self.grid.n)
+        else:
+            b, c = self.coupling
+        return a, b, c, d
+
+    def factorization(self, lam: float, which: str, scale: float = 1.0):
+        """Factor of (lambda*I - selected block sum) / scale.
+
+        Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
+        ``scale`` = lambda = 1/dt applies the implicit step's
+        (I - dt*M)^{-1}.  The recruitment-free sums "A", "A+B1" and "B"
+        take the fill-free banded factor (O(n), no pivoting); the full
+        generator of a rank-1 kernel takes that of lambda - B plus a
+        Sherman-Morrison correction; only the other kernels (tables,
+        callables, triangles) take a sparse LU (SuperLU) with a
+        minimum-degree ordering of A + A^T.  Only the last
+        (lambda, which, scale) factor is kept; a new key frees it first.
+        SpectralProximityError when the shift makes the matrix (or the
+        correction) singular.
+        """
+        key = (float(lam), which, float(scale))
         if self._last_fact is None or self._last_fact[0] != key:
-            import scipy.sparse as sp
             self._last_fact = None
-            rank_one = which == "full" and self.kernel.factors is not None
-            base = "B" if rank_one else which
-            mat = sp.identity(2 * self.grid.n, format="csr") * float(lam) \
-                - self.block_sum(base)
-            # COLAMD keeps the LU of the block bidiagonal sums fill-free
-            # and solves fastest; a dense kernel block needs minimum degree
-            order = "MMD_AT_PLUS_A" if base == "full" else "COLAMD"
-            try:
-                fact = splu(mat.tocsc(), permc_spec=order)
-            except RuntimeError as exc:
-                raise SpectralProximityError(
-                    f"factorization of (lambda - {base}) failed at "
-                    f"lambda={lam:g}: {exc}", lam=lam)
-            if rank_one:
+            if which != "full":
+                fact = _BandedFactor(lam, self.cell_blocks(which),
+                                     self.inflow, scale)
+            elif self.kernel.factors is not None:
                 f, g = self.kernel.factors
-                fact = _RankOneFactor(fact, self.grid.h * f, g, lam)
+                fact = _RankOneFactor(
+                    _BandedFactor(lam, self.cell_blocks("B"), self.inflow,
+                                  scale),
+                    self.grid.h / scale * f, g, lam)
+            else:
+                import scipy.sparse as sp
+                mat = (sp.identity(2 * self.grid.n, format="csr") * float(lam)
+                       - self.full) / scale
+                try:
+                    fact = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as exc:
+                    raise SpectralProximityError(
+                        f"factorization of (lambda - full) failed at "
+                        f"lambda={lam:g}: {exc}", lam=lam)
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
@@ -249,15 +327,8 @@ class DiscreteGenerator:
         no pivoting.
         """
         n = self.grid.n
-        a, b, c, d = (v[start:] for v in blocks)
-        gap = lam - block_eigenvalues(a, b, c, d)
-        # lambda - a and lambda - d are at least the gap when exact, and
-        # (lambda - larger)(lambda - smaller eigenvalue) stays positive
-        # where (lambda - a)(lambda - d) - bc can round to zero or below
-        ea, ed = np.maximum(lam - a, gap), np.maximum(lam - d, gap)
-        det = gap * (ea + ed - gap)
-        i11, i12, i21, i22 = (v.tolist() for v in (ed / det, b / det,
-                                                   c / det, ea / det))
+        i11, i12, i21, i22 = cell_inverse(
+            lam, *(v[start:] for v in blocks)).tolist()
         in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0)))[:, start:].tolist()
         r1, r2 = rhs[start:n].tolist(), rhs[n + start:].tolist()
         x1, x2 = [0.0] * (n - start), [0.0] * (n - start)
@@ -286,8 +357,39 @@ class DiscreteGenerator:
 
 
 def block_eigenvalues(a, b, c, d) -> np.ndarray:
-    """Larger eigenvalue of each 2x2 block [[a, b], [c, d]] with b*c >= 0."""
-    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * c)
+    """Larger eigenvalue of each 2x2 block [[a, b], [c, d]] with b*c >= 0.
+
+    Taken as max(a, d) + bc / (r + |a - d|/2), r = sqrt((a - d)^2/4 + bc),
+    which has no cancellation: a block with bc = 0 gives max(a, d)
+    exactly, so a shift just above it is known to full relative accuracy.
+    """
+    bc, half = b * c, 0.5 * np.abs(a - d)
+    den = np.sqrt(half * half + bc) + half
+    lift = np.divide(bc, den, out=np.zeros(np.shape(den)), where=den > 0)
+    return np.maximum(a, d) + lift
+
+
+def cell_inverse(lam: float, a, b, c, d) -> np.ndarray:
+    """Entries (e11, e12, e21, e22) of (lambda - [[a, b], [c, d]])^{-1}
+    for each 2x2 cell block with b*c >= 0, as a (4, n) array.
+
+    The determinant is taken as (lambda - larger)(lambda - smaller
+    eigenvalue), the gap to the larger one from ``block_eigenvalues``,
+    which never rounds below max(a, d): so lambda - a and lambda - d are
+    at least the gap, and above the computed eigenvalue the determinant
+    stays positive where (lambda - a)(lambda - d) - bc can round to zero
+    or below, and the inverse is nonnegative.  Below the eigenvalues it
+    is the determinant itself.  SpectralProximityError when lambda is an
+    eigenvalue of some block.
+    """
+    ea, ed = lam - a, lam - d
+    gap = lam - block_eigenvalues(a, b, c, d)
+    det = gap * (ea + ed - gap)
+    if not det.all():
+        raise SpectralProximityError(
+            f"a cell block of (lambda - M) is singular at lambda={lam:g}",
+            lam=lam)
+    return np.array([ed, b, c, ea]) / det
 
 
 def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGenerator:

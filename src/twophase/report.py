@@ -71,8 +71,10 @@ def atomic_write_text(path: str, text: str):
 
 def write_trajectory_csv(path: str, traj):
     rows = ["t,mass_total,mass_u1,mass_u2"]
-    for t, m, (m1, m2) in zip(traj.step_times, traj.step_masses,
-                              traj.step_phase_masses):
+    # Python floats format faster than numpy scalars, to the same text
+    for t, m, (m1, m2) in zip(traj.step_times.tolist(),
+                              traj.step_masses.tolist(),
+                              traj.step_phase_masses.tolist()):
         rows.append(f"{t:.12g},{m:.12g},{m1:.12g},{m2:.12g}")
     atomic_write_text(path, "\n".join(rows) + "\n")
 

@@ -36,8 +36,8 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      SpectralProximityError)
 from .evolution import Trajectory
 from .model import Kernel, ModelParams, build_grid
-from .operators import (WHICH_CHOICES, DiscreteGenerator, StateVector,
-                        block_eigenvalues, transport_sweep)
+from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
+                        transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -129,37 +129,6 @@ def _certificate(gen: DiscreteGenerator, which: str,
     return x
 
 
-def _cell_blocks(gen: DiscreteGenerator,
-                 which: str) -> Optional[tuple[np.ndarray, ...]]:
-    """2x2 diagonal cell blocks of a block lower triangular block sum.
-
-    In per-cell (u1_i, u2_i) order the selected block sum M has the
-    diagonal blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
-    [M[n+i, i], M[n+i, n+i]]], read off the generator's per-cell arrays.
-    Returns (a, b, c, d) when no nonzero entry of M feeds a cell from a
-    later one, so that M is block lower triangular and its spectrum is
-    the union of the blocks'; None otherwise.  "A", "A+B1" and "B"
-    always qualify; "full" qualifies exactly when the kernel does not
-    mix (beta vanishes above the diagonal: no offspring is smaller than
-    its parent).
-    """
-    if which not in WHICH_CHOICES:
-        raise ConfigurationError(f"unknown operator selection {which!r}")
-    if which == "full" and gen.kernel.cutoff_sums().any():
-        return None
-    if which == "A":
-        a, d = -gen.outflow
-    else:
-        a, d = -(gen.outflow + gen.loss)
-    if which == "full":
-        a = a + gen.kernel.diagonal() * gen.grid.h
-    if which in ("A", "A+B1"):
-        b = c = np.zeros(gen.grid.n)
-    else:
-        b, c = gen.coupling
-    return a, b, c, d
-
-
 def _exact_bound(gen: DiscreteGenerator, which: str,
                  blocks: tuple) -> tuple[float, np.ndarray]:
     """Spectral bound and nonnegative eigenvector of a block triangular sum.
@@ -218,7 +187,7 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     n = gen.grid.n
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
-    x = gen.block_sweep(lam, rhs, _cell_blocks(gen, "B"))
+    x = gen.block_sweep(lam, rhs, gen.cell_blocks("B"))
     seen = g > 0        # cells g ignores add nothing, even where x is inf
     return gen.grid.h * float(g[seen] @ x[:n][seen]), x
 
@@ -238,7 +207,7 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
     nearer 1.  If phi(s_B+) <= 1, then s_A = s_B (see
     ``_boundary_eigenvector``).
     """
-    blocks = _cell_blocks(gen, "B")
+    blocks = gen.cell_blocks("B")
     s_B = float(block_eigenvalues(*blocks).max())
     user_shift = shift0 is not None
     hi = float(shift0) if user_shift else gen.infinity_norm() + 1.0
@@ -431,7 +400,7 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    blocks = _cell_blocks(gen, which)
+    blocks = gen.cell_blocks(which)
     if blocks is not None:
         route = "exact"
         lam, x = _exact_bound(gen, which, blocks)
@@ -462,7 +431,7 @@ def recruitment_free_bound(gen: DiscreteGenerator) -> float:
     is the union of the 2x2 blocks' eigenvalues -- immune to the
     non-normality that defeats iterative eigensolvers here.
     """
-    return float(block_eigenvalues(*_cell_blocks(gen, "B")).max())
+    return float(block_eigenvalues(*gen.cell_blocks("B")).max())
 
 
 def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twophase.errors import (ConfigurationError, InsufficientDataError,
-                             PreconditionError)
+                             PreconditionError, StepSizeError)
 from twophase.evolution import (evolve, ideal_invariance_probe, mass_balance,
                                 step_implicit)
 from twophase.model import build_grid, build_kernel, sample_params
@@ -57,6 +57,16 @@ class TestStepImplicit:
         lost = U.mass - V.mass
         flux = p.gamma1_edges[-1] * V.u1[-1] * dt
         assert abs(lost - flux) <= 1e-10
+
+    @pytest.mark.parametrize("kernel", [1.0, {"form": "table",
+                                              "values": [[1.0] * 20] * 20}])
+    def test_non_finite_state_raises_step_size_error(self, kernel):
+        # on the banded (rank-1) and the sparse LU (table) route alike
+        g, p, K, gen = make(n=20, kernel=kernel)
+        U = StateVector(np.ones(20), np.zeros(20), g)
+        U.u2[5] = np.inf
+        with pytest.raises(StepSizeError, match="non-finite"):
+            step_implicit(gen, U, 1e-2)
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import twophase.operators
 from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
-from twophase.operators import (StateVector, VolterraOp, assemble,
+from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
+                                _RankOneFactor, assemble, block_eigenvalues,
                                 resolvent_direct, resolvent_neumann,
                                 resolvent_transport_analytic,
                                 volterra_norm_sequence)
@@ -23,6 +25,51 @@ def make(n=100, m=1.0, kernel=1.0, **over):
     p = sample_params(spec, g)
     K = build_kernel(kernel, g)
     return g, p, K, assemble(p, K, g)
+
+
+def demo_generator(n=600, table=False):
+    # README demo generator (box kernel on [0, 1] x [0, 30]); table=True
+    # gives the same kernel values as a dense table
+    scn = scenario_from_dict({
+        "name": "demo",
+        "domain": {"kind": "truncated_infinite", "smax": 30.0, "n": n},
+        "coefficients": {
+            "gamma1": 1.0, "gamma2": 1.0, "mu": 1.0, "gamma0": 1.0,
+            "c1": {"form": "expression", "name": "indicator",
+                   "lo": 0.5, "hi": 1.0},
+            "c2": {"form": "expression", "name": "exp_decay"}},
+        "kernel": {"form": "indicator", "s_lo": 0.0, "s_hi": 1.0}})
+    K = scn.kernel
+    if table:
+        K = build_kernel({"form": "table", "values": K.beta}, scn.grid)
+    return scn.grid, assemble(scn.params, K, scn.grid)
+
+
+def graded_generator():
+    # n = 20 on [0, 1] with growth rates rising across the domain
+    # (1 + 20 s and 1 + 8 s), mortality 0.5 + s, c1 = 3 on [0.3, 0.6]
+    # and c2 = 2 exp(-s): every cell block differs, and a dense LU solve
+    # agrees with an exact rational solve to 1e-15 at every shift used
+    # below, up to 1e-9 above the spectral bound
+    g = build_grid("finite", 1.0, 20)
+    p = sample_params(dict(
+        gamma1={"form": "expression", "name": "linear", "intercept": 1.0,
+                "slope": 20.0},
+        gamma2={"form": "expression", "name": "linear", "intercept": 1.0,
+                "slope": 8.0},
+        mu={"form": "expression", "name": "linear", "intercept": 0.5},
+        c1={"form": "expression", "name": "indicator", "lo": 0.3,
+            "hi": 0.6, "value": 3.0},
+        c2={"form": "expression", "name": "exp_decay", "scale": 2.0},
+        gamma0=1.0), g)
+    return g, assemble(p, build_kernel(1.0, g), g)
+
+
+def stored_numbers(fact) -> int:
+    # entries of the arrays a banded or rank-1 factor holds
+    return sum(v.size if isinstance(v, np.ndarray) else stored_numbers(v)
+               for v in vars(fact).values()
+               if isinstance(v, (np.ndarray, _BandedFactor, _RankOneFactor)))
 
 
 class TestAssemble:
@@ -155,43 +202,131 @@ class TestDirectResolvent:
             resolvent_direct(gen, -100.0, H, "full")
 
     def test_factorization_fill_stays_near_matrix_size(self):
-        # README demo generator (box kernel, n = 600) at the implicit
-        # step's shift 1/dt: the minimum-degree ordering keeps the LU
-        # factors within twice the nonzeros of lambda - M (a column
-        # ordering that ignores the bidiagonal structure fills ~14x)
-        scn = scenario_from_dict({
-            "name": "demo",
-            "domain": {"kind": "truncated_infinite", "smax": 30.0, "n": 600},
-            "coefficients": {
-                "gamma1": 1.0, "gamma2": 1.0, "mu": 1.0, "gamma0": 1.0,
-                "c1": {"form": "expression", "name": "indicator",
-                       "lo": 0.5, "hi": 1.0},
-                "c2": {"form": "expression", "name": "exp_decay"}},
-            "kernel": {"form": "indicator", "s_lo": 0.0, "s_hi": 1.0}})
-        gen = assemble(scn.params, scn.kernel, scn.grid)
+        # README demo generator (n = 600) with its box kernel as a dense
+        # table, at the implicit step's shift 1/dt: the minimum-degree
+        # ordering keeps the LU factors within twice the nonzeros of
+        # lambda - M (a column ordering that ignores the bidiagonal
+        # structure fills ~14x)
+        g, gen = demo_generator(table=True)
         lam = 1000.0
         fact = gen.factorization(lam, "full")
-        mat = sp.identity(2 * scn.grid.n, format="csr") * lam - gen.full
+        mat = sp.identity(2 * g.n, format="csr") * lam - gen.full
         assert fact.L.nnz + fact.U.nnz <= 2 * mat.nnz
 
-    def test_factorization_keeps_one_live_factor(self, monkeypatch):
+    def test_factorization_keeps_one_live_factor(self, splu_calls):
         # the generator keeps only its last factor: repeated shifts
         # factor once, and returning to an earlier shift factors again
-        calls = []
-        orig = twophase.operators.splu
-
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
-        monkeypatch.setattr(twophase.operators, "splu", counting_splu)
-        g, p, K, gen = make(n=40)
+        # the constant kernel 1 as a dense table
+        g, p, K, gen = make(n=40, kernel={"form": "table",
+                                          "values": np.ones((40, 40))})
         U = StateVector(np.ones(40), np.zeros(40), g)
         evolve(gen, U, 1e-2, 0.5)
-        assert len(calls) == 1
+        assert len(splu_calls) == 1
         gen.factorization(1.0, "full")
         gen.factorization(2.0, "full")
         gen.factorization(1.0, "full")
-        assert len(calls) == 4
+        assert len(splu_calls) == 4
+
+    def test_banded_factor_stores_linear_size(self, splu_calls):
+        # the demo generator with its rank-1 box kernel at the same shift:
+        # the banded factor of lambda - B and the Sherman-Morrison vectors
+        # hold O(n) numbers, within twice the nonzeros of lambda - M
+        lam = 1000.0
+        sizes = []
+        for n in (600, 1200):
+            g, gen = demo_generator(n)
+            fact = gen.factorization(lam, "full")
+            mat = sp.identity(2 * n, format="csr") * lam - gen.full
+            sizes.append(stored_numbers(fact))
+            assert sizes[-1] <= 2 * mat.nnz
+        assert sizes[1] == 2 * sizes[0]
+        assert splu_calls == []
+
+    def test_banded_factorization_keeps_one_live_factor(self, monkeypatch,
+                                                         splu_calls):
+        # one live factor per (lambda, which) on the banded route too
+        builds = []
+
+        class Counting(_BandedFactor):
+            def __init__(self, *args):
+                builds.append(args[0])
+                super().__init__(*args)
+        monkeypatch.setattr(twophase.operators, "_BandedFactor", Counting)
+        g, p, K, gen = make(n=40)
+        U = StateVector(np.ones(40), np.zeros(40), g)
+        evolve(gen, U, 1e-2, 0.5)
+        assert len(builds) == 1
+        gen.factorization(1.0, "full")
+        gen.factorization(2.0, "full")
+        gen.factorization(1.0, "full")
+        assert len(builds) == 4
+        for which in ("A", "A+B1", "B", "B"):
+            gen.factorization(1.0, which)
+        assert len(builds) == 7
+        assert splu_calls == []
+
+
+class TestBandedFactor:
+    @staticmethod
+    def shift(gen, which, name):
+        # s_B and the next distinct block eigenvalue below it; the top
+        # cell block has b*c = 0, so s_B is exact and a shift 1e-9
+        # above it is known to full relative accuracy
+        a, b, c, d = gen.cell_blocks(which)
+        top = block_eigenvalues(a, b, c, d)
+        assert (b * c)[top.argmax()] == 0
+        lams = np.unique(top)
+        s_B = lams[-1]
+        return {"just_above": s_B + 1e-9 * abs(s_B),
+                "above": s_B + 0.5,
+                "implicit_step": 1000.0,
+                "below": 0.5 * (lams[-2] + s_B)}[name]
+
+    @pytest.mark.parametrize("name", ["just_above", "above",
+                                      "implicit_step", "below"])
+    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    def test_solve_matches_dense_solve(self, which, name, splu_calls):
+        g, gen = graded_generator()
+        lam = self.shift(gen, which, name)
+        mat = lam * np.eye(2 * g.n) - gen.block_sum(which).toarray()
+        if name == "below":     # every cell block stays invertible
+            a, b, c, d = gen.cell_blocks(which)
+            assert np.abs((lam - a) * (lam - d) - b * c).min() > 1.0
+        rhs = np.random.default_rng(5).random(2 * g.n)
+        ref = np.linalg.solve(mat, rhs)
+        x = gen.factorization(lam, which).solve(rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    def test_nonnegative_data_stay_nonnegative(self, which):
+        g, gen = graded_generator()
+        rhs = np.random.default_rng(6).random(2 * g.n)
+        rhs[::3] = 0.0
+        for name in ("just_above", "above", "implicit_step"):
+            x = gen.factorization(self.shift(gen, which, name),
+                                  which).solve(rhs)
+            assert x.min() >= 0 and (x > 0).any()
+
+    def test_demo_steps_stay_nonnegative(self):
+        # 200 implicit steps of the README demo from an indicator in
+        # phase 1 and nothing in phase 2
+        g, gen = demo_generator()
+        u1 = (g.centers <= 7.5).astype(float)
+        traj = evolve(gen, StateVector(u1, np.zeros(g.n), g), 1e-3, 0.2)
+        assert len(traj.states) == 201
+        assert min(min(S.u1.min(), S.u2.min()) for S in traj.states) >= 0
+
+    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    def test_singular_shift_raises_without_warning(self, which):
+        # pure transport at gamma = 1, h = 0.01: every cell block of
+        # lambda - M is singular at lambda = -100
+        g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
+        H = StateVector(np.ones(100), np.ones(100), g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralProximityError):
+                resolvent_direct(gen, -100.0, H, which)
 
 
 class TestNeumannSeries:

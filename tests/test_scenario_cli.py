@@ -13,7 +13,8 @@ import twophase.cli
 import twophase.report
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
-from twophase.operators import StateVector
+from twophase.evolution import evolve
+from twophase.operators import StateVector, assemble
 from twophase.report import atomic_write_text
 from twophase.scenario import parse_scenario, scenario_from_dict
 
@@ -134,6 +135,19 @@ class TestReportJSON:
         assert spectral["s_A_route"] == "characteristic"
         lo, hi = spectral["s_A_bracket"]
         assert lo <= spectral["s_A"] <= hi
+
+    def test_trajectory_csv_equals_numpy_scalar_formatting(self, tmp_path):
+        # the writer formats Python floats; numpy scalars give the same text
+        scn = scenario_from_dict(demo_doc(T=0.5))
+        gen = assemble(scn.params, scn.kernel, scn.grid)
+        traj = evolve(gen, scn.initial_state(), scn.dt, scn.T)
+        rows = ["t,mass_total,mass_u1,mass_u2"]
+        for t, m, (m1, m2) in zip(traj.step_times, traj.step_masses,
+                                  traj.step_phase_masses):
+            rows.append(f"{t:.12g},{m:.12g},{m1:.12g},{m2:.12g}")
+        path = tmp_path / "demo_trajectory.csv"
+        twophase.report.write_trajectory_csv(str(path), traj)
+        assert path.read_text() == "\n".join(rows) + "\n"
 
 
 class TestCLI:
@@ -354,6 +368,30 @@ class TestCLI:
         for name in ("growth_report.json", "box_sweep.csv",
                      "constant_report.json"):
             assert (tmp_path / "o" / name).exists()
+
+    def test_simulate_on_rank_one_kernel_leaves_scipy_sparse_unimported(
+            self, tmp_path):
+        # the implicit steps of a rank-1 kernel take the banded factor:
+        # they load scipy.linalg for its BLAS wrappers, never scipy.sparse
+        doc = minimal_doc(name="rank1",
+                          run={"dt": 1e-2, "T": 1.0, "record_every": 10})
+        code = (
+            "import sys\n"
+            "from twophase.cli import main\n"
+            "scn, out = sys.argv[1:]\n"
+            "assert main(['simulate', scn, '--out', out]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "sparse = sorted(m for m in sys.modules\n"
+            "                if m.startswith('scipy.sparse'))\n"
+            "assert not sparse, sparse\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "rank1_trajectory.csv").exists()
 
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"

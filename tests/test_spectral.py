@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import twophase.operators
 from twophase.errors import (ConfigurationError, IterationError,
                              PreconditionError, SpectralProximityError)
 from twophase.evolution import evolve
@@ -102,19 +101,6 @@ def block_eigenvalues(gen):
     blocks[:, 0, 0], blocks[:, 0, 1] = M[i, i], M[i, n + i]
     blocks[:, 1, 0], blocks[:, 1, 1] = M[n + i, i], M[n + i, n + i]
     return np.linalg.eigvals(blocks).real.max(axis=1)
-
-
-@pytest.fixture
-def splu_calls(monkeypatch):
-    calls = []
-    real = twophase.operators.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(twophase.operators, "splu", counting)
-    return calls
 
 
 REDUCIBLE_BOX = {"form": "indicator", "s_hi": 0.2, "y_hi": 0.2,

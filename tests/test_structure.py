@@ -17,7 +17,6 @@ from twophase.evolution import step_implicit
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, _RankOneFactor, assemble,
                                 resolvent_direct)
-from twophase.spectral import _cell_blocks, spectral_bound
 
 # every built-in kernel form, plus the dense ones, for the oracle tests
 # below; each is checked against formulas on the dense Kernel.beta
@@ -144,10 +143,10 @@ class TestGeneratorStructure:
         assert np.allclose(gen.full.toarray(), M, rtol=1e-15, atol=0)
         i = np.arange(n)
         mixes = bool(np.triu(K.beta, 1).any())
-        assert (_cell_blocks(gen, "full") is None) == mixes
+        assert (gen.cell_blocks("full") is None) == mixes
         for which in ("A", "A+B1", "B") + (() if mixes else ("full",)):
             D = gen.block_sum(which).toarray() if which != "full" else M
-            a, b, c, d = _cell_blocks(gen, which)
+            a, b, c, d = gen.cell_blocks(which)
             assert np.array_equal(a, D[i, i])
             assert np.array_equal(b, D[i, n + i])
             assert np.array_equal(c, D[n + i, i])
