@@ -18,7 +18,6 @@ import argparse
 import copy
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigurationError, NumericalError, TwophaseError
 from .report import compute_spectrum, write_sweep_csv
@@ -97,6 +96,7 @@ def _sweep_point(doc: dict, key: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
     threads = os.environ.get("TWOPHASE_THREADS") or "0"
     if not threads.isdecimal():
         raise ConfigurationError(f"TWOPHASE_THREADS must be a nonnegative "

@@ -32,13 +32,16 @@ factor, which serves the repeated shifts of implicit steps, resolvents
 and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a
 recruitment-free sum by one forward sweep over the same cell blocks,
 with no factor at all.  scipy is imported only by the code that builds
-sparse blocks or factors them; the banded route loads ``scipy.linalg``
-alone, never ``scipy.sparse``.
+sparse blocks or factors them; the banded route loads scipy's compiled
+BLAS extension ``scipy.linalg._fblas`` alone, never ``scipy.linalg``
+or ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -53,6 +56,37 @@ if TYPE_CHECKING:
     from scipy.sparse.linalg import SuperLU
 
 WHICH_CHOICES = ("A", "A+B1", "B", "full")
+
+
+@functools.cache
+def _blas():
+    """scipy's f2py BLAS extension ``scipy.linalg._fblas``, loaded without
+    running ``scipy/linalg/__init__.py``.
+
+    ``scipy.linalg.blas`` re-exports this module's wrappers, but importing
+    it runs the whole ``scipy.linalg`` package (about 0.3 s, mostly
+    scipy's array-API layer pulling in ``numpy.f2py``); the extension
+    alone loads in a few tens of ms after ``import scipy``.  It is
+    entered in ``sys.modules``, where a later ``import scipy.linalg``
+    finds it, so both routes share one module (only the package attribute
+    ``scipy.linalg._fblas`` stays unset; scipy imports the name, never
+    reads the attribute).  Falls back to the plain import if the
+    extension is not found on disk.
+    """
+    name = "scipy.linalg._fblas"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+    spec = PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if spec is None:
+        from scipy.linalg import _fblas
+        return _fblas
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def splu(A, **kwargs) -> "SuperLU":
@@ -121,7 +155,6 @@ class _BandedFactor:
 
     def __init__(self, lam: float, blocks: tuple, inflow: np.ndarray,
                  scale: float):
-        from scipy.linalg.blas import dtbsv
         i11, i12, i21, i22 = cell_inverse(lam, *blocks)
         in1, in2 = inflow
         # LAPACK lower band storage, band[k, j] = L_b[j + k, j]: columns
@@ -130,7 +163,7 @@ class _BandedFactor:
         band[2, 0:-2:2], band[3, 0:-2:2] = -in1 * i11[:-1], -in2 * i21[:-1]
         band[1, 1:-2:2], band[2, 1:-2:2] = -in1 * i12[:-1], -in2 * i22[:-1]
         # D^-1 y in stacked order is cols[0] * y1 + cols[1] * y2
-        self._band, self._tbsv = band, dtbsv
+        self._band, self._tbsv = band, _blas().dtbsv
         self._cols = scale * np.array([[i11, i21], [i12, i22]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -163,9 +196,9 @@ class _RankOneFactor:
             raise SpectralProximityError(
                 f"rank-1 correction of (lambda - full) is singular at "
                 f"lambda={lam:g} (1 - v.w = {denom:g})", lam=lam)
-        from scipy.linalg.blas import daxpy, ddot
+        blas = _blas()
         self._base, self._g, self._w = base, g, w / denom
-        self._axpy, self._dot = daxpy, ddot
+        self._axpy, self._dot = blas.daxpy, blas.ddot
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side of length 2n."""

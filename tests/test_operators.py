@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import twophase
 import twophase.operators
 from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.evolution import evolve
@@ -327,6 +331,62 @@ class TestBandedFactor:
             warnings.simplefilter("error")
             with pytest.raises(SpectralProximityError):
                 resolvent_direct(gen, -100.0, H, which)
+
+
+def run_child(code: str):
+    # run code in a fresh interpreter that imports this package
+    src = os.path.dirname(os.path.dirname(twophase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestBlasLoader:
+    def test_loader_first_matches_scipy_linalg_blas(self):
+        # a banded step loads the BLAS extension alone; a table factor
+        # then imports scipy.linalg, which must reuse that module, and
+        # a banded step on a fresh generator is bit-identical
+        run_child(
+            "import sys\n"
+            "import numpy as np\n"
+            "from twophase.evolution import step_implicit\n"
+            "from twophase.model import build_kernel\n"
+            "from twophase.operators import StateVector, _blas, assemble\n"
+            "from twophase.scenario import scenario_from_dict\n"
+            "scn = scenario_from_dict({'name': 'demo', 'domain': {\n"
+            "    'kind': 'truncated_infinite', 'smax': 30.0, 'n': 60},\n"
+            "  'coefficients': {'gamma1': 1.0, 'gamma2': 1.0, 'mu': 1.0,\n"
+            "    'c1': {'form': 'expression', 'name': 'indicator',\n"
+            "           'lo': 0.5, 'hi': 1.0},\n"
+            "    'c2': {'form': 'expression', 'name': 'exp_decay'}},\n"
+            "  'kernel': {'form': 'indicator', 's_lo': 0.0, 's_hi': 1.0}})\n"
+            "g = scn.grid\n"
+            "U = StateVector((g.centers <= 7.5) * 1.0, np.zeros(g.n), g)\n"
+            "gen = lambda: assemble(scn.params, scn.kernel, g)\n"
+            "first = step_implicit(gen(), U, 1e-3).stacked()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "table = build_kernel({'form': 'table',\n"
+            "                      'values': scn.kernel.beta}, g)\n"
+            "assemble(scn.params, table, g).factorization(1000.0, 'full')\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "import scipy.linalg.blas\n"
+            "assert scipy.linalg.blas._fblas is _blas()\n"
+            "fresh = gen()\n"
+            "again = step_implicit(fresh, U, 1e-3).stacked()\n"
+            "assert again.tobytes() == first.tobytes()\n"
+            "band = fresh.factorization(1000.0, 'full', 1000.0)._base._band\n"
+            "y = np.random.default_rng(3).random(2 * g.n)\n"
+            "a = scipy.linalg.blas.dtbsv(3, band, y, lower=1, diag=1)\n"
+            "b = _blas().dtbsv(3, band, y, lower=1, diag=1)\n"
+            "assert a.tobytes() == b.tobytes() and (a != y).any()\n")
+
+    def test_scipy_linalg_blas_first_is_reused(self):
+        run_child(
+            "import scipy.linalg.blas\n"
+            "from twophase.operators import _blas\n"
+            "assert _blas() is scipy.linalg.blas._fblas\n")
 
 
 class TestNeumannSeries:

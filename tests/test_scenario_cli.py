@@ -180,6 +180,52 @@ class TestCLI:
         for c in d["checks"]:
             assert "check" in c and "predicted" in c and "measured" in c
 
+    @staticmethod
+    def checks_of(tmp_path, doc) -> dict:
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        d = json.loads((out / f"{doc['name']}_report.json").read_text())
+        for c in d["checks"]:
+            assert c["status"] in ("pass", "fail", "n/a") and "tol" in c
+            assert ("reason" in c) == (c["status"] == "n/a")
+        return {c["check"]: c for c in d["checks"]}
+
+    def test_demo_like_growth_checks_are_pre_asymptotic(self, tmp_path):
+        # the README demo on a coarse mesh: over T = 8 no mass reaches
+        # smax = 30, so the fitted rate is that of a conserved mass and
+        # cannot judge s_A; the neutral mass identity holds to roundoff
+        doc = demo_doc(T=8.0)
+        doc["domain"]["n"] = 60
+        doc["run"].update(dt=1e-2, record_every=10)
+        checks = self.checks_of(tmp_path, doc)
+        for name in ("growth_rate_two_routes", "vanishing_growth_rate"):
+            c = checks[name]
+            assert c["measured"] == 0.0 and c["tol"] == 1e-2
+            assert c["status"] == "n/a"
+            assert c["reason"].startswith("pre-asymptotic")
+        assert checks["growth_rate_two_routes"]["predicted"] < -0.1
+        mass = checks["mass_conservation_class"]
+        assert mass["predicted"] == "neutral" and mass["status"] == "pass"
+        assert mass["measured"] <= mass["tol"] == 1e-10
+        assert checks["irreducibility_support_conditions"]["status"] == "n/a"
+
+    @pytest.mark.parametrize("T, status", [(10.0, "pass"), (1.0, "fail")])
+    def test_growth_rate_check_pass_and_fail(self, tmp_path, T, status):
+        # on [0, 1] the mass leaves through s = 1 from the start; the fit
+        # over [T/2, T] matches s_A to 1e-8 at T = 10, and is off by 1.1
+        # at T = 1, before the profile has settled
+        doc = minimal_doc(run={"dt": 1e-2, "T": T, "record_every": 10})
+        checks = self.checks_of(tmp_path, doc)
+        c = checks["growth_rate_two_routes"]
+        assert c["tol"] == pytest.approx(1e-2 * abs(c["predicted"]))
+        assert c["status"] == status
+        assert (abs(c["measured"] - c["predicted"]) <= c["tol"]) \
+            == (status == "pass")
+        assert checks["spectral_gap_presence"]["status"] == "pass"
+        assert checks["mass_conservation_class"]["reason"].startswith(
+            "boundary outflow")
+
     def test_criteria_stage_isolation(self, tmp_path):
         path = write(tmp_path, minimal_doc())
         out = tmp_path / "o"
@@ -324,7 +370,8 @@ class TestCLI:
 
     def test_import_and_growth_only_spectrum_leave_scipy_unimported(
             self, tmp_path):
-        # scipy is imported only to factor: neither the import, nor the
+        # scipy is imported only to factor: neither the import (which
+        # also leaves secrets and the thread pool unloaded), nor the
         # exact-route eigensolve of a non-mixing kernel, nor a sweep or a
         # spectrum on the characteristic route of a rank-1 kernel loads it
         doc = {"name": "growth",
@@ -348,6 +395,8 @@ class TestCLI:
             "                        if m.split('.')[0] == 'scipy')\n"
             "assert not loaded(), loaded()\n"
             "from twophase.cli import main\n"
+            "assert 'secrets' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "growth, box, constant, out = sys.argv[1:]\n"
             "assert main(['spectrum', growth, '--out', out]) == 0\n"
             "assert not loaded(), loaded()\n"
@@ -369,10 +418,11 @@ class TestCLI:
                      "constant_report.json"):
             assert (tmp_path / "o" / name).exists()
 
-    def test_simulate_on_rank_one_kernel_leaves_scipy_sparse_unimported(
+    def test_simulate_and_report_on_rank_one_kernel_load_only_fblas(
             self, tmp_path):
         # the implicit steps of a rank-1 kernel take the banded factor:
-        # they load scipy.linalg for its BLAS wrappers, never scipy.sparse
+        # of scipy.linalg and scipy.sparse they load only the compiled
+        # BLAS extension, never either package
         doc = minimal_doc(name="rank1",
                           run={"dt": 1e-2, "T": 1.0, "record_every": 10})
         code = (
@@ -380,10 +430,10 @@ class TestCLI:
             "from twophase.cli import main\n"
             "scn, out = sys.argv[1:]\n"
             "assert main(['simulate', scn, '--out', out]) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n"
-            "sparse = sorted(m for m in sys.modules\n"
-            "                if m.startswith('scipy.sparse'))\n"
-            "assert not sparse, sparse\n")
+            "assert main(['report', scn, '--out', out]) == 0\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith(('scipy.linalg', 'scipy.sparse')))\n"
+            "assert loaded == ['scipy.linalg._fblas'], loaded\n")
         src = os.path.dirname(os.path.dirname(twophase.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -391,7 +441,8 @@ class TestCLI:
             [sys.executable, "-c", code, write(tmp_path, doc),
              str(tmp_path / "o")], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "o" / "rank1_trajectory.csv").exists()
+        for name in ("rank1_trajectory.csv", "rank1_report.json"):
+            assert (tmp_path / "o" / name).exists()
 
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"
