@@ -8,14 +8,15 @@ Subcommands: ``simulate`` (evolve + CSV export), ``spectrum``
 ``report`` (full pipeline), ``sweep`` (repeat the spectrum stage over a
 range of one scalar key, emitting a CSV).  Flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or
-out of memory.
-``TWOPHASE_THREADS`` caps sweep parallelism.
+out of memory.  A sweep always writes its CSV (a failed point keeps only
+its varied value); the first failure sets the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
 import sys
 
@@ -74,8 +75,9 @@ def _parse_range(text: str) -> list:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigurationError(f"range must be a:b:step, got {text!r}")
-    if step <= 0 or b < a:
-        raise ConfigurationError(f"range must be increasing, got {text!r}")
+    if not (0 < step < math.inf and -math.inf < a <= b < math.inf):
+        raise ConfigurationError(f"range must be finite and increasing, "
+                                 f"got {text!r}")
     vals = []
     k = 0
     while True:
@@ -96,23 +98,22 @@ def _sweep_point(doc: dict, key: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-    threads = os.environ.get("TWOPHASE_THREADS") or "0"
-    if not threads.isdecimal():
-        raise ConfigurationError(f"TWOPHASE_THREADS must be a nonnegative "
-                                 f"integer, got {threads!r}")
     scn = _load_scenario(args)
     key, rng = args.vary
-    values = _parse_range(rng)
-    workers = int(threads) or min(len(values), os.cpu_count() or 1)
-    rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in pool.map(lambda v: _sweep_point(scn.raw, key, v), values):
-            rows.append(row)
+    rows, failure = [], None
+    for value in _parse_range(rng):
+        try:
+            rows.append(_sweep_point(scn.raw, key, value))
+        except (TwophaseError, MemoryError) as exc:
+            print(f"point {key}={value:g}: {exc}", file=sys.stderr)
+            rows.append((value, None, None, None, None))
+            failure = failure or exc
     out_dir = args.out or scn.out_dir or "."
     path = os.path.join(out_dir, f"{scn.name}_sweep.csv")
     write_sweep_csv(path, key, rows)
     print(path)
+    if failure is not None:
+        raise failure
     return 0
 
 

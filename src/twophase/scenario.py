@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -38,10 +40,35 @@ DEFAULT_T = 10.0
 
 
 def _check_keys(d: dict, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _number(value, field: str, integer: bool = False):
+    """A scalar of the document as a finite float, or as an int when
+    ``integer`` (60.0 passes, 60.7 does not); ValidationError naming
+    ``field`` otherwise."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or integer and not x.is_integer():
+        what = "a whole number" if integer else "a finite number"
+        raise ValidationError(f"{field} must be {what}, got {value!r}",
+                              field=field)
+    return int(x) if integer else x
+
+
+def _numbers(values, field: str) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{field} must be a list of numbers, got "
+                              f"{values!r}", field=field)
+    return [_number(v, f"{field}[{i}]") for i, v in enumerate(values)]
 
 
 @dataclass
@@ -71,10 +98,13 @@ class Scenario:
             u1 = (self.grid.centers <= q).astype(float)
             u2 = np.zeros(self.grid.n)
         else:
-            u1 = np.asarray(sample_coefficient(self.u0_spec.get("u1", 0.0),
-                                               self.grid))
-            u2 = np.asarray(sample_coefficient(self.u0_spec.get("u2", 0.0),
-                                               self.grid))
+            try:
+                u1 = np.asarray(sample_coefficient(
+                    self.u0_spec.get("u1", 0.0), self.grid))
+                u2 = np.asarray(sample_coefficient(
+                    self.u0_spec.get("u2", 0.0), self.grid))
+            except (ValueError, TypeError) as exc:
+                raise ConfigurationError(f"run.u0: {exc}")
             if np.any(u1 < 0) or np.any(u2 < 0):
                 raise ValidationError("initial state must be nonnegative",
                                       field="run.u0")
@@ -105,23 +135,26 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
         if "m" not in dom:
             raise ValidationError("finite domain requires 'm'",
                                   field="domain.m")
-        length = float(dom["m"])
+        length = _number(dom["m"], "domain.m")
     elif kind == TRUNCATED_INFINITE:
         if "smax" not in dom:
             raise ValidationError("truncated_infinite domain requires 'smax'",
                                   field="domain.smax")
-        length = float(dom["smax"])
+        length = _number(dom["smax"], "domain.smax")
     else:
         raise ValidationError(f"unknown domain kind {kind!r}",
                               field="domain.kind")
     if "n" not in dom:
         raise ValidationError("domain requires a cell count 'n'",
                               field="domain.n")
-    grid = build_grid(kind, length, int(dom["n"]))
+    n = _number(dom["n"], "domain.n", integer=True)
+    grid = build_grid(kind, length, n)
 
+    _check_keys(doc["coefficients"], _COEFF_KEYS, "coefficients")
     coeffs = dict(doc["coefficients"])
-    _check_keys(coeffs, _COEFF_KEYS, "coefficients")
-    if "gamma0" not in coeffs:
+    if "gamma0" in coeffs:
+        coeffs["gamma0"] = _number(coeffs["gamma0"], "coefficients.gamma0")
+    else:
         # default: the declared lower bound is the min of constant gammas,
         # else 1e-12 is rejected by sampling -- require explicit gamma0
         # only when gammas are non-constant descriptors
@@ -137,17 +170,22 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
         raise ValidationError(f"coefficients.{exc.field}: {exc}",
                               field=f"coefficients.{exc.field}",
                               cell=exc.cell)
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"coefficients: {exc}")
     try:
         kernel = build_kernel(doc["kernel"], grid)
     except ValidationError as exc:
         raise ValidationError(f"kernel: {exc}", field="kernel",
                               cell=exc.cell)
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"kernel: {exc}")
 
     run = doc.get("run", {})
     _check_keys(run, _RUN_KEYS, "run")
-    dt = float(run.get("dt", DEFAULT_DT))
-    T = float(run.get("T", DEFAULT_T))
-    record_every = int(run.get("record_every", 10))
+    dt = _number(run.get("dt", DEFAULT_DT), "run.dt")
+    T = _number(run.get("T", DEFAULT_T), "run.T")
+    record_every = _number(run.get("record_every", 10), "run.record_every",
+                           integer=True)
     if dt <= 0:
         raise ValidationError("dt must be positive", field="run.dt")
     if T < 0:
@@ -161,11 +199,12 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
 
     spec = doc.get("spectral", {})
     _check_keys(spec, _SPECTRAL_KEYS, "spectral")
-    tol = float(spec.get("tol", 1e-10))
+    tol = _number(spec.get("tol", 1e-10), "spectral.tol")
     shift0 = spec.get("shift0")
-    shift0 = float(shift0) if shift0 is not None else None
-    smax_list = [float(v) for v in spec.get("smax_list", [])]
-    probe_lambdas = [float(v) for v in spec.get("probe_lambdas", [])]
+    shift0 = _number(shift0, "spectral.shift0") if shift0 is not None else None
+    smax_list = _numbers(spec.get("smax_list", []), "spectral.smax_list")
+    probe_lambdas = _numbers(spec.get("probe_lambdas", []),
+                             "spectral.probe_lambdas")
     if tol <= 0:
         raise ValidationError("tol must be positive", field="spectral.tol")
 

@@ -1,0 +1,31 @@
+"""The README's examples run as written."""
+
+import json
+import os
+import re
+
+from twophase.cli import main as cli_main
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "README.md")
+
+
+def code_block(lang):
+    with open(README) as f:
+        blocks = re.findall(rf"```{lang}\n(.*?)```", f.read(), re.S)
+    assert len(blocks) == 1, f"expected one {lang} block in the README"
+    return blocks[0]
+
+
+def test_scenario_block_reports(tmp_path):
+    path = tmp_path / "demo.json"
+    path.write_text(code_block("json"))
+    name = json.loads(path.read_text())["name"]
+    assert cli_main(["report", str(path), "--n", "60", "--dt", "0.01",
+                     "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / f"{name}_report.json").read_text())[
+        "complete"]
+
+
+def test_library_block_runs():
+    exec(compile(code_block("python"), "README.md", "exec"), {})

@@ -270,18 +270,7 @@ class TestCLI:
         assert d["complete"]
         assert len(d["mass_balance"]["drift"]) == 4
 
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_sweep_bad_thread_count_exit_2(self, tmp_path, monkeypatch,
-                                           threads):
-        monkeypatch.setenv("TWOPHASE_THREADS", threads)
-        path = write(tmp_path, minimal_doc())
-        out = tmp_path / "o"
-        assert run_cli(["sweep", path, "--out", str(out),
-                        "--vary", "kernel.value", "0:1:0.5"]) == 2
-        assert not (out / "minimal_sweep.csv").exists()
-
-    def test_sweep_row_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TWOPHASE_THREADS", "2")
+    def test_sweep_row_count(self, tmp_path):
         doc = minimal_doc()
         doc["domain"]["n"] = 30
         path = write(tmp_path, doc)
@@ -363,17 +352,97 @@ class TestCLI:
         def exhausted(*args, **kwargs):
             raise MemoryError()
         monkeypatch.setattr(twophase.cli, "compute_spectrum", exhausted)
-        monkeypatch.setenv("TWOPHASE_THREADS", "1")
         out = tmp_path / "o"
         assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
                         str(out), "--vary", "kernel.value", "0:1:0.5"]) == 3
+        lines = (out / "minimal_sweep.csv").read_text().splitlines()
+        assert lines[1:] == ["0,,,,", "0.5,,,,", "1,,,,"]
+
+    @pytest.mark.parametrize("rng", ["0:nan:0.5", "0:inf:0.5", "nan:1:0.5",
+                                     "0:1:inf", "1:0:0.5", "0:1:0"])
+    def test_sweep_bad_range_exit_2(self, tmp_path, capsys, rng):
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
+                        str(out), "--vary", "kernel.value", rng]) == 2
+        assert "range must be finite and increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_keeps_finished_points(self, tmp_path, capsys):
+        # gamma0 = 1.5 lies above the growth rates: that point fails, and
+        # the points before it keep their rows
+        doc = {"name": "probe_sweep",
+               "domain": {"kind": "truncated_infinite", "smax": 40.0,
+                          "n": 80},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": {"form": "indicator", "value": 2.0,
+                          "s_lo": 0.0, "s_hi": 1.0},
+               "spectral": {"smax_list": [10, 20, 40],
+                            "probe_lambdas": [-0.5, 0.5]}}
+        path = write(tmp_path, doc)
+        clean, out = tmp_path / "clean", tmp_path / "o"
+        assert run_cli(["sweep", path, "--out", str(clean), "--vary",
+                        "coefficients.gamma0", "0.5:1.0:0.5"]) == 0
+        capsys.readouterr()
+        assert run_cli(["sweep", path, "--out", str(out), "--vary",
+                        "coefficients.gamma0", "0.5:1.5:0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "point coefficients.gamma0=1.5: " in err
+        assert "gamma1 drops below gamma0=1.5" in err
+        lines = (out / "probe_sweep_sweep.csv").read_text().splitlines()
+        expected = (clean / "probe_sweep_sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+        assert lines[:3] == expected
+        assert lines[3] == "1.5,,,,"
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("run", "dt", float("nan"), "run.dt"),
+        ("run", "dt", "abc", "run.dt"),
+        ("run", "T", float("inf"), "run.T"),
+        ("run", "T", None, "run.T"),
+        ("run", "record_every", "x", "run.record_every"),
+        ("domain", "n", float("nan"), "domain.n"),
+        ("domain", "n", "abc", "domain.n"),
+        ("domain", "n", 60.7, "domain.n"),
+        ("spectral", "tol", "x", "spectral.tol"),
+        ("spectral", "tol", float("nan"), "spectral.tol"),
+        ("spectral", "probe_lambdas", "x", "spectral.probe_lambdas"),
+        ("spectral", "probe_lambdas", [-0.5, float("nan")],
+         "spectral.probe_lambdas[1]"),
+        ("coefficients", "mu", {"form": "constant", "value": "abc"},
+         "coefficients"),
+        ("kernel", "value", "x", "kernel"),
+        ("domain", "smax", "abc", "domain.smax"),
+        ("coefficients", "gamma0", float("nan"), "coefficients.gamma0"),
+        ("run", "u0", 5, "run.u0"),
+        ("run", "u0", {"u1": {"form": "constant", "value": "abc"}},
+         "run.u0")])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, section, key,
+                                     value, field):
+        doc = demo_doc(8.0)
+        doc["domain"]["n"] = 60
+        doc[section][key] = value
+        assert run_cli(["report", write(tmp_path, doc),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+
+    def test_dt_flag_nan_exit_2(self, tmp_path, capsys):
+        assert run_cli(["report", write(tmp_path, minimal_doc()),
+                        "--out", str(tmp_path / "o"), "--dt", "nan"]) == 2
+        assert "run.dt" in capsys.readouterr().err
+
+    def test_integral_float_cell_count_accepted(self):
+        doc = minimal_doc()
+        doc["domain"]["n"] = 60.0
+        assert scenario_from_dict(doc).grid.n == 60
 
     def test_import_and_growth_only_spectrum_leave_scipy_unimported(
             self, tmp_path):
         # scipy is imported only to factor: neither the import (which
-        # also leaves secrets and the thread pool unloaded), nor the
-        # exact-route eigensolve of a non-mixing kernel, nor a sweep or a
-        # spectrum on the characteristic route of a rank-1 kernel loads it
+        # also leaves secrets and the thread pool unloaded, as does a
+        # sweep), nor the exact-route eigensolve of a non-mixing kernel,
+        # nor a sweep or a spectrum on the characteristic route of a
+        # rank-1 kernel loads it
         doc = {"name": "growth",
                "domain": {"kind": "finite", "m": 1.0, "n": 800},
                "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
@@ -403,6 +472,7 @@ class TestCLI:
             "assert main(['sweep', box, '--out', out, '--vary', "
             "'coefficients.mu', '0.5:1.0:0.25']) == 0\n"
             "assert not loaded(), loaded()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "assert main(['spectrum', constant, '--out', out]) == 0\n"
             "assert not loaded(), loaded()\n")
         src = os.path.dirname(os.path.dirname(twophase.__file__))

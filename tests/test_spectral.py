@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import twophase.spectral
 from twophase.errors import (ConfigurationError, IterationError,
                              PreconditionError, SpectralProximityError)
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import StateVector, assemble
 from twophase.scenario import scenario_from_dict
-from twophase.spectral import (characteristic_function, closed_form_poly,
-                               closed_form_sB, detect_AEG, duhamel_solve,
+from twophase.spectral import (_restrict_params, characteristic_function,
+                               closed_form_poly, closed_form_sB, detect_AEG,
+                               duhamel_solve,
                                recruitment_free_bound, sB_probe_infinite,
                                spectral_bound, spectral_gap_lower_bound)
 
@@ -470,6 +472,33 @@ class TestInfiniteProbe:
         g, p = tail_params(c1=0.3, mu=lambda s: 1 + 0.1 * np.sin(s) ** 2)
         r = sB_probe_infinite(p, None, 0.5, [25, 50, 100])
         assert r.classification == "resolvent-bounded"
+
+    @pytest.mark.parametrize("lam", [-1.5, -0.5, 0.5])
+    def test_one_solve_gives_every_truncation(self, monkeypatch, lam):
+        # the sweep is causal, so the norms read off prefixes of one solve
+        # on the largest truncation equal separate solves, bit for bit
+        g, p = tail_params()
+        smax_list = [25.0, 50.0, 100.0]
+        separate = []
+        for smax in smax_list:
+            sub = _restrict_params(p, int(round(smax / g.h)))
+            src = (sub.grid.centers <= 1.0).astype(float)
+            separate.append(duhamel_solve(sub, lam, src, src).norm1())
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return duhamel_solve(*args)
+
+        monkeypatch.setattr(twophase.spectral, "duhamel_solve", counting)
+        r = sB_probe_infinite(p, None, lam, smax_list)
+        assert len(calls) == 1
+        assert r.norms == separate
+
+    def test_truncation_below_two_cells_rejected(self):
+        g, p = tail_params(n=100, smax=10.0)
+        with pytest.raises(ConfigurationError, match="truncation 0.1 "):
+            sB_probe_infinite(p, None, 0.0, [0.1, 10])
 
     def test_solution_nonincreasing_in_lambda(self):
         g, p = tail_params(n=300, smax=30.0, c1=0.5)
