@@ -52,13 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _set_path(doc: dict, key: str, value: float):
-    parts = key.split(".")
+    """Set a dot-path key, adding the mappings it names that are missing;
+    ConfigurationError when it runs through a value that is not one."""
+    *parents, last = key.split(".")
     node = doc
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = node.get(part, {}) if isinstance(node.get(part), dict) else {}
-        node = node[part]
-    node[parts[-1]] = value
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigurationError(
+                f"{key}: {part!r} is not a mapping in the scenario")
+    node[last] = value
 
 
 def _load_scenario(args) -> Scenario:
@@ -100,8 +103,10 @@ def _sweep_point(doc: dict, key: str, value: float):
 def _cmd_sweep(args) -> int:
     scn = _load_scenario(args)
     key, rng = args.vary
+    values = _parse_range(rng)
+    _set_path(scn.raw, key, values[0])      # a bad path fails before any point
     rows, failure = [], None
-    for value in _parse_range(rng):
+    for value in values:
         try:
             rows.append(_sweep_point(scn.raw, key, value))
         except (TwophaseError, MemoryError) as exc:

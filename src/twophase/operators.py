@@ -1,7 +1,7 @@
 """Discrete generator assembly and three independent resolvent routes.
 
 The full generator acts on the doubled state (u1 stacked over u2,
-length 2n) as the sum of four blocks:
+length 2n) as the sum of four parts:
 
   * transport: first-order conservative upwind discretization of
     -d/ds(gamma u) with zero inflow at s=0 and free outflow on the right
@@ -12,8 +12,10 @@ length 2n) as the sum of four blocks:
   * recruitment: midpoint quadrature of the birth kernel, acting on
     phase 1 only.
 
-A generator keeps the per-cell arrays of the first three blocks and the
-structured kernel; the sparse blocks are built on first use and cached.
+A generator keeps the per-cell arrays of the first three parts and the
+structured kernel.  Only the general LU and the Collatz-Wielandt bracket
+need the whole generator as one sparse matrix (``full``), built on first
+use and cached.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization,
 by the analytic transport formula (one O(n) forward sweep, shared with
@@ -32,9 +34,9 @@ factor, which serves the repeated shifts of implicit steps, resolvents
 and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a
 recruitment-free sum by one forward sweep over the same cell blocks,
 with no factor at all.  scipy is imported only by the code that builds
-sparse blocks or factors them; the banded route loads scipy's compiled
-BLAS extension ``scipy.linalg._fblas`` alone, never ``scipy.linalg``
-or ``scipy.sparse``.
+``full`` or factors it; the banded route loads scipy's compiled BLAS
+extension ``scipy.linalg._fblas`` alone, never ``scipy.linalg`` or
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -113,11 +115,6 @@ class StateVector:
     def mass(self) -> float:
         return float((self.u1.sum() + self.u2.sum()) * self.grid.h)
 
-    @property
-    def phase_masses(self) -> tuple[float, float]:
-        h = self.grid.h
-        return float(self.u1.sum() * h), float(self.u2.sum() * h)
-
     def norm1(self) -> float:
         """Discrete L1 norm ||u1||_1 + ||u2||_1."""
         return float((np.abs(self.u1).sum() + np.abs(self.u2).sum()) * self.grid.h)
@@ -130,10 +127,6 @@ class StateVector:
         """The state whose components are views of the halves of ``x``."""
         n = grid.n
         return cls(u1=x[:n], u2=x[n:], grid=grid)
-
-    @classmethod
-    def zero(cls, grid: SizeGrid) -> "StateVector":
-        return cls(u1=np.zeros(grid.n), u2=np.zeros(grid.n), grid=grid)
 
     def copy(self) -> "StateVector":
         return StateVector(self.u1.copy(), self.u2.copy(), self.grid)
@@ -215,10 +208,8 @@ class DiscreteGenerator:
     ``outflow[k]`` = gamma_k(edge_{i+1})/h and ``inflow[k]`` =
     gamma_k(edge_i)/h (cells 1..n-1) are the upwind rates of phase k,
     ``loss`` = (mu + c1, c2) the loss rates, and ``coupling`` = (c2, c1)
-    the rates into phase 1 from phase 2 and back.  The sparse blocks
-    ``A_block`` (transport), ``B1_block`` (loss), ``B2_block``
-    (coupling), ``B3_block`` (recruitment) and ``full`` are built on
-    first use.
+    the rates into phase 1 from phase 2 and back.  The sparse ``full``
+    is built on first use.
     """
 
     grid: SizeGrid
@@ -231,50 +222,20 @@ class DiscreteGenerator:
     _last_fact: Optional[tuple] = field(default=None, repr=False)
 
     @functools.cached_property
-    def A_block(self) -> "sp.csr_matrix":
-        """Upwind transport, one lower-bidiagonal block per phase: the
-        flux through an edge is gamma there times the density of the cell
-        left of it, with zero inflow at s=0 and free outflow on the right."""
-        import scipy.sparse as sp
-        return sp.block_diag(
-            [sp.diags([-self.outflow[k], self.inflow[k]], [0, -1])
-             for k in (0, 1)], format="csr")
-
-    @functools.cached_property
-    def B1_block(self) -> "sp.csr_matrix":
-        import scipy.sparse as sp
-        return sp.diags(-self.loss.ravel(), format="csr")
-
-    @functools.cached_property
-    def B2_block(self) -> "sp.csr_matrix":
-        import scipy.sparse as sp
-        return sp.bmat([[None, sp.diags(self.coupling[0])],
-                        [sp.diags(self.coupling[1]), None]], format="csr")
-
-    @functools.cached_property
-    def B3_block(self) -> "sp.csr_matrix":
-        """The recruitment quadrature B3[i, j] = beta(s_i, y_j) * h in the
-        phase-1/phase-1 position (newborns are active)."""
-        import scipy.sparse as sp
-        n = self.grid.n
-        return sp.bmat([[sp.csr_matrix(self.kernel.beta * self.grid.h), None],
-                        [None, sp.csr_matrix((n, n))]], format="csr")
-
-    @functools.cached_property
     def full(self) -> "sp.csr_matrix":
-        return (self.A_block + self.B1_block + self.B2_block
-                + self.B3_block).tocsr()
-
-    def block_sum(self, which: str) -> "sp.csr_matrix":
-        if which == "A":
-            return self.A_block
-        if which == "A+B1":
-            return self.A_block + self.B1_block
-        if which == "B":
-            return self.A_block + self.B1_block + self.B2_block
-        if which == "full":
-            return self.full
-        raise ConfigurationError(f"unknown operator selection {which!r}")
+        """The full generator as one sparse matrix (u1 stacked over u2):
+        the upwind transport, loss and coupling of ``cell_blocks("B")``
+        and ``inflow``, plus the recruitment quadrature
+        B3[i, j] = beta(s_i, y_j) * h in the phase-1/phase-1 position.
+        Built on first use, for the general LU and the Collatz-Wielandt
+        bracket; it materialises the n x n kernel."""
+        import scipy.sparse as sp
+        a, b, c, d = self.cell_blocks("B")
+        in1, in2 = self.inflow
+        return sp.bmat(
+            [[sp.diags([a, in1], [0, -1])
+              + sp.csr_matrix(self.kernel.beta * self.grid.h), sp.diags(b)],
+             [sp.diags(c), sp.diags([d, in2], [0, -1])]], format="csr")
 
     def cell_blocks(self, which: str) -> Optional[tuple[np.ndarray, ...]]:
         """2x2 diagonal cell blocks of a block lower triangular block sum.
@@ -345,28 +306,26 @@ class DiscreteGenerator:
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
-    def block_sweep(self, lam: float, rhs: np.ndarray, blocks: tuple,
-                    start: int = 0) -> np.ndarray:
+    def block_sweep(self, lam: float, rhs: np.ndarray,
+                    blocks: tuple) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
         M is a recruitment-free block sum ("A", "A+B1" or "B") given by its
         2x2 cell blocks (a, b, c, d): in per-cell order it is block lower
         bidiagonal, cell i also taking ``inflow[k][i-1]`` times phase k of
-        cell i - 1.  Cells before ``start`` are taken as zero.  lambda
-        must lie above the larger eigenvalue of every block from
-        ``start`` on; each block of lambda - M is then an M-matrix with a
+        cell i - 1.  lambda must lie above the larger eigenvalue of every
+        block; each block of lambda - M is then an M-matrix with a
         nonnegative inverse, so a nonnegative ``rhs`` gives a nonnegative
         x, and an overflow reads +inf, never NaN.  O(n), with no LU and
         no pivoting.
         """
         n = self.grid.n
-        i11, i12, i21, i22 = cell_inverse(
-            lam, *(v[start:] for v in blocks)).tolist()
-        in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0)))[:, start:].tolist()
-        r1, r2 = rhs[start:n].tolist(), rhs[n + start:].tolist()
-        x1, x2 = [0.0] * (n - start), [0.0] * (n - start)
+        i11, i12, i21, i22 = cell_inverse(lam, *blocks).tolist()
+        in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0))).tolist()
+        r1, r2 = rhs[:n].tolist(), rhs[n:].tolist()
+        x1, x2 = [0.0] * n, [0.0] * n
         p1 = p2 = 0.0
-        for i in range(n - start):
+        for i in range(n):
             p = r1[i] + in1[i] * p1
             q = r2[i] + in2[i] * p2
             # a zero coupling rate passes nothing on, even from an
@@ -375,7 +334,7 @@ class DiscreteGenerator:
             p2 = (i21[i] and i21[i] * p) + i22[i] * q
             x1[i], x2[i] = p1, p2
         x = np.zeros(2 * n)
-        x[start:n], x[n + start:] = x1, x2
+        x[:n], x[n:] = x1, x2
         return x
 
     def infinity_norm(self) -> float:
@@ -526,9 +485,10 @@ def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
 
     split="B3-series": resolvent of the full generator as the series
     sum_k R_B (B3 R_B)^k H around the recruitment-free part; a rank-1
-    kernel f g^T applies B3 as h f (g . u1), with no n x n block.
+    kernel f g^T applies B3 as h f (g . u1), with no n x n block; any
+    other kernel as h beta u1, with beta materialised once.
     split="B2-series": resolvent of A+B1+B2 as the series around A+B1
-    with the phase coupling as perturbation.
+    with the phase coupling (c2 u2, c1 u1) as perturbation.
 
     The series converges exactly when the spectral radius of the
     iterated factor is < 1 at this lambda; persistent non-decay of the
@@ -545,9 +505,17 @@ def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
             return np.concatenate([hf * (g @ x[:n]), np.zeros(n)])
         base = "B"
     elif split == "B3-series":
-        base, pert = "B", gen.B3_block.__matmul__
+        hbeta = gen.grid.h * gen.kernel.beta
+
+        def pert(x):
+            return np.concatenate([hbeta @ x[:n], np.zeros(n)])
+        base = "B"
     elif split == "B2-series":
-        base, pert = "A+B1", gen.B2_block.__matmul__
+        c2, c1 = gen.coupling
+
+        def pert(x):
+            return np.concatenate([c2 * x[n:], c1 * x[:n]])
+        base = "A+B1"
     else:
         raise ConfigurationError(f"unknown split {split!r}")
     fact = gen.factorization(lam, base)

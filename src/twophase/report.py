@@ -96,12 +96,17 @@ def write_sweep_csv(path: str, key: str, rows: list):
 
 def _jsonable(obj):
     """JSON-ready form of a report value, built without copying it:
-    dataclasses field by field (a state keeps its grid), arrays as lists."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    dataclasses field by field (a state keeps its grid), arrays as lists,
+    and a non-finite float, which strict JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return _jsonable(obj.tolist())
         return obj.tolist()
     if dataclasses.is_dataclass(obj):
         return {f.name: _jsonable(getattr(obj, f.name))
@@ -116,7 +121,7 @@ def _jsonable(obj):
 def report_to_json(rep: RunReport) -> str:
     doc = {
         "scenario": rep.scenario_name,
-        "scenario_echo": rep.scenario_echo,
+        "scenario_echo": _jsonable(rep.scenario_echo),
         "complete": rep.complete,
         "error": rep.error,
         "verdict": _jsonable(rep.verdict),
@@ -124,9 +129,9 @@ def report_to_json(rep: RunReport) -> str:
         "mass_balance": _jsonable(rep.mass_report),
         "trajectory_files": rep.trajectory_files,
         "checks": _jsonable(rep.checks),
-        "timings": rep.timings,
+        "timings": _jsonable(rep.timings),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _closed_forms(scn: Scenario, report: SpectralReport):
@@ -164,7 +169,7 @@ def compute_spectrum(scn: Scenario) -> SpectralReport:
 def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
     bound = spectral_bound(gen, "full", shift0=scn.shift0,
                            tol=scn.spectral_tol)
-    s_B = None
+    s_B = s_A_divergent = None
     divergent = False
     if scn.grid.kind == FINITE:
         s_B_val = recruitment_free_bound(gen)
@@ -177,8 +182,10 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
             divergent = True
         else:
             s_B = float(s_B_val)
+        s_A_divergent = bound.s < threshold
     rep = SpectralReport(s_A=bound.s, eigfun=bound.eigfun,
                          s_B_surrogate=s_B, s_B_divergent=divergent,
+                         s_A_divergent=s_A_divergent,
                          s_A_route=bound.route, s_A_bracket=bound.bracket)
     _closed_forms(scn, rep)
     if s_B is not None:
@@ -257,12 +264,14 @@ def _build_checks(rep: RunReport, traj) -> list:
         checks.append(_check("irreducibility_support_conditions",
                              v.irreducible, None,
                              reason="no discrete measurement"))
+        # on a finite domain the spectrum is non-empty, and has a gap,
+        # exactly when s_A stays above the mesh-artifact level
         gap_predicted = v.predicted in (IRREDUCIBLE_GAP_AEG, GAP_ONLY)
         measured_gap = None
         reason = "spectrum stage not run" if sp is None else None
         if sp is not None:
-            if sp.s_B_divergent:
-                measured_gap = True
+            if sp.s_A_divergent is not None:
+                measured_gap = not sp.s_A_divergent
             elif sp.gap is not None:
                 measured_gap = bool(sp.gap > 0)
             else:
@@ -275,7 +284,7 @@ def _build_checks(rep: RunReport, traj) -> list:
         if v.predicted == EMPTY_SPECTRUM:
             checks.append(_check(
                 "empty_spectrum_refinement_divergence", True,
-                sp.s_B_divergent if sp is not None else None,
+                sp.s_A_divergent if sp is not None else None,
                 reason="spectrum stage not run" if sp is None else None))
     if sp is not None and sp.aeg_fit is not None and not sp.aeg_fit.extinct:
         checks.append(_rate_check("growth_rate_two_routes", sp.s_A, sp,

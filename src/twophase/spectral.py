@@ -35,13 +35,16 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, PreconditionError,
                      SpectralProximityError)
 from .evolution import Trajectory
-from .model import Kernel, ModelParams, build_grid
+from .model import LOWER, Kernel, ModelParams, build_grid
 from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
-                        transport_sweep)
+                        cell_inverse, transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
 PROBE_INCONCLUSIVE = "inconclusive"
+
+# the exact route's sweep rescales by exact powers of 2
+_HUGE, _TINY = 2.0 ** 512, 2.0 ** -512
 
 
 @dataclass
@@ -78,13 +81,17 @@ class SpectralReport:
 
     ``s_A_route`` names how ``s_A`` was obtained (``exact``,
     ``characteristic`` or ``power``) and ``s_A_bracket`` = (lo, hi)
-    holds it.
+    holds it.  On a finite domain ``s_B_divergent`` and ``s_A_divergent``
+    record whether s_B and s_A lie below the level -gamma0/h + ||B1 + B2||
+    that only a mesh artifact of an empty continuum spectrum reaches;
+    ``s_A_divergent`` is None on other domains.
     """
 
     s_A: float
     eigfun: Optional[StateVector]
     s_B_surrogate: Optional[float]      # None encodes the -inf marker
     s_B_divergent: bool
+    s_A_divergent: Optional[bool] = None
     lambda_star: Optional[float] = None
     eps_bar: Optional[float] = None
     Delta: Optional[float] = None
@@ -135,14 +142,17 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
 
     The bound is the largest cell-block eigenvalue lambda, attained last
     at cell k.  The eigenvector is zero before cell k and the block's
-    Perron vector v at cell k; the later cells solve
-    (lambda - M_{>k,>k}) x = M_{>k,k} v, whose matrix is a nonsingular
-    M-matrix because every later block eigenvalue lies below lambda: one
-    forward sweep for a recruitment-free sum, a sparse solve for the full
-    generator, whose kernel also feeds later cells.
+    Perron vector v at cell k.  One forward sweep gives each later cell:
+    (lambda - D_i) x_i = (in1 x1_{i-1} + r_i, in2 x2_{i-1}), with D_i the
+    cell block and r_i = h sum_{k <= j < i} beta[i, j] x1_j: h f_i times
+    a running sum of g_j x1_j for a rank-1 kernel f g^T or ``s>y``
+    (f = value, g = 1), a row product for a dense kernel, zero for a
+    recruitment-free sum or ``s<y``.  Later block eigenvalues lie below
+    lambda, so x >= 0.  The sweep has no source: whenever a cell passes
+    2^512, all entries so far and the running sum are scaled by 2^-512.
     """
     a, b, c, d = blocks
-    n = gen.grid.n
+    n, h, K = gen.grid.n, gen.grid.h, gen.kernel
     lams = block_eigenvalues(a, b, c, d)
     lam = float(lams.max())
     k = int(np.flatnonzero(lams == lam)[-1])
@@ -156,19 +166,38 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
         v = (1.0, 0.0)
     x = np.zeros(2 * n)
     x[[k, n + k]] = v
-    if k < n - 1 and which != "full":
-        rhs = np.zeros(2 * n)
-        rhs[[k + 1, n + k + 1]] = gen.inflow[:, k] * v
-        x += gen.block_sweep(lam, rhs, blocks, start=k + 1)
-    elif k < n - 1:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import spsolve
-        later = np.r_[k + 1:n, n + k + 1:2 * n]
-        rows = gen.block_sum(which)[later]
-        sub = sp.identity(len(later), format="csc") * lam \
-            - rows[:, later].tocsc()
-        x[later] = spsolve(sub, rows[:, [k, n + k]] @ np.array(v),
-                           permc_spec="MMD_AT_PLUS_A")
+    if k == n - 1:
+        return lam, x
+    m, rows = n - k - 1, None
+    f = g = [0.0] * m
+    if which != "full":
+        pass                # a recruitment-free sum: r = 0
+    elif K.factors is not None:
+        f, g = (h * K.factors[0][k + 1:]).tolist(), K.factors[1][k:].tolist()
+    elif K.triangle is not None and K.triangle[1] == LOWER:
+        f, g = [h * K.triangle[0]] * m, [1.0] * m
+    elif K.dense is not None:
+        rows = K.dense[k + 1:, k:]
+    i11, i12, i21, i22 = cell_inverse(
+        lam, *(w[k + 1:] for w in blocks)).tolist()
+    in1, in2 = gen.inflow[:, k:].tolist()
+    x1, x2 = [float(v[0])], [float(v[1])]
+    p1, p2, acc = x1[0], x2[0], 0.0
+    for i in range(m):
+        acc += g[i] * p1
+        p = in1[i] * p1 + f[i] * acc
+        if rows is not None:
+            p += h * float(rows[i, :i + 1] @ x1)
+        q = in2[i] * p2
+        # a zero coupling rate passes nothing on (see block_sweep)
+        p1 = i11[i] * p + (i12[i] and i12[i] * q)
+        p2 = (i21[i] and i21[i] * p) + i22[i] * q
+        x1.append(p1)
+        x2.append(p2)
+        if p1 > _HUGE or p2 > _HUGE:
+            x1, x2 = [w * _TINY for w in x1], [w * _TINY for w in x2]
+            p1, p2, acc = x1[-1], x2[-1], acc * _TINY
+    x[k:n], x[n + k:] = x1, x2
     return lam, x
 
 
@@ -356,7 +385,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
         x = -x
     if problem is None and x.min() <= 0:
         problem = "ended on an iterate that is not strictly positive"
-    bracket = _collatz_wielandt(gen.block_sum(which), x)
+    bracket = _collatz_wielandt(gen.full, x)
     if problem is not None:
         raise IterationError(
             f"power iteration {problem}: s_A in [{bracket[0]:.12g}, "

@@ -21,6 +21,8 @@ from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
                                 volterra_norm_sequence)
 from twophase.scenario import scenario_from_dict
 
+from test_structure import dense_block_sum, dense_blocks
+
 
 def make(n=100, m=1.0, kernel=1.0, **over):
     g = build_grid("finite", m, n)
@@ -29,6 +31,13 @@ def make(n=100, m=1.0, kernel=1.0, **over):
     p = sample_params(spec, g)
     K = build_kernel(kernel, g)
     return g, p, K, assemble(p, K, g)
+
+
+def transport_part(g, p, K, gen):
+    # the assembled generator less its loss, coupling and recruitment
+    # blocks written out from the model formulas
+    A, B1, B2, B3 = dense_blocks(g, p, K)
+    return gen.full.toarray() - B1 - B2 - B3
 
 
 def demo_generator(n=600, table=False):
@@ -79,31 +88,33 @@ def stored_numbers(fact) -> int:
 class TestAssemble:
     def test_zero_perturbations_leave_pure_transport(self):
         g, p, K, gen = make(kernel=0.0, mu=0.0, c1=0.0, c2=0.0)
-        assert (gen.full - gen.A_block).nnz == 0
+        assert np.array_equal(gen.full.toarray(), dense_blocks(g, p, K)[0])
 
     def test_two_cell_hand_stencil(self):
         g, p, K, gen = make(n=2, m=1.0)
-        A1 = gen.A_block.toarray()[:2, :2]
+        A1 = transport_part(g, p, K, gen)[:2, :2]
         assert np.allclose(np.diag(A1), [-2.0, -2.0])
         assert A1[1, 0] == pytest.approx(2.0)
 
     def test_recruitment_quadrature_entries(self):
         g, p, K, gen = make(n=4, m=1.0, kernel=1.0)
-        B3 = gen.B3_block.toarray()[:4, :4]
+        A, B1, B2, _ = dense_blocks(g, p, K)
+        B3 = (gen.full.toarray() - A - B1 - B2)[:4, :4]
         assert np.all(B3 == pytest.approx(0.25))
 
     def test_sign_pattern_invariants(self):
         g, p, K, gen = make(n=20, gamma1=lambda s: 1 + s)
-        A = gen.A_block.toarray()
+        A = transport_part(g, p, K, gen)
+        _, B1, B2, B3 = dense_blocks(g, p, K)
         assert np.all(np.diag(A) <= 0)
         assert np.all(A - np.diag(np.diag(A)) >= 0)
-        assert np.all(gen.B2_block.toarray() >= 0)
-        assert np.all(gen.B3_block.toarray() >= 0)
-        assert np.all(gen.B1_block.diagonal() <= 0)
+        assert np.all(B2 >= 0)
+        assert np.all(B3 >= 0)
+        assert np.all(B1.diagonal() <= 0)
 
     def test_column_sums_telescope_to_outflow(self):
         g, p, K, gen = make(n=10, gamma1=lambda s: 1 + s)
-        cols = np.asarray(gen.A_block.sum(axis=0)).ravel()[:10]
+        cols = transport_part(g, p, K, gen).sum(axis=0)[:10]
         assert np.allclose(cols[:-1], 0.0, atol=1e-12)
         assert cols[-1] == pytest.approx(-p.gamma1_edges[-1] / g.h)
 
@@ -292,7 +303,7 @@ class TestBandedFactor:
     def test_solve_matches_dense_solve(self, which, name, splu_calls):
         g, gen = graded_generator()
         lam = self.shift(gen, which, name)
-        mat = lam * np.eye(2 * g.n) - gen.block_sum(which).toarray()
+        mat = lam * np.eye(2 * g.n) - dense_block_sum(gen, which)
         if name == "below":     # every cell block stays invertible
             a, b, c, d = gen.cell_blocks(which)
             assert np.abs((lam - a) * (lam - d) - b * c).min() > 1.0

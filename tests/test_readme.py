@@ -6,6 +6,8 @@ import re
 
 from twophase.cli import main as cli_main
 
+from test_scenario_cli import strict_json
+
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "README.md")
 
@@ -25,6 +27,21 @@ def test_scenario_block_reports(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / f"{name}_report.json").read_text())[
         "complete"]
+
+
+def test_simulate_report_is_strict_json(tmp_path):
+    # the simulate stage alone has no s_A to predict the growth rate with:
+    # both read null
+    path = tmp_path / "demo.json"
+    path.write_text(code_block("json"))
+    name = json.loads(path.read_text())["name"]
+    assert cli_main(["simulate", str(path), "--n", "60", "--dt", "0.01",
+                     "--out", str(tmp_path)]) == 0
+    doc = strict_json((tmp_path / f"{name}_report.json").read_text())
+    assert doc["spectral"]["s_A"] is None
+    check, = doc["checks"]
+    assert check["check"] == "growth_rate_two_routes"
+    assert check["predicted"] is None and check["status"] == "n/a"
 
 
 def test_library_block_runs():

@@ -150,6 +150,29 @@ class TestReportJSON:
         assert path.read_text() == "\n".join(rows) + "\n"
 
 
+    def test_non_finite_values_read_null(self):
+        # NaN and infinite floats, numpy scalars and array entries, in
+        # every part of the report, including the echo and the timings
+        rep = twophase.report.RunReport(
+            scenario_name="x", scenario_echo={"a": [float("nan"), 1.0]},
+            timings={"t": float("inf")},
+            checks=[{"predicted": np.float64("nan"), "ratios": [np.inf],
+                     "norms": np.array([[1.0, np.nan]]),
+                     "count": np.array([2])}])
+        doc = strict_json(twophase.report.report_to_json(rep))
+        assert doc["scenario_echo"] == {"a": [None, 1.0]}
+        assert doc["timings"] == {"t": None}
+        assert doc["checks"] == [{"predicted": None, "ratios": [None],
+                                  "norms": [[1.0, None]], "count": [2]}]
+
+
+def strict_json(text):
+    # a parser that rejects NaN and Infinity, as jq and JavaScript do
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCLI:
     def test_report_success_and_determinism(self, tmp_path):
         doc = minimal_doc(run={"dt": 1e-2, "T": 1.0, "record_every": 10})
@@ -225,6 +248,61 @@ class TestCLI:
         assert checks["spectral_gap_presence"]["status"] == "pass"
         assert checks["mass_conservation_class"]["reason"].startswith(
             "boundary outflow")
+
+    @pytest.mark.parametrize("kernel, predicted", [
+        ({"form": "indicator", "relation": "s>y"}, "empty_spectrum"),
+        ({"form": "constant", "value": 1.0}, "irreducible_gap_aeg")],
+        ids=["growth_only", "constant"])
+    def test_finite_gap_checks_measure_s_A(self, tmp_path, kernel,
+                                           predicted):
+        # the growth-only scenario of the benchmark at its reduced size,
+        # and the same with a constant kernel; s_B lies below the
+        # mesh-artifact level on both, s_A only without mixing
+        doc = {"name": "growth",
+               "domain": {"kind": "finite", "m": 1.0, "n": 100},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": kernel}
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        d = json.loads((out / "growth_report.json").read_text())
+        assert d["verdict"]["predicted"] == predicted
+        assert d["spectral"]["s_B_divergent"] is True
+        empty = predicted == "empty_spectrum"
+        assert d["spectral"]["s_A_divergent"] is empty
+        checks = {c["check"]: c for c in d["checks"]}
+        gap = checks["spectral_gap_presence"]
+        assert gap["predicted"] is gap["measured"] is not empty
+        assert gap["status"] == "pass"
+        if empty:
+            c = checks["empty_spectrum_refinement_divergence"]
+            assert c["measured"] is True and c["status"] == "pass"
+
+    def test_graded_growth_only_report(self, tmp_path):
+        # rates graded over [0, 1] and a non-mixing kernel: the
+        # eigenvector spans more than the float range, and the report
+        # holds a finite eigenfunction of mass 1
+        def linear(intercept, slope=1.0):
+            return {"form": "expression", "name": "linear",
+                    "intercept": intercept, "slope": slope}
+        doc = {"name": "graded",
+               "domain": {"kind": "finite", "m": 1.0, "n": 800},
+               "coefficients": {"gamma1": linear(1.0, 0.5),
+                                "gamma2": linear(1.2), "mu": linear(1.0),
+                                "c1": linear(0.5), "c2": linear(2.0, -1.0),
+                                "gamma0": 1.0},
+               "kernel": {"form": "indicator", "relation": "s>y"},
+               "run": {"dt": 1e-3, "T": 0.01}}
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        d = strict_json((out / "graded_report.json").read_text())
+        eig = d["spectral"]["eigfun"]
+        u = np.array([eig["u1"], eig["u2"]], dtype=float)
+        assert np.isfinite(u).all() and u.min() >= 0
+        assert u.sum() / 800 == pytest.approx(1.0, rel=1e-12)
+        assert d["spectral"]["s_A_route"] == "exact"
 
     def test_criteria_stage_isolation(self, tmp_path):
         path = write(tmp_path, minimal_doc())
@@ -365,6 +443,17 @@ class TestCLI:
         assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
                         str(out), "--vary", "kernel.value", rng]) == 2
         assert "range must be finite and increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_through_scalar_exit_2(self, tmp_path, capsys):
+        # mu is a number: the path fails once, before any point runs
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
+                        str(out), "--vary", "coefficients.mu.value",
+                        "0.5:1.0:0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: coefficients.mu.value: 'mu' "
+                       "is not a mapping in the scenario\n")
         assert not out.exists()
 
     def test_sweep_keeps_finished_points(self, tmp_path, capsys):

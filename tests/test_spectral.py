@@ -16,6 +16,9 @@ from twophase.spectral import (_restrict_params, characteristic_function,
                                recruitment_free_bound, sB_probe_infinite,
                                spectral_bound, spectral_gap_lower_bound)
 
+from test_operators import run_child
+from test_structure import dense_block_sum
+
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
     g = build_grid(kind, m, n)
@@ -50,7 +53,7 @@ class TestSpectralBound:
         n = 8
         g, p, K, gen = make(n=n, mu=lambda s: 1 + s, c2=0.5,
                             gamma1=lambda s: 1 + 0.5 * s)
-        M = (gen.A_block + gen.B1_block + gen.B2_block).toarray()
+        M = dense_block_sum(gen, "B")
         perm = np.arange(2 * n).reshape(2, n).T.ravel()   # interleave
         P = M[np.ix_(perm, perm)]
         for i in range(n):
@@ -126,7 +129,78 @@ def reducible_generator(table=False):
                 gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
 
 
+# graded rates on [0, 1]: every cell block differs, the top one is the
+# first, and each later cell takes a tail from the sweep
+GRADED = dict(gamma1=lambda s: 1 + s / 2, gamma2=lambda s: 1.2 + s,
+              mu=lambda s: 1 + s, c1=lambda s: 0.5 + s, c2=lambda s: 2 - s)
+
+# non-mixing kernels and the block sum whose eigenpair is taken
+NON_MIXING = {
+    "zero": (0.0, "full"),
+    "zero_B": (0.0, "B"),
+    "lower": ({"form": "indicator", "relation": "s>y"}, "full"),
+    "box": ({"form": "indicator", "s_lo": 0.5, "y_hi": 0.5}, "full"),
+    "callable": (lambda s, y: np.where(s >= y, 3.0 + 2.0 * s * y, 0.0),
+                 "full"),
+}
+
+
+def generator_times(gen, x, which):
+    # M x from the model formulas, O(n) for the structured kernels (a
+    # dense oracle takes 330 MB at n = 3200); ``s>y`` is the only
+    # triangle that does not mix
+    g, p, K = gen.grid, gen.params, gen.kernel
+    n, h = g.n, g.h
+    u1, u2 = x[:n], x[n:]
+    y1 = -(p.gamma1_edges[1:] / h + p.mu + p.c1) * u1 + p.c2 * u2
+    y2 = -(p.gamma2_edges[1:] / h + p.c2) * u2 + p.c1 * u1
+    y1[1:] += p.gamma1_edges[1:-1] / h * u1[:-1]
+    y2[1:] += p.gamma2_edges[1:-1] / h * u2[:-1]
+    if which == "full" and K.factors is not None:
+        y1 += h * K.factors[0] * (K.factors[1] @ u1)
+    elif which == "full" and K.triangle is not None:
+        y1[1:] += h * K.triangle[0] * np.cumsum(u1)[:-1]
+    elif which == "full":
+        y1 += h * (K.dense @ u1)
+    return np.concatenate([y1, y2])
+
+
 class TestExactRoute:
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in sorted(NON_MIXING)
+        for n in (200, 800) + (() if name == "callable" else (3200,))])
+    def test_graded_eigenpair(self, name, n, splu_calls):
+        spec, which = NON_MIXING[name]
+        g, p, K, gen = make(n=n, kernel=spec, **GRADED)
+        bound = spectral_bound(gen, which)
+        assert bound.route == "exact"
+        x = bound.eigfun.stacked()
+        assert np.isfinite(x).all() and x.min() >= 0.0
+        assert bound.eigfun.mass == pytest.approx(1.0, rel=1e-14)
+        # the sweep reaches the last cell (from n = 800 on, the first
+        # cells underflow: the vector spans more than the float range)
+        assert x[n - 1] + x[-1] > 0
+        res = np.abs(generator_times(gen, x, which) - bound.s * x).max()
+        assert res <= 1e-12 * max(1.0, abs(bound.s)) * x.max()
+        assert splu_calls == []
+
+    def test_graded_tails_leave_scipy_sparse_unimported(self):
+        run_child(
+            "import sys\n"
+            "from twophase.model import build_grid, build_kernel, "
+            "sample_params\n"
+            "from twophase.operators import assemble\n"
+            "from twophase.spectral import spectral_bound\n"
+            "g = build_grid('finite', 1.0, 800)\n"
+            "p = sample_params(dict(gamma0=1.0, gamma1=lambda s: 1 + s / 2,\n"
+            "    gamma2=lambda s: 1.2 + s, mu=lambda s: 1 + s,\n"
+            "    c1=lambda s: 0.5 + s, c2=lambda s: 2 - s), g)\n"
+            "for spec in (0.0, {'form': 'indicator', 'relation': 's>y'},\n"
+            "             {'form': 'indicator', 's_lo': 0.5, 'y_hi': 0.5}):\n"
+            "    gen = assemble(p, build_kernel(spec, g), g)\n"
+            "    assert spectral_bound(gen).route == 'exact'\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+
     @pytest.mark.parametrize("n", [200, 400, 800])
     def test_growth_only_bound_from_cell_blocks(self, n, splu_calls):
         g, p, K, gen = make(n=n, kernel={"form": "indicator",
@@ -226,7 +300,7 @@ def dense_phi(gen, lam):
     # dense LAPACK solve
     n = gen.grid.n
     f, g = gen.kernel.factors
-    B = gen.block_sum("B").toarray()
+    B = dense_block_sum(gen, "B")
     x = np.linalg.solve(lam * np.eye(2 * n) - B,
                         np.concatenate([f, np.zeros(n)]))
     return gen.grid.h * g @ x[:n]
