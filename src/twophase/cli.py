@@ -5,8 +5,9 @@
 
 Subcommands: ``simulate`` (evolve + CSV export), ``spectrum``
 (eigensolve + closed forms + probe), ``criteria`` (hypothesis verdict),
-``report`` (full pipeline), ``sweep`` (repeat the spectrum stage over a
-range of one scalar key, emitting a CSV).  Flags override file values.
+``report`` (full pipeline), ``sweep`` (repeat the spectrum stage, less
+the probe its CSV has no column for, over a range of one scalar key,
+emitting a CSV).  Flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or
 out of memory.  A sweep always writes its CSV (a failed point keeps only
 its varied value); the first failure sets the exit code.

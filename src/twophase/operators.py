@@ -32,11 +32,12 @@ triangles) take a sparse LU (SuperLU) of lambda - M with a
 minimum-degree ordering of A + A^T.  A generator keeps only its last
 factor, which serves the repeated shifts of implicit steps, resolvents
 and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a
-recruitment-free sum by one forward sweep over the same cell blocks,
-with no factor at all.  scipy is imported only by the code that builds
-``full`` or factors it; the banded route loads scipy's compiled BLAS
-extension ``scipy.linalg._fblas`` alone, never ``scipy.linalg`` or
-``scipy.sparse``.
+recruitment-free sum by one pure-Python forward sweep over the same cell
+blocks, with no factor at all: the characteristic equation falls back
+on it where the banded solve overflows.  scipy is imported only by the
+code that builds ``full`` or factors it; the banded route loads scipy's
+compiled BLAS extension ``scipy.linalg._fblas`` alone, never the
+``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
 """
 
 from __future__ import annotations
@@ -63,14 +64,15 @@ WHICH_CHOICES = ("A", "A+B1", "B", "full")
 @functools.cache
 def _blas():
     """scipy's f2py BLAS extension ``scipy.linalg._fblas``, loaded without
-    running ``scipy/linalg/__init__.py``.
+    importing ``scipy`` or running ``scipy/linalg/__init__.py``.
 
     ``scipy.linalg.blas`` re-exports this module's wrappers, but importing
     it runs the whole ``scipy.linalg`` package (about 0.3 s, mostly
-    scipy's array-API layer pulling in ``numpy.f2py``); the extension
-    alone loads in a few tens of ms after ``import scipy``.  It is
-    entered in ``sys.modules``, where a later ``import scipy.linalg``
-    finds it, so both routes share one module (only the package attribute
+    scipy's array-API layer pulling in ``numpy.f2py``), and even
+    ``import scipy`` alone costs about 20 ms; the extension is found from
+    the package's import spec and loads in a few ms.  It is entered in
+    ``sys.modules``, where a later ``import scipy.linalg`` finds it, so
+    both routes share one module (only the package attribute
     ``scipy.linalg._fblas`` stays unset; scipy imports the name, never
     reads the attribute).  Falls back to the plain import if the
     extension is not found on disk.
@@ -78,11 +80,12 @@ def _blas():
     name = "scipy.linalg._fblas"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
     from importlib.machinery import PathFinder
-    from importlib.util import module_from_spec
-    spec = PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    from importlib.util import find_spec, module_from_spec
+    root = find_spec("scipy")
+    spec = root and PathFinder.find_spec(
+        name, [os.path.join(p, "linalg")
+               for p in root.submodule_search_locations or ()])
     if spec is None:
         from scipy.linalg import _fblas
         return _fblas
@@ -317,7 +320,10 @@ class DiscreteGenerator:
         block; each block of lambda - M is then an M-matrix with a
         nonnegative inverse, so a nonnegative ``rhs`` gives a nonnegative
         x, and an overflow reads +inf, never NaN.  O(n), with no LU and
-        no pivoting.
+        no pivoting, but one Python step per cell: the banded factor
+        solves the same system far faster, and the characteristic
+        equation comes here only where that solve overflows (its 0 * inf
+        products give NaN where this sweep passes nothing on).
         """
         n = self.grid.n
         i11, i12, i21, i22 = cell_inverse(lam, *blocks).tolist()
@@ -337,15 +343,22 @@ class DiscreteGenerator:
         x[:n], x[n:] = x1, x2
         return x
 
-    def infinity_norm(self) -> float:
-        """Max absolute row sum of the full generator, from the arrays."""
-        h = self.grid.h
-        beta_diag = self.kernel.diagonal()
-        diag = -(self.outflow + self.loss)
-        diag[0] += h * beta_diag
-        off = np.pad(self.inflow, ((0, 0), (1, 0))) + self.coupling
-        off[0] += h * (self.kernel.row_sums() - beta_diag)
-        return float((np.abs(diag) + off).max())
+    def line_sum_bound(self) -> float:
+        """The smaller of the largest row sum and the largest column sum
+        of the full generator, from the arrays.
+
+        Its off-diagonal entries are >= 0, so its spectral bound is at
+        most either sum (Berman & Plemmons, *Nonnegative Matrices in the
+        Mathematical Sciences*, ch. 2).  O(n); ``full`` is not built.
+        """
+        h, K = self.grid.h, self.kernel
+        rows = np.pad(self.inflow, ((0, 0), (1, 0))) - self.outflow
+        cols = np.pad(self.inflow, ((0, 0), (0, 1))) - self.outflow
+        rows += self.coupling - self.loss
+        cols += self.coupling[::-1] - self.loss
+        rows[0] += h * K.row_sums()
+        cols[0] += h * K.column_sums()
+        return float(min(rows.max(), cols.max()))
 
 
 def block_eigenvalues(a, b, c, d) -> np.ndarray:

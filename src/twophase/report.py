@@ -162,7 +162,8 @@ def _closed_forms(scn: Scenario, report: SpectralReport):
 
 
 def compute_spectrum(scn: Scenario) -> SpectralReport:
-    """Spectrum stage without artifact writes (used by sweeps)."""
+    """Spectrum stage without artifact writes or the truncation probe
+    (used by sweeps, whose CSV holds no probe)."""
     return _spectrum_stage(scn, assemble(scn.params, scn.kernel, scn.grid))
 
 
@@ -192,9 +193,6 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
         rep.gap = rep.s_A - s_B
     elif rep.lambda_star is not None:
         rep.gap = rep.s_A - rep.lambda_star
-    if scn.probe_lambdas and scn.smax_list and scn.grid.kind != FINITE:
-        rep.probe = [sB_probe_infinite(scn.params, None, lam, scn.smax_list)
-                     for lam in scn.probe_lambdas]
     return rep
 
 
@@ -330,6 +328,11 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
         if "spectrum" in stages:
             t0 = time.perf_counter()
             rep.spectral = _spectrum_stage(scn, gen)
+            if scn.probe_lambdas and scn.smax_list \
+                    and scn.grid.kind != FINITE:
+                rep.spectral.probe = [
+                    sB_probe_infinite(scn.params, None, lam, scn.smax_list)
+                    for lam in scn.probe_lambdas]
             rep.timings["spectrum"] = time.perf_counter() - t0
 
         if "simulate" in stages:

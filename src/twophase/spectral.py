@@ -11,7 +11,8 @@ Four independent routes to spectral information are provided:
       - ``characteristic``: for a mixing rank-1 kernel beta = f g^T, the
         root above s_B of the discrete characteristic equation
         phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
-        O(n) forward sweep, with a bracket phi(lo) > 1 >= phi(hi);
+        O(n) banded factor of lambda - B, with a bracket
+        phi(lo) > 1 >= phi(hi);
       - ``power``: shift-and-invert power iteration on certified shifts
         for every other kernel, with a Collatz-Wielandt bracket;
   * closed-form expressions for the recruitment-free spectral bound and
@@ -208,15 +209,22 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
 
     With the default rhs = (f, 0) the value is phi(lambda), the discrete
     characteristic function; with rhs = (lambda - B)^{-1}(f, 0) it is
-    -phi'(lambda).  One forward sweep (``DiscreteGenerator.block_sweep``),
-    valid for lambda above s_B, where phi is positive, decreasing and
-    log-convex.  An overflow reads +inf, never NaN.
+    -phi'(lambda).  Valid for lambda above s_B, where phi is positive,
+    decreasing and log-convex.  x comes from the banded factor of
+    lambda - B (``gen.factorization(lam, "B")``, kept for the next solve
+    at the same lambda).  Where that overflows, its 0 * inf products put
+    NaN even into entries that stay finite, so the evaluation is redone
+    by one forward sweep (``DiscreteGenerator.block_sweep``), which reads
+    an overflow as +inf, never NaN.
     """
     f, g = gen.kernel.factors
     n = gen.grid.n
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
-    x = gen.block_sweep(lam, rhs, gen.cell_blocks("B"))
+    with np.errstate(all="ignore"):
+        x = gen.factorization(lam, "B").solve(rhs)
+    if not np.isfinite(x).all():
+        x = gen.block_sweep(lam, rhs, gen.cell_blocks("B"))
     seen = g > 0        # cells g ignores add nothing, even where x is inf
     return gen.grid.h * float(g[seen] @ x[:n][seen]), x
 
@@ -227,19 +235,20 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
 
     A safeguarded Newton iteration on log phi (convex and decreasing)
     inside the bracket [lo, hi] with phi(lo) > 1 >= phi(hi), which opens
-    at [s_B, shift0 or ||M||_inf + 1]; every evaluation moves one end,
-    a step that leaves the bracket is a bisection, and the loop stops at
-    hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
+    at [s_B, shift0 or ``gen.line_sum_bound()`` + 1]; every evaluation
+    (one banded factor of lambda - B, whose second solve gives phi')
+    moves one end, a step that leaves the bracket is a bisection, and
+    the loop stops at hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
     the tolerance, the point it reached is the root to far better than
     tol, and one evaluation just across it closes the bracket.  The
-    eigenvector is the sweep (lambda - B)^{-1}(f, 0) at the end with phi
+    eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
     nearer 1.  If phi(s_B+) <= 1, then s_A = s_B (see
     ``_boundary_eigenvector``).
     """
     blocks = gen.cell_blocks("B")
     s_B = float(block_eigenvalues(*blocks).max())
     user_shift = shift0 is not None
-    hi = float(shift0) if user_shift else gen.infinity_norm() + 1.0
+    hi = float(shift0) if user_shift else gen.line_sum_bound() + 1.0
     phi_hi, x_hi = characteristic_function(gen, hi) if hi > s_B \
         else (math.inf, None)
     if phi_hi >= 1.0:
@@ -290,7 +299,8 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
 def _newton_step(gen: DiscreteGenerator, lam: float, phi: float,
                  x: np.ndarray) -> float:
     """Newton step on log phi from lambda, NaN when phi or phi' is not
-    finite and nonzero (x is the sweep that gave phi)."""
+    finite and nonzero (x is the solve that gave phi; phi' is a second
+    solve on the same factor)."""
     if not 0.0 < phi < math.inf:
         return math.nan
     dphi = -characteristic_function(gen, lam, x)[0]
@@ -334,6 +344,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
                  tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
+    The first shift is ``shift0`` or ``gen.line_sum_bound()`` + 1.
     Every shift passes the positivity certificate, so it lies above the
     spectral bound and the resolvent's dominant eigenvalue belongs to the
     Perron pair; a re-centred shift that fails it is rejected and the
@@ -343,7 +354,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
     the final iterate is not strictly positive.
     """
     user_shift = shift0 is not None
-    top = float(shift0) if user_shift else gen.infinity_norm() + 1.0
+    top = float(shift0) if user_shift else gen.line_sum_bound() + 1.0
     if _certificate(gen, which, top) is None:
         if user_shift:
             raise ConfigurationError(
@@ -409,7 +420,8 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
         f g^T; s is the root above s_B of
         phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1 (s = s_B when
         phi(s_B+) <= 1), found by safeguarded Newton on log phi from
-        O(n) forward sweeps, with no LU; the bracket (lo, hi) has
+        O(n) banded factors of lambda - B (a forward sweep where the
+        factor overflows), with no LU; the bracket (lo, hi) has
         phi(lo) > 1 >= phi(hi) and hi - lo <= tol * max(1, |hi|);
       * ``power``: every other kernel (tables, callables, ``s<y``), by
         shift-and-invert power iteration x <- (sigma - M)^{-1} x that
@@ -421,7 +433,8 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
         the final iterate.
 
     ``shift0`` opens the characteristic bracket from above, or is the
-    first power-iteration shift (default ||M||_inf + 1).
+    first power-iteration shift; the default is the line-sum bound of the
+    full generator plus 1 (``DiscreteGenerator.line_sum_bound``).
     ConfigurationError when a given ``shift0`` is not above the bound;
     IterationError (with the bracket reached) when an iterative route
     does not settle in ``max_iter`` steps or, for the power route, ends

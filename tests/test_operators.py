@@ -393,6 +393,17 @@ class TestBlasLoader:
             "b = _blas().dtbsv(3, band, y, lower=1, diag=1)\n"
             "assert a.tobytes() == b.tobytes() and (a != y).any()\n")
 
+    def test_loader_imports_no_scipy_package(self):
+        # the extension is found from scipy's import spec: neither the
+        # scipy package nor any other of its modules is imported
+        run_child(
+            "import sys\n"
+            "from twophase.operators import _blas\n"
+            "_blas()\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy')\n"
+            "assert loaded == ['scipy.linalg._fblas'], loaded\n")
+
     def test_scipy_linalg_blas_first_is_reused(self):
         run_child(
             "import scipy.linalg.blas\n"

@@ -11,6 +11,7 @@ import pytest
 import twophase
 import twophase.cli
 import twophase.report
+import twophase.spectral
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
 from twophase.evolution import evolve
@@ -484,6 +485,51 @@ class TestCLI:
         assert lines[:3] == expected
         assert lines[3] == "1.5,,,,"
 
+    def test_sweep_runs_no_probe(self, tmp_path, monkeypatch):
+        # a sweep's CSV holds no probe, so its points solve none; a
+        # spectrum on the same scenario still reports every probe lambda
+        calls = []
+        real = twophase.spectral.duhamel_solve
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(twophase.spectral, "duhamel_solve", counting)
+        doc = {"name": "probe_sweep",
+               "domain": {"kind": "truncated_infinite", "smax": 40.0,
+                          "n": 80},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": {"form": "indicator", "value": 2.0,
+                          "s_lo": 0.0, "s_hi": 1.0},
+               "spectral": {"smax_list": [10, 20, 40],
+                            "probe_lambdas": [-0.5, 0.5]}}
+        path, out = write(tmp_path, doc), tmp_path / "o"
+        assert run_cli(["sweep", path, "--out", str(out), "--vary",
+                        "coefficients.mu", "0.5:2.0:0.25"]) == 0
+        assert calls == []
+        assert run_cli(["spectrum", path, "--out", str(out)]) == 0
+        probe = json.loads(
+            (out / "probe_sweep_report.json").read_text())["spectral"]["probe"]
+        assert [r["lam"] for r in probe] == [-0.5, 0.5]
+        assert [r["classification"] for r in probe] == [
+            "diverging", "resolvent-bounded"]
+        assert len(calls) == 2
+
+    def test_sweep_ignores_probe_settings(self, tmp_path):
+        # h = 2.5 leaves the probe source [0, 1] without a cell center:
+        # spectrum exits 2 on it, a sweep computes no probe
+        doc = minimal_doc(
+            domain={"kind": "truncated_infinite", "smax": 10.0, "n": 4},
+            spectral={"smax_list": [5, 10], "probe_lambdas": [0.5]})
+        doc["coefficients"].update(c1=0.5, c2=0.5)
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, doc), "--out", str(out),
+                        "--vary", "coefficients.mu", "0.5:1.0:0.5"]) == 0
+        lines = (out / "minimal_sweep.csv").read_text().splitlines()
+        assert len(lines) == 3 and ",," not in "".join(lines[1:])
+
     @pytest.mark.parametrize("section, key, value, field", [
         ("run", "dt", float("nan"), "run.dt"),
         ("run", "dt", "abc", "run.dt"),
@@ -528,15 +574,39 @@ class TestCLI:
     def test_import_and_growth_only_spectrum_leave_scipy_unimported(
             self, tmp_path):
         # scipy is imported only to factor: neither the import (which
-        # also leaves secrets and the thread pool unloaded, as does a
-        # sweep), nor the exact-route eigensolve of a non-mixing kernel,
-        # nor a sweep or a spectrum on the characteristic route of a
-        # rank-1 kernel loads it
+        # also leaves secrets and the thread pool unloaded) nor the
+        # exact-route eigensolve of a non-mixing kernel loads it
         doc = {"name": "growth",
                "domain": {"kind": "finite", "m": 1.0, "n": 800},
                "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
                                 "c1": 1.0, "c2": 1.0},
                "kernel": {"form": "indicator", "relation": "s>y"}}
+        code = (
+            "import sys\n"
+            "import twophase\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded(), loaded()\n"
+            "from twophase.cli import main\n"
+            "assert 'secrets' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "growth, out = sys.argv[1:]\n"
+            "assert main(['spectrum', growth, '--out', out]) == 0\n"
+            "assert not loaded(), loaded()\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "growth_report.json").exists()
+
+    def test_characteristic_route_loads_only_fblas(self, tmp_path):
+        # a sweep and a spectrum on the characteristic route of a rank-1
+        # kernel solve on the banded factor: of scipy they load only the
+        # compiled BLAS extension, never the scipy, scipy.linalg or
+        # scipy.sparse package, and a sweep starts no thread pool
         box = {"name": "box",
                "domain": {"kind": "truncated_infinite", "smax": 40.0,
                           "n": 200},
@@ -548,33 +618,25 @@ class TestCLI:
         constant = minimal_doc(name="constant")
         code = (
             "import sys\n"
-            "import twophase\n"
+            "from twophase.cli import main\n"
             "loaded = lambda: sorted(m for m in sys.modules\n"
             "                        if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded(), loaded()\n"
-            "from twophase.cli import main\n"
-            "assert 'secrets' not in sys.modules\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
-            "growth, box, constant, out = sys.argv[1:]\n"
-            "assert main(['spectrum', growth, '--out', out]) == 0\n"
-            "assert not loaded(), loaded()\n"
+            "box, constant, out = sys.argv[1:]\n"
             "assert main(['sweep', box, '--out', out, '--vary', "
             "'coefficients.mu', '0.5:1.0:0.25']) == 0\n"
-            "assert not loaded(), loaded()\n"
+            "assert loaded() == ['scipy.linalg._fblas'], loaded()\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert main(['spectrum', constant, '--out', out]) == 0\n"
-            "assert not loaded(), loaded()\n")
+            "assert loaded() == ['scipy.linalg._fblas'], loaded()\n")
         src = os.path.dirname(os.path.dirname(twophase.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", code, write(tmp_path, doc),
-             write(tmp_path, box, "box.json"),
+            [sys.executable, "-c", code, write(tmp_path, box, "box.json"),
              write(tmp_path, constant, "constant.json"),
              str(tmp_path / "o")], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        for name in ("growth_report.json", "box_sweep.csv",
-                     "constant_report.json"):
+        for name in ("box_sweep.csv", "constant_report.json"):
             assert (tmp_path / "o" / name).exists()
 
     def test_simulate_and_report_on_rank_one_kernel_load_only_fblas(

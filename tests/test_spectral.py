@@ -8,7 +8,7 @@ from twophase.errors import (ConfigurationError, IterationError,
                              PreconditionError, SpectralProximityError)
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
-from twophase.operators import StateVector, assemble
+from twophase.operators import DiscreteGenerator, StateVector, assemble
 from twophase.scenario import scenario_from_dict
 from twophase.spectral import (_restrict_params, characteristic_function,
                                closed_form_poly, closed_form_sB, detect_AEG,
@@ -274,11 +274,11 @@ class TestCertifiedShifts:
             spectral_bound(gen, "full", shift0=shift0)
 
     def test_singular_shift_in_power_loop_is_rejected(self, monkeypatch):
-        # the first re-centred shift (about 2.04, below the bound 13) is
+        # the first re-centred shift (about 4.31, below the bound 13) is
         # made exactly singular, as splu reports it; the loop must stay
         # on certified shifts and still find the top eigenvalue
         g, p, K, gen = reducible_generator(table=True)
-        top = gen.infinity_norm() + 1.0
+        top = gen.line_sum_bound() + 1.0
         real = gen.factorization
         singular = []
 
@@ -307,8 +307,8 @@ def dense_phi(gen, lam):
 
 
 def dense_root(gen):
-    # bisection on the dense phi between s_B and ||M||_inf + 1
-    lo, hi = recruitment_free_bound(gen), gen.infinity_norm() + 1.0
+    # bisection on the dense phi between s_B and the line-sum bound + 1
+    lo, hi = recruitment_free_bound(gen), gen.line_sum_bound() + 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if dense_phi(gen, mid) > 1.0:
             lo = mid
@@ -349,7 +349,85 @@ RANK_ONE = {
 }
 
 
+# the perfbench probe_sweep scenario, whose sweep varies mu over
+# 0.5:2.0:0.25
+PROBE_SWEEP = dict(n=800, m=40.0, kind="truncated_infinite",
+                   kernel={"form": "indicator", "value": 2.0, "s_hi": 1.0})
+PROBE_SWEEP_MU = [0.5 + 0.25 * k for k in range(7)]
+
+
+def sweep_phi(gen, lam):
+    # phi from the forward sweep alone
+    f, g = gen.kernel.factors
+    n = gen.grid.n
+    x = gen.block_sweep(lam, np.concatenate([f, np.zeros(n)]),
+                        gen.cell_blocks("B"))
+    seen = g > 0
+    return gen.grid.h * float(g[seen] @ x[:n][seen])
+
+
 class TestCharacteristicRoute:
+    @pytest.mark.parametrize("name", sorted(RANK_ONE) + ["probe_sweep"])
+    def test_factor_phi_matches_sweep(self, name):
+        # phi from the banded factor against the forward sweep, from
+        # just above s_B (where the factor may overflow and fall back on
+        # the sweep) to the opening shift of the bracket, where the
+        # factor serves on its own
+        g, p, K, gen = make(**RANK_ONE.get(name, PROBE_SWEEP))
+        s_B = recruitment_free_bound(gen)
+        s_A = spectral_bound(gen, "full").s
+        hi = gen.line_sum_bound() + 1.0
+        for lam in (s_B + 1e-9 * abs(s_B), s_B + 0.5, s_A, hi):
+            phi = characteristic_function(gen, lam)[0]
+            assert phi == pytest.approx(sweep_phi(gen, lam), rel=1e-13)
+        rhs = np.concatenate([K.factors[0], np.zeros(g.n)])
+        for lam in (s_A, hi):
+            x = gen.factorization(lam, "B").solve(rhs)
+            assert np.isfinite(x).all()
+            assert np.array_equal(characteristic_function(gen, lam)[1], x)
+
+    def test_zero_coupling_overflow_falls_back_on_sweep(self):
+        # c2 = 0: phase 2 overflows at s_A, and the factor's 0 * inf
+        # products (the zero coupling entries in the band and in D^-1)
+        # put NaN into phase 1, where the sweep passes nothing on
+        g, p, K, gen = make(n=800, m=40.0, c1=1.0, c2=0.0, mu=14.0,
+                            kernel={"form": "constant", "value": 1e-3})
+        s_A = -15.0157461561692
+        rhs = np.concatenate([K.factors[0], np.zeros(g.n)])
+        with np.errstate(all="ignore"):
+            x = gen.factorization(s_A, "B").solve(rhs)
+        assert np.isnan(x[:g.n]).any()
+        phi, x = characteristic_function(gen, s_A)
+        assert not np.isnan(x).any() and np.isinf(x[g.n:]).any()
+        assert phi == pytest.approx(1.0, rel=1e-9)
+        # the eigenfunction's mass is infinite here (phase 2 overflows),
+        # so its normalisation divides inf by inf; only s_A is judged
+        with np.errstate(invalid="ignore"):
+            bound = spectral_bound(gen, "full")
+        assert bound.route == "characteristic"
+        assert abs(bound.s - s_A) <= 1e-12 * abs(s_A)
+        lo, hi = bound.bracket
+        assert lo <= bound.s <= hi and hi - lo <= 1e-10 * abs(hi)
+
+    def test_probe_sweep_points_sweep_at_most_once(self, monkeypatch,
+                                                    splu_calls):
+        # each point solves on banded factors; only the evaluation just
+        # above s_B, where the factor overflows, takes the sweep
+        calls = []
+        real = DiscreteGenerator.block_sweep
+
+        def counting(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(DiscreteGenerator, "block_sweep", counting)
+        for mu in PROBE_SWEEP_MU:
+            g, p, K, gen = make(mu=mu, **PROBE_SWEEP)
+            calls.clear()
+            assert spectral_bound(gen, "full").route == "characteristic"
+            assert len(calls) <= 1
+        assert splu_calls == []
+
     @pytest.mark.parametrize("name", sorted(RANK_ONE))
     def test_root_matches_dense_oracle(self, name, splu_calls):
         g, p, K, gen = make(**RANK_ONE[name])

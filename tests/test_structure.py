@@ -17,6 +17,7 @@ from twophase.evolution import step_implicit
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, _RankOneFactor, assemble,
                                 resolvent_direct)
+from twophase.spectral import spectral_bound
 
 # every built-in kernel form, plus the dense ones, for the oracle tests
 # below; each is checked against formulas on the dense Kernel.beta
@@ -162,11 +163,18 @@ class TestGeneratorStructure:
             assert np.array_equal(b, D[i, n + i])
             assert np.array_equal(c, D[n + i, i])
             assert np.array_equal(d, D[n + i, n + i])
-        assert gen.infinity_norm() == pytest.approx(
-            np.abs(M).sum(axis=1).max(), rel=1e-14, abs=0)
+        # M is Metzler: its spectral bound is at most every line sum
+        assert gen.line_sum_bound() == pytest.approx(
+            min(M.sum(axis=1).max(), M.sum(axis=0).max()), rel=0,
+            abs=1e-14 * np.abs(M).sum(axis=1).max())
         I = _edge_mixing_integrals(K, g)
         assert np.array_equal(I > 0, [K.beta[:k, k:].any()
                                       for k in range(1, n)])
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    def test_line_sum_bound_lies_above_spectral_bound(self, name):
+        g, p, K, gen = generator(KERNEL_FORMS[name])
+        assert gen.line_sum_bound() >= spectral_bound(gen, "full").s
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     @pytest.mark.parametrize("offset", [0.5, 100.0])
