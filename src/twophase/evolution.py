@@ -3,13 +3,15 @@
 Backward Euler is the only integrator: each step applies
 (I - dt*M)^{-1}, which is entrywise nonnegative because the negated
 generator has M-matrix structure, so nonnegative data stays nonnegative
-unconditionally in dt.  The generator's factor of I - dt*M (lambda =
-1/dt folded in) is built on the first step and reused: for a rank-1
-kernel a step is one banded triangular solve, a vectorised 2x2 block
-inverse and an in-place Sherman-Morrison update, O(n) with no negative
-rounding; other kernels take one sparse LU solve.  Mass is recorded at
-every step (growth-rate fits need a dense series) while full profiles
-are decimated by ``record_every``.
+unconditionally in dt.  ``step_implicit``, ``evolve`` and
+``ideal_invariance_probe`` share one stepping loop, which fetches the
+generator's factor of I - dt*M (lambda = 1/dt folded in) once per run
+and advances the stacked state (u1 over u2): for a rank-1 kernel a step
+is one banded triangular solve, a vectorised 2x2 block inverse and an
+in-place Sherman-Morrison update, O(n) with no negative rounding; other
+kernels take one sparse LU solve.  The step's phase sums, recorded at
+every step (growth-rate fits need a dense series), are its finiteness
+check; full profiles are decimated by ``record_every``.
 """
 
 from __future__ import annotations
@@ -62,49 +64,78 @@ class MassBalanceReport:
     outflow: np.ndarray
 
 
+def _step_count(dt: float, T: float) -> int:
+    """ceil(T/dt) steps; ConfigurationError unless 0 < dt < inf,
+    0 <= T < inf and T/dt is finite."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= T / dt < math.inf:
+        raise ConfigurationError(f"T must be >= 0 and T/dt finite, got "
+                                 f"T={T}, dt={dt}")
+    return 0 if T == 0 else math.ceil(T / dt - 1e-12)
+
+
+def _steps(gen: DiscreteGenerator, x: np.ndarray, dt: float, nsteps: int):
+    """Yield (x, u1 sum, u2 sum) after each of ``nsteps`` implicit steps
+    from the stacked state x (dt already checked).
+
+    The factor of I - dt*M is fetched once, before the first step (never
+    when nsteps is 0).  Each x is a fresh array, and its phase sums (dot
+    products with ones, one BLAS call each) double as the finiteness
+    check: a non-finite entry makes its sum non-finite.
+    """
+    if nsteps < 1:
+        return
+    try:
+        fact = gen.factorization(1.0 / dt, "full", scale=1.0 / dt)
+    except SpectralProximityError as exc:
+        raise StepSizeError(f"implicit step factorization failed at dt={dt:g}: {exc}")
+    n = gen.grid.n
+    ones = np.ones(n)
+    for _ in range(nsteps):
+        x = fact.solve(x)
+        s1, s2 = np.dot(x[:n], ones), np.dot(x[n:], ones)
+        if not (math.isfinite(s1) and math.isfinite(s2)):
+            raise StepSizeError(f"implicit step produced non-finite state at dt={dt:g}")
+        yield x, s1, s2
+
+
 def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVector:
     """One backward-Euler step: returns (I - dt*gen.full)^{-1} U.
 
-    The result's components are views of one fresh array.
+    The result's components are views of one fresh array.  The step and
+    its checks are those of ``evolve``; a run of steps is faster there,
+    with one factor fetch and no state built per step.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    lam = 1.0 / dt
-    try:
-        fact = gen.factorization(lam, "full", scale=lam)
-    except SpectralProximityError as exc:
-        raise StepSizeError(f"implicit step factorization failed at dt={dt:g}: {exc}")
-    x = fact.solve(U.stacked())
-    # one pass: a non-finite entry makes the sum non-finite
-    if not math.isfinite(x.sum()):
-        raise StepSizeError(f"implicit step produced non-finite state at dt={dt:g}")
+    nsteps = _step_count(dt, dt)        # 1, once dt is checked
+    x = next(_steps(gen, U.stacked(), dt, nsteps))[0]
     return StateVector.from_stacked(x, gen.grid)
 
 
 def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
            record_every: int = 1) -> Trajectory:
-    """Run ceil(T/dt) implicit steps, recording profiles every ``record_every``."""
+    """Run ceil(T/dt) implicit steps, recording profiles every ``record_every``.
+
+    The stacked state advances with one factor fetch per run; states are
+    built only at records.  ConfigurationError before any step unless
+    0 < dt < inf, 0 <= T/dt < inf and record_every >= 1.
+    """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
-    if T < 0:
-        raise ConfigurationError("T must be >= 0")
-    nsteps = 0 if T == 0 else math.ceil(T / dt - 1e-12)
-    U = U0.copy()
-    times = [0.0]
-    states = [U]
-    # per-step phase sums, each a dot product with ones (one BLAS call,
-    # cheaper than a numpy reduction); each step returns a new state, so
-    # records need no copy
-    ones = np.ones(gen.grid.n)
-    sums = [(np.dot(U.u1, ones), np.dot(U.u2, ones))]
-    for k in range(1, nsteps + 1):
-        U = step_implicit(gen, U, dt)
-        sums.append((np.dot(U.u1, ones), np.dot(U.u2, ones)))
+    nsteps = _step_count(dt, T)
+    n = gen.grid.n
+    x = U0.stacked()
+    times, xs = [0.0], [x]
+    ones = np.ones(n)
+    sums = [(np.dot(x[:n], ones), np.dot(x[n:], ones))]
+    for k, (x, s1, s2) in enumerate(_steps(gen, x, dt, nsteps), 1):
+        sums.append((s1, s2))
         if k % record_every == 0 or k == nsteps:
             times.append(k * dt)
-            states.append(U)
+            xs.append(x)
     h = gen.grid.h
     sums = np.array(sums)
+    states = [StateVector.from_stacked(x, gen.grid) for x in xs]
     masses = np.array([S.mass for S in states])
     return Trajectory(times=np.array(times), states=states, masses=masses,
                       step_times=np.arange(nsteps + 1) * dt,
@@ -146,34 +177,24 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
                              outflow=outflow)
 
 
-def _outside_masks(kind: str, cut: float, gen: DiscreteGenerator):
-    """Boolean masks of cells *outside* the ideal's support pattern."""
-    centers = gen.grid.centers
-    if kind == "both_min_size":
-        # both components supported in [cut, length]
-        m1 = centers < cut
-        m2 = centers < cut
-    elif kind == "phase2_min_size":
-        # phase 1 unrestricted, phase 2 supported in [cut, length]
-        m1 = np.zeros(gen.grid.n, dtype=bool)
-        m2 = centers < cut
-    elif kind == "phase2_only":
-        # phase 1 identically zero, phase 2 supported in (cut, length]
-        m1 = np.ones(gen.grid.n, dtype=bool)
-        m2 = centers < cut
-    elif kind == "product_min_sizes":
-        # independent lower cutoffs per phase: cut = (cut1, cut2)
-        cut1, cut2 = cut
-        m1 = centers < cut1
-        m2 = centers < cut2
-    else:
+def _outside_mask(kind: str, cut, gen: DiscreteGenerator) -> np.ndarray:
+    """Boolean mask of the stacked cells outside the ideal's support.
+
+    Phase 2 is supported above its cut in every kind; phase 1 above its
+    cut too (``both_min_size``, and ``product_min_sizes`` with
+    cut = (cut1, cut2)), everywhere (``phase2_min_size``) or nowhere
+    (``phase2_only``).
+    """
+    if kind not in IDEAL_KINDS:
         raise ConfigurationError(f"unknown ideal kind {kind!r}")
-    return m1, m2
-
-
-def _outside_mass(U: StateVector, m1: np.ndarray, m2: np.ndarray) -> float:
-    h = U.grid.h
-    return float((np.abs(U.u1[m1]).sum() + np.abs(U.u2[m2]).sum()) * h)
+    cut1, cut2 = cut if kind == "product_min_sizes" else 2 * (float(cut),)
+    centers = gen.grid.centers
+    m1 = centers < cut1
+    if kind == "phase2_min_size":
+        m1[:] = False
+    elif kind == "phase2_only":
+        m1[:] = True
+    return np.concatenate([m1, centers < cut2])
 
 
 def ideal_invariance_probe(gen: DiscreteGenerator, ideal: tuple, U0: StateVector,
@@ -182,20 +203,16 @@ def ideal_invariance_probe(gen: DiscreteGenerator, ideal: tuple, U0: StateVector
 
     ``ideal`` is (kind, cut) with kind one of ``both_min_size`` (both
     densities vanish below ``cut``), ``phase2_min_size`` (resting density
-    vanishes below ``cut``), or ``phase2_only`` (active density vanishes
-    everywhere, resting below ``cut``).  A tiny return value (<= 1e-10)
+    vanishes below ``cut``), ``phase2_only`` (active density vanishes
+    everywhere, resting below ``cut``) or ``product_min_sizes`` (cut =
+    (cut1, cut2), each density vanishing below its own cut).  A tiny return value (<= 1e-10)
     certifies discrete invariance of the corresponding subspace.
     """
-    kind, cut = ideal
-    if kind != "product_min_sizes":
-        cut = float(cut)
-    m1, m2 = _outside_masks(kind, cut, gen)
-    if _outside_mass(U0, m1, m2) > 1e-14:
+    out, h = _outside_mask(*ideal, gen), gen.grid.h
+    nsteps = _step_count(dt, T)
+    if np.abs(U0.stacked()[out]).sum() * h > 1e-14:
         raise PreconditionError("initial state does not lie in the declared ideal")
-    nsteps = math.ceil(T / dt - 1e-12)
-    U = U0.copy()
     leak = 0.0
-    for _ in range(nsteps):
-        U = step_implicit(gen, U, dt)
-        leak = max(leak, _outside_mass(U, m1, m2))
+    for x, _, _ in _steps(gen, U0.stacked(), dt, nsteps):
+        leak = max(leak, float(np.abs(x[out]).sum() * h))
     return leak

@@ -60,6 +60,9 @@ if TYPE_CHECKING:
 
 WHICH_CHOICES = ("A", "A+B1", "B", "full")
 
+# forward sweeps that would overflow rescale by exact powers of 2
+HUGE, TINY = 2.0 ** 512, 2.0 ** -512
+
 
 @functools.cache
 def _blas():
@@ -146,7 +149,9 @@ class _BandedFactor:
     A solve is one BLAS banded triangular solve (dtbsv) with L_b and the
     vectorised D^-1 (kept times ``scale``).  Above every block eigenvalue
     D^-1 >= 0 and L_b <= 0 off the diagonal, so a nonnegative rhs gives
-    a nonnegative x, with no negative rounding.  O(n) storage and work.
+    a nonnegative x, with no negative rounding.  O(n) storage and work;
+    every solve goes through one interleave buffer, so one factor serves
+    one thread at a time.
     """
 
     def __init__(self, lam: float, blocks: tuple, inflow: np.ndarray,
@@ -161,15 +166,20 @@ class _BandedFactor:
         # D^-1 y in stacked order is cols[0] * y1 + cols[1] * y2
         self._band, self._tbsv = band, _blas().dtbsv
         self._cols = scale * np.array([[i11, i21], [i12, i22]])
+        # one interleave buffer, which dtbsv overwrites in place (it is
+        # contiguous float64) in every solve, and views of its two phases
+        self._y = np.empty(2 * i11.size)
+        self._y1, self._y2 = self._y[0::2], self._y[1::2]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side of length 2n (u1 over u2)."""
-        n = self._cols.shape[2]
-        y = np.empty(2 * n)
-        y[0::2], y[1::2] = rhs[:n], rhs[n:]
-        y = self._tbsv(3, self._band, y, lower=1, diag=1, overwrite_x=1)
-        x = self._cols[0] * y[0::2]
-        x += self._cols[1] * y[1::2]
+        """Solve for one right-hand side of length 2n (u1 over u2); the
+        result is a fresh array."""
+        y1, y2, cols = self._y1, self._y2, self._cols
+        n = y1.size
+        y1[:], y2[:] = rhs[:n], rhs[n:]
+        self._tbsv(3, self._band, self._y, lower=1, diag=1, overwrite_x=1)
+        x = cols[0] * y1
+        x += cols[1] * y2
         return x.ravel()
 
 
@@ -309,8 +319,8 @@ class DiscreteGenerator:
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
-    def block_sweep(self, lam: float, rhs: np.ndarray,
-                    blocks: tuple) -> np.ndarray:
+    def block_sweep(self, lam: float, rhs: np.ndarray, blocks: tuple,
+                    rescale: bool = False) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
         M is a recruitment-free block sum ("A", "A+B1" or "B") given by its
@@ -319,11 +329,14 @@ class DiscreteGenerator:
         cell i - 1.  lambda must lie above the larger eigenvalue of every
         block; each block of lambda - M is then an M-matrix with a
         nonnegative inverse, so a nonnegative ``rhs`` gives a nonnegative
-        x, and an overflow reads +inf, never NaN.  O(n), with no LU and
-        no pivoting, but one Python step per cell: the banded factor
-        solves the same system far faster, and the characteristic
-        equation comes here only where that solve overflows (its 0 * inf
-        products give NaN where this sweep passes nothing on).
+        x, and an overflow reads +inf, never NaN.  With ``rescale`` the
+        sweep returns a positive multiple of x instead: whenever a cell
+        passes 2^512, all entries so far and the rhs still to come are
+        scaled by 2^-512.  O(n), with no LU and no pivoting, but one
+        Python step per cell: the banded factor solves the same system
+        far faster, and the characteristic equation comes here only
+        where that solve overflows (its 0 * inf products give NaN where
+        this sweep passes nothing on).
         """
         n = self.grid.n
         i11, i12, i21, i22 = cell_inverse(lam, *blocks).tolist()
@@ -331,14 +344,19 @@ class DiscreteGenerator:
         r1, r2 = rhs[:n].tolist(), rhs[n:].tolist()
         x1, x2 = [0.0] * n, [0.0] * n
         p1 = p2 = 0.0
+        w = 1.0     # weight of the rhs: a power of two
         for i in range(n):
-            p = r1[i] + in1[i] * p1
-            q = r2[i] + in2[i] * p2
+            p = w * r1[i] + in1[i] * p1
+            q = w * r2[i] + in2[i] * p2
             # a zero coupling rate passes nothing on, even from an
             # overflowed phase (0 * inf would be NaN)
             p1 = i11[i] * p + (i12[i] and i12[i] * q)
             p2 = (i21[i] and i21[i] * p) + i22[i] * q
             x1[i], x2[i] = p1, p2
+            if rescale and (p1 > HUGE or p2 > HUGE):
+                x1[:i + 1] = [v * TINY for v in x1[:i + 1]]
+                x2[:i + 1] = [v * TINY for v in x2[:i + 1]]
+                p1, p2, w = x1[i], x2[i], w * TINY
         x = np.zeros(2 * n)
         x[:n], x[n:] = x1, x2
         return x

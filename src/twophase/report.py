@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -82,7 +83,8 @@ def write_trajectory_csv(path: str, traj):
 
 def write_profile_csv(path: str, state: StateVector):
     rows = ["s,u1,u2"]
-    for s, a, b in zip(state.grid.centers, state.u1, state.u2):
+    for s, a, b in zip(state.grid.centers.tolist(), state.u1.tolist(),
+                       state.u2.tolist()):
         rows.append(f"{s:.12g},{a:.12g},{b:.12g}")
     atomic_write_text(path, "\n".join(rows) + "\n")
 
@@ -118,6 +120,18 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _peak_rss_kb() -> Optional[int]:
+    """This process's peak resident set size in KB so far (None where
+    the platform has no ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, KB elsewhere
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+
 def report_to_json(rep: RunReport) -> str:
     doc = {
         "scenario": rep.scenario_name,
@@ -130,6 +144,7 @@ def report_to_json(rep: RunReport) -> str:
         "trajectory_files": rep.trajectory_files,
         "checks": _jsonable(rep.checks),
         "timings": _jsonable(rep.timings),
+        "peak_rss_kb": _peak_rss_kb(),
     }
     return json.dumps(doc, indent=2, allow_nan=False)
 

@@ -37,15 +37,12 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      SpectralProximityError)
 from .evolution import Trajectory
 from .model import LOWER, Kernel, ModelParams, build_grid
-from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
-                        cell_inverse, transport_sweep)
+from .operators import (HUGE, TINY, DiscreteGenerator, StateVector,
+                        block_eigenvalues, cell_inverse, transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
 PROBE_INCONCLUSIVE = "inconclusive"
-
-# the exact route's sweep rescales by exact powers of 2
-_HUGE, _TINY = 2.0 ** 512, 2.0 ** -512
 
 
 @dataclass
@@ -195,9 +192,9 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
         p2 = (i21[i] and i21[i] * p) + i22[i] * q
         x1.append(p1)
         x2.append(p2)
-        if p1 > _HUGE or p2 > _HUGE:
-            x1, x2 = [w * _TINY for w in x1], [w * _TINY for w in x2]
-            p1, p2, acc = x1[-1], x2[-1], acc * _TINY
+        if p1 > HUGE or p2 > HUGE:
+            x1, x2 = [w * TINY for w in x1], [w * TINY for w in x2]
+            p1, p2, acc = x1[-1], x2[-1], acc * TINY
     x[k:n], x[n + k:] = x1, x2
     return lam, x
 
@@ -242,7 +239,8 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
     the tolerance, the point it reached is the root to far better than
     tol, and one evaluation just across it closes the bracket.  The
     eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
-    nearer 1.  If phi(s_B+) <= 1, then s_A = s_B (see
+    nearer 1, redone as a forward sweep rescaled by powers of two where
+    that solve overflowed.  If phi(s_B+) <= 1, then s_A = s_B (see
     ``_boundary_eigenvector``).
     """
     blocks = gen.cell_blocks("B")
@@ -293,6 +291,10 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
     def distance(p):
         return abs(math.log(p)) if p > 0 else math.inf
     lam, x = (lo, x_lo) if distance(phi_lo) < distance(phi_hi) else (hi, x_hi)
+    if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
+        x = gen.block_sweep(lam, np.concatenate([gen.kernel.factors[0],
+                                                 np.zeros(gen.grid.n)]),
+                            blocks, rescale=True)
     return lam, x, (lo, hi)
 
 

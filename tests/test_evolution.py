@@ -1,14 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import twophase.operators
 from twophase.errors import (ConfigurationError, InsufficientDataError,
                              PreconditionError, StepSizeError)
 from twophase.evolution import (evolve, ideal_invariance_probe, mass_balance,
                                 step_implicit)
 from twophase.model import build_grid, build_kernel, sample_params
-from twophase.operators import StateVector, assemble
+from twophase.operators import DiscreteGenerator, StateVector, assemble
 
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
@@ -125,6 +127,87 @@ class TestEvolve:
         e2 = (np.abs(finals[1].u1 - finals[2].u1).sum()
               + np.abs(finals[1].u2 - finals[2].u2).sum()) * g.h
         assert 0.35 <= e2 / e1 <= 0.65
+
+
+# one kernel per factor route: rank-1 (banded + Sherman-Morrison), zero
+# (banded), a dense table and a triangle (sparse LU)
+STEP_KERNELS = {
+    "rank1": 1.0,
+    "zero": 0.0,
+    "table": {"form": "table", "values": [[1.0] * 40] * 40},
+    "s>y": {"form": "indicator", "relation": "s>y"},
+}
+
+# the last: T/dt overflows to inf
+BAD_STEPS = [(-0.01, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+             (0.01, math.nan), (0.01, math.inf), (0.01, -1.0), (1e-320, 1.0)]
+
+
+class TestEvolveLoop:
+    @pytest.mark.parametrize("record_every", [10, 7])
+    @pytest.mark.parametrize("kernel", sorted(STEP_KERNELS))
+    def test_matches_step_implicit_loop(self, kernel, record_every):
+        # 50 steps: a stride of 10 divides the count, 7 does not
+        g, p, K, gen = make(n=40, kernel=STEP_KERNELS[kernel])
+        U0 = left_bump(g)
+        traj = evolve(gen, U0, 1e-2, 0.5, record_every=record_every)
+        ones = np.ones(g.n)
+        U, states, sums = U0, [U0], [(np.dot(U0.u1, ones),
+                                      np.dot(U0.u2, ones))]
+        for k in range(1, 51):
+            U = step_implicit(gen, U, 1e-2)
+            sums.append((np.dot(U.u1, ones), np.dot(U.u2, ones)))
+            if k % record_every == 0 or k == 50:
+                states.append(U)
+        sums = np.array(sums)
+        assert len(traj.states) == len(states)
+        for S, R in zip(traj.states, states):
+            assert np.array_equal(S.stacked(), R.stacked())
+        assert np.array_equal(traj.masses, [R.mass for R in states])
+        assert np.array_equal(traj.step_phase_masses, sums * g.h)
+        assert np.array_equal(traj.step_masses,
+                              (sums[:, 0] + sums[:, 1]) * g.h)
+
+    @pytest.mark.parametrize("T, fetches", [(0.5, 1), (0.0, 0)])
+    @pytest.mark.parametrize("kernel", sorted(STEP_KERNELS))
+    def test_one_factor_per_run(self, kernel, T, fetches, monkeypatch,
+                                splu_calls):
+        # every step of a run shares one factor fetch and one build; a run
+        # of no steps fetches none
+        calls, builds = [], []
+        real_fact = DiscreteGenerator.factorization
+        real_banded = twophase.operators._BandedFactor
+
+        def fetching(self, *args, **kwargs):
+            calls.append(args)
+            return real_fact(self, *args, **kwargs)
+
+        class Counting(real_banded):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+        monkeypatch.setattr(DiscreteGenerator, "factorization", fetching)
+        monkeypatch.setattr(twophase.operators, "_BandedFactor", Counting)
+        g, p, K, gen = make(n=40, kernel=STEP_KERNELS[kernel])
+        traj = evolve(gen, left_bump(g), 1e-2, T)
+        assert len(traj.step_times) == 50 * fetches + 1
+        assert calls == [(100.0, "full")] * fetches
+        banded = kernel in ("rank1", "zero")
+        assert len(builds) == fetches * banded
+        assert len(splu_calls) == fetches * (not banded)
+
+    @pytest.mark.parametrize("dt, T", BAD_STEPS)
+    def test_evolve_rejects_bad_step_or_horizon(self, dt, T):
+        g, p, K, gen = make(n=20)
+        with pytest.raises(ConfigurationError):
+            evolve(gen, left_bump(g), dt, T)
+
+    @pytest.mark.parametrize("dt, T", BAD_STEPS)
+    def test_ideal_probe_rejects_bad_step_or_horizon(self, dt, T):
+        g, p, K, gen = make(n=20)
+        U0 = StateVector(np.zeros(g.n), np.zeros(g.n), g)
+        with pytest.raises(ConfigurationError):
+            ideal_invariance_probe(gen, ("both_min_size", 0.5), U0, T, dt)
 
 
 class TestMassBalance:

@@ -150,6 +150,18 @@ class TestReportJSON:
         twophase.report.write_trajectory_csv(str(path), traj)
         assert path.read_text() == "\n".join(rows) + "\n"
 
+    def test_profile_csv_equals_numpy_scalar_formatting(self, tmp_path):
+        # the profile writer formats Python floats too, to the same text
+        scn = scenario_from_dict(demo_doc(T=0.5))
+        gen = assemble(scn.params, scn.kernel, scn.grid)
+        U = evolve(gen, scn.initial_state(), scn.dt, scn.T).states[-1]
+        rows = ["s,u1,u2"]
+        for s, a, b in zip(scn.grid.centers, U.u1, U.u2):
+            rows.append(f"{s:.12g},{a:.12g},{b:.12g}")
+        path = tmp_path / "demo_profile.csv"
+        twophase.report.write_profile_csv(str(path), U)
+        assert path.read_text() == "\n".join(rows) + "\n"
+
 
     def test_non_finite_values_read_null(self):
         # NaN and infinite floats, numpy scalars and array entries, in
@@ -165,6 +177,16 @@ class TestReportJSON:
         assert doc["timings"] == {"t": None}
         assert doc["checks"] == [{"predicted": None, "ratios": [None],
                                   "norms": [[1.0, None]], "count": [2]}]
+
+    def test_peak_rss_reads_null_without_resource(self, monkeypatch):
+        # the report holds the process's peak RSS where the platform has
+        # the resource module, and null elsewhere
+        rep = twophase.report.RunReport(scenario_name="x", scenario_echo={})
+        doc = strict_json(twophase.report.report_to_json(rep))
+        assert isinstance(doc["peak_rss_kb"], int) and doc["peak_rss_kb"] > 0
+        monkeypatch.setitem(sys.modules, "resource", None)
+        doc = strict_json(twophase.report.report_to_json(rep))
+        assert doc["peak_rss_kb"] is None
 
 
 def strict_json(text):
@@ -184,8 +206,9 @@ class TestCLI:
         assert run_cli(["report", path, "--out", str(out2)]) == 0
         d1 = json.loads((out1 / "minimal_report.json").read_text())
         d2 = json.loads((out2 / "minimal_report.json").read_text())
-        d1.pop("timings")
-        d2.pop("timings")
+        for d in (d1, d2):
+            d.pop("timings")
+            assert d.pop("peak_rss_kb") > 0
         d1["trajectory_files"] = d2["trajectory_files"] = None
         assert d1 == d2
         assert d1["complete"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,14 +401,28 @@ class TestCharacteristicRoute:
         phi, x = characteristic_function(gen, s_A)
         assert not np.isnan(x).any() and np.isinf(x[g.n:]).any()
         assert phi == pytest.approx(1.0, rel=1e-9)
-        # the eigenfunction's mass is infinite here (phase 2 overflows),
-        # so its normalisation divides inf by inf; only s_A is judged
-        with np.errstate(invalid="ignore"):
-            bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen, "full")
         assert bound.route == "characteristic"
         assert abs(bound.s - s_A) <= 1e-12 * abs(s_A)
         lo, hi = bound.bracket
         assert lo <= bound.s <= hi and hi - lo <= 1e-10 * abs(hi)
+
+    def test_overflowed_eigenfunction_is_rescaled(self):
+        # the generator above: phase 2 of the solve at s_A grows about 4x
+        # per cell and overflows, so the eigenfunction comes from a sweep
+        # rescaled by powers of two; s_A and the bracket are unchanged
+        g, p, K, gen = make(n=800, m=40.0, c1=1.0, c2=0.0, mu=14.0,
+                            kernel={"form": "constant", "value": 1e-3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = spectral_bound(gen, "full")
+        assert bound.s.hex() == "-0x1.e080fe15391a5p+3"
+        assert [v.hex() for v in bound.bracket] == [
+            "-0x1.e080fe15391efp+3", "-0x1.e080fe15391a5p+3"]
+        assert np.isfinite(bound.eigfun.stacked()).all()
+        assert_eigenpair(gen, bound)
+        # the profile piles up at the right end of phase 2
+        assert bound.eigfun.u2.argmax() == g.n - 1
 
     def test_probe_sweep_points_sweep_at_most_once(self, monkeypatch,
                                                     splu_calls):
