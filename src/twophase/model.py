@@ -90,9 +90,37 @@ def build_grid(kind: str, length: float, n: int) -> SizeGrid:
 
 CoefficientSpec = Union[float, int, Callable[[np.ndarray], np.ndarray], dict]
 
+# the keys each descriptor accepts, by coefficient form, expression name
+# and kernel form: a misspelt key would silently take its default
+_COEFFICIENT_KEYS = {"constant": {"form", "value"},
+                     "table": {"form", "points"}}
+_EXPRESSION_KEYS = {"exp_decay": {"form", "name", "scale", "rate"},
+                    "indicator": {"form", "name", "lo", "hi", "value"},
+                    "linear": {"form", "name", "intercept", "slope"}}
+_KERNEL_COMMON = {"form", "scale", "dominator"}
+_KERNEL_KEYS = {
+    "constant": _KERNEL_COMMON | {"value"},
+    "product": _KERNEL_COMMON | {"offspring", "parent"},
+    "table": _KERNEL_COMMON | {"values"},
+    "indicator": _KERNEL_COMMON | {"relation", "value", "s_lo", "s_hi",
+                                   "y_lo", "y_hi"}}
+
+
+def _check_descriptor_keys(spec: dict, allowed: Optional[set]):
+    """ConfigurationError naming the keys of ``spec`` outside ``allowed``.
+
+    ``allowed`` is None for an expression, checked by its name, and for
+    an unknown form or name, which the dispatch reports.
+    """
+    unknown = sorted(set(spec) - allowed) if allowed is not None else ()
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {unknown} in {spec.get('form')!r} descriptor")
+
 
 def _expression(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     name = spec.get("name")
+    _check_descriptor_keys(spec, _EXPRESSION_KEYS.get(name))
     if name == "exp_decay":
         scale = float(spec.get("scale", 1.0))
         rate = float(spec.get("rate", 1.0))
@@ -133,6 +161,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
             vals = np.full(npts, float(vals))
     elif isinstance(spec, dict):
         form = spec.get("form")
+        _check_descriptor_keys(spec, _COEFFICIENT_KEYS.get(form))
         if form == "constant":
             vals = np.full(npts, float(_required(spec, "value")))
         elif form == "table":
@@ -354,6 +383,7 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
         form = {"dense": np.array(spec(S, Y), dtype=float)}
     elif isinstance(spec, dict):
         kind = spec.get("form")
+        _check_descriptor_keys(spec, _KERNEL_KEYS.get(kind))
         scale = float(spec.get("scale", 1.0))
         if kind == "constant":
             value = float(spec.get("value", 1.0)) * scale

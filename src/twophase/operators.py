@@ -1,4 +1,4 @@
-"""Discrete generator assembly and three independent resolvent routes.
+"""Discrete generator assembly and two independent resolvent routes.
 
 The full generator acts on the doubled state (u1 stacked over u2,
 length 2n) as the sum of four parts:
@@ -17,15 +17,14 @@ structured kernel.  Only the general LU and the Collatz-Wielandt bracket
 need the whole generator as one sparse matrix (``full``), built on first
 use and cached.
 
-Resolvents (lambda*I - M)^{-1} are available by direct factorization,
-by the analytic transport formula (one O(n) forward sweep, shared with
-the recruitment-free probe), and by a Neumann perturbation series whose
-divergence doubles as a spectral indicator.  In per-cell order
-(u1_i, u2_i) the recruitment-free sums are block lower bidiagonal with
-2x2 cell blocks, so the direct route factors lambda - M for them as
-L_b D with no fill and no pivoting: D the cell blocks, L_b unit lower
-banded, each solve one BLAS banded triangular solve (dtbsv) and a
-vectorised D^{-1}, O(n).  For a rank-1 kernel the full generator adds a
+Resolvents (lambda*I - M)^{-1} are available by direct factorization
+and by the analytic transport formula (one O(n) forward sweep, shared
+with the recruitment-free probe).  In per-cell order (u1_i, u2_i) the
+recruitment-free sums are block lower bidiagonal with 2x2 cell blocks,
+so the direct route factors lambda - M for them as L_b D with no fill
+and no pivoting: D the cell blocks, L_b unit lower banded, each solve
+one BLAS banded triangular solve (dtbsv) and a vectorised D^{-1},
+O(n).  For a rank-1 kernel the full generator adds a
 Sherman-Morrison correction to that factor of lambda - B (transport,
 loss and coupling); only the other kernels (tables, callables, the
 triangles) take a sparse LU (SuperLU) of lambda - M with a
@@ -58,7 +57,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
 
-WHICH_CHOICES = ("A", "A+B1", "B", "full")
+WHICH_CHOICES = ("A", "B", "full")
 
 # forward sweeps that would overflow rescale by exact powers of 2
 HUGE, TINY = 2.0 ** 512, 2.0 ** -512
@@ -258,7 +257,7 @@ class DiscreteGenerator:
         [M[n+i, i], M[n+i, n+i]]], read off the per-cell arrays.  Returns
         (a, b, c, d) when no nonzero entry of M feeds a cell from a later
         one, so that M is block lower triangular and its spectrum is the
-        union of the blocks'; None otherwise.  "A", "A+B1" and "B" always
+        union of the blocks'; None otherwise.  "A" and "B" always
         qualify; "full" qualifies exactly when the kernel does not mix
         (beta vanishes above the diagonal: no offspring is smaller than
         its parent).
@@ -269,14 +268,12 @@ class DiscreteGenerator:
             return None
         if which == "A":
             a, d = -self.outflow
-        else:
-            a, d = -(self.outflow + self.loss)
-        if which == "full":
-            a = a + self.kernel.diagonal() * self.grid.h
-        if which in ("A", "A+B1"):
             b = c = np.zeros(self.grid.n)
         else:
+            a, d = -(self.outflow + self.loss)
             b, c = self.coupling
+        if which == "full":
+            a = a + self.kernel.diagonal() * self.grid.h
         return a, b, c, d
 
     def factorization(self, lam: float, which: str, scale: float = 1.0):
@@ -284,8 +281,8 @@ class DiscreteGenerator:
 
         Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
         ``scale`` = lambda = 1/dt applies the implicit step's
-        (I - dt*M)^{-1}.  The recruitment-free sums "A", "A+B1" and "B"
-        take the fill-free banded factor (O(n), no pivoting); the full
+        (I - dt*M)^{-1}.  The recruitment-free sums "A" and "B" take
+        the fill-free banded factor (O(n), no pivoting); the full
         generator of a rank-1 kernel takes that of lambda - B plus a
         Sherman-Morrison correction; only the other kernels (tables,
         callables, triangles) take a sparse LU (SuperLU) with a
@@ -323,7 +320,7 @@ class DiscreteGenerator:
                     rescale: bool = False) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
-        M is a recruitment-free block sum ("A", "A+B1" or "B") given by its
+        M is a recruitment-free block sum ("A" or "B") given by its
         2x2 cell blocks (a, b, c, d): in per-cell order it is block lower
         bidiagonal, cell i also taking ``inflow[k][i-1]`` times phase k of
         cell i - 1.  lambda must lie above the larger eigenvalue of every
@@ -486,8 +483,6 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
 def resolvent_direct(gen: DiscreteGenerator, lam: float, H: StateVector,
                      which: str = "full") -> StateVector:
     """Solve (lambda*I - selected block sum) U = H by direct factorization."""
-    if which not in WHICH_CHOICES:
-        raise ConfigurationError(f"unknown operator selection {which!r}")
     if not H.grid.same_as(gen.grid):
         raise ConfigurationError("state grid does not match the generator")
     fact = gen.factorization(lam, which)
@@ -497,91 +492,6 @@ def resolvent_direct(gen: DiscreteGenerator, lam: float, H: StateVector,
             f"resolvent solve returned non-finite values at lambda={lam:g}",
             lam=lam)
     return StateVector.from_stacked(x, gen.grid)
-
-
-@dataclass
-class NeumannResult:
-    """Outcome of a perturbation-series resolvent evaluation."""
-
-    state: Optional[StateVector]
-    terms_used: int
-    status: str          # "converged" | "diverged" | "inconclusive"
-    last_ratio: float
-
-
-def resolvent_neumann(gen: DiscreteGenerator, lam: float, H: StateVector,
-                      split: str = "B3-series", max_terms: int = 200,
-                      tol: float = 1e-10) -> NeumannResult:
-    """Resolvent by the perturbation series around a simpler block sum.
-
-    split="B3-series": resolvent of the full generator as the series
-    sum_k R_B (B3 R_B)^k H around the recruitment-free part; a rank-1
-    kernel f g^T applies B3 as h f (g . u1), with no n x n block; any
-    other kernel as h beta u1, with beta materialised once.
-    split="B2-series": resolvent of A+B1+B2 as the series around A+B1
-    with the phase coupling (c2 u2, c1 u1) as perturbation.
-
-    The series converges exactly when the spectral radius of the
-    iterated factor is < 1 at this lambda; persistent non-decay of the
-    term norms (ratio > 0.999 for 10 consecutive terms) is reported as
-    divergence, which signals lambda at or below the spectral bound of
-    the perturbed operator.
-    """
-    n = gen.grid.n
-    if split == "B3-series" and gen.kernel.factors is not None:
-        f, g = gen.kernel.factors
-        hf = gen.grid.h * f
-
-        def pert(x):
-            return np.concatenate([hf * (g @ x[:n]), np.zeros(n)])
-        base = "B"
-    elif split == "B3-series":
-        hbeta = gen.grid.h * gen.kernel.beta
-
-        def pert(x):
-            return np.concatenate([hbeta @ x[:n], np.zeros(n)])
-        base = "B"
-    elif split == "B2-series":
-        c2, c1 = gen.coupling
-
-        def pert(x):
-            return np.concatenate([c2 * x[n:], c1 * x[:n]])
-        base = "A+B1"
-    else:
-        raise ConfigurationError(f"unknown split {split!r}")
-    fact = gen.factorization(lam, base)
-    term = fact.solve(H.stacked())
-    total = term.copy()
-    prev_norm = float(np.abs(term).sum()) * gen.grid.h
-    if prev_norm == 0.0:
-        return NeumannResult(StateVector.from_stacked(total, gen.grid), 1,
-                             "converged", 0.0)
-    scale = prev_norm
-    high_ratio_streak = 0
-    ratio = 0.0
-    for k in range(2, max_terms + 1):
-        fed = pert(term)
-        if not np.any(fed):
-            # the perturbation annihilates the iterate; series truncates
-            return NeumannResult(StateVector.from_stacked(total, gen.grid),
-                                 k - 1, "converged", 0.0)
-        term = fact.solve(fed)
-        total += term
-        norm = float(np.abs(term).sum()) * gen.grid.h
-        if not np.isfinite(norm):
-            return NeumannResult(None, k, "diverged", np.inf)
-        ratio = norm / prev_norm if prev_norm > 0 else 0.0
-        if ratio > 0.999:
-            high_ratio_streak += 1
-            if high_ratio_streak >= 10:
-                return NeumannResult(None, k, "diverged", ratio)
-        else:
-            high_ratio_streak = 0
-        if norm <= tol * scale:
-            return NeumannResult(StateVector.from_stacked(total, gen.grid), k,
-                                 "converged", ratio)
-        prev_norm = norm
-    return NeumannResult(None, max_terms, "inconclusive", ratio)
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,7 @@ def compute_spectrum(scn: Scenario) -> SpectralReport:
 
 
 def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
-    bound = spectral_bound(gen, "full", shift0=scn.shift0,
-                           tol=scn.spectral_tol)
+    bound = spectral_bound(gen, shift0=scn.shift0, tol=scn.spectral_tol)
     s_B = s_A_divergent = None
     divergent = False
     if scn.grid.kind == FINITE:
@@ -346,7 +345,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             if scn.probe_lambdas and scn.smax_list \
                     and scn.grid.kind != FINITE:
                 rep.spectral.probe = [
-                    sB_probe_infinite(scn.params, None, lam, scn.smax_list)
+                    sB_probe_infinite(scn.params, lam, scn.smax_list)
                     for lam in scn.probe_lambdas]
             rep.timings["spectrum"] = time.perf_counter() - t0
 

@@ -196,6 +196,11 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     u0_spec = run.get("u0")
     if u0_spec is not None:
         _check_keys(u0_spec, _U0_KEYS, "run.u0")
+        normalize = u0_spec.get("normalize", True)
+        if not isinstance(normalize, bool):
+            raise ValidationError(f"run.u0.normalize must be true or false, "
+                                  f"got {normalize!r}",
+                                  field="run.u0.normalize")
 
     spec = doc.get("spectral", {})
     _check_keys(spec, _SPECTRAL_KEYS, "spectral")
@@ -211,6 +216,9 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     outs = doc.get("outputs", {})
     _check_keys(outs, _OUTPUT_KEYS, "outputs")
     out_dir = outs.get("directory")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ValidationError(f"outputs.directory must be a string, got "
+                              f"{out_dir!r}", field="outputs.directory")
 
     return Scenario(name=str(doc.get("name", name_hint)),
                     raw=copy.deepcopy(doc), grid=grid, params=params,

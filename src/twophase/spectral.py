@@ -3,11 +3,11 @@
 Four independent routes to spectral information are provided:
 
   * the rightmost eigenvalue and its nonnegative (Perron) eigenvector of
-    any assembled block sum, with a bracket and the name of the route
-    that produced them:
-      - ``exact``: read off the 2x2 cell blocks when the sum is block
-        lower triangular in per-cell order (no recruitment, or a kernel
-        that does not mix);
+    the full generator, with a bracket and the name of the route that
+    produced them:
+      - ``exact``: read off the 2x2 cell blocks when the generator is
+        block lower triangular in per-cell order (no recruitment, or a
+        kernel that does not mix);
       - ``characteristic``: for a mixing rank-1 kernel beta = f g^T, the
         root above s_B of the discrete characteristic equation
         phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
@@ -33,10 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
-                     IterationError, NumericalError, PreconditionError,
-                     SpectralProximityError)
+                     IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory
-from .model import LOWER, Kernel, ModelParams, build_grid
+from .model import LOWER, ModelParams, build_grid
 from .operators import (HUGE, TINY, DiscreteGenerator, StateVector,
                         block_eigenvalues, cell_inverse, transport_sweep)
 
@@ -116,17 +115,16 @@ class SpectralBound:
         return iter((self.s, self.eigfun))
 
 
-def _certificate(gen: DiscreteGenerator, which: str,
-                 lam: float) -> Optional[np.ndarray]:
+def _certificate(gen: DiscreteGenerator, lam: float) -> Optional[np.ndarray]:
     """(lambda*I - M)^{-1} 1 when it is strictly positive, else None.
 
-    The selected block sum M has the Metzler sign pattern (nonnegative
+    The full generator M has the Metzler sign pattern (nonnegative
     off-diagonal), so lambda lies above its spectral bound exactly when
     (lambda*I - M) is a nonsingular M-matrix, which holds iff this solve
     returns a strictly positive vector.
     """
     try:
-        x = gen.factorization(lam, which).solve(np.ones(2 * gen.grid.n))
+        x = gen.factorization(lam, "full").solve(np.ones(2 * gen.grid.n))
     except SpectralProximityError:
         return None
     if not np.all(np.isfinite(x)) or x.min() <= 0:
@@ -342,7 +340,7 @@ def _collatz_wielandt(M, x: np.ndarray) -> tuple[float, float]:
     return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
 
 
-def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
+def _power_bound(gen: DiscreteGenerator, shift0: Optional[float],
                  tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
@@ -357,11 +355,11 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
     """
     user_shift = shift0 is not None
     top = float(shift0) if user_shift else gen.line_sum_bound() + 1.0
-    if _certificate(gen, which, top) is None:
+    if _certificate(gen, top) is None:
         if user_shift:
             raise ConfigurationError(
                 f"spectral.shift0 = {top:g} is not above the spectral bound "
-                f"of the {which!r} operator")
+                f"of the 'full' operator")
         raise NumericalError("positivity certificate failed at the "
                              "initial shift")
     n2 = 2 * gen.grid.n
@@ -369,7 +367,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
     x = np.full(n2, 1.0 / n2)
     lam = problem = None
     for it in range(max_iter):
-        y = gen.factorization(sigma, which).solve(x)
+        y = gen.factorization(sigma, "full").solve(x)
         theta = float(x @ y) / float(x @ x)
         if theta == 0 or not np.isfinite(theta):
             raise IterationError(
@@ -388,7 +386,7 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
             target = lam + 1.0
             if target <= floor:
                 target = 0.5 * (floor + sigma)
-            if _certificate(gen, which, target) is not None:
+            if _certificate(gen, target) is not None:
                 sigma = target
             else:
                 floor = max(floor, target)
@@ -406,25 +404,24 @@ def _power_bound(gen: DiscreteGenerator, which: str, shift0: Optional[float],
     return lam, x, bracket
 
 
-def spectral_bound(gen: DiscreteGenerator, which: str = "full",
+def spectral_bound(gen: DiscreteGenerator, *,
                    shift0: Optional[float] = None, tol: float = 1e-10,
                    max_iter: int = 500) -> SpectralBound:
-    """Rightmost real eigenvalue and nonnegative eigenvector of a block sum.
+    """Rightmost real eigenvalue and nonnegative eigenvector of the full
+    generator.
 
     Three routes, chosen from the operator's structure:
 
-      * ``exact``: a block sum that is block lower triangular in
-        per-cell order (every sum without recruitment, and the full
-        generator of a kernel that does not mix) is solved from its 2x2
-        cell blocks, with no factorization of the whole matrix; the
-        bracket is (s, s) and ``shift0`` is not used;
-      * ``characteristic``: the full generator of a mixing rank-1 kernel
-        f g^T; s is the root above s_B of
-        phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1 (s = s_B when
-        phi(s_B+) <= 1), found by safeguarded Newton on log phi from
-        O(n) banded factors of lambda - B (a forward sweep where the
-        factor overflows), with no LU; the bracket (lo, hi) has
-        phi(lo) > 1 >= phi(hi) and hi - lo <= tol * max(1, |hi|);
+      * ``exact``: a generator that is block lower triangular in
+        per-cell order (no recruitment, or a kernel that does not mix)
+        is solved from its 2x2 cell blocks, with no factorization of the
+        whole matrix; the bracket is (s, s) and ``shift0`` is not used;
+      * ``characteristic``: a mixing rank-1 kernel f g^T; s is the root
+        above s_B of phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1
+        (s = s_B when phi(s_B+) <= 1), found by safeguarded Newton on
+        log phi from O(n) banded factors of lambda - B (a forward sweep
+        where the factor overflows), with no LU; the bracket (lo, hi)
+        has phi(lo) > 1 >= phi(hi) and hi - lo <= tol * max(1, |hi|);
       * ``power``: every other kernel (tables, callables, ``s<y``), by
         shift-and-invert power iteration x <- (sigma - M)^{-1} x that
         estimates the eigenvalue as sigma - 1/theta (theta the Rayleigh
@@ -436,7 +433,9 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
 
     ``shift0`` opens the characteristic bracket from above, or is the
     first power-iteration shift; the default is the line-sum bound of the
-    full generator plus 1 (``DiscreteGenerator.line_sum_bound``).
+    full generator plus 1 (``DiscreteGenerator.line_sum_bound``).  The
+    options are keyword-only; the recruitment-free bound s_B is
+    ``recruitment_free_bound``.
     ConfigurationError when a given ``shift0`` is not above the bound;
     IterationError (with the bracket reached) when an iterative route
     does not settle in ``max_iter`` steps or, for the power route, ends
@@ -444,17 +443,17 @@ def spectral_bound(gen: DiscreteGenerator, which: str = "full",
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    blocks = gen.cell_blocks(which)
+    blocks = gen.cell_blocks("full")
     if blocks is not None:
         route = "exact"
-        lam, x = _exact_bound(gen, which, blocks)
+        lam, x = _exact_bound(gen, "full", blocks)
         bracket = (lam, lam)
     elif gen.kernel.factors is not None:
         route = "characteristic"
         lam, x, bracket = _characteristic_bound(gen, shift0, tol, max_iter)
     else:
         route = "power"
-        lam, x, bracket = _power_bound(gen, which, shift0, tol, max_iter)
+        lam, x, bracket = _power_bound(gen, shift0, tol, max_iter)
     x = np.clip(x, 0.0, None)
     eig = StateVector.from_stacked(x, gen.grid)
     m = eig.mass
@@ -552,8 +551,8 @@ def _restrict_params(params: ModelParams, k: int) -> ModelParams:
                        gamma2_edges=params.gamma2_edges[:k + 1])
 
 
-def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
-                      lam: float, smax_list) -> ProbeResult:
+def sB_probe_infinite(params: ModelParams, lam: float,
+                      smax_list) -> ProbeResult:
     """Classify lambda against the recruitment-free spectrum on [0, inf).
 
     Solves the coupled transport system with a fixed nonnegative source
@@ -564,9 +563,6 @@ def sB_probe_infinite(params: ModelParams, kernel_zeroed: Optional[Kernel],
     resolvent-bounded, all >= 1.2 as diverging, anything else as
     inconclusive.
     """
-    if kernel_zeroed is not None and kernel_zeroed.column_sums().any():
-        raise PreconditionError("the probe targets the recruitment-free "
-                                "generator; pass a zero kernel or None")
     smax_list = sorted(float(s) for s in smax_list)
     if len(smax_list) < 2:
         raise ConfigurationError("need at least 2 truncations to classify")

@@ -89,7 +89,7 @@ def test_criterion_03_spectral_gap_lower_bound(capsys):
     g, p, K, gen = make(n=1000, m=50.0, kind="truncated_infinite",
                         kernel={"form": "indicator", "s_lo": 0.0,
                                 "s_hi": 1.0})
-    s_A, _ = spectral_bound(gen, "full")
+    s_A, _ = spectral_bound(gen)
     ok = (abs(lam_star - golden) <= 1e-12
           and abs(eps_bar - (3 - math.sqrt(5)) / 2) <= 1e-12
           and abs(Delta - 4.0) <= 1e-12
@@ -186,14 +186,14 @@ def test_criterion_06_empty_spectrum_dichotomy(capsys):
     for n in (200, 400, 800):
         g, p, K, gen = make(n=n, kernel={"form": "indicator",
                                          "relation": "s>y"})
-        s, _ = spectral_bound(gen, "full", tol=1e-3)
+        s, _ = spectral_bound(gen, tol=1e-3)
         div_ok &= s < -0.5 * p.gamma0 / g.h
         msgs.append(f"{s:.1f}<{-0.5 * p.gamma0 / g.h:.0f}")
     # mixing kernel: finite limit, successive differences < 1e-2
     vals = []
     for n in (200, 400, 800):
         g, p, K, gen = make(n=n, m=2.0)
-        s, _ = spectral_bound(gen, "full")
+        s, _ = spectral_bound(gen)
         vals.append(s)
     diffs = np.abs(np.diff(vals))
     conv_ok = bool(np.all(diffs < 1e-2))
@@ -206,7 +206,7 @@ def test_criterion_06_empty_spectrum_dichotomy(capsys):
 def test_criterion_07_aeg_two_route_consistency(capsys):
     n = 800
     g, p, K, gen = make(n=n)
-    s_A, eig = spectral_bound(gen, "full")
+    s_A, eig = spectral_bound(gen)
     U0 = left_bump(g, 0.25)
     traj = evolve(gen, U0, 1e-3, 15.0, record_every=100)
     fit = detect_AEG(traj, eig_candidate=eig)
@@ -256,9 +256,9 @@ def test_criterion_09_infinite_domain_probe(capsys):
     p = sample_params(dict(gamma1=1.0, gamma2=1.0, mu=1.0, c1=0.0, c2=1.0,
                            gamma0=1.0), g)
     smax_list = [25.0, 50.0, 100.0]
-    r1 = sB_probe_infinite(p, None, -0.5, smax_list)
-    r2 = sB_probe_infinite(p, None, -1.5, smax_list)
-    r3 = sB_probe_infinite(p, None, 0.5, smax_list)
+    r1 = sB_probe_infinite(p, -0.5, smax_list)
+    r2 = sB_probe_infinite(p, -1.5, smax_list)
+    r3 = sB_probe_infinite(p, 0.5, smax_list)
     ok = (r1.classification == "resolvent-bounded"
           and r2.classification == "diverging"
           and r3.classification == "resolvent-bounded")

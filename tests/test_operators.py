@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +15,7 @@ from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
                                 _RankOneFactor, assemble, block_eigenvalues,
-                                resolvent_direct, resolvent_neumann,
-                                resolvent_transport_analytic,
+                                resolvent_direct, resolvent_transport_analytic,
                                 volterra_norm_sequence)
 from twophase.scenario import scenario_from_dict
 
@@ -275,7 +273,7 @@ class TestDirectResolvent:
         gen.factorization(2.0, "full")
         gen.factorization(1.0, "full")
         assert len(builds) == 4
-        for which in ("A", "A+B1", "B", "B"):
+        for which in ("A", "B", "A", "A"):
             gen.factorization(1.0, which)
         assert len(builds) == 7
         assert splu_calls == []
@@ -299,7 +297,7 @@ class TestBandedFactor:
 
     @pytest.mark.parametrize("name", ["just_above", "above",
                                       "implicit_step", "below"])
-    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    @pytest.mark.parametrize("which", ["A", "B"])
     def test_solve_matches_dense_solve(self, which, name, splu_calls):
         g, gen = graded_generator()
         lam = self.shift(gen, which, name)
@@ -313,7 +311,7 @@ class TestBandedFactor:
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert splu_calls == []
 
-    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    @pytest.mark.parametrize("which", ["A", "B"])
     def test_nonnegative_data_stay_nonnegative(self, which):
         g, gen = graded_generator()
         rhs = np.random.default_rng(6).random(2 * g.n)
@@ -332,7 +330,7 @@ class TestBandedFactor:
         assert len(traj.states) == 201
         assert min(min(S.u1.min(), S.u2.min()) for S in traj.states) >= 0
 
-    @pytest.mark.parametrize("which", ["A", "A+B1", "B"])
+    @pytest.mark.parametrize("which", ["A", "B"])
     def test_singular_shift_raises_without_warning(self, which):
         # pure transport at gamma = 1, h = 0.01: every cell block of
         # lambda - M is singular at lambda = -100
@@ -342,6 +340,12 @@ class TestBandedFactor:
             warnings.simplefilter("error")
             with pytest.raises(SpectralProximityError):
                 resolvent_direct(gen, -100.0, H, which)
+
+    def test_unknown_selection_rejected(self):
+        g, p, K, gen = make(n=10)
+        H = StateVector(np.ones(10), np.ones(10), g)
+        with pytest.raises(ConfigurationError, match="operator selection"):
+            resolvent_direct(gen, 1.0, H, "B1")
 
 
 def run_child(code: str):
@@ -409,86 +413,6 @@ class TestBlasLoader:
             "import scipy.linalg.blas\n"
             "from twophase.operators import _blas\n"
             "assert _blas() is scipy.linalg.blas._fblas\n")
-
-
-class TestNeumannSeries:
-    def test_zero_perturbation_truncates(self):
-        g, p, K, gen = make(n=50, kernel=0.0)
-        H = StateVector(np.ones(50), np.ones(50), g)
-        res = resolvent_neumann(gen, 1.0, H, "B3-series")
-        assert res.status == "converged"
-        assert res.terms_used == 1
-        ref = resolvent_direct(gen, 1.0, H, "B")
-        assert np.abs(res.state.u1 - ref.u1).max() <= 1e-12
-
-    def test_matches_direct_solve(self):
-        g, p, K, gen = make(n=80)
-        H = StateVector(np.ones(80), np.ones(80), g)
-        res = resolvent_neumann(gen, 1.0, H, "B3-series", tol=1e-12)
-        assert res.status == "converged"
-        ref = resolvent_direct(gen, 1.0, H, "full")
-        err = (np.abs(res.state.u1 - ref.u1).sum()
-               + np.abs(res.state.u2 - ref.u2).sum()) * g.h
-        assert err <= 1e-10
-
-    def test_divergence_below_spectral_bound(self):
-        # below the rightmost eigenvalue of the full operator the
-        # series on the recruitment split must diverge (verified
-        # against the eigensolver)
-        from twophase.spectral import spectral_bound
-        g, p, K, gen = make(n=80)
-        s_full, _ = spectral_bound(gen, "full")
-        H = StateVector(np.ones(80), np.ones(80), g)
-        res = resolvent_neumann(gen, s_full - 0.5, H, "B3-series",
-                                max_terms=400)
-        assert res.status == "diverged"
-
-    @pytest.mark.parametrize("kernel", [
-        1.0,
-        {"form": "product", "offspring": {"form": "expression",
-                                          "name": "exp_decay"},
-         "parent": {"form": "expression", "name": "linear"}},
-        {"form": "indicator", "s_hi": 0.4, "y_lo": 0.3, "value": 3.0}])
-    def test_rank_one_term_matches_sparse_product(self, kernel):
-        # a rank-1 kernel feeds each term as h f (g . u1); the same values
-        # as a dense table go through the sparse B3 block
-        g, p, K, gen = make(n=60, kernel=kernel)
-        table = make(n=60, kernel={"form": "table",
-                                   "values": K.beta.tolist()})[3]
-        H = StateVector(np.ones(60), g.centers, g)
-        res = resolvent_neumann(gen, 1.0, H, "B3-series", tol=1e-12)
-        ref = resolvent_neumann(table, 1.0, H, "B3-series", tol=1e-12)
-        assert res.status == ref.status == "converged"
-        assert res.terms_used == ref.terms_used > 2
-        x, y = res.state.stacked(), ref.state.stacked()
-        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
-
-    def test_rank_one_series_builds_no_kernel_block(self):
-        # n = 2000: the sparse block of a constant kernel holds 4,000,000
-        # entries
-        g, p, K, gen = make(n=50)
-        resolvent_neumann(gen, 1.0, StateVector(np.ones(50), np.ones(50), g),
-                          "B3-series")     # imports scipy outside the window
-        g, p, K, gen = make(n=2000)
-        H = StateVector(np.ones(2000), np.ones(2000), g)
-        tracemalloc.start()
-        try:
-            res = resolvent_neumann(gen, 1.0, H, "B3-series")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.status == "converged"
-        assert peak < 5 * 2 ** 20
-
-    def test_b2_split_agrees_with_direct(self):
-        g, p, K, gen = make(n=80)
-        H = StateVector(np.ones(80), np.ones(80), g)
-        res = resolvent_neumann(gen, 1.0, H, "B2-series", tol=1e-12)
-        assert res.status == "converged"
-        ref = resolvent_direct(gen, 1.0, H, "B")
-        err = (np.abs(res.state.u1 - ref.u1).sum()
-               + np.abs(res.state.u2 - ref.u2).sum()) * g.h
-        assert err <= 1e-10
 
 
 class TestVolterra:

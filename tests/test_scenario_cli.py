@@ -66,6 +66,19 @@ class TestParseScenario:
         doc["coefficients"]["mystery_rate"] = 1.0
         with pytest.raises(ConfigurationError):
             scenario_from_dict(doc)
+        # a misspelt key inside a descriptor would take its default
+        doc = minimal_doc(kernel={"form": "indicator", "s_low": 0.5})
+        with pytest.raises(ConfigurationError, match="s_low"):
+            scenario_from_dict(doc)
+        doc = minimal_doc()
+        doc["coefficients"]["c1"] = {"form": "expression",
+                                     "name": "indicator", "low": 0.5}
+        with pytest.raises(ConfigurationError, match="low"):
+            scenario_from_dict(doc)
+        scn = scenario_from_dict(minimal_doc(run={"u0": {
+            "u1": {"form": "constant", "value": 1.0, "scale": 2.0}}}))
+        with pytest.raises(ConfigurationError, match="scale"):
+            scn.initial_state()
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -404,13 +417,23 @@ class TestCLI:
                 ("coefficients", "c1", {"form": "constant"}),
                 ("kernel", None, {"form": "table"}),
                 ("kernel", None, {"form": "product"}),
-                ("outputs", "formats", ["csv"])):
+                ("kernel", None, {"form": "indicator", "s_low": 0.5}),
+                ("coefficients", "c1", {"form": "expression",
+                                        "name": "indicator", "low": 0.5}),
+                ("outputs", "formats", ["csv"]),
+                ("outputs", "directory", 5),
+                ("run", "u0", {"normalize": "no"})):
             doc = minimal_doc()
             if key is None:
                 doc[section] = spec
             else:
                 doc.setdefault(section, {})[key] = spec
             assert run_cli(["criteria", write(tmp_path, doc)]) == 2, spec
+        # the initial state is sampled by the stages that step
+        doc = minimal_doc(run={"u0": {"u2": {"form": "expression",
+                                             "name": "linear", "slop": 2.0}}})
+        assert run_cli(["simulate", write(tmp_path, doc),
+                        "--out", str(tmp_path / "o")]) == 2
 
     def test_probe_without_source_cell_exit_2(self, tmp_path):
         # h = 2.5: no cell center lies in the probe source [0, 1]

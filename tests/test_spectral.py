@@ -6,7 +6,7 @@ import pytest
 
 import twophase.spectral
 from twophase.errors import (ConfigurationError, IterationError,
-                             PreconditionError, SpectralProximityError)
+                             SpectralProximityError)
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import DiscreteGenerator, StateVector, assemble
@@ -38,7 +38,7 @@ class TestSpectralBound:
         vals = []
         for n in (50, 100):
             g, p, K, gen = make(n=n, kernel=0.0, c1=0.0, c2=0.0)
-            s, _ = spectral_bound(gen, "full", tol=1e-8)
+            s, _ = spectral_bound(gen, tol=1e-8)
             vals.append(s)
             assert s <= -1.0
         assert vals[1] < vals[0]
@@ -76,7 +76,7 @@ class TestSpectralBound:
 
     def test_eigenpair_residual(self):
         g, p, K, gen = make(n=100)
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         x = eig.stacked()
         res = np.abs(gen.full @ x - s * x).max()
         assert res <= 1e-6 * max(1.0, abs(s))
@@ -93,7 +93,7 @@ class TestSpectralBound:
         g, p, K, gen = make(n=10, kernel=0.0, mu=0.0, c1=0.0, c2=0.0,
                             gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
         assert gen.full.diagonal().max() == -11.0
-        s, _ = spectral_bound(gen, "full", shift0=-11.0)
+        s, _ = spectral_bound(gen, shift0=-11.0)
         assert s == pytest.approx(-11.0, abs=1e-8)
 
 
@@ -135,18 +135,16 @@ def reducible_generator(table=False):
 GRADED = dict(gamma1=lambda s: 1 + s / 2, gamma2=lambda s: 1.2 + s,
               mu=lambda s: 1 + s, c1=lambda s: 0.5 + s, c2=lambda s: 2 - s)
 
-# non-mixing kernels and the block sum whose eigenpair is taken
+# non-mixing kernels
 NON_MIXING = {
-    "zero": (0.0, "full"),
-    "zero_B": (0.0, "B"),
-    "lower": ({"form": "indicator", "relation": "s>y"}, "full"),
-    "box": ({"form": "indicator", "s_lo": 0.5, "y_hi": 0.5}, "full"),
-    "callable": (lambda s, y: np.where(s >= y, 3.0 + 2.0 * s * y, 0.0),
-                 "full"),
+    "zero": 0.0,
+    "lower": {"form": "indicator", "relation": "s>y"},
+    "box": {"form": "indicator", "s_lo": 0.5, "y_hi": 0.5},
+    "callable": lambda s, y: np.where(s >= y, 3.0 + 2.0 * s * y, 0.0),
 }
 
 
-def generator_times(gen, x, which):
+def generator_times(gen, x):
     # M x from the model formulas, O(n) for the structured kernels (a
     # dense oracle takes 330 MB at n = 3200); ``s>y`` is the only
     # triangle that does not mix
@@ -157,11 +155,11 @@ def generator_times(gen, x, which):
     y2 = -(p.gamma2_edges[1:] / h + p.c2) * u2 + p.c1 * u1
     y1[1:] += p.gamma1_edges[1:-1] / h * u1[:-1]
     y2[1:] += p.gamma2_edges[1:-1] / h * u2[:-1]
-    if which == "full" and K.factors is not None:
+    if K.factors is not None:
         y1 += h * K.factors[0] * (K.factors[1] @ u1)
-    elif which == "full" and K.triangle is not None:
+    elif K.triangle is not None:
         y1[1:] += h * K.triangle[0] * np.cumsum(u1)[:-1]
-    elif which == "full":
+    else:
         y1 += h * (K.dense @ u1)
     return np.concatenate([y1, y2])
 
@@ -171,9 +169,8 @@ class TestExactRoute:
         (name, n) for name in sorted(NON_MIXING)
         for n in (200, 800) + (() if name == "callable" else (3200,))])
     def test_graded_eigenpair(self, name, n, splu_calls):
-        spec, which = NON_MIXING[name]
-        g, p, K, gen = make(n=n, kernel=spec, **GRADED)
-        bound = spectral_bound(gen, which)
+        g, p, K, gen = make(n=n, kernel=NON_MIXING[name], **GRADED)
+        bound = spectral_bound(gen)
         assert bound.route == "exact"
         x = bound.eigfun.stacked()
         assert np.isfinite(x).all() and x.min() >= 0.0
@@ -181,7 +178,7 @@ class TestExactRoute:
         # the sweep reaches the last cell (from n = 800 on, the first
         # cells underflow: the vector spans more than the float range)
         assert x[n - 1] + x[-1] > 0
-        res = np.abs(generator_times(gen, x, which) - bound.s * x).max()
+        res = np.abs(generator_times(gen, x) - bound.s * x).max()
         assert res <= 1e-12 * max(1.0, abs(bound.s)) * x.max()
         assert splu_calls == []
 
@@ -206,7 +203,7 @@ class TestExactRoute:
     def test_growth_only_bound_from_cell_blocks(self, n, splu_calls):
         g, p, K, gen = make(n=n, kernel={"form": "indicator",
                                          "relation": "s>y"})
-        s, eig = spectral_bound(gen, "full", tol=1e-3)
+        s, eig = spectral_bound(gen, tol=1e-3)
         best = block_eigenvalues(gen).max()
         assert abs(s - best) <= 1e-12 * abs(best)
         # [[-n-2, 1], [1, -n-1]]: -n - 3/2 + sqrt(5)/2
@@ -224,7 +221,7 @@ class TestExactRoute:
         lams = block_eigenvalues(gen)
         k = int(np.flatnonzero(lams == lams.max())[-1])
         assert k < n - 1
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         assert abs(s - lams.max()) <= 1e-12 * abs(s)
         x = eig.stacked()
         assert x.min() >= 0.0
@@ -237,7 +234,7 @@ class TestExactRoute:
 
     def test_mixing_kernel_takes_power_route(self, splu_calls):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         assert splu_calls
         dense = np.linalg.eigvals(gen.full.toarray()).real.max()
         assert s == pytest.approx(dense, rel=1e-8)
@@ -245,7 +242,7 @@ class TestExactRoute:
     def test_mixing_rank_one_kernel_takes_characteristic_route(
             self, splu_calls):
         g, p, K, gen = make(n=50)
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         assert splu_calls == []
         dense = np.linalg.eigvals(gen.full.toarray()).real.max()
@@ -257,7 +254,7 @@ class TestCertifiedShifts:
         g, p, K, gen = reducible_generator()
         assert np.linalg.eigvals(gen.full.toarray()).real.max() \
             == pytest.approx(13.0, abs=1e-10)
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         assert s == pytest.approx(13.0, abs=1e-8)
         assert min(eig.u1.min(), eig.u2.min()) >= 0.0
 
@@ -265,14 +262,21 @@ class TestCertifiedShifts:
     def test_shift0_at_or_below_bound_rejected(self, shift0):
         g, p, K, gen = reducible_generator(table=True)
         with pytest.raises(ConfigurationError, match="shift0"):
-            spectral_bound(gen, "full", shift0=shift0)
+            spectral_bound(gen, shift0=shift0)
 
     @pytest.mark.parametrize("shift0", [-11.0, 5.0, 13.0])
     def test_shift0_at_or_below_bound_rejected_characteristic(self, shift0):
         # -11 is s_B itself, where the sweep is not defined
         g, p, K, gen = reducible_generator()
         with pytest.raises(ConfigurationError, match="shift0"):
-            spectral_bound(gen, "full", shift0=shift0)
+            spectral_bound(gen, shift0=shift0)
+
+    def test_positional_option_rejected(self):
+        # the options are keyword-only, so a stale operator selection
+        # does not bind to shift0
+        g, p, K, gen = reducible_generator()
+        with pytest.raises(TypeError):
+            spectral_bound(gen, "full")
 
     def test_singular_shift_in_power_loop_is_rejected(self, monkeypatch):
         # the first re-centred shift (about 4.31, below the bound 13) is
@@ -291,7 +295,7 @@ class TestCertifiedShifts:
             return real(lam, which)
 
         monkeypatch.setattr(gen, "factorization", factorization)
-        s, _ = spectral_bound(gen, "full")
+        s, _ = spectral_bound(gen)
         assert len(singular) == 1 and singular[0] < 13.0
         assert s == pytest.approx(13.0, abs=1e-8)
 
@@ -376,7 +380,7 @@ class TestCharacteristicRoute:
         # factor serves on its own
         g, p, K, gen = make(**RANK_ONE.get(name, PROBE_SWEEP))
         s_B = recruitment_free_bound(gen)
-        s_A = spectral_bound(gen, "full").s
+        s_A = spectral_bound(gen).s
         hi = gen.line_sum_bound() + 1.0
         for lam in (s_B + 1e-9 * abs(s_B), s_B + 0.5, s_A, hi):
             phi = characteristic_function(gen, lam)[0]
@@ -401,7 +405,7 @@ class TestCharacteristicRoute:
         phi, x = characteristic_function(gen, s_A)
         assert not np.isnan(x).any() and np.isinf(x[g.n:]).any()
         assert phi == pytest.approx(1.0, rel=1e-9)
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         assert abs(bound.s - s_A) <= 1e-12 * abs(s_A)
         lo, hi = bound.bracket
@@ -415,7 +419,7 @@ class TestCharacteristicRoute:
                             kernel={"form": "constant", "value": 1e-3})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = spectral_bound(gen, "full")
+            bound = spectral_bound(gen)
         assert bound.s.hex() == "-0x1.e080fe15391a5p+3"
         assert [v.hex() for v in bound.bracket] == [
             "-0x1.e080fe15391efp+3", "-0x1.e080fe15391a5p+3"]
@@ -439,14 +443,14 @@ class TestCharacteristicRoute:
         for mu in PROBE_SWEEP_MU:
             g, p, K, gen = make(mu=mu, **PROBE_SWEEP)
             calls.clear()
-            assert spectral_bound(gen, "full").route == "characteristic"
+            assert spectral_bound(gen).route == "characteristic"
             assert len(calls) <= 1
         assert splu_calls == []
 
     @pytest.mark.parametrize("name", sorted(RANK_ONE))
     def test_root_matches_dense_oracle(self, name, splu_calls):
         g, p, K, gen = make(**RANK_ONE[name])
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         root = dense_root(gen)
         assert abs(bound.s - root) <= 1e-12 * abs(root)
@@ -467,7 +471,7 @@ class TestCharacteristicRoute:
         # dense double-precision solve puts it at -29.2515574 (the forward
         # error of a strongly non-normal solve), and so did the power loop
         g, p, K, gen = mu_step_generator(60, 0.01)
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         root = -29.25155186452381165
         assert abs(bound.s - root) <= 1e-12 * abs(root)
         lo, hi = bound.bracket
@@ -483,7 +487,7 @@ class TestCharacteristicRoute:
         assert s_B == -10.0
         phi = characteristic_function(gen, np.nextafter(s_B, math.inf))[0]
         assert phi == pytest.approx(0.55 * value, rel=0.01)
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         assert bound.s == -10.0 and bound.bracket == (-10.0, -10.0)
         assert_eigenpair(gen, bound)
@@ -512,7 +516,7 @@ class TestCharacteristicRoute:
 class TestPowerRoute:
     def test_converged_iterate_gives_collatz_wielandt_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
-        bound = spectral_bound(gen, "full")
+        bound = spectral_bound(gen)
         assert bound.route == "power"
         lo, hi = bound.bracket
         dense = np.linalg.eigvals(gen.full.toarray()).real.max()
@@ -522,7 +526,7 @@ class TestPowerRoute:
     def test_max_iter_raises_with_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
         with pytest.raises(IterationError, match="did not settle") as ei:
-            spectral_bound(gen, "full", max_iter=2)
+            spectral_bound(gen, max_iter=2)
         lo, hi = ei.value.bracket
         assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
 
@@ -550,7 +554,7 @@ class TestPowerRoute:
         monkeypatch.setattr(gen, "factorization", factorization)
         with pytest.raises(IterationError, match="not strictly positive") \
                 as ei:
-            spectral_bound(gen, "full")
+            spectral_bound(gen)
         # the nonnegative part still bounds s_A from below
         lo, hi = ei.value.bracket
         assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max()
@@ -627,17 +631,17 @@ def tail_params(n=1000, smax=100.0, **over):
 class TestInfiniteProbe:
     def test_bounded_above_closed_form(self):
         g, p = tail_params()
-        r = sB_probe_infinite(p, None, -0.5, [25, 50, 100])
+        r = sB_probe_infinite(p, -0.5, [25, 50, 100])
         assert r.classification == "resolvent-bounded"
 
     def test_diverging_below_closed_form(self):
         g, p = tail_params()
-        r = sB_probe_infinite(p, None, -1.5, [25, 50, 100])
+        r = sB_probe_infinite(p, -1.5, [25, 50, 100])
         assert r.classification == "diverging"
 
     def test_positive_lambda_always_bounded(self):
         g, p = tail_params(c1=0.3, mu=lambda s: 1 + 0.1 * np.sin(s) ** 2)
-        r = sB_probe_infinite(p, None, 0.5, [25, 50, 100])
+        r = sB_probe_infinite(p, 0.5, [25, 50, 100])
         assert r.classification == "resolvent-bounded"
 
     @pytest.mark.parametrize("lam", [-1.5, -0.5, 0.5])
@@ -658,14 +662,14 @@ class TestInfiniteProbe:
             return duhamel_solve(*args)
 
         monkeypatch.setattr(twophase.spectral, "duhamel_solve", counting)
-        r = sB_probe_infinite(p, None, lam, smax_list)
+        r = sB_probe_infinite(p, lam, smax_list)
         assert len(calls) == 1
         assert r.norms == separate
 
     def test_truncation_below_two_cells_rejected(self):
         g, p = tail_params(n=100, smax=10.0)
         with pytest.raises(ConfigurationError, match="truncation 0.1 "):
-            sB_probe_infinite(p, None, 0.0, [0.1, 10])
+            sB_probe_infinite(p, 0.0, [0.1, 10])
 
     def test_solution_nonincreasing_in_lambda(self):
         g, p = tail_params(n=300, smax=30.0, c1=0.5)
@@ -718,13 +722,7 @@ class TestInfiniteProbe:
         # so every truncation would see a zero source
         g, p = tail_params(n=4, smax=10.0, c1=0.5, c2=0.5)
         with pytest.raises(ConfigurationError, match="source interval"):
-            sB_probe_infinite(p, None, 0.0, [5, 10])
-
-    def test_nonzero_kernel_rejected(self):
-        g, p = tail_params(n=100, smax=10.0)
-        K = build_kernel(1.0, g)
-        with pytest.raises(PreconditionError):
-            sB_probe_infinite(p, K, 0.0, [5, 10])
+            sB_probe_infinite(p, 0.0, [5, 10])
 
 
 class TestDetectAEG:
@@ -737,7 +735,7 @@ class TestDetectAEG:
 
     def test_two_route_consistency(self):
         g, p, K, gen = make(n=100)
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         U0 = StateVector((g.centers <= 0.25).astype(float), np.zeros(100), g)
         traj = evolve(gen, U0, 1e-3, 8.0, record_every=100)
         fit = detect_AEG(traj, eig)
@@ -746,7 +744,7 @@ class TestDetectAEG:
 
     def test_eigenfunction_is_invariant_profile(self):
         g, p, K, gen = make(n=100)
-        s, eig = spectral_bound(gen, "full")
+        s, eig = spectral_bound(gen)
         traj = evolve(gen, eig, 1e-3, 2.0, record_every=50)
         for S in traj.states:
             m = S.mass

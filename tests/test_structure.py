@@ -138,9 +138,9 @@ def dense_blocks(g, p, K):
 
 
 def dense_block_sum(gen, which):
-    # "A", "A+B1", "B" (A + B1 + B2) or "full" of a generator's inputs
+    # "A", "B" (A + B1 + B2) or "full" of a generator's inputs
     blocks = dense_blocks(gen.grid, gen.params, gen.kernel)
-    return sum(blocks[:{"A": 1, "A+B1": 2, "B": 3, "full": 4}[which]])
+    return sum(blocks[:{"A": 1, "B": 3, "full": 4}[which]])
 
 
 def dense_generator(g, p, K):
@@ -156,7 +156,7 @@ class TestGeneratorStructure:
         i = np.arange(n)
         mixes = bool(np.triu(K.beta, 1).any())
         assert (gen.cell_blocks("full") is None) == mixes
-        for which in ("A", "A+B1", "B") + (() if mixes else ("full",)):
+        for which in ("A", "B") + (() if mixes else ("full",)):
             D = dense_block_sum(gen, which)
             a, b, c, d = gen.cell_blocks(which)
             assert np.array_equal(a, D[i, i])
@@ -174,7 +174,7 @@ class TestGeneratorStructure:
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_line_sum_bound_lies_above_spectral_bound(self, name):
         g, p, K, gen = generator(KERNEL_FORMS[name])
-        assert gen.line_sum_bound() >= spectral_bound(gen, "full").s
+        assert gen.line_sum_bound() >= spectral_bound(gen).s
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     @pytest.mark.parametrize("offset", [0.5, 100.0])
