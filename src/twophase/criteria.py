@@ -73,25 +73,23 @@ class Verdict:
             raise ConfigurationError("b2 must be >= b1")
 
 
-def check_supports(params: ModelParams, grid: SizeGrid,
-                   tol_rel: float = SUPPORT_TOL):
+def _supported(vals: np.ndarray) -> np.ndarray:
+    """The cells where a rate exceeds SUPPORT_TOL times its maximum (none
+    where it vanishes identically)."""
+    return vals > SUPPORT_TOL * max(float(vals.max()), 0.0)
+
+
+def check_supports(params: ModelParams, grid: SizeGrid):
     """Detected support endpoints of the transition rates.
 
     Returns (inf supp c1, sup supp c2) using the left edge of the first
     supported cell and the right edge of the last; ``None`` marks an
     identically-zero coefficient.
     """
-    out = []
-    for vals, side in ((params.c1, "left"), (params.c2, "right")):
-        mx = float(vals.max())
-        idx = np.flatnonzero(vals > tol_rel * mx) if mx > 0 else np.array([], int)
-        if idx.size == 0:
-            out.append(None)
-        elif side == "left":
-            out.append(float(grid.edges[idx[0]]))
-        else:
-            out.append(float(grid.edges[idx[-1] + 1]))
-    return out[0], out[1]
+    c1, c2 = np.flatnonzero(_supported(params.c1)), \
+        np.flatnonzero(_supported(params.c2))
+    return (float(grid.edges[c1[0]]) if c1.size else None,
+            float(grid.edges[c2[-1] + 1]) if c2.size else None)
 
 
 def _edge_mixing_integrals(kernel: Kernel, grid: SizeGrid) -> np.ndarray:
@@ -153,10 +151,7 @@ def _b1_b2(I: np.ndarray, params: ModelParams, grid: SizeGrid):
         bad = first + int(np.argmin(pos[first:]))
         return None, None, (f"kernel mixing fails above b1 at cutoff "
                             f"{edges[bad]:g}")
-    c1 = params.c1
-    mx = float(c1.max())
-    idx = np.flatnonzero((c1 > SUPPORT_TOL * mx) & (grid.centers >= b1)) \
-        if mx > 0 else np.array([], int)
+    idx = np.flatnonzero(_supported(params.c1) & (grid.centers >= b1))
     if idx.size == 0:
         return None, None, "c1 has no support above b1"
     b2 = max(b1, float(grid.edges[idx[0]]))

@@ -30,10 +30,12 @@ loss and coupling); only the other kernels (tables, callables, the
 triangles) take a sparse LU (SuperLU) of lambda - M with a
 minimum-degree ordering of A + A^T.  A generator keeps only its last
 factor, which serves the repeated shifts of implicit steps, resolvents
-and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a
-recruitment-free sum by one pure-Python forward sweep over the same cell
-blocks, with no factor at all: the characteristic equation falls back
-on it where the banded solve overflows.  scipy is imported only by the
+and eigensolves.  ``DiscreteGenerator.block_sweep`` solves any block
+lower triangular sum (a recruitment-free one, or the full generator of
+a kernel that does not mix) by one pure-Python forward sweep over the
+cell blocks, with no factor at all: the exact eigenvectors come from it,
+and the characteristic equation falls back on it where the banded solve
+overflows.  scipy is imported only by the
 code that builds ``full`` or factors it; the banded route loads scipy's
 compiled BLAS extension ``scipy.linalg._fblas`` alone, never the
 ``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
-from .model import Kernel, ModelParams, SizeGrid
+from .model import LOWER, Kernel, ModelParams, SizeGrid
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -249,6 +251,11 @@ class DiscreteGenerator:
               + sp.csr_matrix(self.kernel.beta * self.grid.h), sp.diags(b)],
              [sp.diags(c), sp.diags([d, in2], [0, -1])]], format="csr")
 
+    @functools.cached_property
+    def _mixes(self) -> bool:
+        # O(n^2) for a dense kernel, so taken once
+        return bool(self.kernel.cutoff_sums().any())
+
     def cell_blocks(self, which: str) -> Optional[tuple[np.ndarray, ...]]:
         """2x2 diagonal cell blocks of a block lower triangular block sum.
 
@@ -260,11 +267,11 @@ class DiscreteGenerator:
         union of the blocks'; None otherwise.  "A" and "B" always
         qualify; "full" qualifies exactly when the kernel does not mix
         (beta vanishes above the diagonal: no offspring is smaller than
-        its parent).
+        its parent), a test made once per generator.
         """
         if which not in WHICH_CHOICES:
             raise ConfigurationError(f"unknown operator selection {which!r}")
-        if which == "full" and self.kernel.cutoff_sums().any():
+        if which == "full" and self._mixes:
             return None
         if which == "A":
             a, d = -self.outflow
@@ -316,44 +323,67 @@ class DiscreteGenerator:
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
-    def block_sweep(self, lam: float, rhs: np.ndarray, blocks: tuple,
-                    rescale: bool = False) -> np.ndarray:
+    def block_sweep(self, lam: float, rhs: np.ndarray, which: str = "B",
+                    rescale: bool = False,
+                    head: Optional[tuple] = None) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
-        M is a recruitment-free block sum ("A" or "B") given by its
-        2x2 cell blocks (a, b, c, d): in per-cell order it is block lower
-        bidiagonal, cell i also taking ``inflow[k][i-1]`` times phase k of
-        cell i - 1.  lambda must lie above the larger eigenvalue of every
-        block; each block of lambda - M is then an M-matrix with a
-        nonnegative inverse, so a nonnegative ``rhs`` gives a nonnegative
-        x, and an overflow reads +inf, never NaN.  With ``rescale`` the
-        sweep returns a positive multiple of x instead: whenever a cell
-        passes 2^512, all entries so far and the rhs still to come are
-        scaled by 2^-512.  O(n), with no LU and no pivoting, but one
-        Python step per cell: the banded factor solves the same system
-        far faster, and the characteristic equation comes here only
-        where that solve overflows (its 0 * inf products give NaN where
-        this sweep passes nothing on).
+        M is a block lower triangular sum ("A", "B", or "full" for a
+        kernel that does not mix; see ``cell_blocks``).  Cell i takes
+        ``inflow[k][i-1]`` times phase k of cell i - 1 and, for "full",
+        the recruitment h sum_{j < i} beta[i, j] x1_j: h f_i times a
+        running sum of g_j x1_j for a rank-1 kernel f g^T or ``s>y``
+        (f = value, g = 1), a row product for a dense kernel.  With
+        ``head`` = (k, v), x is zero before cell k and v at cell k, and
+        the sweep fills the later cells.  lambda must lie above the
+        larger eigenvalue of every block swept; each block of lambda - M
+        is then an M-matrix with a nonnegative inverse, so a nonnegative
+        ``rhs`` and head give a nonnegative x, and an overflow reads +inf,
+        never NaN.  With ``rescale`` the sweep returns a positive multiple
+        of x instead: whenever a cell passes 2^512, all entries so far,
+        the running sum and the rhs still to come are scaled by 2^-512.
+        O(n) (a row product per cell for a dense kernel), with no LU, but
+        one Python step per cell: the banded factor solves a
+        recruitment-free sum far faster, and the characteristic equation
+        comes here only where that solve overflows (its 0 * inf products
+        give NaN where this sweep passes nothing on).
         """
-        n = self.grid.n
-        i11, i12, i21, i22 = cell_inverse(lam, *blocks).tolist()
+        n, h, K = self.grid.n, self.grid.h, self.kernel
+        x1, x2 = [0.0] * n, [0.0] * n
+        p1 = p2 = acc = 0.0
+        first = start = 0   # cells first.. may be nonzero, start.. are swept
+        if head is not None:
+            first, (p1, p2) = head[0], map(float, head[1])
+            x1[first], x2[first], start = p1, p2, first + 1
+        inv = cell_inverse(lam, *(w[start:] for w in self.cell_blocks(which)))
+        i11, i12, i21, i22 = np.pad(inv, ((0, 0), (start, 0))).tolist()
         in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0))).tolist()
         r1, r2 = rhs[:n].tolist(), rhs[n:].tolist()
-        x1, x2 = [0.0] * n, [0.0] * n
-        p1 = p2 = 0.0
+        f = g = [0.0] * n     # g[i] weighs x1 of cell i - 1
+        rows = None
+        if which == "full" and K.factors is not None:
+            f, g = (h * K.factors[0]).tolist(), [0.0] + K.factors[1].tolist()
+        elif which == "full" and K.triangle is not None \
+                and K.triangle[1] == LOWER:
+            f, g = [h * K.triangle[0]] * n, [1.0] * n
+        elif which == "full":
+            rows = K.dense      # None for a triangle that places nothing
         w = 1.0     # weight of the rhs: a power of two
-        for i in range(n):
-            p = w * r1[i] + in1[i] * p1
+        for i in range(start, n):
+            # a zero weight or coupling rate passes nothing on, even from
+            # an overflowed phase (0 * inf would be NaN)
+            acc += g[i] and g[i] * p1
+            p = w * r1[i] + in1[i] * p1 + f[i] * acc
+            if rows is not None:
+                p += h * float(rows[i, first:i] @ x1[first:i])
             q = w * r2[i] + in2[i] * p2
-            # a zero coupling rate passes nothing on, even from an
-            # overflowed phase (0 * inf would be NaN)
             p1 = i11[i] * p + (i12[i] and i12[i] * q)
             p2 = (i21[i] and i21[i] * p) + i22[i] * q
             x1[i], x2[i] = p1, p2
             if rescale and (p1 > HUGE or p2 > HUGE):
                 x1[:i + 1] = [v * TINY for v in x1[:i + 1]]
                 x2[:i + 1] = [v * TINY for v in x2[:i + 1]]
-                p1, p2, w = x1[i], x2[i], w * TINY
+                p1, p2, acc, w = x1[i], x2[i], acc * TINY, w * TINY
         x = np.zeros(2 * n)
         x[:n], x[n:] = x1, x2
         return x

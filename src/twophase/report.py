@@ -183,7 +183,7 @@ def compute_spectrum(scn: Scenario) -> SpectralReport:
 
 
 def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
-    bound = spectral_bound(gen, shift0=scn.shift0, tol=scn.spectral_tol)
+    bound = spectral_bound(gen, tol=scn.spectral_tol)
     s_B = s_A_divergent = None
     divergent = False
     if scn.grid.kind == FINITE:
@@ -355,15 +355,12 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             traj = evolve(gen, U0, scn.dt, scn.T, scn.record_every)
             if len(traj.step_times) >= 2:
                 rep.mass_report = mass_balance(traj, scn.kernel, scn.params)
-            if scn.T > 0 and len(traj.step_times) // 2 >= 20 \
-                    and "spectrum" in stages and rep.spectral is not None:
-                rep.spectral.aeg_fit = detect_AEG(
-                    traj, eig_candidate=rep.spectral.eigfun)
-            elif scn.T > 0 and len(traj.step_times) // 2 >= 20:
+            if scn.T > 0 and len(traj.step_times) // 2 >= 20:
                 rep.spectral = rep.spectral or SpectralReport(
                     s_A=float("nan"), eigfun=None, s_B_surrogate=None,
                     s_B_divergent=False)
-                rep.spectral.aeg_fit = detect_AEG(traj)
+                rep.spectral.aeg_fit = detect_AEG(
+                    traj, eig_candidate=rep.spectral.eigfun)
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")
             write_trajectory_csv(traj_path, traj)

@@ -5,8 +5,8 @@ A scenario is a JSON document with the sections ``domain``,
 ``spectral``, ``outputs``.  The schema is strict: unknown keys anywhere
 are fatal, since a typo in a rate name would silently invalidate every
 downstream check.  Parsing eagerly builds the grid, samples all
-coefficients, and builds the kernel so that invariant violations are
-reported immediately with a field path.
+coefficients and the initial state, and builds the kernel so that
+invariant violations are reported immediately with a field path.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _TOP_KEYS = {"name", "domain", "coefficients", "kernel", "run", "spectral",
 _DOMAIN_KEYS = {"kind", "m", "smax", "n"}
 _COEFF_KEYS = {"gamma1", "gamma2", "mu", "c1", "c2", "gamma0"}
 _RUN_KEYS = {"dt", "T", "record_every", "u0"}
-_SPECTRAL_KEYS = {"tol", "shift0", "smax_list", "probe_lambdas"}
+_SPECTRAL_KEYS = {"tol", "smax_list", "probe_lambdas"}
 _OUTPUT_KEYS = {"directory"}
 _U0_KEYS = {"u1", "u2", "normalize"}
 
@@ -83,40 +83,48 @@ class Scenario:
     dt: float
     T: float
     record_every: int
-    u0_spec: Optional[dict]
+    u0: StateVector
     spectral_tol: float
-    shift0: Optional[float]
     smax_list: list
     probe_lambdas: list
     out_dir: Optional[str]
 
     def initial_state(self) -> StateVector:
-        """Build U0: by default, the normalized indicator of the first
-        quarter of the domain in phase 1 and zero in phase 2."""
-        if self.u0_spec is None:
-            q = self.grid.length / 4.0
-            u1 = (self.grid.centers <= q).astype(float)
-            u2 = np.zeros(self.grid.n)
-        else:
-            try:
-                u1 = np.asarray(sample_coefficient(
-                    self.u0_spec.get("u1", 0.0), self.grid))
-                u2 = np.asarray(sample_coefficient(
-                    self.u0_spec.get("u2", 0.0), self.grid))
-            except (ValueError, TypeError) as exc:
-                raise ConfigurationError(f"run.u0: {exc}")
-            if np.any(u1 < 0) or np.any(u2 < 0):
-                raise ValidationError("initial state must be nonnegative",
-                                      field="run.u0")
-        U = StateVector(u1.copy(), u2.copy(), self.grid)
-        if self.u0_spec is None or self.u0_spec.get("normalize", True):
-            m = U.mass
-            if m <= 0:
-                raise ValidationError("initial state has zero mass",
-                                      field="run.u0")
-            U.u1 /= m
-            U.u2 /= m
-        return U
+        """A copy of the initial state U0 sampled at parse time."""
+        return self.u0.copy()
+
+
+def _initial_state(spec: Optional[dict], grid: SizeGrid) -> StateVector:
+    """Sample ``run.u0``: by default, the normalized indicator of the
+    first quarter of the domain in phase 1 and zero in phase 2."""
+    normalize = True
+    if spec is None:
+        u1 = (grid.centers <= grid.length / 4.0).astype(float)
+        u2 = np.zeros(grid.n)
+    else:
+        _check_keys(spec, _U0_KEYS, "run.u0")
+        normalize = spec.get("normalize", True)
+        if not isinstance(normalize, bool):
+            raise ValidationError(f"run.u0.normalize must be true or false, "
+                                  f"got {normalize!r}",
+                                  field="run.u0.normalize")
+        try:
+            u1 = np.asarray(sample_coefficient(spec.get("u1", 0.0), grid))
+            u2 = np.asarray(sample_coefficient(spec.get("u2", 0.0), grid))
+        except (ValueError, TypeError) as exc:
+            raise ConfigurationError(f"run.u0: {exc}")
+        if np.any(u1 < 0) or np.any(u2 < 0):
+            raise ValidationError("initial state must be nonnegative",
+                                  field="run.u0")
+    U = StateVector(u1.copy(), u2.copy(), grid)
+    if normalize:
+        m = U.mass
+        if m <= 0:
+            raise ValidationError("initial state has zero mass",
+                                  field="run.u0")
+        U.u1 /= m
+        U.u2 /= m
+    return U
 
 
 def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
@@ -193,20 +201,11 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     if record_every < 1:
         raise ValidationError("record_every must be >= 1",
                               field="run.record_every")
-    u0_spec = run.get("u0")
-    if u0_spec is not None:
-        _check_keys(u0_spec, _U0_KEYS, "run.u0")
-        normalize = u0_spec.get("normalize", True)
-        if not isinstance(normalize, bool):
-            raise ValidationError(f"run.u0.normalize must be true or false, "
-                                  f"got {normalize!r}",
-                                  field="run.u0.normalize")
+    u0 = _initial_state(run.get("u0"), grid)
 
     spec = doc.get("spectral", {})
     _check_keys(spec, _SPECTRAL_KEYS, "spectral")
     tol = _number(spec.get("tol", 1e-10), "spectral.tol")
-    shift0 = spec.get("shift0")
-    shift0 = _number(shift0, "spectral.shift0") if shift0 is not None else None
     smax_list = _numbers(spec.get("smax_list", []), "spectral.smax_list")
     probe_lambdas = _numbers(spec.get("probe_lambdas", []),
                              "spectral.probe_lambdas")
@@ -223,9 +222,8 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     return Scenario(name=str(doc.get("name", name_hint)),
                     raw=copy.deepcopy(doc), grid=grid, params=params,
                     kernel=kernel, dt=dt, T=T, record_every=record_every,
-                    u0_spec=u0_spec, spectral_tol=tol, shift0=shift0,
-                    smax_list=smax_list, probe_lambdas=probe_lambdas,
-                    out_dir=out_dir)
+                    u0=u0, spectral_tol=tol, smax_list=smax_list,
+                    probe_lambdas=probe_lambdas, out_dir=out_dir)
 
 
 def read_scenario_doc(path: str) -> tuple[dict, str]:

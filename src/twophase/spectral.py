@@ -7,7 +7,8 @@ Four independent routes to spectral information are provided:
     produced them:
       - ``exact``: read off the 2x2 cell blocks when the generator is
         block lower triangular in per-cell order (no recruitment, or a
-        kernel that does not mix);
+        kernel that does not mix), the eigenvector by the forward sweep
+        ``DiscreteGenerator.block_sweep``;
       - ``characteristic``: for a mixing rank-1 kernel beta = f g^T, the
         root above s_B of the discrete characteristic equation
         phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
@@ -15,6 +16,8 @@ Four independent routes to spectral information are provided:
         phi(lo) > 1 >= phi(hi);
       - ``power``: shift-and-invert power iteration on certified shifts
         for every other kernel, with a Collatz-Wielandt bracket;
+    both iterative routes open 1 above the generator's line-sum bound,
+    which lies above its spectral bound;
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
@@ -35,9 +38,9 @@ import numpy as np
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory
-from .model import LOWER, ModelParams, build_grid
-from .operators import (HUGE, TINY, DiscreteGenerator, StateVector,
-                        block_eigenvalues, cell_inverse, transport_sweep)
+from .model import ModelParams, build_grid
+from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
+                        transport_sweep)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -132,23 +135,18 @@ def _certificate(gen: DiscreteGenerator, lam: float) -> Optional[np.ndarray]:
     return x
 
 
-def _exact_bound(gen: DiscreteGenerator, which: str,
-                 blocks: tuple) -> tuple[float, np.ndarray]:
+def _exact_bound(gen: DiscreteGenerator,
+                 which: str) -> tuple[float, np.ndarray]:
     """Spectral bound and nonnegative eigenvector of a block triangular sum.
 
     The bound is the largest cell-block eigenvalue lambda, attained last
     at cell k.  The eigenvector is zero before cell k and the block's
-    Perron vector v at cell k.  One forward sweep gives each later cell:
-    (lambda - D_i) x_i = (in1 x1_{i-1} + r_i, in2 x2_{i-1}), with D_i the
-    cell block and r_i = h sum_{k <= j < i} beta[i, j] x1_j: h f_i times
-    a running sum of g_j x1_j for a rank-1 kernel f g^T or ``s>y``
-    (f = value, g = 1), a row product for a dense kernel, zero for a
-    recruitment-free sum or ``s<y``.  Later block eigenvalues lie below
-    lambda, so x >= 0.  The sweep has no source: whenever a cell passes
-    2^512, all entries so far and the running sum are scaled by 2^-512.
+    Perron vector v at cell k; one forward sweep with no source,
+    ``gen.block_sweep`` with the head (k, v), rescaled by powers of two,
+    gives each later cell.  Later block eigenvalues lie below lambda, so
+    x >= 0.
     """
-    a, b, c, d = blocks
-    n, h, K = gen.grid.n, gen.grid.h, gen.kernel
+    a, b, c, d = gen.cell_blocks(which)
     lams = block_eigenvalues(a, b, c, d)
     lam = float(lams.max())
     k = int(np.flatnonzero(lams == lam)[-1])
@@ -160,41 +158,8 @@ def _exact_bound(gen: DiscreteGenerator, which: str,
         v = (lam - d[k], c[k])
     if v == (0.0, 0.0):     # the block is lam*I or [[lam, b], [0, lam]]
         v = (1.0, 0.0)
-    x = np.zeros(2 * n)
-    x[[k, n + k]] = v
-    if k == n - 1:
-        return lam, x
-    m, rows = n - k - 1, None
-    f = g = [0.0] * m
-    if which != "full":
-        pass                # a recruitment-free sum: r = 0
-    elif K.factors is not None:
-        f, g = (h * K.factors[0][k + 1:]).tolist(), K.factors[1][k:].tolist()
-    elif K.triangle is not None and K.triangle[1] == LOWER:
-        f, g = [h * K.triangle[0]] * m, [1.0] * m
-    elif K.dense is not None:
-        rows = K.dense[k + 1:, k:]
-    i11, i12, i21, i22 = cell_inverse(
-        lam, *(w[k + 1:] for w in blocks)).tolist()
-    in1, in2 = gen.inflow[:, k:].tolist()
-    x1, x2 = [float(v[0])], [float(v[1])]
-    p1, p2, acc = x1[0], x2[0], 0.0
-    for i in range(m):
-        acc += g[i] * p1
-        p = in1[i] * p1 + f[i] * acc
-        if rows is not None:
-            p += h * float(rows[i, :i + 1] @ x1)
-        q = in2[i] * p2
-        # a zero coupling rate passes nothing on (see block_sweep)
-        p1 = i11[i] * p + (i12[i] and i12[i] * q)
-        p2 = (i21[i] and i21[i] * p) + i22[i] * q
-        x1.append(p1)
-        x2.append(p2)
-        if p1 > HUGE or p2 > HUGE:
-            x1, x2 = [w * TINY for w in x1], [w * TINY for w in x2]
-            p1, p2, acc = x1[-1], x2[-1], acc * TINY
-    x[k:n], x[n + k:] = x1, x2
-    return lam, x
+    return lam, gen.block_sweep(lam, np.zeros(2 * gen.grid.n), which,
+                                rescale=True, head=(k, v))
 
 
 def characteristic_function(gen: DiscreteGenerator, lam: float,
@@ -219,21 +184,24 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     with np.errstate(all="ignore"):
         x = gen.factorization(lam, "B").solve(rhs)
     if not np.isfinite(x).all():
-        x = gen.block_sweep(lam, rhs, gen.cell_blocks("B"))
+        x = gen.block_sweep(lam, rhs)
     seen = g > 0        # cells g ignores add nothing, even where x is inf
-    return gen.grid.h * float(g[seen] @ x[:n][seen]), x
+    with np.errstate(over="ignore"):    # a sum past the float range is inf
+        return gen.grid.h * float(g[seen] @ x[:n][seen]), x
 
 
-def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
-                          tol: float, max_iter: int):
+def _characteristic_bound(gen: DiscreteGenerator, tol: float,
+                          max_iter: int):
     """Root of phi(lambda) = 1 above s_B for a mixing rank-1 kernel.
 
     A safeguarded Newton iteration on log phi (convex and decreasing)
     inside the bracket [lo, hi] with phi(lo) > 1 >= phi(hi), which opens
-    at [s_B, shift0 or ``gen.line_sum_bound()`` + 1]; every evaluation
-    (one banded factor of lambda - B, whose second solve gives phi')
-    moves one end, a step that leaves the bracket is a bisection, and
-    the loop stops at hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
+    at [s_B, ``gen.line_sum_bound()`` + 1], s_B from
+    ``recruitment_free_bound`` (the line-sum bound lies above s_A, so
+    phi < 1 there); every evaluation (one banded factor of lambda - B,
+    whose second solve gives phi') moves one end, a step that leaves the
+    bracket is a bisection, and the loop stops at
+    hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
     the tolerance, the point it reached is the root to far better than
     tol, and one evaluation just across it closes the bracket.  The
     eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
@@ -241,23 +209,15 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
     that solve overflowed.  If phi(s_B+) <= 1, then s_A = s_B (see
     ``_boundary_eigenvector``).
     """
-    blocks = gen.cell_blocks("B")
-    s_B = float(block_eigenvalues(*blocks).max())
-    user_shift = shift0 is not None
-    hi = float(shift0) if user_shift else gen.line_sum_bound() + 1.0
-    phi_hi, x_hi = characteristic_function(gen, hi) if hi > s_B \
-        else (math.inf, None)
+    s_B = recruitment_free_bound(gen)
+    hi = gen.line_sum_bound() + 1.0
+    phi_hi, x_hi = characteristic_function(gen, hi)
     if phi_hi >= 1.0:
-        if user_shift:
-            raise ConfigurationError(
-                f"spectral.shift0 = {hi:g} is not above the spectral bound "
-                f"of the 'full' operator")
         raise NumericalError("characteristic function is not below 1 at "
                              "the initial shift")
     phi_lo, x_lo = characteristic_function(gen, np.nextafter(s_B, math.inf))
     if phi_lo <= 1.0:
-        return s_B, _boundary_eigenvector(gen, blocks, phi_lo, x_lo), \
-            (s_B, s_B)
+        return s_B, _boundary_eigenvector(gen, phi_lo, x_lo), (s_B, s_B)
     lo = s_B
     lam, phi, x, step = hi, phi_hi, x_hi, math.inf
     for _ in range(max_iter):
@@ -292,7 +252,7 @@ def _characteristic_bound(gen: DiscreteGenerator, shift0: Optional[float],
     if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
         x = gen.block_sweep(lam, np.concatenate([gen.kernel.factors[0],
                                                  np.zeros(gen.grid.n)]),
-                            blocks, rescale=True)
+                            rescale=True)
     return lam, x, (lo, hi)
 
 
@@ -309,8 +269,8 @@ def _newton_step(gen: DiscreteGenerator, lam: float, phi: float,
     return -math.log(phi) * phi / dphi
 
 
-def _boundary_eigenvector(gen: DiscreteGenerator, blocks: tuple,
-                          phi: float, w: np.ndarray) -> np.ndarray:
+def _boundary_eigenvector(gen: DiscreteGenerator, phi: float,
+                          w: np.ndarray) -> np.ndarray:
     """Nonnegative eigenvector for s_A = s_B when phi(s_B+) <= 1.
 
     With x_B the Perron vector of B and w = (s_B+ - B)^{-1}(f, 0), the
@@ -319,7 +279,7 @@ def _boundary_eigenvector(gen: DiscreteGenerator, blocks: tuple,
     """
     n = gen.grid.n
     g = gen.kernel.factors[1]
-    x_B = _exact_bound(gen, "B", blocks)[1]
+    x_B = _exact_bound(gen, "B")[1]
     seen = float(g @ x_B[:n])
     if seen > 0 and np.isfinite(w).all():
         return (1.0 - phi) / seen * x_B + gen.grid.h * w
@@ -340,11 +300,10 @@ def _collatz_wielandt(M, x: np.ndarray) -> tuple[float, float]:
     return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
 
 
-def _power_bound(gen: DiscreteGenerator, shift0: Optional[float],
-                 tol: float, max_iter: int):
+def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
-    The first shift is ``shift0`` or ``gen.line_sum_bound()`` + 1.
+    The first shift is ``gen.line_sum_bound()`` + 1.
     Every shift passes the positivity certificate, so it lies above the
     spectral bound and the resolvent's dominant eigenvalue belongs to the
     Perron pair; a re-centred shift that fails it is rejected and the
@@ -353,13 +312,8 @@ def _power_bound(gen: DiscreteGenerator, shift0: Optional[float],
     IterationError, carrying that bracket, when ``max_iter`` runs out or
     the final iterate is not strictly positive.
     """
-    user_shift = shift0 is not None
-    top = float(shift0) if user_shift else gen.line_sum_bound() + 1.0
+    top = gen.line_sum_bound() + 1.0
     if _certificate(gen, top) is None:
-        if user_shift:
-            raise ConfigurationError(
-                f"spectral.shift0 = {top:g} is not above the spectral bound "
-                f"of the 'full' operator")
         raise NumericalError("positivity certificate failed at the "
                              "initial shift")
     n2 = 2 * gen.grid.n
@@ -404,8 +358,7 @@ def _power_bound(gen: DiscreteGenerator, shift0: Optional[float],
     return lam, x, bracket
 
 
-def spectral_bound(gen: DiscreteGenerator, *,
-                   shift0: Optional[float] = None, tol: float = 1e-10,
+def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
                    max_iter: int = 500) -> SpectralBound:
     """Rightmost real eigenvalue and nonnegative eigenvector of the full
     generator.
@@ -415,7 +368,7 @@ def spectral_bound(gen: DiscreteGenerator, *,
       * ``exact``: a generator that is block lower triangular in
         per-cell order (no recruitment, or a kernel that does not mix)
         is solved from its 2x2 cell blocks, with no factorization of the
-        whole matrix; the bracket is (s, s) and ``shift0`` is not used;
+        whole matrix; the bracket is (s, s);
       * ``characteristic``: a mixing rank-1 kernel f g^T; s is the root
         above s_B of phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1
         (s = s_B when phi(s_B+) <= 1), found by safeguarded Newton on
@@ -431,29 +384,28 @@ def spectral_bound(gen: DiscreteGenerator, *,
         above the bound; the bracket is the Collatz-Wielandt bracket of
         the final iterate.
 
-    ``shift0`` opens the characteristic bracket from above, or is the
-    first power-iteration shift; the default is the line-sum bound of the
-    full generator plus 1 (``DiscreteGenerator.line_sum_bound``).  The
-    options are keyword-only; the recruitment-free bound s_B is
+    The characteristic bracket opens from above, and the power iteration
+    takes its first shift, at 1 above the line-sum bound of the full
+    generator (``DiscreteGenerator.line_sum_bound``), which its Metzler
+    sign pattern places above the spectral bound.  The options are
+    keyword-only; the recruitment-free bound s_B is
     ``recruitment_free_bound``.
-    ConfigurationError when a given ``shift0`` is not above the bound;
     IterationError (with the bracket reached) when an iterative route
     does not settle in ``max_iter`` steps or, for the power route, ends
     on an iterate that is not strictly positive.
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    blocks = gen.cell_blocks("full")
-    if blocks is not None:
+    if gen.cell_blocks("full") is not None:
         route = "exact"
-        lam, x = _exact_bound(gen, "full", blocks)
+        lam, x = _exact_bound(gen, "full")
         bracket = (lam, lam)
     elif gen.kernel.factors is not None:
         route = "characteristic"
-        lam, x, bracket = _characteristic_bound(gen, shift0, tol, max_iter)
+        lam, x, bracket = _characteristic_bound(gen, tol, max_iter)
     else:
         route = "power"
-        lam, x, bracket = _power_bound(gen, shift0, tol, max_iter)
+        lam, x, bracket = _power_bound(gen, tol, max_iter)
     x = np.clip(x, 0.0, None)
     eig = StateVector.from_stacked(x, gen.grid)
     m = eig.mass

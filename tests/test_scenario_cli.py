@@ -75,10 +75,11 @@ class TestParseScenario:
                                      "name": "indicator", "low": 0.5}
         with pytest.raises(ConfigurationError, match="low"):
             scenario_from_dict(doc)
-        scn = scenario_from_dict(minimal_doc(run={"u0": {
-            "u1": {"form": "constant", "value": 1.0, "scale": 2.0}}}))
         with pytest.raises(ConfigurationError, match="scale"):
-            scn.initial_state()
+            scenario_from_dict(minimal_doc(run={"u0": {
+                "u1": {"form": "constant", "value": 1.0, "scale": 2.0}}}))
+        with pytest.raises(ConfigurationError, match="shift0"):
+            scenario_from_dict(minimal_doc(spectral={"shift0": 5.0}))
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -429,11 +430,12 @@ class TestCLI:
             else:
                 doc.setdefault(section, {})[key] = spec
             assert run_cli(["criteria", write(tmp_path, doc)]) == 2, spec
-        # the initial state is sampled by the stages that step
+        # the initial state is sampled at parse time, as every section
         doc = minimal_doc(run={"u0": {"u2": {"form": "expression",
                                              "name": "linear", "slop": 2.0}}})
-        assert run_cli(["simulate", write(tmp_path, doc),
-                        "--out", str(tmp_path / "o")]) == 2
+        for command in ("criteria", "spectrum", "simulate"):
+            assert run_cli([command, write(tmp_path, doc),
+                            "--out", str(tmp_path / "o")]) == 2, command
 
     def test_probe_without_source_cell_exit_2(self, tmp_path):
         # h = 2.5: no cell center lies in the probe source [0, 1]
@@ -447,15 +449,6 @@ class TestCLI:
         d = json.loads((out / "minimal_report.json").read_text())
         assert not d["complete"]
         assert "source interval" in d["error"]
-
-    def test_shift0_below_bound_exit_2(self, tmp_path):
-        doc = minimal_doc(spectral={"shift0": -5.0})
-        out = tmp_path / "o"
-        assert run_cli(["spectrum", write(tmp_path, doc),
-                        "--out", str(out)]) == 2
-        d = json.loads((out / "minimal_report.json").read_text())
-        assert not d["complete"]
-        assert "shift0" in d["error"]
 
     @pytest.mark.parametrize("command, stage", [
         ("criteria", "full_verdict"), ("spectrum", "spectral_bound"),

@@ -88,12 +88,12 @@ class TestSpectralBound:
         # lower-bidiagonal pure transport with gamma = 1 + s: the top
         # diagonal entry -gamma(edge_1)/h = -11 is the rightmost
         # eigenvalue.  The kernel is zero, so the bound is read exactly
-        # off the cell blocks and the shift0 on that eigenvalue, which
-        # would make a factorization singular, is never used
+        # off the cell blocks, with no shift on that eigenvalue, which
+        # would make a factorization singular
         g, p, K, gen = make(n=10, kernel=0.0, mu=0.0, c1=0.0, c2=0.0,
                             gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
         assert gen.full.diagonal().max() == -11.0
-        s, _ = spectral_bound(gen, shift0=-11.0)
+        s, _ = spectral_bound(gen)
         assert s == pytest.approx(-11.0, abs=1e-8)
 
 
@@ -258,22 +258,9 @@ class TestCertifiedShifts:
         assert s == pytest.approx(13.0, abs=1e-8)
         assert min(eig.u1.min(), eig.u2.min()) >= 0.0
 
-    @pytest.mark.parametrize("shift0", [5.0, 13.0])
-    def test_shift0_at_or_below_bound_rejected(self, shift0):
-        g, p, K, gen = reducible_generator(table=True)
-        with pytest.raises(ConfigurationError, match="shift0"):
-            spectral_bound(gen, shift0=shift0)
-
-    @pytest.mark.parametrize("shift0", [-11.0, 5.0, 13.0])
-    def test_shift0_at_or_below_bound_rejected_characteristic(self, shift0):
-        # -11 is s_B itself, where the sweep is not defined
-        g, p, K, gen = reducible_generator()
-        with pytest.raises(ConfigurationError, match="shift0"):
-            spectral_bound(gen, shift0=shift0)
-
     def test_positional_option_rejected(self):
         # the options are keyword-only, so a stale operator selection
-        # does not bind to shift0
+        # does not bind to tol
         g, p, K, gen = reducible_generator()
         with pytest.raises(TypeError):
             spectral_bound(gen, "full")
@@ -365,8 +352,7 @@ def sweep_phi(gen, lam):
     # phi from the forward sweep alone
     f, g = gen.kernel.factors
     n = gen.grid.n
-    x = gen.block_sweep(lam, np.concatenate([f, np.zeros(n)]),
-                        gen.cell_blocks("B"))
+    x = gen.block_sweep(lam, np.concatenate([f, np.zeros(n)]))
     seen = g > 0
     return gen.grid.h * float(g[seen] @ x[:n][seen])
 
@@ -411,6 +397,16 @@ class TestCharacteristicRoute:
         lo, hi = bound.bracket
         assert lo <= bound.s <= hi and hi - lo <= 1e-10 * abs(hi)
 
+    def test_overflowing_phi_reads_inf_without_warning(self):
+        # at s_B + 0.5 the sum h g.x_1 of finite terms passes the float
+        # range
+        g, p, K, gen = make(n=300, m=40.0,
+                            kernel=RANK_ONE["product"]["kernel"])
+        lam = recruitment_free_bound(gen) + 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert characteristic_function(gen, lam)[0] == math.inf
+
     def test_overflowed_eigenfunction_is_rescaled(self):
         # the generator above: phase 2 of the solve at s_A grows about 4x
         # per cell and overflows, so the eigenfunction comes from a sweep
@@ -435,9 +431,9 @@ class TestCharacteristicRoute:
         calls = []
         real = DiscreteGenerator.block_sweep
 
-        def counting(self, *args):
+        def counting(self, *args, **kwargs):
             calls.append(1)
-            return real(self, *args)
+            return real(self, *args, **kwargs)
 
         monkeypatch.setattr(DiscreteGenerator, "block_sweep", counting)
         for mu in PROBE_SWEEP_MU:
