@@ -8,9 +8,10 @@ pointwise at centers, so a cell straddling a jump takes the center
 value -- a deterministic O(h) bias.
 
 The kernel keeps the structure of its built-in form: rank-1 factors
-(constant, product, box indicator) or a strict triangle (``s>y``,
-``s<y``), so its derived quantities cost O(n) and no n x n array is
-allocated; only tables and callables are sampled densely.
+(constant, product, box indicator), kept on every cell pair or, for an
+indicator with a relation (``s>y``, ``s<y``), only strictly below or
+above the diagonal.  Its derived quantities cost O(n) and no n x n
+array is allocated; only tables and callables are sampled densely.
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -18,7 +19,6 @@ threads.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -268,28 +268,32 @@ class Kernel:
     The kernel keeps the structure of its form, so that every derived
     quantity below costs O(n) and allocates no n x n array:
 
-      * ``factors`` = (f, g) for the rank-1 forms (constant, product, box
-        indicator): beta[i, j] = f[i] * g[j];
-      * ``triangle`` = (value, relation) for the indicators ``"s>y"``
-        (beta = value strictly below the diagonal) and ``"s<y"``
-        (strictly above it);
+      * ``factors`` = (f, g) for every built-in form: beta[i, j] =
+        f[i] * g[j] on the cell pairs that ``relation`` keeps and 0 on
+        the others.  ``relation`` None keeps them all (constant, product,
+        box indicator: a rank-1 kernel, see ``rank_one``); ``"s>y"``
+        keeps j < i (offspring larger than the parent) and ``"s<y"``
+        keeps j > i, strictly below or above the diagonal (an indicator
+        with a relation: its box times its value, masked);
       * ``dense`` for tables and callables.
 
-    Exactly one of the three is set.  ``k_beta`` is the max over columns
-    j of sum_i beta[i, j] * h (the discrete bound on the integral
-    operator norm), ``beta1`` the row-wise minimum over y.
-    ``dominator`` is an optional grid function bounding
-    beta(s, y) <= dominator(s) for all y (sufficient condition for weak
-    compactness of the recruitment operator).
+    Exactly one of ``factors`` and ``dense`` is set.  ``dominator`` is
+    an optional grid function bounding beta(s, y) <= dominator(s) for
+    all y (sufficient condition for weak compactness of the recruitment
+    operator).
     """
 
     grid: SizeGrid
-    k_beta: float
-    beta1: np.ndarray
     dominator: Optional[np.ndarray] = None
     factors: Optional[tuple[np.ndarray, np.ndarray]] = None
-    triangle: Optional[tuple[float, str]] = None
+    relation: Optional[str] = None
     dense: Optional[np.ndarray] = None
+
+    @property
+    def rank_one(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The factors (f, g) when beta = f g^T on every cell pair, else
+        None."""
+        return self.factors if self.relation is None else None
 
     @property
     def beta(self) -> np.ndarray:
@@ -297,47 +301,62 @@ class Kernel:
         structured forms (a test oracle and the general factor route)."""
         if self.dense is not None:
             return self.dense
-        if self.factors is not None:
-            return np.outer(*self.factors)
-        value, relation = self.triangle
-        lower = np.tri(self.grid.n, k=-1)
-        return (lower if relation == LOWER else lower.T) * value
+        i = np.arange(self.grid.n)
+        return np.where(self._kept(i[:, None], i), np.outer(*self.factors),
+                        0.0)
 
-    def _triangle_line_sums(self, rows: bool) -> np.ndarray:
-        # line k of a strict triangle holds k entries when it enters the
-        # triangle from its short side (rows of s>y, columns of s<y),
-        # else n-1-k
-        n = self.grid.n
-        value, relation = self.triangle
-        k = np.arange(n, dtype=float)
-        return value * (k if (relation == LOWER) == rows else n - 1 - k)
+    @property
+    def beta1(self) -> np.ndarray:
+        """Row minimum of beta over y."""
+        return self._row_extremes()[0]
+
+    def _kept(self, i, j):
+        # where beta[i, j] may be nonzero, broadcast over i and j
+        if self.relation is None:
+            return np.broadcast_to(True, np.broadcast(i, j).shape)
+        return j < i if self.relation == LOWER else j > i
+
+    def _line(self, x: np.ndarray, ufunc, rows: bool):
+        """``ufunc`` over the kept entries of x in each row (x = g) or
+        column (x = f): one reduction with no relation, else an
+        exclusive prefix scan (rows of s>y, columns of s<y) or suffix
+        scan from 0, which every masked line also holds."""
+        if self.relation is None:
+            return ufunc.reduce(x)
+        prefix = (self.relation == LOWER) == rows
+        y = x if prefix else x[::-1]
+        out = ufunc.accumulate(np.concatenate([[0.0], y[:-1]]))
+        return out if prefix else out[::-1]
 
     def row_sums(self) -> np.ndarray:
         """sum_j beta[i, j] for every offspring cell i."""
-        if self.factors is not None:
-            f, g = self.factors
-            return f * g.sum()
-        if self.triangle is not None:
-            return self._triangle_line_sums(rows=True)
-        return self.dense.sum(axis=1)
+        if self.dense is not None:
+            return self.dense.sum(axis=1)
+        f, g = self.factors
+        return f * self._line(g, np.add, rows=True)
 
     def column_sums(self) -> np.ndarray:
         """sum_i beta[i, j] for every parent cell j."""
-        if self.factors is not None:
-            f, g = self.factors
-            return g * f.sum()
-        if self.triangle is not None:
-            return self._triangle_line_sums(rows=False)
-        return self.dense.sum(axis=0)
+        if self.dense is not None:
+            return self.dense.sum(axis=0)
+        f, g = self.factors
+        return g * self._line(f, np.add, rows=False)
+
+    def _row_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row minimum and maximum of beta over y."""
+        if self.dense is not None:
+            return self.dense.min(axis=1), self.dense.max(axis=1)
+        f, g = self.factors
+        lo, hi = (f * self._line(g, u, rows=True)
+                  for u in (np.minimum, np.maximum))
+        return np.minimum(lo, hi), np.maximum(lo, hi)
 
     def diagonal(self) -> np.ndarray:
         """beta[i, i]: recruitment into the parent's own cell."""
-        if self.factors is not None:
-            f, g = self.factors
-            return f * g
-        if self.triangle is not None:
-            return np.zeros(self.grid.n)
-        return np.diagonal(self.dense).copy()
+        if self.dense is not None:
+            return np.diagonal(self.dense).copy()
+        f, g = self.factors
+        return f * g if self.relation is None else np.zeros(self.grid.n)
 
     def cutoff_sums(self) -> np.ndarray:
         """S[k-1] = sum of beta[i, j] over i < k <= j, for k = 1..n-1.
@@ -346,19 +365,38 @@ class Kernel:
         above it; some S[k] > 0 exactly when the kernel mixes (some
         beta[i, j] > 0 with i < j).
         """
-        n = self.grid.n
-        if self.factors is not None:
+        if self.dense is not None:
+            # C[i, j] = sum of beta over rows <= i and cols >= j;
+            # S[k-1] = C[k-1, k]
+            C = np.cumsum(np.cumsum(self.dense, axis=0)[:, ::-1],
+                          axis=1)[:, ::-1]
+            return np.diagonal(C, offset=1).copy()
+        if self.relation == LOWER:
+            return np.zeros(self.grid.n - 1)
+        # every pair i < k <= j lies above the diagonal, kept by "s<y"
+        f, g = self.factors
+        return np.cumsum(f)[:-1] * np.cumsum(g[::-1])[::-1][1:]
+
+    def _check_values(self):
+        """ValidationError unless every kernel sample is finite and >= 0."""
+        if self.dense is not None:
+            finite = np.all(np.isfinite(self.dense))
+        else:
             f, g = self.factors
-            return np.cumsum(f)[:-1] * np.cumsum(g[::-1])[::-1][1:]
-        if self.triangle is not None:
-            value, relation = self.triangle
-            if relation == LOWER:
-                return np.zeros(n - 1)
-            k = np.arange(1, n, dtype=float)
-            return value * k * (n - k)
-        # C[i, j] = sum of beta over rows <= i and cols >= j; S[k-1] = C[k-1, k]
-        C = np.cumsum(np.cumsum(self.dense, axis=0)[:, ::-1], axis=1)[:, ::-1]
-        return np.diagonal(C, offset=1).copy()
+            finite = (np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+                      and np.isfinite(np.abs(f).max() * np.abs(g).max()))
+        if not finite:
+            raise ValidationError("kernel sample is not finite", field="kernel")
+        lo = self._row_extremes()[0]
+        i = int(np.argmin(lo))
+        if lo[i] < 0:
+            c = self.grid.centers
+            row = (self.dense[i] if self.dense is not None else np.where(
+                self._kept(i, np.arange(c.size)), f[i] * g, 0.0))
+            j = int(np.argmin(row))
+            raise ValidationError(
+                f"kernel is negative at (s={c[i]:g}, y={c[j]:g})",
+                field="kernel", cell=i)
 
 
 def _rank_one(f: np.ndarray, g: np.ndarray) -> dict:
@@ -371,8 +409,8 @@ def _rank_one(f: np.ndarray, g: np.ndarray) -> dict:
 
 
 def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.ndarray]]:
-    """Structured samples of a kernel spec: one of factors, triangle or
-    dense (as Kernel keeps them), and the sampled dominator."""
+    """Structured samples of a kernel spec: factors (with a relation) or
+    dense, as Kernel keeps them, and the sampled dominator."""
     s = grid.centers
     ones = np.ones(grid.n)
     dominator = None
@@ -400,17 +438,15 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
             form = {"dense": beta * scale}
         elif kind == "indicator":
             relation = spec.get("relation")
-            value = float(spec.get("value", 1.0)) * scale
-            if relation in (LOWER, UPPER):
-                form = {"triangle": (value, relation)}
-            elif relation is None:
-                def box(lo, hi):
-                    return ((s >= float(spec.get(lo, 0.0)))
-                            & (s <= float(spec.get(hi, np.inf)))).astype(float)
-                form = _rank_one(box("s_lo", "s_hi") * value,
-                                 box("y_lo", "y_hi"))
-            else:
+            if relation not in (None, LOWER, UPPER):
                 raise ConfigurationError(f"unknown kernel relation {relation!r}")
+            value = float(spec.get("value", 1.0)) * scale
+
+            def box(lo, hi):
+                return ((s >= float(spec.get(lo, 0.0)))
+                        & (s <= float(spec.get(hi, np.inf)))).astype(float)
+            form = dict(_rank_one(box("s_lo", "s_hi") * value,
+                                  box("y_lo", "y_hi")), relation=relation)
         else:
             raise ConfigurationError(f"unknown kernel form {kind!r}")
         if "dominator" in spec and spec["dominator"] is not None:
@@ -422,70 +458,24 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
     return form, dominator
 
 
-def _row_extremes(form: dict, grid: SizeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Row minimum and maximum over y of a validated kernel form."""
-    if "factors" in form:
-        f, g = form["factors"]
-        return f * g.min(), f * g.max()
-    if "triangle" in form:
-        value, relation = form["triangle"]
-        i = np.arange(grid.n)
-        has_entry = i > 0 if relation == LOWER else i < grid.n - 1
-        return np.zeros(grid.n), np.where(has_entry, value, 0.0)
-    beta = form["dense"]
-    return beta.min(axis=1), beta.max(axis=1)
-
-
-def _check_kernel_values(form: dict, grid: SizeGrid):
-    """ValidationError unless every kernel sample is finite and >= 0."""
-    c = grid.centers
-    if "factors" in form:
-        f, g = form["factors"]
-        finite = (np.all(np.isfinite(f)) and np.all(np.isfinite(g))
-                  and np.isfinite(np.abs(f).max() * np.abs(g).max()))
-        # the smallest product f[i] * g[j] pairs extremes of f and g
-        i, j = min(((i, j) for i in (np.argmin(f), np.argmax(f))
-                    for j in (np.argmin(g), np.argmax(g))),
-                   key=lambda ij: f[ij[0]] * g[ij[1]])
-        negative = f[i] * g[j] < 0
-    elif "triangle" in form:
-        value, relation = form["triangle"]
-        finite = np.isfinite(value)
-        i, j = (1, 0) if relation == LOWER else (0, 1)
-        negative = value < 0
-    else:
-        beta = form["dense"]
-        finite = np.all(np.isfinite(beta))
-        i, j = np.unravel_index(int(np.argmin(beta)), beta.shape)
-        negative = beta[i, j] < 0
-    if not finite:
-        raise ValidationError("kernel sample is not finite", field="kernel")
-    if negative:
-        raise ValidationError(
-            f"kernel is negative at (s={c[i]:g}, y={c[j]:g})",
-            field="kernel", cell=int(i))
-
-
 def build_kernel(spec: KernelSpec, grid: SizeGrid) -> Kernel:
     """Sample the recruitment kernel at (center_i, center_j) pairs.
 
-    Built-in forms keep their rank-1 or triangle structure (see
-    ``Kernel``); tables and callables are sampled densely.  Computes
-    k_beta (max h-weighted column sum) and beta1 (row minimum over the
-    parent-size axis) by their exact discrete formulas.
+    Built-in forms keep their (masked) rank-1 factors (see ``Kernel``);
+    tables and callables are sampled densely.  ValidationError when a
+    sample is negative or not finite, or the dominator does not bound a
+    row.
     """
     form, dominator = _kernel_form(spec, grid)
-    _check_kernel_values(form, grid)
-    beta1, row_max = _row_extremes(form, grid)
+    kernel = Kernel(grid=grid, dominator=dominator, **form)
+    kernel._check_values()
     if dominator is not None:
+        row_max = kernel._row_extremes()[1]
         if np.any(row_max > dominator + 1e-12 * max(1.0, float(row_max.max()))):
             raise ValidationError("dominator does not bound the kernel",
                                   field="kernel.dominator")
         dominator.setflags(write=False)
-    for arr in (beta1, *form.get("factors", ()), form.get("dense")):
+    for arr in (*form.get("factors", ()), form.get("dense")):
         if arr is not None:
             arr.setflags(write=False)
-    kernel = Kernel(grid=grid, k_beta=0.0, beta1=beta1, dominator=dominator,
-                    **form)
-    k_beta = float((kernel.column_sums() * grid.h).max())
-    return dataclasses.replace(kernel, k_beta=k_beta)
+    return kernel

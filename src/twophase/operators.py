@@ -24,11 +24,11 @@ recruitment-free sums are block lower bidiagonal with 2x2 cell blocks,
 so the direct route factors lambda - M for them as L_b D with no fill
 and no pivoting: D the cell blocks, L_b unit lower banded, each solve
 one BLAS banded triangular solve (dtbsv) and a vectorised D^{-1},
-O(n).  For a rank-1 kernel the full generator adds a
-Sherman-Morrison correction to that factor of lambda - B (transport,
-loss and coupling); only the other kernels (tables, callables, the
-triangles) take a sparse LU (SuperLU) of lambda - M with a
-minimum-degree ordering of A + A^T.  A generator keeps only its last
+O(n).  For a rank-1 kernel (``Kernel.rank_one``) the full generator
+adds a Sherman-Morrison correction to that factor of lambda - B
+(transport, loss and coupling); only the other kernels (tables,
+callables, factors masked by a relation) take a sparse LU (SuperLU) of
+lambda - M with a minimum-degree ordering of A + A^T.  A generator keeps only its last
 factor, which serves the repeated shifts of implicit steps, resolvents
 and eigensolves.  ``DiscreteGenerator.block_sweep`` solves any block
 lower triangular sum (a recruitment-free one, or the full generator of
@@ -53,13 +53,13 @@ import numpy as np
 
 from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
-from .model import LOWER, Kernel, ModelParams, SizeGrid
+from .model import UPPER, Kernel, ModelParams, SizeGrid
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
 
-WHICH_CHOICES = ("A", "B", "full")
+WHICH_CHOICES = ("B", "full")
 
 # forward sweeps that would overflow rescale by exact powers of 2
 HUGE, TINY = 2.0 ** 512, 2.0 ** -512
@@ -264,21 +264,18 @@ class DiscreteGenerator:
         [M[n+i, i], M[n+i, n+i]]], read off the per-cell arrays.  Returns
         (a, b, c, d) when no nonzero entry of M feeds a cell from a later
         one, so that M is block lower triangular and its spectrum is the
-        union of the blocks'; None otherwise.  "A" and "B" always
-        qualify; "full" qualifies exactly when the kernel does not mix
-        (beta vanishes above the diagonal: no offspring is smaller than
-        its parent), a test made once per generator.
+        union of the blocks'; None otherwise.  "B" (transport, loss and
+        coupling) always qualifies; "full" qualifies exactly when the
+        kernel does not mix (beta vanishes above the diagonal: no
+        offspring is smaller than its parent), a test made once per
+        generator.
         """
         if which not in WHICH_CHOICES:
             raise ConfigurationError(f"unknown operator selection {which!r}")
         if which == "full" and self._mixes:
             return None
-        if which == "A":
-            a, d = -self.outflow
-            b = c = np.zeros(self.grid.n)
-        else:
-            a, d = -(self.outflow + self.loss)
-            b, c = self.coupling
+        a, d = -(self.outflow + self.loss)
+        b, c = self.coupling
         if which == "full":
             a = a + self.kernel.diagonal() * self.grid.h
         return a, b, c, d
@@ -288,12 +285,12 @@ class DiscreteGenerator:
 
         Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
         ``scale`` = lambda = 1/dt applies the implicit step's
-        (I - dt*M)^{-1}.  The recruitment-free sums "A" and "B" take
-        the fill-free banded factor (O(n), no pivoting); the full
-        generator of a rank-1 kernel takes that of lambda - B plus a
-        Sherman-Morrison correction; only the other kernels (tables,
-        callables, triangles) take a sparse LU (SuperLU) with a
-        minimum-degree ordering of A + A^T.  Only the last
+        (I - dt*M)^{-1}.  The recruitment-free sum "B" takes the
+        fill-free banded factor (O(n), no pivoting); the full generator
+        of a rank-1 kernel (``Kernel.rank_one``) takes that of lambda - B
+        plus a Sherman-Morrison correction; only the other kernels
+        (tables, callables, masked factors) take a sparse LU (SuperLU)
+        with a minimum-degree ordering of A + A^T.  Only the last
         (lambda, which, scale) factor is kept; a new key frees it first.
         SpectralProximityError when the shift makes the matrix (or the
         correction) singular.
@@ -304,8 +301,8 @@ class DiscreteGenerator:
             if which != "full":
                 fact = _BandedFactor(lam, self.cell_blocks(which),
                                      self.inflow, scale)
-            elif self.kernel.factors is not None:
-                f, g = self.kernel.factors
+            elif self.kernel.rank_one is not None:
+                f, g = self.kernel.rank_one
                 fact = _RankOneFactor(
                     _BandedFactor(lam, self.cell_blocks("B"), self.inflow,
                                   scale),
@@ -328,12 +325,13 @@ class DiscreteGenerator:
                     head: Optional[tuple] = None) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
-        M is a block lower triangular sum ("A", "B", or "full" for a
-        kernel that does not mix; see ``cell_blocks``).  Cell i takes
+        M is a block lower triangular sum ("B", or "full" for a kernel
+        that does not mix; see ``cell_blocks``).  Cell i takes
         ``inflow[k][i-1]`` times phase k of cell i - 1 and, for "full",
         the recruitment h sum_{j < i} beta[i, j] x1_j: h f_i times a
-        running sum of g_j x1_j for a rank-1 kernel f g^T or ``s>y``
-        (f = value, g = 1), a row product for a dense kernel.  With
+        running sum of g_j x1_j for factors (f, g) with no relation or
+        ``s>y``, a row product for a dense kernel, and nothing for
+        ``s<y``, which keeps no pair j < i.  With
         ``head`` = (k, v), x is zero before cell k and v at cell k, and
         the sweep fills the later cells.  lambda must lie above the
         larger eigenvalue of every block swept; each block of lambda - M
@@ -361,13 +359,10 @@ class DiscreteGenerator:
         r1, r2 = rhs[:n].tolist(), rhs[n:].tolist()
         f = g = [0.0] * n     # g[i] weighs x1 of cell i - 1
         rows = None
-        if which == "full" and K.factors is not None:
+        if which == "full" and K.factors is not None and K.relation != UPPER:
             f, g = (h * K.factors[0]).tolist(), [0.0] + K.factors[1].tolist()
-        elif which == "full" and K.triangle is not None \
-                and K.triangle[1] == LOWER:
-            f, g = [h * K.triangle[0]] * n, [1.0] * n
         elif which == "full":
-            rows = K.dense      # None for a triangle that places nothing
+            rows = K.dense      # None for s<y, which adds nothing here
         w = 1.0     # weight of the rhs: a power of two
         for i in range(start, n):
             # a zero weight or coupling rate passes nothing on, even from

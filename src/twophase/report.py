@@ -73,19 +73,19 @@ def atomic_write_text(path: str, text: str):
 
 def write_trajectory_csv(path: str, traj):
     rows = ["t,mass_total,mass_u1,mass_u2"]
-    # Python floats format faster than numpy scalars, to the same text
-    for t, m, (m1, m2) in zip(traj.step_times.tolist(),
-                              traj.step_masses.tolist(),
-                              traj.step_phase_masses.tolist()):
-        rows.append(f"{t:.12g},{m:.12g},{m1:.12g},{m2:.12g}")
+    # Python floats format faster than numpy scalars, and a tuple
+    # %-formatted faster than an f-string, to the same text
+    rows += ["%.12g,%.12g,%.12g,%.12g" % row
+             for row in zip(traj.step_times.tolist(), traj.step_masses.tolist(),
+                            *traj.step_phase_masses.T.tolist())]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
 def write_profile_csv(path: str, state: StateVector):
     rows = ["s,u1,u2"]
-    for s, a, b in zip(state.grid.centers.tolist(), state.u1.tolist(),
-                       state.u2.tolist()):
-        rows.append(f"{s:.12g},{a:.12g},{b:.12g}")
+    rows += ["%.12g,%.12g,%.12g" % row
+             for row in zip(state.grid.centers.tolist(), state.u1.tolist(),
+                            state.u2.tolist())]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

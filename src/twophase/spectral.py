@@ -177,7 +177,7 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     by one forward sweep (``DiscreteGenerator.block_sweep``), which reads
     an overflow as +inf, never NaN.
     """
-    f, g = gen.kernel.factors
+    f, g = gen.kernel.rank_one
     n = gen.grid.n
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
@@ -250,7 +250,7 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
         return abs(math.log(p)) if p > 0 else math.inf
     lam, x = (lo, x_lo) if distance(phi_lo) < distance(phi_hi) else (hi, x_hi)
     if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
-        x = gen.block_sweep(lam, np.concatenate([gen.kernel.factors[0],
+        x = gen.block_sweep(lam, np.concatenate([gen.kernel.rank_one[0],
                                                  np.zeros(gen.grid.n)]),
                             rescale=True)
     return lam, x, (lo, hi)
@@ -278,7 +278,7 @@ def _boundary_eigenvector(gen: DiscreteGenerator, phi: float,
     M x = s_B x, since h g.w_1 = phi; when g.x_B1 = 0, x_B itself does.
     """
     n = gen.grid.n
-    g = gen.kernel.factors[1]
+    g = gen.kernel.rank_one[1]
     x_B = _exact_bound(gen, "B")[1]
     seen = float(g @ x_B[:n])
     if seen > 0 and np.isfinite(w).all():
@@ -400,7 +400,7 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         route = "exact"
         lam, x = _exact_bound(gen, "full")
         bracket = (lam, lam)
-    elif gen.kernel.factors is not None:
+    elif gen.kernel.rank_one is not None:
         route = "characteristic"
         lam, x, bracket = _characteristic_bound(gen, tol, max_iter)
     else:

@@ -55,7 +55,7 @@ def test_criterion_01_resolvent_oracle_equivalence(capsys):
                 gen = assemble(p, build_kernel(0.0, g), g)
                 h = hfun(g.centers)
                 U = resolvent_direct(gen, lam,
-                                     StateVector(h, np.zeros(n), g), "A")
+                                     StateVector(h, np.zeros(n), g))
                 ua = resolvent_transport_analytic(lam, h, p.gamma1, g)
                 errs.append(float(np.abs(U.u1 - ua).sum() * g.h))
             h400 = 1.0 / 400

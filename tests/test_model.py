@@ -86,7 +86,6 @@ class TestBuildKernel:
     def test_constant_kernel(self):
         g = build_grid("finite", 1.0, 4)
         K = build_kernel(1.0, g)
-        assert K.k_beta == pytest.approx(1.0)
         assert np.all(K.beta1 == 1.0)
 
     def test_lower_triangular_indicator(self):
@@ -98,24 +97,7 @@ class TestBuildKernel:
     def test_zero_kernel(self):
         g = build_grid("finite", 1.0, 8)
         K = build_kernel(0.0, g)
-        assert K.k_beta == 0.0
         assert np.all(K.beta1 == 0)
-
-    def test_k_beta_is_max_weighted_column_sum(self):
-        g = build_grid("finite", 1.0, 16)
-        K = build_kernel(lambda s, y: s + y, g)
-        recomputed = (K.beta.sum(axis=0) * g.h).max()
-        assert K.k_beta == pytest.approx(recomputed)
-
-    def test_k_beta_refinement_converges_first_order(self):
-        vals = []
-        for n in (50, 100, 200):
-            g = build_grid("finite", 1.0, n)
-            vals.append(build_kernel(lambda s, y: s + y, g).k_beta)
-        # limit for beta = s + y is max_y (1/2 + y) = 3/2
-        errs = [abs(v - 1.5) for v in vals]
-        assert errs[1] <= 0.6 * errs[0] + 1e-12
-        assert errs[2] <= 0.6 * errs[1] + 1e-12
 
     def test_negative_kernel_rejected(self):
         g = build_grid("finite", 1.0, 4)

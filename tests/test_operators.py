@@ -161,7 +161,7 @@ class TestAnalyticResolvent:
             p = sample_params(spec, g)
             gen = assemble(p, build_kernel(0.0, g), g)
             h = hfun(g.centers)
-            U = resolvent_direct(gen, lam, StateVector(h, np.zeros(n), g), "A")
+            U = resolvent_direct(gen, lam, StateVector(h, np.zeros(n), g))
             ua = resolvent_transport_analytic(lam, h, p.gamma1, g)
             errs.append(np.abs(U.u1 - ua).sum() * g.h)
         assert errs[0] <= 1.0 * (1.0 / 100)       # C * h with modest C
@@ -173,7 +173,7 @@ class TestAnalyticResolvent:
         spec = dict(gamma1=1.0, gamma2=1.0, mu=0.0, c1=0.0, c2=0.0, gamma0=1.0)
         p = sample_params(spec, g)
         gen = assemble(p, build_kernel(0.0, g), g)
-        U = resolvent_direct(gen, 1.0, StateVector(h, np.zeros(200), g), "A")
+        U = resolvent_direct(gen, 1.0, StateVector(h, np.zeros(200), g))
         assert np.abs(U.u1[g.centers < 0.5 - g.h]).max() <= 1e-14
         ua = resolvent_transport_analytic(1.0, h, p.gamma1, g)
         assert np.abs(ua[g.centers < 0.5 - g.h]).max() <= 1e-14
@@ -183,7 +183,7 @@ class TestDirectResolvent:
     def test_decoupled_phase_stays_zero(self):
         g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
         H = StateVector(np.ones(100), np.zeros(100), g)
-        U = resolvent_direct(gen, 0.0, H, "A")
+        U = resolvent_direct(gen, 0.0, H)
         assert np.all(U.u2 == 0)
 
     def test_large_lambda_asymptotics(self):
@@ -273,7 +273,7 @@ class TestDirectResolvent:
         gen.factorization(2.0, "full")
         gen.factorization(1.0, "full")
         assert len(builds) == 4
-        for which in ("A", "B", "A", "A"):
+        for which in ("B", "full", "B", "B"):
             gen.factorization(1.0, which)
         assert len(builds) == 7
         assert splu_calls == []
@@ -297,7 +297,7 @@ class TestBandedFactor:
 
     @pytest.mark.parametrize("name", ["just_above", "above",
                                       "implicit_step", "below"])
-    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("which", ["B"])
     def test_solve_matches_dense_solve(self, which, name, splu_calls):
         g, gen = graded_generator()
         lam = self.shift(gen, which, name)
@@ -311,7 +311,7 @@ class TestBandedFactor:
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert splu_calls == []
 
-    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("which", ["B"])
     def test_nonnegative_data_stay_nonnegative(self, which):
         g, gen = graded_generator()
         rhs = np.random.default_rng(6).random(2 * g.n)
@@ -330,7 +330,7 @@ class TestBandedFactor:
         assert len(traj.states) == 201
         assert min(min(S.u1.min(), S.u2.min()) for S in traj.states) >= 0
 
-    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("which", ["B"])
     def test_singular_shift_raises_without_warning(self, which):
         # pure transport at gamma = 1, h = 0.01: every cell block of
         # lambda - M is singular at lambda = -100

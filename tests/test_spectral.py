@@ -140,14 +140,19 @@ NON_MIXING = {
     "zero": 0.0,
     "lower": {"form": "indicator", "relation": "s>y"},
     "box": {"form": "indicator", "s_lo": 0.5, "y_hi": 0.5},
+    "lower_box": {"form": "indicator", "relation": "s>y", "s_lo": 0.3,
+                  "y_hi": 0.6, "value": 2.0},
+    # the box lies below the diagonal, so s<y keeps none of it
+    "upper_box": {"form": "indicator", "relation": "s<y", "s_lo": 0.5,
+                  "y_hi": 0.4},
     "callable": lambda s, y: np.where(s >= y, 3.0 + 2.0 * s * y, 0.0),
 }
 
 
 def generator_times(gen, x):
     # M x from the model formulas, O(n) for the structured kernels (a
-    # dense oracle takes 330 MB at n = 3200); ``s>y`` is the only
-    # triangle that does not mix
+    # dense oracle takes 330 MB at n = 3200): factors kept on every
+    # pair, or only on j < i (s>y) or j > i (s<y)
     g, p, K = gen.grid, gen.params, gen.kernel
     n, h = g.n, g.h
     u1, u2 = x[:n], x[n:]
@@ -155,12 +160,16 @@ def generator_times(gen, x):
     y2 = -(p.gamma2_edges[1:] / h + p.c2) * u2 + p.c1 * u1
     y1[1:] += p.gamma1_edges[1:-1] / h * u1[:-1]
     y2[1:] += p.gamma2_edges[1:-1] / h * u2[:-1]
-    if K.factors is not None:
-        y1 += h * K.factors[0] * (K.factors[1] @ u1)
-    elif K.triangle is not None:
-        y1[1:] += h * K.triangle[0] * np.cumsum(u1)[:-1]
-    else:
+    if K.dense is not None:
         y1 += h * (K.dense @ u1)
+    elif K.relation is None:
+        y1 += h * K.factors[0] * (K.factors[1] @ u1)
+    else:
+        f, fu = K.factors[0], K.factors[1] * u1
+        if K.relation == "s>y":
+            y1[1:] += h * f[1:] * np.cumsum(fu)[:-1]
+        else:
+            y1[:-1] += h * f[:-1] * np.cumsum(fu[::-1])[::-1][1:]
     return np.concatenate([y1, y2])
 
 

@@ -1,9 +1,11 @@
 """Structured kernels and generators against dense oracles.
 
-Every built-in kernel form keeps rank-1 factors or a strict triangle;
-each derived quantity, the cell-block qualification and the rank-1
-(Sherman-Morrison) factor are checked here against formulas on the
-dense ``Kernel.beta`` and the dense generator, at n <= 60.
+Every built-in kernel form keeps rank-1 factors, on every cell pair or,
+with a relation, masked to the strict triangle below or above the
+diagonal; each derived quantity, the cell-block qualification, the
+rank-1 (Sherman-Morrison) factor and the sparse LU of the masked ones
+are checked here against formulas on the dense ``Kernel.beta`` and the
+dense generator, at n <= 60.
 """
 
 import tracemalloc
@@ -38,6 +40,11 @@ KERNEL_FORMS = {
     "box_no_mixing": {"form": "indicator", "s_lo": 0.5, "y_hi": 0.4},
     "lower": {"form": "indicator", "relation": "s>y", "value": 2.0},
     "upper": {"form": "indicator", "relation": "s<y", "scale": 0.5},
+    # a box with a relation: the box's factors, masked
+    "lower_box": {"form": "indicator", "relation": "s>y", "s_lo": 0.3,
+                  "y_hi": 0.6, "value": 2.0},
+    "upper_box": {"form": "indicator", "relation": "s<y", "s_hi": 0.7,
+                  "y_lo": 0.2, "value": 0.3},
     "dominated": {"form": "constant", "value": 1.0, "scale": 0.5,
                   "dominator": 2.0},
     "lower_dominated": {"form": "indicator", "relation": "s>y",
@@ -49,15 +56,25 @@ KERNEL_FORMS = {
 }
 
 
+def indicator_samples(spec, g):
+    # an indicator's samples from its definition at the cell centers
+    S, Y = np.meshgrid(g.centers, g.centers, indexing="ij")
+    kept = {None: True, "s>y": S > Y, "s<y": S < Y}[spec.get("relation")]
+    box = ((S >= spec.get("s_lo", 0.0)) & (S <= spec.get("s_hi", np.inf))
+           & (Y >= spec.get("y_lo", 0.0)) & (Y <= spec.get("y_hi", np.inf)))
+    return spec.get("value", 1.0) * spec.get("scale", 1.0) * (kept & box)
+
+
 class TestKernelStructure:
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_derived_quantities_match_dense_oracle(self, name):
         g = build_grid("finite", 1.0, 37)
-        K = build_kernel(KERNEL_FORMS[name], g)
+        spec = KERNEL_FORMS[name]
+        K = build_kernel(spec, g)
         beta = K.beta
         assert beta.shape == (37, 37) and beta.min() >= 0
-        assert K.k_beta == pytest.approx((beta.sum(axis=0) * g.h).max(),
-                                         rel=1e-14, abs=0)
+        if isinstance(spec, dict) and spec["form"] == "indicator":
+            assert np.array_equal(beta, indicator_samples(spec, g))
         assert np.array_equal(K.beta1, beta.min(axis=1))
         assert np.allclose(K.column_sums(), beta.sum(axis=0),
                            rtol=1e-14, atol=0)
@@ -73,8 +90,10 @@ class TestKernelStructure:
         for name, spec in KERNEL_FORMS.items():
             K = build_kernel(spec, g)
             assert (K.dense is None) == (name not in ("table", "callable"))
-            assert (K.triangle is not None) == name.startswith(("lower",
-                                                                  "upper"))
+            assert (K.relation is not None) == name.startswith(("lower",
+                                                                 "upper"))
+            assert (K.rank_one is not None) == (K.dense is None
+                                                and K.relation is None)
 
     @pytest.mark.parametrize("spec", [
         {"form": "indicator", "relation": "s>y", "value": 2.0,
@@ -98,6 +117,14 @@ class TestKernelStructure:
         g = build_grid("finite", 1.0, 10)
         with pytest.raises(ValidationError, match="negative"):
             build_kernel(spec, g)
+
+    def test_negative_masked_box_located_in_its_triangle(self):
+        # the box holds s <= 0.3 and y >= 0.6, so every cell pair of it
+        # lies above the diagonal, where s<y keeps it
+        g = build_grid("finite", 1.0, 10)
+        with pytest.raises(ValidationError, match=r"\(s=0.05, y=0.65\)"):
+            build_kernel({"form": "indicator", "relation": "s<y",
+                          "s_hi": 0.3, "y_lo": 0.6, "value": -1.0}, g)
 
     def test_negative_factors_with_positive_product_accepted(self):
         g = build_grid("finite", 1.0, 10)
@@ -138,9 +165,9 @@ def dense_blocks(g, p, K):
 
 
 def dense_block_sum(gen, which):
-    # "A", "B" (A + B1 + B2) or "full" of a generator's inputs
+    # "B" (A + B1 + B2) or "full" of a generator's inputs
     blocks = dense_blocks(gen.grid, gen.params, gen.kernel)
-    return sum(blocks[:{"A": 1, "B": 3, "full": 4}[which]])
+    return sum(blocks[:{"B": 3, "full": 4}[which]])
 
 
 def dense_generator(g, p, K):
@@ -156,7 +183,7 @@ class TestGeneratorStructure:
         i = np.arange(n)
         mixes = bool(np.triu(K.beta, 1).any())
         assert (gen.cell_blocks("full") is None) == mixes
-        for which in ("A", "B") + (() if mixes else ("full",)):
+        for which in ("B",) + (() if mixes else ("full",)):
             D = dense_block_sum(gen, which)
             a, b, c, d = gen.cell_blocks(which)
             assert np.array_equal(a, D[i, i])
@@ -170,6 +197,19 @@ class TestGeneratorStructure:
         I = _edge_mixing_integrals(K, g)
         assert np.array_equal(I > 0, [K.beta[:k, k:].any()
                                       for k in range(1, n)])
+
+    @pytest.mark.parametrize("name", ["lower", "upper", "lower_box",
+                                      "upper_box"])
+    def test_masked_factors_take_sparse_lu(self, name, splu_calls):
+        # factors kept on one side of the diagonal are not rank-1: the
+        # full generator factors through SuperLU, and the eigensolve of
+        # an s<y kernel, which mixes, stays on the power route
+        g, p, K, gen = generator(KERNEL_FORMS[name])
+        assert K.factors is not None and K.rank_one is None
+        gen.factorization(100.0, "full")
+        assert len(splu_calls) == 1
+        assert spectral_bound(gen).route == (
+            "power" if K.relation == "s<y" else "exact")
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_line_sum_bound_lies_above_spectral_bound(self, name):
@@ -187,7 +227,7 @@ class TestGeneratorStructure:
         M = dense_generator(g, p, K)
         lam = max(float(np.linalg.eigvals(M).real.max()), 0.0) + offset
         fact = gen.factorization(lam, "full")
-        assert isinstance(fact, _RankOneFactor) == (K.factors is not None)
+        assert isinstance(fact, _RankOneFactor) == (K.rank_one is not None)
         rhs = np.random.default_rng(11).random(2 * g.n)
         ref = np.linalg.solve(lam * np.eye(2 * g.n) - M, rhs)
         x = fact.solve(rhs)
