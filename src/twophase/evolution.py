@@ -87,7 +87,7 @@ def _steps(gen: DiscreteGenerator, x: np.ndarray, dt: float, nsteps: int):
     if nsteps < 1:
         return
     try:
-        fact = gen.factorization(1.0 / dt, "full", scale=1.0 / dt)
+        fact = gen.factorization(1.0 / dt, scale=1.0 / dt)
     except SpectralProximityError as exc:
         raise StepSizeError(f"implicit step factorization failed at dt={dt:g}: {exc}")
     n = gen.grid.n

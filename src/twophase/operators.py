@@ -19,26 +19,26 @@ use and cached.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization
 and by the analytic transport formula (one O(n) forward sweep, shared
-with the recruitment-free probe).  In per-cell order (u1_i, u2_i) the
-recruitment-free sums are block lower bidiagonal with 2x2 cell blocks,
-so the direct route factors lambda - M for them as L_b D with no fill
-and no pivoting: D the cell blocks, L_b unit lower banded, each solve
-one BLAS banded triangular solve (dtbsv) and a vectorised D^{-1},
-O(n).  For a rank-1 kernel (``Kernel.rank_one``) the full generator
-adds a Sherman-Morrison correction to that factor of lambda - B
-(transport, loss and coupling); only the other kernels (tables,
-callables, factors masked by a relation) take a sparse LU (SuperLU) of
-lambda - M with a minimum-degree ordering of A + A^T.  A generator keeps only its last
+with the recruitment-free probe).  The recruitment-free operator B
+(transport, loss and coupling) is a generator of its own,
+``DiscreteGenerator.recruitment_free``, with a zero kernel.  In
+per-cell order (u1_i, u2_i) it is block lower bidiagonal with 2x2 cell
+blocks, so lambda - B factors as L_b D with no fill and no pivoting: D
+the cell blocks, L_b unit lower banded, each solve one BLAS banded
+triangular solve (dtbsv) and a vectorised D^{-1}, O(n).  A rank-1
+kernel (``Kernel.rank_one``) adds a Sherman-Morrison correction to that
+factor; the other kernels (tables, callables, factors masked by a
+relation) take a sparse LU (SuperLU) of lambda - M with a
+minimum-degree ordering of A + A^T.  A generator keeps only its last
 factor, which serves the repeated shifts of implicit steps, resolvents
-and eigensolves.  ``DiscreteGenerator.block_sweep`` solves any block
-lower triangular sum (a recruitment-free one, or the full generator of
-a kernel that does not mix) by one pure-Python forward sweep over the
-cell blocks, with no factor at all: the exact eigenvectors come from it,
-and the characteristic equation falls back on it where the banded solve
-overflows.  scipy is imported only by the
-code that builds ``full`` or factors it; the banded route loads scipy's
-compiled BLAS extension ``scipy.linalg._fblas`` alone, never the
-``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
+and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a block
+lower triangular generator (B, or one whose kernel does not mix) by one
+pure-Python forward sweep over the cell blocks, with no factor at all:
+the exact eigenvectors come from it, and the characteristic equation
+falls back on it where the banded solve overflows.  scipy is imported
+only by the code that builds ``full`` or factors it; the banded route
+loads scipy's compiled BLAS extension ``scipy.linalg._fblas`` alone,
+never the ``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -58,8 +58,6 @@ from .model import UPPER, Kernel, ModelParams, SizeGrid
 if TYPE_CHECKING:
     import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
-
-WHICH_CHOICES = ("B", "full")
 
 # forward sweeps that would overflow rescale by exact powers of 2
 HUGE, TINY = 2.0 ** 512, 2.0 ** -512
@@ -238,13 +236,12 @@ class DiscreteGenerator:
     @functools.cached_property
     def full(self) -> "sp.csr_matrix":
         """The full generator as one sparse matrix (u1 stacked over u2):
-        the upwind transport, loss and coupling of ``cell_blocks("B")``
-        and ``inflow``, plus the recruitment quadrature
+        ``recruitment_free`` plus the recruitment quadrature
         B3[i, j] = beta(s_i, y_j) * h in the phase-1/phase-1 position.
         Built on first use, for the general LU and the Collatz-Wielandt
         bracket; it materialises the n x n kernel."""
         import scipy.sparse as sp
-        a, b, c, d = self.cell_blocks("B")
+        a, b, c, d = self.recruitment_free.cell_blocks()
         in1, in2 = self.inflow
         return sp.bmat(
             [[sp.diags([a, in1], [0, -1])
@@ -252,61 +249,63 @@ class DiscreteGenerator:
              [sp.diags(c), sp.diags([d, in2], [0, -1])]], format="csr")
 
     @functools.cached_property
+    def recruitment_free(self) -> "DiscreteGenerator":
+        """The recruitment-free operator B (transport, loss and coupling)
+        as a generator of its own: the same per-cell arrays, shared, with
+        a zero rank-1 kernel and its own factor memo."""
+        zero = np.zeros(self.grid.n)
+        return replace(self, kernel=Kernel(self.grid, factors=(zero, zero)),
+                       _last_fact=None)
+
+    @functools.cached_property
     def _mixes(self) -> bool:
         # O(n^2) for a dense kernel, so taken once
         return bool(self.kernel.cutoff_sums().any())
 
-    def cell_blocks(self, which: str) -> Optional[tuple[np.ndarray, ...]]:
-        """2x2 diagonal cell blocks of a block lower triangular block sum.
+    def cell_blocks(self) -> Optional[tuple[np.ndarray, ...]]:
+        """2x2 diagonal cell blocks of a block lower triangular generator.
 
-        In per-cell (u1_i, u2_i) order the selected block sum M has the
-        diagonal blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
+        In per-cell (u1_i, u2_i) order the generator M has the diagonal
+        blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
         [M[n+i, i], M[n+i, n+i]]], read off the per-cell arrays.  Returns
         (a, b, c, d) when no nonzero entry of M feeds a cell from a later
         one, so that M is block lower triangular and its spectrum is the
-        union of the blocks'; None otherwise.  "B" (transport, loss and
-        coupling) always qualifies; "full" qualifies exactly when the
-        kernel does not mix (beta vanishes above the diagonal: no
+        union of the blocks'; None otherwise.  That holds exactly when
+        the kernel does not mix (beta vanishes above the diagonal: no
         offspring is smaller than its parent), a test made once per
-        generator.
+        generator; ``recruitment_free`` always qualifies.
         """
-        if which not in WHICH_CHOICES:
-            raise ConfigurationError(f"unknown operator selection {which!r}")
-        if which == "full" and self._mixes:
+        if self._mixes:
             return None
         a, d = -(self.outflow + self.loss)
         b, c = self.coupling
-        if which == "full":
-            a = a + self.kernel.diagonal() * self.grid.h
-        return a, b, c, d
+        return a + self.kernel.diagonal() * self.grid.h, b, c, d
 
-    def factorization(self, lam: float, which: str, scale: float = 1.0):
-        """Factor of (lambda*I - selected block sum) / scale.
+    def factorization(self, lam: float, scale: float = 1.0):
+        """Factor of (lambda*I - M) / scale.
 
         Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
         ``scale`` = lambda = 1/dt applies the implicit step's
-        (I - dt*M)^{-1}.  The recruitment-free sum "B" takes the
-        fill-free banded factor (O(n), no pivoting); the full generator
-        of a rank-1 kernel (``Kernel.rank_one``) takes that of lambda - B
-        plus a Sherman-Morrison correction; only the other kernels
-        (tables, callables, masked factors) take a sparse LU (SuperLU)
-        with a minimum-degree ordering of A + A^T.  Only the last
-        (lambda, which, scale) factor is kept; a new key frees it first.
+        (I - dt*M)^{-1}.  A rank-1 kernel f g^T (``Kernel.rank_one``)
+        takes the fill-free banded factor of lambda - B (O(n), no
+        pivoting), B = ``recruitment_free``, plus a Sherman-Morrison
+        correction when f is nonzero; every other kernel (tables,
+        callables, masked factors) takes a sparse LU (SuperLU) with a
+        minimum-degree ordering of A + A^T.  Only the last (lambda,
+        scale) factor is kept; a new key frees it first.
         SpectralProximityError when the shift makes the matrix (or the
         correction) singular.
         """
-        key = (float(lam), which, float(scale))
+        key = (float(lam), float(scale))
         if self._last_fact is None or self._last_fact[0] != key:
             self._last_fact = None
-            if which != "full":
-                fact = _BandedFactor(lam, self.cell_blocks(which),
-                                     self.inflow, scale)
-            elif self.kernel.rank_one is not None:
+            if self.kernel.rank_one is not None:
                 f, g = self.kernel.rank_one
-                fact = _RankOneFactor(
-                    _BandedFactor(lam, self.cell_blocks("B"), self.inflow,
-                                  scale),
-                    self.grid.h / scale * f, g, lam)
+                fact = _BandedFactor(lam, self.recruitment_free.cell_blocks(),
+                                     self.inflow, scale)
+                if f.any():
+                    fact = _RankOneFactor(fact, self.grid.h / scale * f, g,
+                                          lam)
             else:
                 import scipy.sparse as sp
                 mat = (sp.identity(2 * self.grid.n, format="csr") * float(lam)
@@ -320,18 +319,16 @@ class DiscreteGenerator:
             self._last_fact = (key, fact)
         return self._last_fact[1]
 
-    def block_sweep(self, lam: float, rhs: np.ndarray, which: str = "B",
-                    rescale: bool = False,
+    def block_sweep(self, lam: float, rhs: np.ndarray, rescale: bool = False,
                     head: Optional[tuple] = None) -> np.ndarray:
         """Solve (lambda - M) x = rhs by one forward sweep over the cells.
 
-        M is a block lower triangular sum ("B", or "full" for a kernel
-        that does not mix; see ``cell_blocks``).  Cell i takes
-        ``inflow[k][i-1]`` times phase k of cell i - 1 and, for "full",
-        the recruitment h sum_{j < i} beta[i, j] x1_j: h f_i times a
-        running sum of g_j x1_j for factors (f, g) with no relation or
-        ``s>y``, a row product for a dense kernel, and nothing for
-        ``s<y``, which keeps no pair j < i.  With
+        M is block lower triangular: a kernel that does not mix (see
+        ``cell_blocks``).  Cell i takes ``inflow[k][i-1]`` times phase k
+        of cell i - 1 and the recruitment h sum_{j < i} beta[i, j] x1_j:
+        h f_i times a running sum of g_j x1_j for factors (f, g) with no
+        relation or ``s>y``, a row product for a dense kernel, and
+        nothing for ``s<y``, which keeps no pair j < i.  With
         ``head`` = (k, v), x is zero before cell k and v at cell k, and
         the sweep fills the later cells.  lambda must lie above the
         larger eigenvalue of every block swept; each block of lambda - M
@@ -341,8 +338,8 @@ class DiscreteGenerator:
         of x instead: whenever a cell passes 2^512, all entries so far,
         the running sum and the rhs still to come are scaled by 2^-512.
         O(n) (a row product per cell for a dense kernel), with no LU, but
-        one Python step per cell: the banded factor solves a
-        recruitment-free sum far faster, and the characteristic equation
+        one Python step per cell: the banded factor solves
+        ``recruitment_free`` far faster, and the characteristic equation
         comes here only where that solve overflows (its 0 * inf products
         give NaN where this sweep passes nothing on).
         """
@@ -353,16 +350,14 @@ class DiscreteGenerator:
         if head is not None:
             first, (p1, p2) = head[0], map(float, head[1])
             x1[first], x2[first], start = p1, p2, first + 1
-        inv = cell_inverse(lam, *(w[start:] for w in self.cell_blocks(which)))
+        inv = cell_inverse(lam, *(w[start:] for w in self.cell_blocks()))
         i11, i12, i21, i22 = np.pad(inv, ((0, 0), (start, 0))).tolist()
         in1, in2 = np.pad(self.inflow, ((0, 0), (1, 0))).tolist()
         r1, r2 = rhs[:n].tolist(), rhs[n:].tolist()
         f = g = [0.0] * n     # g[i] weighs x1 of cell i - 1
-        rows = None
-        if which == "full" and K.factors is not None and K.relation != UPPER:
+        rows = K.dense      # None for factors: s<y adds nothing here
+        if K.factors is not None and K.relation != UPPER:
             f, g = (h * K.factors[0]).tolist(), [0.0] + K.factors[1].tolist()
-        elif which == "full":
-            rows = K.dense      # None for s<y, which adds nothing here
         w = 1.0     # weight of the rhs: a power of two
         for i in range(start, n):
             # a zero weight or coupling rate passes nothing on, even from
@@ -505,12 +500,12 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
                            (h, 0.0), (0.0, 0.0))[0]
 
 
-def resolvent_direct(gen: DiscreteGenerator, lam: float, H: StateVector,
-                     which: str = "full") -> StateVector:
-    """Solve (lambda*I - selected block sum) U = H by direct factorization."""
+def resolvent_direct(gen: DiscreteGenerator, lam: float,
+                     H: StateVector) -> StateVector:
+    """Solve (lambda*I - M) U = H by direct factorization."""
     if not H.grid.same_as(gen.grid):
         raise ConfigurationError("state grid does not match the generator")
-    fact = gen.factorization(lam, which)
+    fact = gen.factorization(lam)
     x = fact.solve(H.stacked())
     if not np.all(np.isfinite(x)):
         raise SpectralProximityError(

@@ -127,7 +127,7 @@ def _certificate(gen: DiscreteGenerator, lam: float) -> Optional[np.ndarray]:
     returns a strictly positive vector.
     """
     try:
-        x = gen.factorization(lam, "full").solve(np.ones(2 * gen.grid.n))
+        x = gen.factorization(lam).solve(np.ones(2 * gen.grid.n))
     except SpectralProximityError:
         return None
     if not np.all(np.isfinite(x)) or x.min() <= 0:
@@ -135,9 +135,8 @@ def _certificate(gen: DiscreteGenerator, lam: float) -> Optional[np.ndarray]:
     return x
 
 
-def _exact_bound(gen: DiscreteGenerator,
-                 which: str) -> tuple[float, np.ndarray]:
-    """Spectral bound and nonnegative eigenvector of a block triangular sum.
+def _exact_bound(gen: DiscreteGenerator) -> tuple[float, np.ndarray]:
+    """Spectral bound, nonnegative eigenvector of a block triangular generator.
 
     The bound is the largest cell-block eigenvalue lambda, attained last
     at cell k.  The eigenvector is zero before cell k and the block's
@@ -146,7 +145,7 @@ def _exact_bound(gen: DiscreteGenerator,
     gives each later cell.  Later block eigenvalues lie below lambda, so
     x >= 0.
     """
-    a, b, c, d = gen.cell_blocks(which)
+    a, b, c, d = gen.cell_blocks()
     lams = block_eigenvalues(a, b, c, d)
     lam = float(lams.max())
     k = int(np.flatnonzero(lams == lam)[-1])
@@ -158,8 +157,8 @@ def _exact_bound(gen: DiscreteGenerator,
         v = (lam - d[k], c[k])
     if v == (0.0, 0.0):     # the block is lam*I or [[lam, b], [0, lam]]
         v = (1.0, 0.0)
-    return lam, gen.block_sweep(lam, np.zeros(2 * gen.grid.n), which,
-                                rescale=True, head=(k, v))
+    return lam, gen.block_sweep(lam, np.zeros(2 * gen.grid.n), rescale=True,
+                                head=(k, v))
 
 
 def characteristic_function(gen: DiscreteGenerator, lam: float,
@@ -171,20 +170,21 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     characteristic function; with rhs = (lambda - B)^{-1}(f, 0) it is
     -phi'(lambda).  Valid for lambda above s_B, where phi is positive,
     decreasing and log-convex.  x comes from the banded factor of
-    lambda - B (``gen.factorization(lam, "B")``, kept for the next solve
-    at the same lambda).  Where that overflows, its 0 * inf products put
-    NaN even into entries that stay finite, so the evaluation is redone
-    by one forward sweep (``DiscreteGenerator.block_sweep``), which reads
-    an overflow as +inf, never NaN.
+    lambda - B (``gen.recruitment_free.factorization(lam)``, kept for the
+    next solve at the same lambda).  Where that overflows, its 0 * inf
+    products put NaN even into entries that stay finite, so the
+    evaluation is redone by one forward sweep of B
+    (``DiscreteGenerator.block_sweep``), which reads an overflow as +inf,
+    never NaN.
     """
     f, g = gen.kernel.rank_one
-    n = gen.grid.n
+    n, B = gen.grid.n, gen.recruitment_free
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
     with np.errstate(all="ignore"):
-        x = gen.factorization(lam, "B").solve(rhs)
+        x = B.factorization(lam).solve(rhs)
     if not np.isfinite(x).all():
-        x = gen.block_sweep(lam, rhs)
+        x = B.block_sweep(lam, rhs)
     seen = g > 0        # cells g ignores add nothing, even where x is inf
     with np.errstate(over="ignore"):    # a sum past the float range is inf
         return gen.grid.h * float(g[seen] @ x[:n][seen]), x
@@ -205,9 +205,9 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
     the tolerance, the point it reached is the root to far better than
     tol, and one evaluation just across it closes the bracket.  The
     eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
-    nearer 1, redone as a forward sweep rescaled by powers of two where
-    that solve overflowed.  If phi(s_B+) <= 1, then s_A = s_B (see
-    ``_boundary_eigenvector``).
+    nearer 1, redone as a forward sweep of ``gen.recruitment_free``
+    rescaled by powers of two where that solve overflowed.  If
+    phi(s_B+) <= 1, then s_A = s_B (see ``_boundary_eigenvector``).
     """
     s_B = recruitment_free_bound(gen)
     hi = gen.line_sum_bound() + 1.0
@@ -250,9 +250,8 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
         return abs(math.log(p)) if p > 0 else math.inf
     lam, x = (lo, x_lo) if distance(phi_lo) < distance(phi_hi) else (hi, x_hi)
     if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
-        x = gen.block_sweep(lam, np.concatenate([gen.kernel.rank_one[0],
-                                                 np.zeros(gen.grid.n)]),
-                            rescale=True)
+        rhs = np.concatenate([gen.kernel.rank_one[0], np.zeros(gen.grid.n)])
+        x = gen.recruitment_free.block_sweep(lam, rhs, rescale=True)
     return lam, x, (lo, hi)
 
 
@@ -279,7 +278,7 @@ def _boundary_eigenvector(gen: DiscreteGenerator, phi: float,
     """
     n = gen.grid.n
     g = gen.kernel.rank_one[1]
-    x_B = _exact_bound(gen, "B")[1]
+    x_B = _exact_bound(gen.recruitment_free)[1]
     seen = float(g @ x_B[:n])
     if seen > 0 and np.isfinite(w).all():
         return (1.0 - phi) / seen * x_B + gen.grid.h * w
@@ -321,7 +320,7 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     x = np.full(n2, 1.0 / n2)
     lam = problem = None
     for it in range(max_iter):
-        y = gen.factorization(sigma, "full").solve(x)
+        y = gen.factorization(sigma).solve(x)
         theta = float(x @ y) / float(x @ x)
         if theta == 0 or not np.isfinite(theta):
             raise IterationError(
@@ -396,9 +395,9 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
-    if gen.cell_blocks("full") is not None:
+    if gen.cell_blocks() is not None:
         route = "exact"
-        lam, x = _exact_bound(gen, "full")
+        lam, x = _exact_bound(gen)
         bracket = (lam, lam)
     elif gen.kernel.rank_one is not None:
         route = "characteristic"
@@ -426,7 +425,7 @@ def recruitment_free_bound(gen: DiscreteGenerator) -> float:
     is the union of the 2x2 blocks' eigenvalues -- immune to the
     non-normality that defeats iterative eigensolvers here.
     """
-    return float(block_eigenvalues(*gen.cell_blocks("B")).max())
+    return float(block_eigenvalues(*gen.recruitment_free.cell_blocks()).max())
 
 
 def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:

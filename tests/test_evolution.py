@@ -191,10 +191,38 @@ class TestEvolveLoop:
         g, p, K, gen = make(n=40, kernel=STEP_KERNELS[kernel])
         traj = evolve(gen, left_bump(g), 1e-2, T)
         assert len(traj.step_times) == 50 * fetches + 1
-        assert calls == [(100.0, "full")] * fetches
+        assert calls == [(100.0,)] * fetches
         banded = kernel in ("rank1", "zero")
         assert len(builds) == fetches * banded
         assert len(splu_calls) == fetches * (not banded)
+
+    def test_kernel_free_run_skips_the_rank_one_correction(self, monkeypatch):
+        # a zero offspring factor f takes the banded factor alone: no
+        # rank-1 factor is built, and every state equals, bit for bit,
+        # the steps of the banded factor with the Sherman-Morrison
+        # correction, whose w = (lambda - B)^{-1} (h f, 0) is zero
+        built = []
+        real = twophase.operators._RankOneFactor
+
+        class Counting(real):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+        monkeypatch.setattr(twophase.operators, "_RankOneFactor", Counting)
+        g, p, K, gen = make(n=800, kernel=0.0)
+        dt, U = 1e-3, left_bump(g)
+        traj = evolve(gen, U, dt, 0.05)
+        assert built == []
+        lam = 1.0 / dt
+        f, parent = K.rank_one
+        ref = real(twophase.operators._BandedFactor(
+            lam, gen.recruitment_free.cell_blocks(), gen.inflow, lam),
+            g.h / lam * f, parent, lam)
+        x = U.stacked()
+        for S in traj.states[1:]:
+            x = ref.solve(x)
+            assert S.stacked().tobytes() == x.tobytes()
+        assert len(traj.states) == 51
 
     @pytest.mark.parametrize("dt, T", BAD_STEPS)
     def test_evolve_rejects_bad_step_or_horizon(self, dt, T):

@@ -19,7 +19,7 @@ from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
                                 volterra_norm_sequence)
 from twophase.scenario import scenario_from_dict
 
-from test_structure import dense_block_sum, dense_blocks
+from test_structure import dense_blocks, dense_recruitment_free
 
 
 def make(n=100, m=1.0, kernel=1.0, **over):
@@ -191,7 +191,7 @@ class TestDirectResolvent:
         rng = np.random.default_rng(0)
         H = StateVector(rng.random(50), rng.random(50), g)
         lam = 1e6
-        U = resolvent_direct(gen, lam, H, "full")
+        U = resolvent_direct(gen, lam, H)
         rel = max(np.abs(U.u1 * lam - H.u1).max(), np.abs(U.u2 * lam - H.u2).max())
         assert rel <= 1e-3
 
@@ -201,7 +201,7 @@ class TestDirectResolvent:
         lam = 1.0  # comfortably above the spectral bound (~ -0.27)
         for _ in range(100):
             H = StateVector(rng.random(60), rng.random(60), g)
-            U = resolvent_direct(gen, lam, H, "full")
+            U = resolvent_direct(gen, lam, H)
             assert min(U.u1.min(), U.u2.min()) >= -1e-12
 
 
@@ -212,7 +212,7 @@ class TestDirectResolvent:
         g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
         H = StateVector(np.ones(100), np.ones(100), g)
         with pytest.raises(SpectralProximityError):
-            resolvent_direct(gen, -100.0, H, "full")
+            resolvent_direct(gen, -100.0, H)
 
     def test_factorization_fill_stays_near_matrix_size(self):
         # README demo generator (n = 600) with its box kernel as a dense
@@ -222,7 +222,7 @@ class TestDirectResolvent:
         # structure fills ~14x)
         g, gen = demo_generator(table=True)
         lam = 1000.0
-        fact = gen.factorization(lam, "full")
+        fact = gen.factorization(lam)
         mat = sp.identity(2 * g.n, format="csr") * lam - gen.full
         assert fact.L.nnz + fact.U.nnz <= 2 * mat.nnz
 
@@ -235,9 +235,9 @@ class TestDirectResolvent:
         U = StateVector(np.ones(40), np.zeros(40), g)
         evolve(gen, U, 1e-2, 0.5)
         assert len(splu_calls) == 1
-        gen.factorization(1.0, "full")
-        gen.factorization(2.0, "full")
-        gen.factorization(1.0, "full")
+        gen.factorization(1.0)
+        gen.factorization(2.0)
+        gen.factorization(1.0)
         assert len(splu_calls) == 4
 
     def test_banded_factor_stores_linear_size(self, splu_calls):
@@ -248,7 +248,7 @@ class TestDirectResolvent:
         sizes = []
         for n in (600, 1200):
             g, gen = demo_generator(n)
-            fact = gen.factorization(lam, "full")
+            fact = gen.factorization(lam)
             mat = sp.identity(2 * n, format="csr") * lam - gen.full
             sizes.append(stored_numbers(fact))
             assert sizes[-1] <= 2 * mat.nnz
@@ -257,7 +257,7 @@ class TestDirectResolvent:
 
     def test_banded_factorization_keeps_one_live_factor(self, monkeypatch,
                                                          splu_calls):
-        # one live factor per (lambda, which) on the banded route too
+        # one live factor per (lambda, scale) on the banded route too
         builds = []
 
         class Counting(_BandedFactor):
@@ -269,23 +269,27 @@ class TestDirectResolvent:
         U = StateVector(np.ones(40), np.zeros(40), g)
         evolve(gen, U, 1e-2, 0.5)
         assert len(builds) == 1
-        gen.factorization(1.0, "full")
-        gen.factorization(2.0, "full")
-        gen.factorization(1.0, "full")
+        gen.factorization(1.0)
+        gen.factorization(2.0)
+        gen.factorization(1.0)
         assert len(builds) == 4
-        for which in ("B", "full", "B", "B"):
-            gen.factorization(1.0, which)
-        assert len(builds) == 7
+        # B is a generator of its own, with its own factor: the full
+        # generator's factor at 1.0 stays live beside B's, so this
+        # builds B's once and nothing else
+        for op in (gen.recruitment_free, gen, gen.recruitment_free,
+                   gen.recruitment_free):
+            op.factorization(1.0)
+        assert len(builds) == 5
         assert splu_calls == []
 
 
 class TestBandedFactor:
     @staticmethod
-    def shift(gen, which, name):
+    def shift(gen, name):
         # s_B and the next distinct block eigenvalue below it; the top
         # cell block has b*c = 0, so s_B is exact and a shift 1e-9
         # above it is known to full relative accuracy
-        a, b, c, d = gen.cell_blocks(which)
+        a, b, c, d = gen.recruitment_free.cell_blocks()
         top = block_eigenvalues(a, b, c, d)
         assert (b * c)[top.argmax()] == 0
         lams = np.unique(top)
@@ -297,28 +301,27 @@ class TestBandedFactor:
 
     @pytest.mark.parametrize("name", ["just_above", "above",
                                       "implicit_step", "below"])
-    @pytest.mark.parametrize("which", ["B"])
-    def test_solve_matches_dense_solve(self, which, name, splu_calls):
+    def test_solve_matches_dense_solve(self, name, splu_calls):
         g, gen = graded_generator()
-        lam = self.shift(gen, which, name)
-        mat = lam * np.eye(2 * g.n) - dense_block_sum(gen, which)
+        lam = self.shift(gen, name)
+        mat = lam * np.eye(2 * g.n) - dense_recruitment_free(gen)
+        B = gen.recruitment_free
         if name == "below":     # every cell block stays invertible
-            a, b, c, d = gen.cell_blocks(which)
+            a, b, c, d = B.cell_blocks()
             assert np.abs((lam - a) * (lam - d) - b * c).min() > 1.0
         rhs = np.random.default_rng(5).random(2 * g.n)
         ref = np.linalg.solve(mat, rhs)
-        x = gen.factorization(lam, which).solve(rhs)
+        x = B.factorization(lam).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert splu_calls == []
 
-    @pytest.mark.parametrize("which", ["B"])
-    def test_nonnegative_data_stay_nonnegative(self, which):
+    def test_nonnegative_data_stay_nonnegative(self):
         g, gen = graded_generator()
         rhs = np.random.default_rng(6).random(2 * g.n)
         rhs[::3] = 0.0
         for name in ("just_above", "above", "implicit_step"):
-            x = gen.factorization(self.shift(gen, which, name),
-                                  which).solve(rhs)
+            x = gen.recruitment_free.factorization(
+                self.shift(gen, name)).solve(rhs)
             assert x.min() >= 0 and (x > 0).any()
 
     def test_demo_steps_stay_nonnegative(self):
@@ -330,8 +333,7 @@ class TestBandedFactor:
         assert len(traj.states) == 201
         assert min(min(S.u1.min(), S.u2.min()) for S in traj.states) >= 0
 
-    @pytest.mark.parametrize("which", ["B"])
-    def test_singular_shift_raises_without_warning(self, which):
+    def test_singular_shift_raises_without_warning(self):
         # pure transport at gamma = 1, h = 0.01: every cell block of
         # lambda - M is singular at lambda = -100
         g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
@@ -339,13 +341,27 @@ class TestBandedFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpectralProximityError):
-                resolvent_direct(gen, -100.0, H, which)
+                resolvent_direct(gen.recruitment_free, -100.0, H)
 
-    def test_unknown_selection_rejected(self):
-        g, p, K, gen = make(n=10)
-        H = StateVector(np.ones(10), np.ones(10), g)
-        with pytest.raises(ConfigurationError, match="operator selection"):
-            resolvent_direct(gen, 1.0, H, "B1")
+
+class TestRecruitmentFree:
+    def test_built_once_on_the_shared_cell_arrays(self):
+        g, p, K, gen = make(n=40)
+        B = gen.recruitment_free
+        assert gen.recruitment_free is B
+        for name in ("outflow", "inflow", "loss", "coupling"):
+            assert getattr(B, name) is getattr(gen, name)
+        assert B.kernel.rank_one is not None
+        assert not any(v.any() for v in B.kernel.rank_one)
+
+    def test_keeps_its_own_factor(self):
+        # a factor of B leaves the full generator's live factor in place
+        g, p, K, gen = make(n=40)
+        fact = gen.factorization(1.0)
+        assert isinstance(gen.recruitment_free.factorization(1.0),
+                          _BandedFactor)
+        assert gen.factorization(1.0) is fact
+        assert isinstance(fact, _RankOneFactor)
 
 
 def run_child(code: str):
@@ -384,14 +400,14 @@ class TestBlasLoader:
             "assert 'scipy.linalg' not in sys.modules\n"
             "table = build_kernel({'form': 'table',\n"
             "                      'values': scn.kernel.beta}, g)\n"
-            "assemble(scn.params, table, g).factorization(1000.0, 'full')\n"
+            "assemble(scn.params, table, g).factorization(1000.0)\n"
             "assert 'scipy.linalg' in sys.modules\n"
             "import scipy.linalg.blas\n"
             "assert scipy.linalg.blas._fblas is _blas()\n"
             "fresh = gen()\n"
             "again = step_implicit(fresh, U, 1e-3).stacked()\n"
             "assert again.tobytes() == first.tobytes()\n"
-            "band = fresh.factorization(1000.0, 'full', 1000.0)._base._band\n"
+            "band = fresh.factorization(1000.0, 1000.0)._base._band\n"
             "y = np.random.default_rng(3).random(2 * g.n)\n"
             "a = scipy.linalg.blas.dtbsv(3, band, y, lower=1, diag=1)\n"
             "b = _blas().dtbsv(3, band, y, lower=1, diag=1)\n"

@@ -18,7 +18,7 @@ from twophase.spectral import (_restrict_params, characteristic_function,
                                spectral_bound, spectral_gap_lower_bound)
 
 from test_operators import run_child
-from test_structure import dense_block_sum
+from test_structure import dense_recruitment_free
 
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
@@ -54,7 +54,7 @@ class TestSpectralBound:
         n = 8
         g, p, K, gen = make(n=n, mu=lambda s: 1 + s, c2=0.5,
                             gamma1=lambda s: 1 + 0.5 * s)
-        M = dense_block_sum(gen, "B")
+        M = dense_recruitment_free(gen)
         perm = np.arange(2 * n).reshape(2, n).T.ravel()   # interleave
         P = M[np.ix_(perm, perm)]
         for i in range(n):
@@ -283,12 +283,12 @@ class TestCertifiedShifts:
         real = gen.factorization
         singular = []
 
-        def factorization(lam, which):
+        def factorization(lam):
             if lam != top and (not singular or lam == singular[0]):
                 singular.append(lam)
                 raise SpectralProximityError("Factor is exactly singular",
                                              lam=lam)
-            return real(lam, which)
+            return real(lam)
 
         monkeypatch.setattr(gen, "factorization", factorization)
         s, _ = spectral_bound(gen)
@@ -301,7 +301,7 @@ def dense_phi(gen, lam):
     # dense LAPACK solve
     n = gen.grid.n
     f, g = gen.kernel.factors
-    B = dense_block_sum(gen, "B")
+    B = dense_recruitment_free(gen)
     x = np.linalg.solve(lam * np.eye(2 * n) - B,
                         np.concatenate([f, np.zeros(n)]))
     return gen.grid.h * g @ x[:n]
@@ -358,10 +358,10 @@ PROBE_SWEEP_MU = [0.5 + 0.25 * k for k in range(7)]
 
 
 def sweep_phi(gen, lam):
-    # phi from the forward sweep alone
+    # phi from the forward sweep of B alone
     f, g = gen.kernel.factors
     n = gen.grid.n
-    x = gen.block_sweep(lam, np.concatenate([f, np.zeros(n)]))
+    x = gen.recruitment_free.block_sweep(lam, np.concatenate([f, np.zeros(n)]))
     seen = g > 0
     return gen.grid.h * float(g[seen] @ x[:n][seen])
 
@@ -382,7 +382,7 @@ class TestCharacteristicRoute:
             assert phi == pytest.approx(sweep_phi(gen, lam), rel=1e-13)
         rhs = np.concatenate([K.factors[0], np.zeros(g.n)])
         for lam in (s_A, hi):
-            x = gen.factorization(lam, "B").solve(rhs)
+            x = gen.recruitment_free.factorization(lam).solve(rhs)
             assert np.isfinite(x).all()
             assert np.array_equal(characteristic_function(gen, lam)[1], x)
 
@@ -395,7 +395,7 @@ class TestCharacteristicRoute:
         s_A = -15.0157461561692
         rhs = np.concatenate([K.factors[0], np.zeros(g.n)])
         with np.errstate(all="ignore"):
-            x = gen.factorization(s_A, "B").solve(rhs)
+            x = gen.recruitment_free.factorization(s_A).solve(rhs)
         assert np.isnan(x[:g.n]).any()
         phi, x = characteristic_function(gen, s_A)
         assert not np.isnan(x).any() and np.isinf(x[g.n:]).any()
@@ -551,9 +551,9 @@ class TestPowerRoute:
                 y[-1] = -abs(y[-1])
                 return y
 
-        def factorization(lam, which):
+        def factorization(lam):
             calls.append(lam)
-            fact = real(lam, which)
+            fact = real(lam)
             return fact if len(calls) == 1 else Flipped(fact)
 
         monkeypatch.setattr(gen, "factorization", factorization)

@@ -164,10 +164,9 @@ def dense_blocks(g, p, K):
     return A, B1, B2, B3
 
 
-def dense_block_sum(gen, which):
-    # "B" (A + B1 + B2) or "full" of a generator's inputs
-    blocks = dense_blocks(gen.grid, gen.params, gen.kernel)
-    return sum(blocks[:{"B": 3, "full": 4}[which]])
+def dense_recruitment_free(gen):
+    # B = A + B1 + B2 of a generator's inputs
+    return sum(dense_blocks(gen.grid, gen.params, gen.kernel)[:3])
 
 
 def dense_generator(g, p, K):
@@ -182,10 +181,10 @@ class TestGeneratorStructure:
         assert np.allclose(gen.full.toarray(), M, rtol=1e-15, atol=0)
         i = np.arange(n)
         mixes = bool(np.triu(K.beta, 1).any())
-        assert (gen.cell_blocks("full") is None) == mixes
-        for which in ("B",) + (() if mixes else ("full",)):
-            D = dense_block_sum(gen, which)
-            a, b, c, d = gen.cell_blocks(which)
+        assert (gen.cell_blocks() is None) == mixes
+        pairs = [(dense_recruitment_free(gen), gen.recruitment_free)]
+        for D, op in pairs + ([] if mixes else [(M, gen)]):
+            a, b, c, d = op.cell_blocks()
             assert np.array_equal(a, D[i, i])
             assert np.array_equal(b, D[i, n + i])
             assert np.array_equal(c, D[n + i, i])
@@ -206,7 +205,7 @@ class TestGeneratorStructure:
         # an s<y kernel, which mixes, stays on the power route
         g, p, K, gen = generator(KERNEL_FORMS[name])
         assert K.factors is not None and K.rank_one is None
-        gen.factorization(100.0, "full")
+        gen.factorization(100.0)
         assert len(splu_calls) == 1
         assert spectral_bound(gen).route == (
             "power" if K.relation == "s<y" else "exact")
@@ -222,12 +221,14 @@ class TestGeneratorStructure:
         # a shift just above max(s_A, 0) and one of implicit-step size
         # (the non-mixing generators are strongly non-normal: just above
         # their s_A ~ -1/h any solve amplifies rounding far past 1e-12);
-        # rank-1 kernels take the Sherman-Morrison route
+        # rank-1 kernels with a nonzero offspring factor take the
+        # Sherman-Morrison route
         g, p, K, gen = generator(KERNEL_FORMS[name])
         M = dense_generator(g, p, K)
         lam = max(float(np.linalg.eigvals(M).real.max()), 0.0) + offset
-        fact = gen.factorization(lam, "full")
-        assert isinstance(fact, _RankOneFactor) == (K.rank_one is not None)
+        fact = gen.factorization(lam)
+        assert isinstance(fact, _RankOneFactor) == (
+            K.rank_one is not None and K.rank_one[0].any())
         rhs = np.random.default_rng(11).random(2 * g.n)
         ref = np.linalg.solve(lam * np.eye(2 * g.n) - M, rhs)
         x = fact.solve(rhs)
@@ -245,13 +246,13 @@ class TestGeneratorStructure:
         dense = lam * np.eye(8) - dense_generator(g, p, K)
         assert np.linalg.matrix_rank(dense) == 7
         with pytest.raises(SpectralProximityError, match="rank-1"):
-            gen.factorization(lam, "full")
+            gen.factorization(lam)
         H = StateVector(np.ones(4), np.ones(4), g)
         with pytest.raises(SpectralProximityError):
-            resolvent_direct(gen, lam, H, "full")
+            resolvent_direct(gen, lam, H)
         # a shift off the singular one solves as the dense system does
         lam = -1.25
-        x = resolvent_direct(gen, lam, H, "full").stacked()
+        x = resolvent_direct(gen, lam, H).stacked()
         ref = np.linalg.solve(lam * np.eye(8) - dense_generator(g, p, K),
                               H.stacked())
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
