@@ -8,9 +8,10 @@ Subcommands: ``simulate`` (evolve + CSV export), ``spectrum``
 ``report`` (full pipeline), ``sweep`` (repeat the spectrum stage, less
 the probe its CSV has no column for, over a range of one scalar key,
 emitting a CSV).  Flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure or
-out of memory.  A sweep always writes its CSV (a failed point keeps only
-its varied value); the first failure sets the exit code.
+Exit codes: 0 success, 2 configuration error or an output that cannot
+be written, 3 numerical failure or out of memory.  A sweep always
+writes its CSV (a failed point keeps only its varied value); the first
+failure sets the exit code.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def main(argv=None) -> int:
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # only artifact writes remain: scenario reads raise the above
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -19,6 +19,8 @@ threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -106,6 +108,28 @@ _KERNEL_KEYS = {
                                    "y_lo", "y_hi"}}
 
 
+def _number(value, field: str, integer: bool = False):
+    """A scalar of the document as a finite float, or as an int when
+    ``integer`` (60.0 passes, 60.7 does not); ValidationError naming
+    ``field`` otherwise."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or integer and not x.is_integer():
+        what = "a whole number" if integer else "a finite number"
+        raise ValidationError(f"{field} must be {what}, got {value!r}",
+                              field=field)
+    return int(x) if integer else x
+
+
+def _param(spec: dict, key: str, default: float) -> float:
+    """The descriptor's number ``key`` (finite, see ``_number``), or
+    ``default`` when the key is omitted."""
+    return _number(spec[key], key) if key in spec else default
+
+
 def _check_descriptor_keys(spec: dict, allowed: Optional[set]):
     """ConfigurationError naming the keys of ``spec`` outside ``allowed``.
 
@@ -122,17 +146,15 @@ def _expression(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     name = spec.get("name")
     _check_descriptor_keys(spec, _EXPRESSION_KEYS.get(name))
     if name == "exp_decay":
-        scale = float(spec.get("scale", 1.0))
-        rate = float(spec.get("rate", 1.0))
+        scale, rate = _param(spec, "scale", 1.0), _param(spec, "rate", 1.0)
         return lambda s: scale * np.exp(-rate * s)
     if name == "indicator":
-        lo = float(spec.get("lo", 0.0))
-        hi = float(spec.get("hi", np.inf))
-        value = float(spec.get("value", 1.0))
+        lo, hi = _param(spec, "lo", 0.0), _param(spec, "hi", np.inf)
+        value = _param(spec, "value", 1.0)
         return lambda s: np.where((s >= lo) & (s <= hi), value, 0.0)
     if name == "linear":
-        intercept = float(spec.get("intercept", 0.0))
-        slope = float(spec.get("slope", 1.0))
+        intercept = _param(spec, "intercept", 0.0)
+        slope = _param(spec, "slope", 1.0)
         return lambda s: intercept + slope * s
     raise ConfigurationError(f"unknown builtin expression {name!r}")
 
@@ -153,7 +175,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
     """
     s = grid.centers if points is None else np.asarray(points, dtype=float)
     npts = s.size
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         vals = np.full(npts, float(spec))
     elif callable(spec):
         vals = np.asarray(spec(s), dtype=float)
@@ -163,7 +185,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
         form = spec.get("form")
         _check_descriptor_keys(spec, _COEFFICIENT_KEYS.get(form))
         if form == "constant":
-            vals = np.full(npts, float(_required(spec, "value")))
+            vals = np.full(npts, _number(_required(spec, "value"), "value"))
         elif form == "table":
             pts = np.asarray(_required(spec, "points"), dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -222,7 +244,10 @@ def sample_params(specs: dict, grid: SizeGrid) -> ModelParams:
     for name in ("gamma1", "gamma2", "mu", "c1", "c2"):
         if name not in specs:
             raise ConfigurationError(f"missing coefficient {name!r}")
-        vals = sample_coefficient(specs[name], grid)
+        try:
+            vals = sample_coefficient(specs[name], grid)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}.{exc}", field=f"{name}.{exc.field}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValidationError(f"{name} is not finite at cell {bad}",
@@ -414,7 +439,7 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
     s = grid.centers
     ones = np.ones(grid.n)
     dominator = None
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         form = _rank_one(np.full(grid.n, float(spec)), ones)
     elif callable(spec):
         S, Y = np.meshgrid(s, s, indexing="ij")
@@ -422,9 +447,9 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
     elif isinstance(spec, dict):
         kind = spec.get("form")
         _check_descriptor_keys(spec, _KERNEL_KEYS.get(kind))
-        scale = float(spec.get("scale", 1.0))
+        scale = _param(spec, "scale", 1.0)
         if kind == "constant":
-            value = float(spec.get("value", 1.0)) * scale
+            value = _param(spec, "value", 1.0) * scale
             form = _rank_one(np.full(grid.n, value), ones)
         elif kind == "product":
             f = sample_coefficient(_required(spec, "offspring"), grid)  # in s
@@ -440,11 +465,11 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
             relation = spec.get("relation")
             if relation not in (None, LOWER, UPPER):
                 raise ConfigurationError(f"unknown kernel relation {relation!r}")
-            value = float(spec.get("value", 1.0)) * scale
+            value = _param(spec, "value", 1.0) * scale
 
             def box(lo, hi):
-                return ((s >= float(spec.get(lo, 0.0)))
-                        & (s <= float(spec.get(hi, np.inf)))).astype(float)
+                return ((s >= _param(spec, lo, 0.0))
+                        & (s <= _param(spec, hi, np.inf))).astype(float)
             form = dict(_rank_one(box("s_lo", "s_hi") * value,
                                   box("y_lo", "y_hi")), relation=relation)
         else:

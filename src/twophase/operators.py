@@ -138,9 +138,9 @@ class StateVector:
 
 
 class _BandedFactor:
-    """Solves (lambda - M) x = scale * rhs for a recruitment-free block sum.
+    """Solves (lambda - B) x = scale * rhs for the recruitment-free B.
 
-    In per-cell order (u1_i, u2_i), lambda - M is block lower bidiagonal:
+    In per-cell order (u1_i, u2_i), lambda - B is block lower bidiagonal:
     the 2x2 cell blocks D_i = lambda - [[a_i, b_i], [c_i, d_i]] on the
     diagonal and -diag(inflow_i) below.  It factors with no fill and no
     pivoting as L_b D, with D = blockdiag(D_i) and L_b unit lower banded

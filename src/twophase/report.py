@@ -23,7 +23,7 @@ import numpy as np
 
 from .criteria import (EMPTY_SPECTRUM, GAP_ONLY, IRREDUCIBLE_GAP_AEG, NO_GAP,
                        full_verdict)
-from .errors import TwophaseError
+from .errors import InsufficientDataError, TwophaseError
 from .evolution import evolve, mass_balance
 from .model import FINITE
 from .operators import StateVector, assemble
@@ -355,12 +355,16 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             traj = evolve(gen, U0, scn.dt, scn.T, scn.record_every)
             if len(traj.step_times) >= 2:
                 rep.mass_report = mass_balance(traj, scn.kernel, scn.params)
-            if scn.T > 0 and len(traj.step_times) // 2 >= 20:
+            try:    # detect_AEG alone decides whether the window fits
+                fit = detect_AEG(traj, eig_candidate=getattr(
+                    rep.spectral, "eigfun", None))
+            except InsufficientDataError:
+                fit = None
+            if fit is not None:
                 rep.spectral = rep.spectral or SpectralReport(
                     s_A=float("nan"), eigfun=None, s_B_surrogate=None,
                     s_B_divergent=False)
-                rep.spectral.aeg_fit = detect_AEG(
-                    traj, eig_candidate=rep.spectral.eigfun)
+                rep.spectral.aeg_fit = fit
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")
             write_trajectory_csv(traj_path, traj)

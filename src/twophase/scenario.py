@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .model import (FINITE, TRUNCATED_INFINITE, Kernel, ModelParams, SizeGrid,
-                    build_grid, build_kernel, sample_coefficient, sample_params)
+                    _number, build_grid, build_kernel, sample_coefficient,
+                    sample_params)
 from .operators import StateVector
 
 _TOP_KEYS = {"name", "domain", "coefficients", "kernel", "run", "spectral",
@@ -46,22 +45,6 @@ def _check_keys(d: dict, allowed: set, where: str):
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _number(value, field: str, integer: bool = False):
-    """A scalar of the document as a finite float, or as an int when
-    ``integer`` (60.0 passes, 60.7 does not); ValidationError naming
-    ``field`` otherwise."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x) or integer and not x.is_integer():
-        what = "a whole number" if integer else "a finite number"
-        raise ValidationError(f"{field} must be {what}, got {value!r}",
-                              field=field)
-    return int(x) if integer else x
 
 
 def _numbers(values, field: str) -> list:
@@ -111,7 +94,7 @@ def _initial_state(spec: Optional[dict], grid: SizeGrid) -> StateVector:
         try:
             u1 = np.asarray(sample_coefficient(spec.get("u1", 0.0), grid))
             u2 = np.asarray(sample_coefficient(spec.get("u2", 0.0), grid))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ValidationError) as exc:
             raise ConfigurationError(f"run.u0: {exc}")
         if np.any(u1 < 0) or np.any(u2 < 0):
             raise ValidationError("initial state must be nonnegative",
@@ -227,12 +210,19 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
 
 
 def read_scenario_doc(path: str) -> tuple[dict, str]:
-    """Read a scenario file (JSON) unvalidated, with its file-name hint."""
+    """Read a scenario file (JSON) unvalidated, with its file-name hint;
+    ConfigurationError when it cannot be read, decoded or parsed."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read scenario file {path}: "
+                                 f"{exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario file {path} is not text in the "
+                                 f"{exc.encoding} encoding: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"scenario parse error in {path} at line {exc.lineno}: {exc.msg}")

@@ -590,7 +590,23 @@ class TestCLI:
         ("coefficients", "gamma0", float("nan"), "coefficients.gamma0"),
         ("run", "u0", 5, "run.u0"),
         ("run", "u0", {"u1": {"form": "constant", "value": "abc"}},
-         "run.u0")])
+         "run.u0"),
+        # descriptor numbers: a NaN bound made c1 or the kernel vanish,
+        # and true read as 1
+        ("coefficients", "c1", {"form": "expression", "name": "indicator",
+                                "lo": float("nan")}, "coefficients.c1.lo"),
+        ("coefficients", "c1", {"form": "expression", "name": "indicator",
+                                "lo": True}, "coefficients.c1.lo"),
+        ("coefficients", "c2", {"form": "expression", "name": "exp_decay",
+                                "rate": float("nan")}, "coefficients.c2.rate"),
+        ("coefficients", "mu", {"form": "constant", "value": True},
+         "coefficients.mu.value"),
+        ("coefficients", "c1", True, "cannot interpret coefficient spec"),
+        ("kernel", "s_hi", float("nan"), "kernel: s_hi"),
+        ("kernel", "value", True, "kernel: value"),
+        ("kernel", "scale", float("nan"), "kernel: scale"),
+        ("run", "u0", {"u1": {"form": "expression", "name": "indicator",
+                              "hi": float("nan")}}, "run.u0: hi")])
     def test_malformed_number_exit_2(self, tmp_path, capsys, section, key,
                                      value, field):
         doc = demo_doc(8.0)
@@ -604,6 +620,55 @@ class TestCLI:
         assert run_cli(["report", write(tmp_path, minimal_doc()),
                         "--out", str(tmp_path / "o"), "--dt", "nan"]) == 2
         assert "run.dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "utf16", "criteria_out",
+                                      "sweep_out"])
+    def test_unreadable_input_or_unwritable_output_exit_2(self, tmp_path,
+                                                           capsys, case):
+        # a directory or UTF-16 bytes as the scenario, and an output
+        # directory under a regular file: one line on stderr, no traceback
+        path = write(tmp_path, minimal_doc())
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(json.dumps(minimal_doc()).encode("utf-16"))
+        assert utf16.read_bytes()[:2] == b"\xff\xfe"
+        (tmp_path / "afile").write_text("x")
+        out = str(tmp_path / "afile" / "sub")
+        argv = {"directory": ["criteria", str(tmp_path)],
+                "utf16": ["criteria", str(utf16)],
+                "criteria_out": ["criteria", path, "--out", out],
+                "sweep_out": ["sweep", path, "--out", out, "--vary",
+                              "coefficients.mu", "0.5:1.0:0.5"]}[case]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_omitted_indicator_bound_still_unbounded(self, tmp_path):
+        # c1 with lo = 0 and no hi: the verdict that a NaN lo flipped
+        doc = minimal_doc(domain={"kind": "finite", "m": 1.0, "n": 20})
+        doc["coefficients"]["c1"] = {"form": "expression",
+                                     "name": "indicator", "lo": 0.0}
+        out = tmp_path / "o"
+        assert run_cli(["criteria", write(tmp_path, doc),
+                        "--out", str(out)]) == 0
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert d["verdict"]["predicted"] == "irreducible_gap_aeg"
+
+    @pytest.mark.parametrize("T, fitted", [(0.38, True), (0.37, False)])
+    def test_report_fits_whenever_detect_aeg_does(self, tmp_path, T, fitted):
+        # 38 steps give 39 mass records, whose last half (20) is a full
+        # fit window; 37 steps leave 19
+        doc = minimal_doc(kernel={"form": "constant", "value": 5.0},
+                          run={"dt": 0.01, "T": T, "record_every": 1})
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc),
+                        "--out", str(out)]) == 0
+        d = json.loads((out / "minimal_report.json").read_text())
+        fit = d["spectral"]["aeg_fit"]
+        checks = [c["check"] for c in d["checks"]]
+        assert (fit is not None) == fitted
+        assert ("growth_rate_two_routes" in checks) == fitted
+        if fitted:
+            assert fit["lambda0_fit"] == pytest.approx(2.627, abs=1e-3)
 
     def test_integral_float_cell_count_accepted(self):
         doc = minimal_doc()
