@@ -3,15 +3,47 @@
 Backward Euler is the only integrator: each step applies
 (I - dt*M)^{-1}, which is entrywise nonnegative because the negated
 generator has M-matrix structure, so nonnegative data stays nonnegative
-unconditionally in dt.  ``step_implicit``, ``evolve`` and
-``ideal_invariance_probe`` share one stepping loop, which fetches the
-generator's factor of I - dt*M (lambda = 1/dt folded in) once per run
-and advances the stacked state (u1 over u2): for a rank-1 kernel a step
-is one banded triangular solve, a vectorised 2x2 block inverse and an
-in-place Sherman-Morrison update, O(n) with no negative rounding; other
-kernels take one sparse LU solve.  The step's phase sums, recorded at
-every step (growth-rate fits need a dense series), are its finiteness
-check; full profiles are decimated by ``record_every``.
+unconditionally in dt.  ``evolve`` computes its k-step states by one of
+two routes, with the same numbers to rounding:
+
+  * ``"steps"``: one solve per step.  ``step_implicit``, ``evolve`` and
+    ``ideal_invariance_probe`` share one stepping loop, which fetches
+    the generator's factor of I - dt*M (lambda = 1/dt folded in) once
+    per run and advances the stacked state (u1 over u2): for a rank-1
+    kernel a step is one banded triangular solve, a vectorised 2x2 block
+    inverse and an in-place Sherman-Morrison update, O(n) with no
+    negative rounding; other kernels take one sparse LU solve.
+  * ``"randomized"``: no solve at all.  With q = max(outflow + loss),
+    P = I + M/q >= 0 and theta = q dt/(1 + q dt), backward Euler is a
+    mixture of the powers of P, (I - dt M)^{-1} = (1 - theta) sum_j
+    theta^j P^j, so k steps give x_k = sum_j w_{k,j} P^j x_0 with the
+    negative-binomial weights w_{k,j} = C(j+k-1, j) (1 - theta)^k
+    theta^j (randomization: Jensen 1953; Grassmann, *Comput. Oper.
+    Res.* 4, 1977).  One Krylov sequence P^j x_0, j <= J, each product
+    O(n) (``DiscreteGenerator.apply``), serves every step: the per-step
+    phase sums are weights times the vectors' phase sums, and each
+    record a weighted sum of the vectors, folded in blocks as they pass.
+    The weights come from their ratios, w_{k,j+1}/w_{k,j} = theta
+    (j+k)/(j+1) outward from a step's mode and w_{k+1,j}/w_{k,j} = (1 -
+    theta)(j+k)/k down a chunk of steps, over a window where they exceed
+    2^-60 of the mode's, normalised to sum 1 (Fox & Glynn, *CACM* 31,
+    1988).  Every term is >= 0, so nothing cancels.  Where the norms
+    |P^j x_0|_1 fall or grow so fast that the dropped terms matter (the
+    mass leaves the domain, say), a chunk's window widens until they do
+    not, and records in it take a second pass over the sequence.
+
+``evolve`` takes the randomized route, with no option, exactly when
+x_0 >= 0, dt*rho < 1 (rho the largest column sum of M, so the series
+converges) and the term count J, which bounds the part dropped from the
+last step below 2^-52 a priori, is at most the step count, so that
+there are no more products than the loop has solves (2J with a second
+pass), and the records' weights fit in 2^20 entries (a record every few
+steps of a wide window costs more to fold than the solves); it keeps
+the result when the a-posteriori bound on the dropped terms, the
+largest over all steps (``Trajectory.tail_bound``), is at most 2^-50.
+Otherwise the loop runs.  The step's phase sums, recorded
+at every step (growth-rate fits need a dense series), are its
+finiteness check; full profiles are decimated by ``record_every``.
 """
 
 from __future__ import annotations
@@ -29,6 +61,11 @@ from .operators import DiscreteGenerator, StateVector
 IDEAL_KINDS = ("both_min_size", "phase2_min_size", "phase2_only",
                "product_min_sizes")
 
+# the randomized route: relative L1 bounds on the terms it drops, the
+# a-priori one that fixes J and the a-posteriori one it must meet, and
+# the weight below which (relative to the mode's) a step's window ends
+TERMS_TOL, TAIL_TOL, WINDOW_TOL = 2.0 ** -52, 2.0 ** -50, 2.0 ** -60
+
 
 @dataclass
 class Trajectory:
@@ -36,7 +73,10 @@ class Trajectory:
 
     ``times``/``states``/``masses`` hold the decimated profile records;
     ``step_times``/``step_masses``/``step_phase_masses`` hold the per-step
-    mass series.
+    mass series.  ``route`` names how ``evolve`` computed them, "steps"
+    or "randomized"; on the latter ``terms`` is the term count J and
+    ``tail_bound`` the largest relative L1 bound on the terms dropped
+    from any step (both None on the former).
     """
 
     times: np.ndarray
@@ -46,6 +86,9 @@ class Trajectory:
     step_masses: np.ndarray
     step_phase_masses: np.ndarray
     dt: float
+    route: str = "steps"
+    terms: int | None = None
+    tail_bound: float | None = None
 
 
 @dataclass
@@ -112,36 +155,254 @@ def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVec
     return StateVector.from_stacked(x, gen.grid)
 
 
+def _terms(tb: float, K: int) -> int | None:
+    """The randomized route's term count J <= K for K steps, or None.
+
+    P^j x grows at most like beta^j (beta = |P|_1), so the part dropped
+    from step K relative to the part kept is at most t_J r/(1 - r) over
+    the sum of t_j, j <= J, where t_j are the weights of K steps with
+    tb = theta*beta in place of theta and r = tb (J+K)/(J+1).  J is the
+    first j from the mode of t where that is below TERMS_TOL, summing t
+    from the mode only.
+    """
+    j = int((K - 1) * tb / (1 - tb))
+    t = s = 1.0
+    while j <= K:
+        r = tb * (j + K) / (j + 1)
+        if r < 1 and t * r <= TERMS_TOL * s * (1 - r):
+            return j
+        t *= r
+        s += t
+        j += 1
+    return None
+
+
+def _mode(k, theta: float):
+    """The mode of the weights of step(s) k >= 1."""
+    return np.floor((np.asarray(k) - 1) * theta / (1 - theta)).astype(int)
+
+
+def _window(k: int, theta: float, beta: float) -> tuple[int, int, int]:
+    """The mode m of the weights of step k and the offsets (left, right)
+    where they fall below WINDOW_TOL of the mode's weight (left stops at
+    j = 0), right also past theta*beta*(j+k)/(j+1) < 1.  Both tails
+    narrow as k falls, so the window of the last step serves every
+    step."""
+    m = j = int(_mode(k, theta))
+    t = 1.0
+    while t > WINDOW_TOL or theta * beta * (j + k) >= j + 1:
+        t *= theta * (j + k) / (j + 1)
+        j += 1
+    right, j, t = j - m, m, 1.0
+    while t > WINDOW_TOL and j > 0:
+        t *= j / (theta * (j - 1 + k))
+        j -= 1
+    return m, m - j, right
+
+
+def _weights(ks: np.ndarray, theta: float, left: int, right: int):
+    """The weights of the steps ``ks``, unnormalised (1 at the mode m),
+    of j = m - left .. m + right, one row per step: cumulative products
+    of the ratio outward from the mode, 0 for j < 0."""
+    k = ks[:, None].astype(float)
+    m = _mode(k, theta)
+    up, down = m + np.arange(right), m - np.arange(1, left + 1)
+    w_up = np.cumprod(theta * (up + k) / (up + 1), axis=1)
+    w_down = np.cumprod(np.maximum(down + 1, 0)
+                        / (theta * np.maximum(down + k, 1)), axis=1)
+    return np.hstack([w_down[:, ::-1], np.ones(k.shape), w_up])
+
+
+def _record_weights(ks: np.ndarray, theta: float, lo: np.ndarray,
+                    hi: np.ndarray, limit: int):
+    """Normalised weights of the steps ``ks`` on the columns lo..hi of
+    each: the first column j of each row, and the rows (0 outside); None
+    where they would hold more than ``limit`` entries."""
+    m = _mode(ks, theta)
+    left, right = int((m - lo).max()), int((hi - m).max())
+    if ks.size * (left + right + 1) > limit:
+        return None
+    w = _weights(ks, theta, left, right)
+    j = (m - left)[:, None] + np.arange(left + right + 1)
+    w[(j < lo[:, None]) | (j > hi[:, None])] = 0.0
+    return m - left, w / w.sum(axis=1, keepdims=True)
+
+
+def _chunk_weights(k: np.ndarray, theta: float, lo: int, hi: int):
+    """Unnormalised weights of the consecutive steps k on the columns
+    lo..hi: the first row by ``_weights``, each later one from the row
+    before by w_{k+1,j} = w_{k,j} (1 - theta)(j + k)/k."""
+    m0 = int(_mode(k[0], theta))
+    w = np.empty((k.size, hi - lo + 1))
+    w[0] = _weights(k[:1], theta, m0 - lo, hi - m0)
+    np.add(np.arange(lo, hi + 1.0), k[:-1, None], out=w[1:])
+    w[1:] *= (1 - theta) / k[:-1, None]
+    for i in range(1, k.size):      # faster than cumprod on wide rows
+        w[i] *= w[i - 1]
+    return w
+
+
+def _fold(gen: DiscreteGenerator, x: np.ndarray, d: np.ndarray, q: float,
+          J: int, start: np.ndarray, w: np.ndarray):
+    """The phase sums of P^j x, j <= J, with P x = (d x + (M - D) x)/q,
+    D the transport and loss diagonal, and the states sum_j
+    w[r, j - start[r]] P^j x (start ascending).  The vectors come in
+    blocks; each adds its share to the states that use it and is then
+    dropped."""
+    n, width = gen.grid.n, w.shape[1]
+    states = np.zeros((len(w), 2 * n))
+    block = max(1, min(J + 1, 2 ** 17 // (2 * n)))
+    V, sums, v = np.empty((block, 2 * n)), np.empty((J + 1, 2)), x
+    for b in range(0, J + 1, block):
+        nb = min(block, J + 1 - b)
+        for i in range(nb):
+            v = V[i] = gen.apply(v, d) / q if b + i else v
+        sums[b:b + nb] = V[:nb].reshape(nb, 2, n).sum(axis=2)
+        r0, r1 = np.searchsorted(start, (b - width + 1, b + nb))
+        cols = np.arange(b, b + nb) - start[r0:r1, None]
+        wb = np.take_along_axis(w[r0:r1], cols.clip(0, width - 1), axis=1)
+        states[r0:r1] += np.where((cols >= 0) & (cols < width), wb,
+                                  0.0) @ V[:nb]
+    return sums, states
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a/b where b > 0, inf elsewhere."""
+    return np.divide(a, b, out=np.full(np.shape(b), np.inf), where=b > 0)
+
+
+def _randomized(gen: DiscreteGenerator, x: np.ndarray, dt: float,
+                nsteps: int, rec: np.ndarray):
+    """The randomized route of the module docstring: (the states of the
+    steps ``rec`` as rows of one array, the phase sums of steps
+    1..nsteps, J, the tail bound), or None where the rule or the bound
+    sends the run to the loop."""
+    loss = (gen.outflow + gen.loss).ravel()
+    q = float(loss.max())
+    rho = float(gen.line_sums()[1].max())
+    if nsteps < 1 or not (dt * rho < 1 and x.min() >= 0
+                          and 0 < x.max() < math.inf):
+        return None
+    theta, beta = q * dt / (1 + q * dt), 1 + rho / q
+    J = _terms(theta * beta, nsteps)
+    if J is None:
+        return None
+    mK, left, right = _window(nsteps, theta, beta)
+    J, width = min(J, mK + right), left + right + 1
+    # chunks of consecutive steps k0..k1 share the columns lo..hi of
+    # their windows: at most k0 steps (so their widths differ by at most
+    # a factor sqrt 2) whose modes move by about one standard deviation
+    # of the first (so no weight of the first underflows where a later
+    # step's does not), and at most 2^16 entries
+    k0 = [1]
+    while k0[-1] <= nsteps:
+        k = k0[-1]
+        k0.append(k + max(1, min(k, int(math.sqrt(k / theta)),
+                                 2 ** 16 // width)))
+    k0, k1 = np.array(k0[:-1]), np.minimum(np.array(k0[1:]) - 1, nsteps)
+    lo, hi = _mode(k0, theta) - left, _mode(k1, theta) + right
+    # the records are folded on their chunk's columns as the Krylov
+    # sequence passes; their weights, and so the folding's memory and
+    # work (a record every few steps of a wide window costs more than
+    # the solves), are held to 2^20 entries
+    chunk, limit = np.searchsorted(k1, rec), 2 ** 20
+    weights = _record_weights(rec, theta, lo[chunk], hi[chunk], limit)
+    if weights is None:
+        return None
+    sums, states = _fold(gen, x, q - loss, q, J, *weights)
+    if not np.isfinite(sums).all():
+        return None
+    a = sums.sum(axis=1)
+    pad = np.zeros((mK + width, 3))     # row j + left: sums of j, and 1
+    pad[left:left + J + 1, :2], pad[:, 2] = sums, 1.0
+    # dropped terms left of the columns (j < lo): the weights fall at
+    # least by the ratio rl per term there (largest at the first step of
+    # a chunk and nearest the mode), so they sum to at most w_lo times
+    # tails[lo] = sum_i rl^i a_(lo-i); right of them (j > end) the norms
+    # grow at most by beta and the weights fall by r per term
+    inner = lo >= 1
+    rl = float((lo[inner] / (theta * (lo[inner] - 1 + k0[inner])))
+               .max(initial=0.0))
+    if not rl < 1:
+        return None
+    tails, acc = np.zeros(J + 2), 0.0
+    for j, aj in enumerate(a.tolist(), 1):
+        acc = rl * (acc + aj)
+        tails[j] = acc
+    out, tail, spans = np.empty((nsteps, 2)), 0.0, (lo[chunk], hi[chunk])
+    for c in range(k0.size):
+        k = np.arange(k0[c], k1[c] + 1)
+        m0, m1 = _mode(k[[0, -1]], theta)
+        while True:
+            w = _chunk_weights(k, theta, lo[c], hi[c])
+            kept = w @ pad[lo[c] + left:hi[c] + left + 1]
+            end, total = min(J, hi[c]), kept[:, 0] + kept[:, 1]
+            r = theta * beta * (end + k) / (end + 1)
+            bound = [_quotient(dropped, total).max() for dropped in (
+                w[:, 0] * tails[min(max(lo[c], 0), J + 1)],
+                w[:, max(end - lo[c], 0)] * a[end] * _quotient(r, 1 - r))]
+            # where the norms leave the weights' window, widen it
+            wider = (lo[c] > 0 and bound[0] > TAIL_TOL / 2,
+                     hi[c] < J and bound[1] > TAIL_TOL / 2)
+            if not any(wider):
+                break
+            if 2 * J > nsteps and (chunk == c).any():
+                return None     # its records would need a second pass
+            lo[c] = max(0, 2 * lo[c] - m0) if wider[0] else lo[c]
+            hi[c] = min(J, 2 * hi[c] - m1) if wider[1] else hi[c]
+        if not bound[0] + bound[1] <= TAIL_TOL:
+            return None
+        out[k0[c] - 1:k1[c]] = kept[:, :2] / kept[:, 2:]
+        tail = max(tail, bound[0] + bound[1])
+    # records whose chunk widened take a second pass
+    if (spans[0] != lo[chunk]).any() or (spans[1] != hi[chunk]).any():
+        weights = _record_weights(rec, theta, lo[chunk], hi[chunk], limit)
+        if weights is None:
+            return None
+        states = _fold(gen, x, q - loss, q, J, *weights)[1]
+    return states, out, J, tail
+
+
 def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
            record_every: int = 1) -> Trajectory:
-    """Run ceil(T/dt) implicit steps, recording profiles every ``record_every``.
+    """The backward-Euler states of ceil(T/dt) steps of size dt, recording
+    profiles every ``record_every`` steps and at the last.
 
-    The stacked state advances with one factor fetch per run; states are
-    built only at records.  ConfigurationError before any step unless
-    0 < dt < inf, 0 <= T/dt < inf and record_every >= 1.
+    Every number is that of the implicit steps, on either route of the
+    module docstring: the randomized one where its rule holds, else the
+    stepping loop, with one factor fetch per run.  States are built only
+    at records.  ConfigurationError before any step unless 0 < dt < inf,
+    0 <= T/dt < inf and record_every >= 1.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
     nsteps = _step_count(dt, T)
     n = gen.grid.n
     x = U0.stacked()
-    times, xs = [0.0], [x]
     ones = np.ones(n)
     sums = [(np.dot(x[:n], ones), np.dot(x[n:], ones))]
-    for k, (x, s1, s2) in enumerate(_steps(gen, x, dt, nsteps), 1):
-        sums.append((s1, s2))
-        if k % record_every == 0 or k == nsteps:
-            times.append(k * dt)
-            xs.append(x)
+    rec = np.arange(record_every, nsteps + record_every, record_every)
+    rec[-1:] = nsteps
+    found = _randomized(gen, x, dt, nsteps, rec)
+    if found is not None:
+        records, step_sums, terms, tail = found
+        xs, sums = [x, *records], np.vstack([sums, step_sums])
+    else:
+        xs, terms, tail = [x], None, None
+        for k, (x, s1, s2) in enumerate(_steps(gen, x, dt, nsteps), 1):
+            sums.append((s1, s2))
+            if k % record_every == 0 or k == nsteps:
+                xs.append(x)
+        sums = np.array(sums)
     h = gen.grid.h
-    sums = np.array(sums)
     states = [StateVector.from_stacked(x, gen.grid) for x in xs]
     masses = np.array([S.mass for S in states])
-    return Trajectory(times=np.array(times), states=states, masses=masses,
-                      step_times=np.arange(nsteps + 1) * dt,
+    return Trajectory(times=np.concatenate([[0.0], rec * dt]), states=states,
+                      masses=masses, step_times=np.arange(nsteps + 1) * dt,
                       step_masses=(sums[:, 0] + sums[:, 1]) * h,
-                      step_phase_masses=sums * h,
-                      dt=dt)
+                      step_phase_masses=sums * h, dt=dt,
+                      route="steps" if found is None else "randomized",
+                      terms=terms, tail_bound=tail)
 
 
 def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassBalanceReport:

@@ -166,6 +166,25 @@ def _required(spec: dict, key: str):
     return spec[key]
 
 
+def _rows(spec: dict, key: str) -> np.ndarray:
+    """The descriptor's rows of numbers ``key`` as a float array;
+    ValidationError naming the first entry that is a boolean or not a
+    number, ConfigurationError when the rows are ragged."""
+    rows = _required(spec, key)
+    listed = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    for i, row in enumerate(listed if isinstance(listed, (list, tuple))
+                            else [listed]):
+        for j, v in enumerate(row if isinstance(row, (list, tuple))
+                              else [row]):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{key}[{i}][{j}] must be a number, "
+                                      f"got {v!r}", field=f"{key}[{i}][{j}]")
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key} must be rows of one length: {exc}")
+
+
 def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
                        points: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample a coefficient descriptor at the cell centers.
@@ -187,7 +206,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
         if form == "constant":
             vals = np.full(npts, _number(_required(spec, "value"), "value"))
         elif form == "table":
-            pts = np.asarray(_required(spec, "points"), dtype=float)
+            pts = _rows(spec, "points")
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ConfigurationError("table points must be [s, value] pairs")
             order = np.argsort(pts[:, 0])
@@ -248,6 +267,8 @@ def sample_params(specs: dict, grid: SizeGrid) -> ModelParams:
             vals = sample_coefficient(specs[name], grid)
         except ValidationError as exc:
             raise ValidationError(f"{name}.{exc}", field=f"{name}.{exc.field}")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{exc} (coefficient {name})")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValidationError(f"{name} is not finite at cell {bad}",
@@ -353,6 +374,18 @@ class Kernel:
         out = ufunc.accumulate(np.concatenate([[0.0], y[:-1]]))
         return out if prefix else out[::-1]
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """beta @ x: f times g.x for a rank-1 kernel, times an exclusive
+        prefix (``s>y``) or suffix (``s<y``) sum of g x under a relation,
+        each partial sum accumulated from zero, and one product for a
+        dense kernel.  O(n) for factors."""
+        if self.dense is not None:
+            return self.dense @ x
+        f, g = self.factors
+        if self.relation is None:
+            return f * (g @ x)
+        return f * self._line(g * x, np.add, rows=True)
+
     def row_sums(self) -> np.ndarray:
         """sum_j beta[i, j] for every offspring cell i."""
         if self.dense is not None:
@@ -456,7 +489,7 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
             g = sample_coefficient(spec.get("parent", 1.0), grid)  # factor in y
             form = _rank_one(f * scale, g)
         elif kind == "table":
-            beta = np.asarray(_required(spec, "values"), dtype=float)
+            beta = _rows(spec, "values")
             if beta.shape != (grid.n, grid.n):
                 raise ConfigurationError(
                     f"kernel table must be {grid.n}x{grid.n}, got {beta.shape}")

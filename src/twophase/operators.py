@@ -13,7 +13,8 @@ length 2n) as the sum of four parts:
     phase 1 only.
 
 A generator keeps the per-cell arrays of the first three parts and the
-structured kernel.  Only the general LU and the Collatz-Wielandt bracket
+structured kernel, and applies M from them (``apply``, O(n) for every
+built-in kernel).  Only the general LU and the Collatz-Wielandt bracket
 need the whole generator as one sparse matrix (``full``), built on first
 use and cached.
 
@@ -378,14 +379,27 @@ class DiscreteGenerator:
         x[:n], x[n:] = x1, x2
         return x
 
-    def line_sum_bound(self) -> float:
-        """The smaller of the largest row sum and the largest column sum
-        of the full generator, from the arrays.
+    def apply(self, x: np.ndarray, diag: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """The product M x for a stacked x (u1 over u2), a fresh array.
 
-        Its off-diagonal entries are >= 0, so its spectral bound is at
-        most either sum (Berman & Plemmons, *Nonnegative Matrices in the
-        Mathematical Sciences*, ch. 2).  O(n); ``full`` is not built.
+        O(n) from the per-cell arrays and ``Kernel.apply`` (one dense
+        product for a table or callable kernel); no matrix is built.
+        ``diag`` (length 2n) replaces the transport and loss diagonal
+        -(outflow + loss); every other part of M is >= 0, so a diag >= 0
+        and an x >= 0 give a product >= 0 with no negative rounding.
         """
+        X = x.reshape(2, -1)        # phase by cell, as the arrays
+        Y = (-(self.outflow + self.loss) if diag is None
+             else diag.reshape(2, -1)) * X
+        Y += self.coupling * X[::-1]
+        Y[:, 1:] += self.inflow * X[:, :-1]
+        Y[0] += self.grid.h * self.kernel.apply(X[0])
+        return Y.ravel()
+
+    def line_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column sums of the full generator from the arrays, each
+        of shape (2, n): phase by cell.  O(n); ``full`` is not built."""
         h, K = self.grid.h, self.kernel
         rows = np.pad(self.inflow, ((0, 0), (1, 0))) - self.outflow
         cols = np.pad(self.inflow, ((0, 0), (0, 1))) - self.outflow
@@ -393,6 +407,17 @@ class DiscreteGenerator:
         cols += self.coupling[::-1] - self.loss
         rows[0] += h * K.row_sums()
         cols[0] += h * K.column_sums()
+        return rows, cols
+
+    def line_sum_bound(self) -> float:
+        """The smaller of the largest row sum and the largest column sum
+        of the full generator.
+
+        Its off-diagonal entries are >= 0, so its spectral bound is at
+        most either sum (Berman & Plemmons, *Nonnegative Matrices in the
+        Mathematical Sciences*, ch. 2).
+        """
+        rows, cols = self.line_sums()
         return float(min(rows.max(), cols.max()))
 
 

@@ -45,6 +45,7 @@ class RunReport:
     spectral: Optional[SpectralReport] = None
     mass_report: Optional[object] = None
     trajectory_files: list = field(default_factory=list)
+    simulate: Optional[dict] = None
     timings: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     complete: bool = False
@@ -143,10 +144,14 @@ def report_to_json(rep: RunReport) -> str:
         "mass_balance": _jsonable(rep.mass_report),
         "trajectory_files": rep.trajectory_files,
         "checks": _jsonable(rep.checks),
+        "simulate": _jsonable(rep.simulate),
         "timings": _jsonable(rep.timings),
-        "peak_rss_kb": _peak_rss_kb(),
     }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    # the peak is read once the rest is serialised, so that it holds the
+    # serialisation's transient, and appended as the last member
+    return f'{text[:-2]},\n  "peak_rss_kb": {json.dumps(_peak_rss_kb())}\n}}'
+
 
 
 def _closed_forms(scn: Scenario, report: SpectralReport):
@@ -353,6 +358,8 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             t0 = time.perf_counter()
             U0 = scn.initial_state()
             traj = evolve(gen, U0, scn.dt, scn.T, scn.record_every)
+            rep.simulate = {"route": traj.route, "terms": traj.terms,
+                            "tail_bound": traj.tail_bound}
             if len(traj.step_times) >= 2:
                 rep.mass_report = mass_balance(traj, scn.kernel, scn.params)
             try:    # detect_AEG alone decides whether the window fits

@@ -238,6 +238,152 @@ class TestEvolveLoop:
             ideal_invariance_probe(gen, ("both_min_size", 0.5), U0, T, dt)
 
 
+# every kernel form: rank-1 factors, factors masked to a triangle, a
+# dense table, a callable, and zero
+ROUTE_KERNELS = {
+    "constant": 1.0,
+    "zero": 0.0,
+    "product": {"form": "product",
+                "offspring": {"form": "expression", "name": "exp_decay"},
+                "parent": 2.0},
+    "box": {"form": "indicator", "s_lo": 0.2, "s_hi": 0.6, "y_lo": 0.5},
+    "s>y": {"form": "indicator", "relation": "s>y"},
+    "s<y": {"form": "indicator", "relation": "s<y", "value": 3.0},
+    "table": {"form": "table",
+              "values": np.add.outer(np.linspace(0, 1, 100),
+                                     np.linspace(1, 2, 100)).tolist()},
+    "callable": lambda s, y: np.exp(-s) * y,
+}
+
+
+def step_loop(gen, U0, dt, nsteps, record_every):
+    """The stacked records and per-step phase sums of nsteps calls of
+    step_implicit."""
+    ones = np.ones(U0.grid.n)
+    U, states, sums = U0, [U0.stacked()], [(U0.u1 @ ones, U0.u2 @ ones)]
+    for k in range(1, nsteps + 1):
+        U = step_implicit(gen, U, dt)
+        sums.append((U.u1 @ ones, U.u2 @ ones))
+        if k % record_every == 0 or k == nsteps:
+            states.append(U.stacked())
+    return np.array(states), np.array(sums)
+
+
+def assert_randomized_matches_loop(gen, U0, dt, nsteps, record_every):
+    """evolve takes the randomized route, and its records (L1 per record)
+    and per-step phase masses are within 1e-12 relative of the loop's,
+    every entry >= 0."""
+    traj = evolve(gen, U0, dt, nsteps * dt, record_every=record_every)
+    assert traj.route == "randomized"
+    assert 0 < traj.terms <= nsteps
+    assert 0 <= traj.tail_bound <= 2.0 ** -50
+    states, sums = step_loop(gen, U0, dt, nsteps, record_every)
+    got = np.array([S.stacked() for S in traj.states])
+    assert got.shape == states.shape and got.min() >= 0
+    assert np.all(np.abs(got - states).sum(axis=1)
+                  <= 1e-12 * np.abs(states).sum(axis=1))
+    h = U0.grid.h
+    assert np.all(np.abs(traj.step_phase_masses - sums * h) <= 1e-12 * sums * h)
+    assert np.array_equal(traj.times, np.concatenate(
+        [[0.0], np.arange(record_every, nsteps + record_every,
+                          record_every).clip(max=nsteps) * dt]))
+    return traj
+
+
+class TestRandomizedRoute:
+    @pytest.mark.parametrize("kernel", sorted(ROUTE_KERNELS))
+    def test_kernel_forms_match_the_step_loop(self, kernel):
+        # 500 steps at q dt = 0.2 take about 220 products
+        g, p, K, gen = make(n=100, kernel=ROUTE_KERNELS[kernel])
+        assert_randomized_matches_loop(gen, left_bump(g), 2e-3, 500, 7)
+
+    def test_long_horizon(self):
+        # qT = 1004: (1 - theta)^k underflows after k = 1750, so the
+        # weights must come from their ratio recurrence
+        g, p, K, gen = make(n=500)
+        traj = assert_randomized_matches_loop(gen, left_bump(g), 1e-3,
+                                              2000, 100)
+        assert traj.terms > 1000
+
+    def test_growing_run(self):
+        g, p, K, gen = make(n=100, kernel=5.0)
+        traj = assert_randomized_matches_loop(gen, left_bump(g), 1e-3,
+                                              2000, 50)
+        assert traj.step_masses[-1] > 10 * traj.step_masses[0]
+
+    def test_decaying_triangle_kernel_builds_no_factor(self, splu_calls):
+        # the mass leaves the domain (1e-26 of it is left at T = 2), so
+        # the norms of P^j x fall away from the weights' windows: they
+        # widen, and the records take a second pass; no splu factor
+        g, p, K, gen = make(n=200, kernel={"form": "indicator",
+                                           "relation": "s>y"})
+        traj = evolve(gen, left_bump(g), 1e-3, 2.0, record_every=100)
+        assert traj.route == "randomized" and splu_calls == []
+        assert traj.step_masses[-1] < 1e-20
+        assert_randomized_matches_loop(gen, left_bump(g), 1e-3, 2000, 100)
+
+    def test_one_step_short_of_the_rule_is_bit_identical(self):
+        # the route turns on at the first step count that needs no more
+        # products than steps; one step fewer runs the loop, bit for bit
+        g, p, K, gen = make(n=40, kernel=3.0)
+        U0 = left_bump(g)
+
+        def route(k):
+            return evolve(gen, U0, 1e-2, k * 1e-2, record_every=10).route
+        lo, hi = 50, 1000
+        assert (route(lo), route(hi)) == ("steps", "randomized")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if route(mid) == "steps" else (lo, mid)
+        traj = evolve(gen, U0, 1e-2, lo * 1e-2, record_every=7)
+        assert (traj.terms, traj.tail_bound) == (None, None)
+        states, sums = step_loop(gen, U0, 1e-2, lo, 7)
+        assert np.array_equal([S.stacked() for S in traj.states], states)
+        assert np.array_equal(traj.step_phase_masses, sums * g.h)
+        assert_randomized_matches_loop(gen, U0, 1e-2, hi, 7)
+
+    def test_dense_records_of_a_wide_window_keep_the_loop(self):
+        # 3000 records of about 350 weights each would cost more to fold
+        # than the solves: past 2^20 record weights the loop runs
+        g, p, K, gen = make(n=100, kernel=3.0)
+        U0 = left_bump(g)
+        assert evolve(gen, U0, 2e-3, 6.0, record_every=1).route == "steps"
+        assert evolve(gen, U0, 2e-3, 6.0,
+                      record_every=100).route == "randomized"
+
+    def test_rule_needs_nonnegative_finite_data(self):
+        g, p, K, gen = make(n=100)
+        U0 = left_bump(g)
+        assert evolve(gen, U0, 2e-3, 1.0).route == "randomized"
+        for bad in (-1e-300, np.inf):
+            U = U0.copy()
+            U.u2[50] = bad
+            if bad < 0:
+                assert evolve(gen, U, 2e-3, 1.0).route == "steps"
+            else:
+                with pytest.raises(StepSizeError, match="non-finite"):
+                    evolve(gen, U, 2e-3, 1.0)
+
+
+class TestApply:
+    @pytest.mark.parametrize("kernel", sorted(ROUTE_KERNELS))
+    def test_matches_the_sparse_generator(self, kernel):
+        g, p, K, gen = make(n=100, kernel=ROUTE_KERNELS[kernel],
+                            gamma1={"form": "expression", "name": "linear",
+                                    "intercept": 1.0},
+                            c1={"form": "expression", "name": "indicator",
+                                "lo": 0.3, "hi": 0.8})
+        x = np.random.default_rng(5).random(2 * g.n)
+        ref = gen.full @ x
+        assert np.abs(gen.apply(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+        # with a diagonal >= 0 every part is >= 0
+        d = np.zeros(2 * g.n)
+        y = gen.apply(x, d)
+        assert y.min() >= 0
+        assert np.allclose(y, ref + (gen.outflow + gen.loss).ravel() * x,
+                           rtol=1e-13, atol=0)
+
+
 class TestMassBalance:
     def test_closed_system_zero_drift(self):
         g, p, K, gen = make(kernel=0.0, mu=0.0, c1=0.0, c2=0.0)

@@ -117,3 +117,44 @@ class TestBuildKernel:
         g = build_grid("finite", 1.0, 4)
         with pytest.raises(ConfigurationError):
             sample_coefficient({"form": "mystery"}, g)
+
+
+class TestTableEntries:
+    @pytest.mark.parametrize("points, field", [
+        ([[0.0, True], [0.5, False]], "c1.points[0][1]"),
+        ([[True, 1.0]], "c1.points[0][0]"),
+        ([[0.0, 1.0], [0.5, "x"]], "c1.points[1][1]")])
+    def test_coefficient_table_entry_not_a_number(self, points, field):
+        # a boolean read as 1 or 0 (or its knot as s = 1); now the entry
+        # is named
+        g = build_grid("finite", 1.0, 4)
+        with pytest.raises(ValidationError) as ei:
+            const_params(g, c1={"form": "table", "points": points})
+        assert ei.value.field == field
+        assert str(ei.value).startswith(f"{field} must be a number")
+
+    @pytest.mark.parametrize("values, field", [
+        ([[1.0, True], [0.0, 1.0]], "values[0][1]"),
+        (np.array([[True, False], [True, True]]), "values[0][0]"),
+        ([[1.0, 0.0], [None, 1.0]], "values[1][0]")])
+    def test_kernel_table_entry_not_a_number(self, values, field):
+        g = build_grid("finite", 1.0, 2)
+        with pytest.raises(ValidationError) as ei:
+            build_kernel({"form": "table", "values": values}, g)
+        assert ei.value.field == field
+
+    def test_numeric_tables_unchanged(self):
+        g = build_grid("finite", 1.0, 2)
+        K = build_kernel({"form": "table", "values": np.eye(2)}, g)
+        assert np.array_equal(K.beta, np.eye(2))
+        assert np.array_equal(
+            build_kernel({"form": "table", "values": [[1, 0], [0, 1]]},
+                         g).beta, np.eye(2))
+
+    @pytest.mark.parametrize("spec", ["abc", True, None])
+    def test_coefficient_not_a_spec_names_it(self, spec):
+        g = build_grid("finite", 1.0, 4)
+        with pytest.raises(ConfigurationError,
+                           match=r"cannot interpret coefficient spec .* "
+                                 r"\(coefficient c1\)$"):
+            const_params(g, c1=spec)

@@ -202,6 +202,36 @@ class TestReportJSON:
         doc = strict_json(twophase.report.report_to_json(rep))
         assert doc["peak_rss_kb"] is None
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KB")
+    def test_peak_rss_holds_the_serialisation(self, tmp_path):
+        # the peak is read once the rest of the report is serialised, so
+        # it holds the JSON's transient (about 6 MB for the eigenfunction
+        # at n = 20000): the report's value is at least the process's
+        # final peak from wait4, less 1 MB.  A small launcher starts the
+        # CLI, which would otherwise inherit this process's high-water
+        # mark across exec.
+        doc = minimal_doc(name="big",
+                          run={"dt": 0.01, "T": 0.01, "record_every": 1})
+        doc["domain"]["n"] = 20000
+        code = (
+            "import json, os, subprocess, sys\n"
+            "scn, out = sys.argv[1:]\n"
+            "p = subprocess.Popen([sys.executable, '-m', 'twophase.cli', "
+            "'report', scn, '--out', out], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(p.pid, 0)\n"
+            "print(json.dumps([status, usage.ru_maxrss]))\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        status, child_peak = json.loads(proc.stdout)
+        assert status == 0
+        report = strict_json((tmp_path / "o" / "big_report.json").read_text())
+        assert report["peak_rss_kb"] >= child_peak - 1024
+
 
 def strict_json(text):
     # a parser that rejects NaN and Infinity, as jq and JavaScript do
@@ -616,6 +646,29 @@ class TestCLI:
                         "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("coefficients", "c1",
+         {"form": "table", "points": [[0.0, True], [0.5, False]]},
+         "coefficients.c1.points[0][1]: c1.points[0][1] must be a number"),
+        ("coefficients", "c1", {"form": "table", "points": [[True, 1.0]]},
+         "coefficients.c1.points[0][0]"),
+        ("coefficients", "c1", "abc",
+         "cannot interpret coefficient spec 'abc' (coefficient c1)"),
+        ("kernel", "values", [[1.0] * 60] * 59 + [[1.0] * 59 + [False]],
+         "kernel: values[59][59] must be a number")])
+    def test_table_entry_or_spec_not_a_number_exit_2(
+            self, tmp_path, capsys, section, key, value, message):
+        # booleans in a table read as 1 and 0, and a bare coefficient that
+        # is no spec did not say which coefficient it was
+        doc = demo_doc(8.0)
+        doc["domain"]["n"] = 60
+        if section == "kernel":
+            doc["kernel"] = {"form": "table"}
+        doc[section][key] = value
+        assert run_cli(["report", write(tmp_path, doc),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
     def test_dt_flag_nan_exit_2(self, tmp_path, capsys):
         assert run_cli(["report", write(tmp_path, minimal_doc()),
                         "--out", str(tmp_path / "o"), "--dt", "nan"]) == 2
@@ -768,6 +821,32 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         for name in ("rank1_trajectory.csv", "rank1_report.json"):
             assert (tmp_path / "o" / name).exists()
+
+    def test_simulate_on_triangle_kernel_leaves_scipy_sparse_unimported(
+            self, tmp_path):
+        # the randomized route applies an s>y kernel by a prefix sum, with
+        # no factor, and the report names the route
+        doc = minimal_doc(name="tri",
+                          kernel={"form": "indicator", "relation": "s>y"},
+                          run={"dt": 1e-3, "T": 2.0, "record_every": 10})
+        doc["domain"]["n"] = 200
+        code = (
+            "import sys\n"
+            "from twophase.cli import main\n"
+            "scn, out = sys.argv[1:]\n"
+            "assert main(['simulate', scn, '--out', out]) == 0\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        sim = strict_json((tmp_path / "o" / "tri_report.json").read_text())[
+            "simulate"]
+        assert sim["route"] == "randomized" and 0 < sim["terms"] <= 1000
+        assert 0 <= sim["tail_bound"] <= 2.0 ** -50
 
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"
