@@ -25,25 +25,27 @@ two routes, with the same numbers to rounding:
     record a weighted sum of the vectors, folded in blocks as they pass.
     The weights come from their ratios, w_{k,j+1}/w_{k,j} = theta
     (j+k)/(j+1) outward from a step's mode and w_{k+1,j}/w_{k,j} = (1 -
-    theta)(j+k)/k down a chunk of steps, over a window where they exceed
-    2^-60 of the mode's, normalised to sum 1 (Fox & Glynn, *CACM* 31,
-    1988).  Every term is >= 0, so nothing cancels.  Where the norms
-    |P^j x_0|_1 fall or grow so fast that the dropped terms matter (the
-    mass leaves the domain, say), a chunk's window widens until they do
-    not, and records in it take a second pass over the sequence.
+    theta)(j+k)/k down a chunk of steps, over every j from 0 to R past
+    the step's mode (below 2^-1074 of the mode's they flush to 0),
+    normalised to sum 1 (Fox & Glynn, *CACM* 31, 1988).  Every term is
+    >= 0, so nothing cancels, and keeping every j from 0 holds however
+    fast the norms |P^j x_0|_1 fall (the mass leaves the domain, say).
 
 ``evolve`` takes the randomized route, with no option, exactly when
 x_0 >= 0, dt*rho < 1 (rho the largest column sum of M, so the series
-converges) and the term count J, which bounds the part dropped from the
-last step below 2^-52 a priori, is at most the step count, so that
-there are no more products than the loop has solves (2J with a second
-pass), and the records' weights fit in 2^20 entries (a record every few
-steps of a wide window costs more to fold than the solves); it keeps
-the result when the a-posteriori bound on the dropped terms, the
-largest over all steps (``Trajectory.tail_bound``), is at most 2^-50.
-Otherwise the loop runs.  The step's phase sums, recorded
-at every step (growth-rate fits need a dense series), are its
-finiteness check; full profiles are decimated by ``record_every``.
+converges), the term count J, which bounds the part dropped from the
+last step below 2^-52 a priori, is at most the step count, beta^J |x_0|_1
+(beta = |P|_1) is finite, the records' weights fit in 2^19 entries (they
+are held at once) and the route is estimated to take no longer than the
+loop (``_cheaper``: per-operation times fitted to timed runs of both
+routes).  All of that is known before the first product, so a run sent
+to the loop does its solves and no product.  The a-posteriori bound on
+the dropped terms, the largest over all steps, is
+``Trajectory.tail_bound``; the choice of J holds it below 2^-50, which
+is checked after the products (a run failing it would take the loop
+too).  The step's phase sums, recorded at every step (growth-rate fits
+need a dense series), are its finiteness check; full profiles are
+decimated by ``record_every``.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ IDEAL_KINDS = ("both_min_size", "phase2_min_size", "phase2_only",
                "product_min_sizes")
 
 # the randomized route: relative L1 bounds on the terms it drops, the
-# a-priori one that fixes J and the a-posteriori one it must meet, and
-# the weight below which (relative to the mode's) a step's window ends
-TERMS_TOL, TAIL_TOL, WINDOW_TOL = 2.0 ** -52, 2.0 ** -50, 2.0 ** -60
+# a-priori one that fixes J and the a-posteriori one it checks
+TERMS_TOL, TAIL_TOL = 2.0 ** -52, 2.0 ** -50
 
 
 @dataclass
@@ -182,24 +183,6 @@ def _mode(k, theta: float):
     return np.floor((np.asarray(k) - 1) * theta / (1 - theta)).astype(int)
 
 
-def _window(k: int, theta: float, beta: float) -> tuple[int, int, int]:
-    """The mode m of the weights of step k and the offsets (left, right)
-    where they fall below WINDOW_TOL of the mode's weight (left stops at
-    j = 0), right also past theta*beta*(j+k)/(j+1) < 1.  Both tails
-    narrow as k falls, so the window of the last step serves every
-    step."""
-    m = j = int(_mode(k, theta))
-    t = 1.0
-    while t > WINDOW_TOL or theta * beta * (j + k) >= j + 1:
-        t *= theta * (j + k) / (j + 1)
-        j += 1
-    right, j, t = j - m, m, 1.0
-    while t > WINDOW_TOL and j > 0:
-        t *= j / (theta * (j - 1 + k))
-        j -= 1
-    return m, m - j, right
-
-
 def _weights(ks: np.ndarray, theta: float, left: int, right: int):
     """The weights of the steps ``ks``, unnormalised (1 at the mode m),
     of j = m - left .. m + right, one row per step: cumulative products
@@ -213,29 +196,27 @@ def _weights(ks: np.ndarray, theta: float, left: int, right: int):
     return np.hstack([w_down[:, ::-1], np.ones(k.shape), w_up])
 
 
-def _record_weights(ks: np.ndarray, theta: float, lo: np.ndarray,
-                    hi: np.ndarray, limit: int):
-    """Normalised weights of the steps ``ks`` on the columns lo..hi of
-    each: the first column j of each row, and the rows (0 outside); None
-    where they would hold more than ``limit`` entries."""
+def _record_weights(ks: np.ndarray, theta: float, ends: np.ndarray):
+    """Normalised weights of the steps ``ks`` on the columns 0..ends
+    (both ascending), one row per step, 0 past its end."""
     m = _mode(ks, theta)
-    left, right = int((m - lo).max()), int((hi - m).max())
-    if ks.size * (left + right + 1) > limit:
-        return None
-    w = _weights(ks, theta, left, right)
-    j = (m - left)[:, None] + np.arange(left + right + 1)
-    w[(j < lo[:, None]) | (j > hi[:, None])] = 0.0
-    return m - left, w / w.sum(axis=1, keepdims=True)
+    top, right = int(m[-1]), int((ends - m).max())
+    w = _weights(ks, theta, top, right)     # row r: j = m_r - top .. m_r + right
+    j = np.arange(int(ends[-1]) + 1)
+    w = np.take_along_axis(w, np.minimum(j + (top - m)[:, None], top + right),
+                           axis=1)
+    w[j > ends[:, None]] = 0.0
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _chunk_weights(k: np.ndarray, theta: float, lo: int, hi: int):
+def _chunk_weights(k: np.ndarray, theta: float, hi: int):
     """Unnormalised weights of the consecutive steps k on the columns
-    lo..hi: the first row by ``_weights``, each later one from the row
+    0..hi: the first row by ``_weights``, each later one from the row
     before by w_{k+1,j} = w_{k,j} (1 - theta)(j + k)/k."""
     m0 = int(_mode(k[0], theta))
-    w = np.empty((k.size, hi - lo + 1))
-    w[0] = _weights(k[:1], theta, m0 - lo, hi - m0)
-    np.add(np.arange(lo, hi + 1.0), k[:-1, None], out=w[1:])
+    w = np.empty((k.size, hi + 1))
+    w[0] = _weights(k[:1], theta, m0, hi - m0)
+    np.add(np.arange(hi + 1.0), k[:-1, None], out=w[1:])
     w[1:] *= (1 - theta) / k[:-1, None]
     for i in range(1, k.size):      # faster than cumprod on wide rows
         w[i] *= w[i - 1]
@@ -243,13 +224,13 @@ def _chunk_weights(k: np.ndarray, theta: float, lo: int, hi: int):
 
 
 def _fold(gen: DiscreteGenerator, x: np.ndarray, d: np.ndarray, q: float,
-          J: int, start: np.ndarray, w: np.ndarray):
+          J: int, ends: np.ndarray, w: np.ndarray):
     """The phase sums of P^j x, j <= J, with P x = (d x + (M - D) x)/q,
-    D the transport and loss diagonal, and the states sum_j
-    w[r, j - start[r]] P^j x (start ascending).  The vectors come in
+    D the transport and loss diagonal, and the states w @ [P^j x], the
+    rows of w 0 past their ``ends`` (ascending).  The vectors come in
     blocks; each adds its share to the states that use it and is then
     dropped."""
-    n, width = gen.grid.n, w.shape[1]
+    n = gen.grid.n
     states = np.zeros((len(w), 2 * n))
     block = max(1, min(J + 1, 2 ** 17 // (2 * n)))
     V, sums, v = np.empty((block, 2 * n)), np.empty((J + 1, 2)), x
@@ -258,11 +239,9 @@ def _fold(gen: DiscreteGenerator, x: np.ndarray, d: np.ndarray, q: float,
         for i in range(nb):
             v = V[i] = gen.apply(v, d) / q if b + i else v
         sums[b:b + nb] = V[:nb].reshape(nb, 2, n).sum(axis=2)
-        r0, r1 = np.searchsorted(start, (b - width + 1, b + nb))
-        cols = np.arange(b, b + nb) - start[r0:r1, None]
-        wb = np.take_along_axis(w[r0:r1], cols.clip(0, width - 1), axis=1)
-        states[r0:r1] += np.where((cols >= 0) & (cols < width), wb,
-                                  0.0) @ V[:nb]
+        r0 = np.searchsorted(ends, b)
+        wb = w[r0:, b:b + nb]
+        states[r0:] += wb @ V[:wb.shape[1]]
     return sums, states
 
 
@@ -271,12 +250,35 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(a, b, out=np.full(np.shape(b), np.inf), where=b > 0)
 
 
+def _cheaper(gen: DiscreteGenerator, J: int, nsteps: int, entries: int,
+             madds: int) -> bool:
+    """Whether the randomized route (J products, ``entries`` weights,
+    ``madds`` multiply-adds folding the records) is estimated to take no
+    longer than ``nsteps`` loop steps.
+
+    Microseconds per operation, fitted to timed ``evolve`` runs of both
+    routes with one BLAS thread on an Intel Xeon server core (numpy 2.4;
+    n = 40 .. 2000, q dt = 0.02 .. 0.5, 300 .. 8000 steps): a product 25
+    + 0.013 n, plus 4.5e-4 n^2 with a dense kernel; a step's weights 2,
+    plus 0.005 per entry; a multiply-add 2e-4; a loop step 12 + 0.024 n
+    with a rank-1 kernel (banded solve) and 18 + 9e-4 n^2 with any other
+    (sparse LU, whose factor fills the kernel's triangle).
+    """
+    n = gen.grid.n
+    product = 25 + 0.013 * n + (4.5e-4 * n * n
+                                if gen.kernel.dense is not None else 0.0)
+    step = (12 + 0.024 * n if gen.kernel.rank_one is not None
+            else 18 + 9e-4 * n * n)
+    return (J * product + 2 * nsteps + 0.005 * entries + 2e-4 * madds
+            <= nsteps * step)
+
+
 def _randomized(gen: DiscreteGenerator, x: np.ndarray, dt: float,
                 nsteps: int, rec: np.ndarray):
     """The randomized route of the module docstring: (the states of the
     steps ``rec`` as rows of one array, the phase sums of steps
-    1..nsteps, J, the tail bound), or None where the rule or the bound
-    sends the run to the loop."""
+    1..nsteps, J, the tail bound), or None where the rule sends the run
+    to the loop, which it does before the first product."""
     loss = (gen.outflow + gen.loss).ravel()
     q = float(loss.max())
     rho = float(gen.line_sums()[1].max())
@@ -285,81 +287,47 @@ def _randomized(gen: DiscreteGenerator, x: np.ndarray, dt: float,
         return None
     theta, beta = q * dt / (1 + q * dt), 1 + rho / q
     J = _terms(theta * beta, nsteps)
-    if J is None:
+    # |P^j x|_1 <= beta^j |x|_1 stays finite, and so does every sum
+    if J is None or J * math.log(beta) + math.log(x.sum()) > 650:
         return None
-    mK, left, right = _window(nsteps, theta, beta)
-    J, width = min(J, mK + right), left + right + 1
-    # chunks of consecutive steps k0..k1 share the columns lo..hi of
-    # their windows: at most k0 steps (so their widths differ by at most
-    # a factor sqrt 2) whose modes move by about one standard deviation
-    # of the first (so no weight of the first underflows where a later
-    # step's does not), and at most 2^16 entries
+    # step k keeps the terms j <= m_k + R, m_k its mode, so the last
+    # keeps j <= J.  Chunks of consecutive steps k0..k1 share the
+    # columns 0..m_(k1) + R: at most k0 steps whose modes move by about
+    # one standard deviation of the first's (so no weight of the first
+    # underflows where a later step's does not), and at most 2^16 entries
+    R = J - int(_mode(nsteps, theta))
     k0 = [1]
     while k0[-1] <= nsteps:
         k = k0[-1]
         k0.append(k + max(1, min(k, int(math.sqrt(k / theta)),
-                                 2 ** 16 // width)))
+                                 2 ** 16 // (J + 1))))
     k0, k1 = np.array(k0[:-1]), np.minimum(np.array(k0[1:]) - 1, nsteps)
-    lo, hi = _mode(k0, theta) - left, _mode(k1, theta) + right
-    # the records are folded on their chunk's columns as the Krylov
-    # sequence passes; their weights, and so the folding's memory and
-    # work (a record every few steps of a wide window costs more than
-    # the solves), are held to 2^20 entries
-    chunk, limit = np.searchsorted(k1, rec), 2 ** 20
-    weights = _record_weights(rec, theta, lo[chunk], hi[chunk], limit)
-    if weights is None:
+    hi = _mode(k1, theta) + R
+    # the records take their chunk's columns; their weights are held at
+    # once, so at most 2^19 of them (4 MB)
+    ends = hi[np.searchsorted(k1, rec)]
+    held = rec.size * (J + 1)
+    if held > 2 ** 19 or not _cheaper(
+            gen, J, nsteps, int(((k1 - k0 + 1) * (hi + 1)).sum())
+            + held, int((ends + 1).sum()) * 2 * gen.grid.n):
         return None
-    sums, states = _fold(gen, x, q - loss, q, J, *weights)
-    if not np.isfinite(sums).all():
-        return None
-    a = sums.sum(axis=1)
-    pad = np.zeros((mK + width, 3))     # row j + left: sums of j, and 1
-    pad[left:left + J + 1, :2], pad[:, 2] = sums, 1.0
-    # dropped terms left of the columns (j < lo): the weights fall at
-    # least by the ratio rl per term there (largest at the first step of
-    # a chunk and nearest the mode), so they sum to at most w_lo times
-    # tails[lo] = sum_i rl^i a_(lo-i); right of them (j > end) the norms
-    # grow at most by beta and the weights fall by r per term
-    inner = lo >= 1
-    rl = float((lo[inner] / (theta * (lo[inner] - 1 + k0[inner])))
-               .max(initial=0.0))
-    if not rl < 1:
-        return None
-    tails, acc = np.zeros(J + 2), 0.0
-    for j, aj in enumerate(a.tolist(), 1):
-        acc = rl * (acc + aj)
-        tails[j] = acc
-    out, tail, spans = np.empty((nsteps, 2)), 0.0, (lo[chunk], hi[chunk])
+    sums, states = _fold(gen, x, q - loss, q, J, ends,
+                         _record_weights(rec, theta, ends))
+    pad = np.hstack([sums, np.ones((J + 1, 1))])   # row j: sums of j, and 1
+    a, out, tail = sums.sum(axis=1), np.empty((nsteps, 2)), 0.0
+    # the terms past a chunk's columns: the weights fall by r per term
+    # there and the norms grow at most by beta
     for c in range(k0.size):
         k = np.arange(k0[c], k1[c] + 1)
-        m0, m1 = _mode(k[[0, -1]], theta)
-        while True:
-            w = _chunk_weights(k, theta, lo[c], hi[c])
-            kept = w @ pad[lo[c] + left:hi[c] + left + 1]
-            end, total = min(J, hi[c]), kept[:, 0] + kept[:, 1]
-            r = theta * beta * (end + k) / (end + 1)
-            bound = [_quotient(dropped, total).max() for dropped in (
-                w[:, 0] * tails[min(max(lo[c], 0), J + 1)],
-                w[:, max(end - lo[c], 0)] * a[end] * _quotient(r, 1 - r))]
-            # where the norms leave the weights' window, widen it
-            wider = (lo[c] > 0 and bound[0] > TAIL_TOL / 2,
-                     hi[c] < J and bound[1] > TAIL_TOL / 2)
-            if not any(wider):
-                break
-            if 2 * J > nsteps and (chunk == c).any():
-                return None     # its records would need a second pass
-            lo[c] = max(0, 2 * lo[c] - m0) if wider[0] else lo[c]
-            hi[c] = min(J, 2 * hi[c] - m1) if wider[1] else hi[c]
-        if not bound[0] + bound[1] <= TAIL_TOL:
-            return None
+        w = _chunk_weights(k, theta, hi[c])
+        kept = w @ pad[:hi[c] + 1]
+        r = theta * beta * (hi[c] + k) / (hi[c] + 1)
+        dropped = w[:, -1] * a[hi[c]] * _quotient(r, 1 - r)
+        tail = max(tail, _quotient(dropped, kept[:, 0] + kept[:, 1]).max())
         out[k0[c] - 1:k1[c]] = kept[:, :2] / kept[:, 2:]
-        tail = max(tail, bound[0] + bound[1])
-    # records whose chunk widened take a second pass
-    if (spans[0] != lo[chunk]).any() or (spans[1] != hi[chunk]).any():
-        weights = _record_weights(rec, theta, lo[chunk], hi[chunk], limit)
-        if weights is None:
-            return None
-        states = _fold(gen, x, q - loss, q, J, *weights)[1]
+    # the choice of J bounds the tail a priori; this guards it
+    if not tail <= TAIL_TOL:
+        return None
     return states, out, J, tail
 
 

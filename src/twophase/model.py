@@ -171,8 +171,19 @@ def _rows(spec: dict, key: str) -> np.ndarray:
     ValidationError naming the first entry that is a boolean or not a
     number, ConfigurationError when the rows are ragged."""
     rows = _required(spec, key)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
+        return rows.astype(float)
     listed = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    for i, row in enumerate(listed if isinstance(listed, (list, tuple))
+    # the types of all entries at C speed; the entry is located only
+    # when one is not a plain number (a table may hold n^2 entries)
+    types = set()
+    try:
+        for row in listed:
+            types.update(map(type, row))
+    except TypeError:
+        types.add(None)
+    for i, row in enumerate(() if types <= {float, int} else
+                            listed if isinstance(listed, (list, tuple))
                             else [listed]):
         for j, v in enumerate(row if isinstance(row, (list, tuple))
                               else [row]):

@@ -158,7 +158,8 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
     try:
         params = sample_params(coeffs, grid)
     except ValidationError as exc:
-        raise ValidationError(f"coefficients.{exc.field}: {exc}",
+        # every coefficient message opens with its field
+        raise ValidationError(f"coefficients.{exc}",
                               field=f"coefficients.{exc.field}",
                               cell=exc.cell)
     except (ValueError, TypeError) as exc:

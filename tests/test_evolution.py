@@ -292,17 +292,20 @@ def assert_randomized_matches_loop(gen, U0, dt, nsteps, record_every):
 
 class TestRandomizedRoute:
     @pytest.mark.parametrize("kernel", sorted(ROUTE_KERNELS))
-    def test_kernel_forms_match_the_step_loop(self, kernel):
-        # 500 steps at q dt = 0.2 take about 220 products
+    def test_kernel_forms_match_the_step_loop(self, kernel, operations):
+        # 1000 steps at q dt = 0.05 take about 130 products and no solve
+        # (the solves are the reference loop's)
         g, p, K, gen = make(n=100, kernel=ROUTE_KERNELS[kernel])
-        assert_randomized_matches_loop(gen, left_bump(g), 2e-3, 500, 7)
+        traj = assert_randomized_matches_loop(gen, left_bump(g), 5e-4,
+                                              1000, 7)
+        assert operations == {"products": traj.terms, "solves": 1000}
 
     def test_long_horizon(self):
-        # qT = 1004: (1 - theta)^k underflows after k = 1750, so the
+        # qT = 1004: (1 - theta)^k underflows after k = 6320, so the
         # weights must come from their ratio recurrence
         g, p, K, gen = make(n=500)
-        traj = assert_randomized_matches_loop(gen, left_bump(g), 1e-3,
-                                              2000, 100)
+        traj = assert_randomized_matches_loop(gen, left_bump(g), 2.5e-4,
+                                              8000, 100)
         assert traj.terms > 1000
 
     def test_growing_run(self):
@@ -313,8 +316,8 @@ class TestRandomizedRoute:
 
     def test_decaying_triangle_kernel_builds_no_factor(self, splu_calls):
         # the mass leaves the domain (1e-26 of it is left at T = 2), so
-        # the norms of P^j x fall away from the weights' windows: they
-        # widen, and the records take a second pass; no splu factor
+        # the norms of P^j x fall by orders of magnitude across each
+        # step's weights, all of which from j = 0 are kept; no splu factor
         g, p, K, gen = make(n=200, kernel={"form": "indicator",
                                            "relation": "s>y"})
         traj = evolve(gen, left_bump(g), 1e-3, 2.0, record_every=100)
@@ -323,28 +326,45 @@ class TestRandomizedRoute:
         assert_randomized_matches_loop(gen, left_bump(g), 1e-3, 2000, 100)
 
     def test_one_step_short_of_the_rule_is_bit_identical(self):
-        # the route turns on at the first step count that needs no more
-        # products than steps; one step fewer runs the loop, bit for bit
+        # the route turns on at a step count where it is estimated to be
+        # cheaper than the loop; one step fewer runs the loop, bit for bit
         g, p, K, gen = make(n=40, kernel=3.0)
         U0 = left_bump(g)
 
         def route(k):
-            return evolve(gen, U0, 1e-2, k * 1e-2, record_every=10).route
-        lo, hi = 50, 1000
+            return evolve(gen, U0, 1e-3, k * 1e-3, record_every=7).route
+        lo, hi = 20, 1000
         assert (route(lo), route(hi)) == ("steps", "randomized")
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if route(mid) == "steps" else (lo, mid)
-        traj = evolve(gen, U0, 1e-2, lo * 1e-2, record_every=7)
+        traj = evolve(gen, U0, 1e-3, lo * 1e-3, record_every=7)
         assert (traj.terms, traj.tail_bound) == (None, None)
-        states, sums = step_loop(gen, U0, 1e-2, lo, 7)
+        states, sums = step_loop(gen, U0, 1e-3, lo, 7)
         assert np.array_equal([S.stacked() for S in traj.states], states)
         assert np.array_equal(traj.step_phase_masses, sums * g.h)
-        assert_randomized_matches_loop(gen, U0, 1e-2, hi, 7)
+        assert_randomized_matches_loop(gen, U0, 1e-3, hi, 7)
+
+    @pytest.mark.parametrize("case", ["negative", "terms", "cost", "memory"])
+    def test_a_run_sent_to_the_loop_takes_no_product(self, case, operations):
+        # every reason to run the loop is found before the first product,
+        # so such a run does its steps' solves and nothing more
+        g, p, K, gen = make(n=100, kernel=3.0)
+        U0 = left_bump(g)
+        dt, T, every = {"negative": (5e-4, 0.5, 10),
+                        "terms": (1e-2, 0.5, 10),     # q dt = 1: J > steps
+                        "cost": (2e-3, 1.0, 10),      # q dt = 0.2 at n = 100
+                        "memory": (2e-3, 6.0, 1)}[case]
+        if case == "negative":
+            U0.u2[50] = -1e-300
+        traj = evolve(gen, U0, dt, T, record_every=every)
+        nsteps = len(traj.step_times) - 1
+        assert traj.route == "steps"
+        assert operations == {"products": 0, "solves": nsteps}
 
     def test_dense_records_of_a_wide_window_keep_the_loop(self):
-        # 3000 records of about 350 weights each would cost more to fold
-        # than the solves: past 2^20 record weights the loop runs
+        # the weights of 3000 records of about 700 terms each are held at
+        # once: past 2^19 of them the loop runs
         g, p, K, gen = make(n=100, kernel=3.0)
         U0 = left_bump(g)
         assert evolve(gen, U0, 2e-3, 6.0, record_every=1).route == "steps"
@@ -354,15 +374,15 @@ class TestRandomizedRoute:
     def test_rule_needs_nonnegative_finite_data(self):
         g, p, K, gen = make(n=100)
         U0 = left_bump(g)
-        assert evolve(gen, U0, 2e-3, 1.0).route == "randomized"
+        assert evolve(gen, U0, 5e-4, 0.5).route == "randomized"
         for bad in (-1e-300, np.inf):
             U = U0.copy()
             U.u2[50] = bad
             if bad < 0:
-                assert evolve(gen, U, 2e-3, 1.0).route == "steps"
+                assert evolve(gen, U, 5e-4, 0.5).route == "steps"
             else:
                 with pytest.raises(StepSizeError, match="non-finite"):
-                    evolve(gen, U, 2e-3, 1.0)
+                    evolve(gen, U, 5e-4, 0.5)
 
 
 class TestApply:

@@ -646,18 +646,18 @@ class TestCLI:
                         "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {field}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key, value, message", [
+    @pytest.mark.parametrize("section, key, value, field, message", [
         ("coefficients", "c1",
          {"form": "table", "points": [[0.0, True], [0.5, False]]},
-         "coefficients.c1.points[0][1]: c1.points[0][1] must be a number"),
+         "coefficients.c1.points[0][1]", "must be a number"),
         ("coefficients", "c1", {"form": "table", "points": [[True, 1.0]]},
-         "coefficients.c1.points[0][0]"),
-        ("coefficients", "c1", "abc",
+         "coefficients.c1.points[0][0]", "must be a number"),
+        ("coefficients", "c1", "abc", "",
          "cannot interpret coefficient spec 'abc' (coefficient c1)"),
         ("kernel", "values", [[1.0] * 60] * 59 + [[1.0] * 59 + [False]],
-         "kernel: values[59][59] must be a number")])
+         "kernel", "values[59][59] must be a number")])
     def test_table_entry_or_spec_not_a_number_exit_2(
-            self, tmp_path, capsys, section, key, value, message):
+            self, tmp_path, capsys, section, key, value, field, message):
         # booleans in a table read as 1 and 0, and a bare coefficient that
         # is no spec did not say which coefficient it was
         doc = demo_doc(8.0)
@@ -667,7 +667,8 @@ class TestCLI:
         doc[section][key] = value
         assert run_cli(["report", write(tmp_path, doc),
                         "--out", str(tmp_path / "o")]) == 2
-        assert f"configuration error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: {field}" in err and message in err
 
     def test_dt_flag_nan_exit_2(self, tmp_path, capsys):
         assert run_cli(["report", write(tmp_path, minimal_doc()),
