@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      PreconditionError, SpectralProximityError, StepSizeError)
-from .model import Kernel, ModelParams
+from .model import Kernel, ModelParams, SizeGrid
 from .operators import DiscreteGenerator, StateVector
 
 IDEAL_KINDS = ("both_min_size", "phase2_min_size", "phase2_only",
@@ -72,17 +72,18 @@ TERMS_TOL, TAIL_TOL = 2.0 ** -52, 2.0 ** -50
 class Trajectory:
     """Recorded evolution of a state under the implicit scheme.
 
-    ``times``/``states``/``masses`` hold the decimated profile records;
-    ``step_times``/``step_masses``/``step_phase_masses`` hold the per-step
-    mass series.  ``route`` names how ``evolve`` computed them, "steps"
-    or "randomized"; on the latter ``terms`` is the term count J and
-    ``tail_bound`` the largest relative L1 bound on the terms dropped
-    from any step (both None on the former).
+    ``records`` holds the decimated profiles as the rows of one array,
+    each a stacked state (u1 over u2) on ``grid`` at its ``times`` entry,
+    row 0 the initial state; ``step_times``/``step_masses``/
+    ``step_phase_masses`` hold the per-step mass series.  ``route`` names
+    how ``evolve`` computed them, "steps" or "randomized"; on the latter
+    ``terms`` is the term count J and ``tail_bound`` the largest relative
+    L1 bound on the terms dropped from any step (both None on the former).
     """
 
     times: np.ndarray
-    states: list
-    masses: np.ndarray
+    records: np.ndarray
+    grid: SizeGrid
     step_times: np.ndarray
     step_masses: np.ndarray
     step_phase_masses: np.ndarray
@@ -226,12 +227,13 @@ def _chunk_weights(k: np.ndarray, theta: float, hi: int):
 def _fold(gen: DiscreteGenerator, x: np.ndarray, d: np.ndarray, q: float,
           J: int, ends: np.ndarray, w: np.ndarray):
     """The phase sums of P^j x, j <= J, with P x = (d x + (M - D) x)/q,
-    D the transport and loss diagonal, and the states w @ [P^j x], the
-    rows of w 0 past their ``ends`` (ascending).  The vectors come in
-    blocks; each adds its share to the states that use it and is then
-    dropped."""
+    D the transport and loss diagonal, and the records: x over the
+    states w @ [P^j x], the rows of w 0 past their ``ends`` (ascending).
+    The vectors come in blocks; each adds its share to the states that
+    use it and is then dropped."""
     n = gen.grid.n
-    states = np.zeros((len(w), 2 * n))
+    states = np.zeros((len(w) + 1, 2 * n))
+    states[0] = x
     block = max(1, min(J + 1, 2 ** 17 // (2 * n)))
     V, sums, v = np.empty((block, 2 * n)), np.empty((J + 1, 2)), x
     for b in range(0, J + 1, block):
@@ -241,7 +243,7 @@ def _fold(gen: DiscreteGenerator, x: np.ndarray, d: np.ndarray, q: float,
         sums[b:b + nb] = V[:nb].reshape(nb, 2, n).sum(axis=2)
         r0 = np.searchsorted(ends, b)
         wb = w[r0:, b:b + nb]
-        states[r0:] += wb @ V[:wb.shape[1]]
+        states[1 + r0:] += wb @ V[:wb.shape[1]]
     return sums, states
 
 
@@ -275,10 +277,10 @@ def _cheaper(gen: DiscreteGenerator, J: int, nsteps: int, entries: int,
 
 def _randomized(gen: DiscreteGenerator, x: np.ndarray, dt: float,
                 nsteps: int, rec: np.ndarray):
-    """The randomized route of the module docstring: (the states of the
-    steps ``rec`` as rows of one array, the phase sums of steps
-    1..nsteps, J, the tail bound), or None where the rule sends the run
-    to the loop, which it does before the first product."""
+    """The randomized route of the module docstring: (the records, x
+    over the states of the steps ``rec`` as rows of one array, the phase
+    sums of steps 1..nsteps, J, the tail bound), or None where the rule
+    sends the run to the loop, which it does before the first product."""
     loss = (gen.outflow + gen.loss).ravel()
     q = float(loss.max())
     rho = float(gen.line_sums()[1].max())
@@ -338,8 +340,8 @@ def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
 
     Every number is that of the implicit steps, on either route of the
     module docstring: the randomized one where its rule holds, else the
-    stepping loop, with one factor fetch per run.  States are built only
-    at records.  ConfigurationError before any step unless 0 < dt < inf,
+    stepping loop, with one factor fetch per run, which writes each
+    record into a row of one array.  ConfigurationError before any step unless 0 < dt < inf,
     0 <= T/dt < inf and record_every >= 1.
     """
     if record_every < 1:
@@ -348,29 +350,37 @@ def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
     n = gen.grid.n
     x = U0.stacked()
     ones = np.ones(n)
-    sums = [(np.dot(x[:n], ones), np.dot(x[n:], ones))]
+    sums = np.empty((nsteps + 1, 2))
+    sums[0] = np.dot(x[:n], ones), np.dot(x[n:], ones)
     rec = np.arange(record_every, nsteps + record_every, record_every)
     rec[-1:] = nsteps
     found = _randomized(gen, x, dt, nsteps, rec)
     if found is not None:
-        records, step_sums, terms, tail = found
-        xs, sums = [x, *records], np.vstack([sums, step_sums])
+        records, sums[1:], terms, tail = found
     else:
-        xs, terms, tail = [x], None, None
-        for k, (x, s1, s2) in enumerate(_steps(gen, x, dt, nsteps), 1):
-            sums.append((s1, s2))
-            if k % record_every == 0 or k == nsteps:
-                xs.append(x)
-        sums = np.array(sums)
+        records, terms, tail = np.empty((rec.size + 1, 2 * n)), None, None
+        records[0], r = x, 0
+        for k, (y, s1, s2) in enumerate(_steps(gen, x, dt, nsteps), 1):
+            sums[k] = s1, s2
+            if k == rec[r]:
+                r += 1
+                records[r] = y
     h = gen.grid.h
-    states = [StateVector.from_stacked(x, gen.grid) for x in xs]
-    masses = np.array([S.mass for S in states])
-    return Trajectory(times=np.concatenate([[0.0], rec * dt]), states=states,
-                      masses=masses, step_times=np.arange(nsteps + 1) * dt,
+    return Trajectory(times=np.concatenate([[0.0], rec * dt]),
+                      records=records, grid=gen.grid,
+                      step_times=np.arange(nsteps + 1) * dt,
                       step_masses=(sums[:, 0] + sums[:, 1]) * h,
                       step_phase_masses=sums * h, dt=dt,
                       route="steps" if found is None else "randomized",
                       terms=terms, tail_bound=tail)
+
+
+def row_integrals(rows: np.ndarray, grid: SizeGrid) -> np.ndarray:
+    """(sum of u1 + sum of u2) h for each row of stacked states on
+    ``grid``, as ``StateVector.mass``: the records' masses, or their L1
+    norms for rows >= 0."""
+    sums = rows.reshape(len(rows), 2, grid.n).sum(axis=2)
+    return (sums[:, 0] + sums[:, 1]) * grid.h
 
 
 def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassBalanceReport:
@@ -382,25 +392,21 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
     be shorter (the final record of a run whose stride does not divide
     the step count).
     """
-    if len(traj.states) < 2:
+    if len(traj.records) < 2:
         raise InsufficientDataError("mass balance needs at least 2 records")
     steps = np.diff(traj.times)
     if not (np.allclose(steps[:-1], steps[0], rtol=1e-9, atol=1e-12)
             and steps[-1] - steps[0] <= 1e-12 + 1e-9 * steps[0]):
         raise ConfigurationError("mass balance requires a uniform record "
                                  "stride (the last may be shorter)")
-    h = kernel.grid.h
-    col_births = kernel.column_sums() * h     # integral of beta(., y) ds
-    net = col_births - params.mu                  # per-parent net source rate
-    g1e = params.gamma1_edges[-1]
-    g2e = params.gamma2_edges[-1]
-    drift = np.empty(len(steps))
-    outflow = np.empty(len(steps))
-    for k, dt_k in enumerate(steps):
-        S = traj.states[k + 1]
-        source = float(net @ S.u1) * h
-        drift[k] = (traj.masses[k + 1] - traj.masses[k]) / dt_k - source
-        outflow[k] = g1e * S.u1[-1] + g2e * S.u2[-1]
+    h, n = kernel.grid.h, kernel.grid.n
+    # per-parent net source rate: the integral of beta(., y) ds less mu
+    net = kernel.column_sums() * h - params.mu
+    ends = traj.records[1:]             # the state at each stride's end
+    drift = (np.diff(row_integrals(traj.records, traj.grid)) / steps
+             - ends[:, :n] @ net * h)
+    outflow = (params.gamma1_edges[-1] * ends[:, n - 1]
+               + params.gamma2_edges[-1] * ends[:, -1])
     return MassBalanceReport(drift=drift,
                              max_abs_drift=float(np.abs(drift).max()),
                              outflow=outflow)

@@ -26,7 +26,7 @@ from .criteria import (EMPTY_SPECTRUM, GAP_ONLY, IRREDUCIBLE_GAP_AEG, NO_GAP,
 from .errors import InsufficientDataError, TwophaseError
 from .evolution import evolve, mass_balance
 from .model import FINITE
-from .operators import StateVector, assemble
+from .operators import assemble
 from .scenario import Scenario
 from .spectral import (SpectralReport, closed_form_sB, detect_AEG,
                        recruitment_free_bound, sB_probe_infinite,
@@ -82,11 +82,11 @@ def write_trajectory_csv(path: str, traj):
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def write_profile_csv(path: str, state: StateVector):
-    rows = ["s,u1,u2"]
+def write_profile_csv(path: str, traj):
+    rows = ["s,u1,u2"]      # the last record, u1 and u2 by cell
     rows += ["%.12g,%.12g,%.12g" % row
-             for row in zip(state.grid.centers.tolist(), state.u1.tolist(),
-                            state.u2.tolist())]
+             for row in zip(traj.grid.centers.tolist(),
+                            *traj.records[-1].reshape(2, -1).tolist())]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
@@ -276,7 +276,7 @@ def _build_checks(rep: RunReport, traj) -> list:
     exited = None
     if mb is not None:
         exited = (float(mb.outflow @ np.diff(traj.times)),
-                  float(traj.masses[0]))
+                  float(traj.step_masses[0]))
     if v is not None:
         checks.append(_check("irreducibility_support_conditions",
                              v.irreducible, None,
@@ -375,7 +375,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")
             write_trajectory_csv(traj_path, traj)
-            write_profile_csv(prof_path, traj.states[-1])
+            write_profile_csv(prof_path, traj)
             rep.trajectory_files = [traj_path, prof_path]
             rep.timings["simulate"] = time.perf_counter() - t0
 

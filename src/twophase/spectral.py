@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
-from .evolution import Trajectory
+from .evolution import Trajectory, row_integrals
 from .model import ModelParams, build_grid
 from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
                         transport_sweep)
@@ -568,38 +568,24 @@ def detect_AEG(traj: Trajectory, eig_candidate: Optional[StateVector] = None) ->
     dt = traj.dt
     lambda0 = (1.0 - math.exp(-p * dt)) / dt if dt > 0 else p
 
-    # profile convergence over the recorded states
-    rt = traj.times
-    rlo = np.searchsorted(rt, t[lo])
+    # profile convergence over the recorded states in the window
+    rlo = np.searchsorted(traj.times, t[lo])
+    X = traj.records[rlo:]
+    masses = row_integrals(X, traj.grid)
     if eig_candidate is not None:
-        ref = eig_candidate.copy()
-        rm = ref.mass
-        ref_u1, ref_u2 = ref.u1 / rm, ref.u2 / rm
+        ref = eig_candidate.stacked() / eig_candidate.mass
     else:
-        S = traj.states[-1]
-        sm = S.mass
-        ref_u1, ref_u2 = S.u1 / sm, S.u2 / sm
-    h = traj.states[0].grid.h
-    dists, dtimes = [], []
-    for k in range(rlo, len(traj.states)):
-        S = traj.states[k]
-        sm = S.mass
-        if sm <= 0:
-            continue
-        d = (np.abs(S.u1 / sm - ref_u1).sum()
-             + np.abs(S.u2 / sm - ref_u2).sum()) * h
-        dists.append(d)
-        dtimes.append(rt[k])
-    residual = dists[-1] if dists else None
-    if eig_candidate is None and len(dists) >= 2:
+        ref = X[-1] / masses[-1]
+    live = masses > 0
+    dists = row_integrals(np.abs(X[live] / masses[live, None] - ref),
+                          traj.grid)
+    dtimes = traj.times[rlo:][live]
+    residual = float(dists[-1]) if dists.size else None
+    if eig_candidate is None and dists.size >= 2:
         # the reference is the final profile itself; drop its zero distance
         dists, dtimes = dists[:-1], dtimes[:-1]
-    usable = [(tt, dd) for tt, dd in zip(dtimes, dists) if dd > 1e-13]
-    if len(usable) >= 3:
-        tt = np.array([u[0] for u in usable])
-        dd = np.log([u[1] for u in usable])
-        decay = float(np.polyfit(tt, dd, 1)[0])
-    else:
-        decay = None
+    usable = dists > 1e-13
+    decay = (float(np.polyfit(dtimes[usable], np.log(dists[usable]), 1)[0])
+             if usable.sum() >= 3 else None)
     return AEGFit(lambda0_fit=lambda0, lambda0_raw=p,
                   profile_decay_rate=decay, residual=residual)

@@ -75,8 +75,8 @@ class TestEvolve:
     def test_T_zero_single_state(self):
         g, p, K, gen = make(n=20)
         traj = evolve(gen, left_bump(g), 1e-2, 0.0)
-        assert len(traj.states) == 1
-        assert np.array_equal(traj.states[0].u1, left_bump(g).u1)
+        assert len(traj.records) == 1
+        assert np.array_equal(traj.records[0][:g.n], left_bump(g).u1)
 
     def test_quasi_contraction_without_recruitment(self):
         g, p, K, gen = make(n=60, kernel=0.0)
@@ -103,11 +103,16 @@ class TestEvolve:
         traj = evolve(gen, left_bump(g, width=1 / 120), 1e-3, 2.0)
         assert np.all(np.diff(traj.step_masses) <= 1e-10)
 
-    def test_masses_match_states(self):
-        g, p, K, gen = make(n=40)
-        traj = evolve(gen, left_bump(g), 1e-2, 0.5, record_every=10)
-        for S, m in zip(traj.states, traj.masses):
-            assert S.mass == pytest.approx(m)
+    @pytest.mark.parametrize("dt, route", [(1e-2, "steps"),
+                                           (5e-4, "randomized")])
+    def test_record_masses_match_the_step_series(self, dt, route):
+        # each record is the state of its step, on either route
+        g, p, K, gen = make(n=100)
+        traj = evolve(gen, left_bump(g), dt, 0.5, record_every=7)
+        assert traj.route == route
+        step = traj.step_masses[np.rint(traj.times / dt).astype(int)]
+        masses = [StateVector.from_stacked(x, g).mass for x in traj.records]
+        assert np.all(np.abs(masses - step) <= 1e-12 * step)
 
     def test_first_order_consistency_in_dt(self):
         # the discrete mass identity is exact per step, so order-1
@@ -121,7 +126,7 @@ class TestEvolve:
         for dt in (4e-3, 2e-3, 1e-3):
             traj = evolve(gen, left_bump(g, width=1 / 120), dt, 1.0,
                           record_every=10 ** 9)
-            finals.append(traj.states[-1])
+            finals.append(StateVector.from_stacked(traj.records[-1], g))
         e1 = (np.abs(finals[0].u1 - finals[1].u1).sum()
               + np.abs(finals[0].u2 - finals[1].u2).sum()) * g.h
         e2 = (np.abs(finals[1].u1 - finals[2].u1).sum()
@@ -160,10 +165,9 @@ class TestEvolveLoop:
             if k % record_every == 0 or k == 50:
                 states.append(U)
         sums = np.array(sums)
-        assert len(traj.states) == len(states)
-        for S, R in zip(traj.states, states):
-            assert np.array_equal(S.stacked(), R.stacked())
-        assert np.array_equal(traj.masses, [R.mass for R in states])
+        assert len(traj.records) == len(states)
+        for S, R in zip(traj.records, states):
+            assert np.array_equal(S, R.stacked())
         assert np.array_equal(traj.step_phase_masses, sums * g.h)
         assert np.array_equal(traj.step_masses,
                               (sums[:, 0] + sums[:, 1]) * g.h)
@@ -219,10 +223,10 @@ class TestEvolveLoop:
             lam, gen.recruitment_free.cell_blocks(), gen.inflow, lam),
             g.h / lam * f, parent, lam)
         x = U.stacked()
-        for S in traj.states[1:]:
+        for S in traj.records[1:]:
             x = ref.solve(x)
-            assert S.stacked().tobytes() == x.tobytes()
-        assert len(traj.states) == 51
+            assert S.tobytes() == x.tobytes()
+        assert len(traj.records) == 51
 
     @pytest.mark.parametrize("dt, T", BAD_STEPS)
     def test_evolve_rejects_bad_step_or_horizon(self, dt, T):
@@ -278,7 +282,7 @@ def assert_randomized_matches_loop(gen, U0, dt, nsteps, record_every):
     assert 0 < traj.terms <= nsteps
     assert 0 <= traj.tail_bound <= 2.0 ** -50
     states, sums = step_loop(gen, U0, dt, nsteps, record_every)
-    got = np.array([S.stacked() for S in traj.states])
+    got = traj.records
     assert got.shape == states.shape and got.min() >= 0
     assert np.all(np.abs(got - states).sum(axis=1)
                   <= 1e-12 * np.abs(states).sum(axis=1))
@@ -341,7 +345,7 @@ class TestRandomizedRoute:
         traj = evolve(gen, U0, 1e-3, lo * 1e-3, record_every=7)
         assert (traj.terms, traj.tail_bound) == (None, None)
         states, sums = step_loop(gen, U0, 1e-3, lo, 7)
-        assert np.array_equal([S.stacked() for S in traj.states], states)
+        assert np.array_equal(traj.records, states)
         assert np.array_equal(traj.step_phase_masses, sums * g.h)
         assert_randomized_matches_loop(gen, U0, 1e-3, hi, 7)
 

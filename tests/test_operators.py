@@ -330,8 +330,8 @@ class TestBandedFactor:
         g, gen = demo_generator()
         u1 = (g.centers <= 7.5).astype(float)
         traj = evolve(gen, StateVector(u1, np.zeros(g.n), g), 1e-3, 0.2)
-        assert len(traj.states) == 201
-        assert min(min(S.u1.min(), S.u2.min()) for S in traj.states) >= 0
+        assert len(traj.records) == 201
+        assert traj.records.min() >= 0
 
     def test_singular_shift_raises_without_warning(self):
         # pure transport at gamma = 1, h = 0.01: every cell block of

@@ -168,12 +168,13 @@ class TestReportJSON:
         # the profile writer formats Python floats too, to the same text
         scn = scenario_from_dict(demo_doc(T=0.5))
         gen = assemble(scn.params, scn.kernel, scn.grid)
-        U = evolve(gen, scn.initial_state(), scn.dt, scn.T).states[-1]
+        traj = evolve(gen, scn.initial_state(), scn.dt, scn.T)
+        U = StateVector.from_stacked(traj.records[-1], scn.grid)
         rows = ["s,u1,u2"]
         for s, a, b in zip(scn.grid.centers, U.u1, U.u2):
             rows.append(f"{s:.12g},{a:.12g},{b:.12g}")
         path = tmp_path / "demo_profile.csv"
-        twophase.report.write_profile_csv(str(path), U)
+        twophase.report.write_profile_csv(str(path), traj)
         assert path.read_text() == "\n".join(rows) + "\n"
 
 

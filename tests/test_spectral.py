@@ -751,7 +751,8 @@ class TestDetectAEG:
         g, p, K, gen = make(n=100)
         s, eig = spectral_bound(gen)
         traj = evolve(gen, eig, 1e-3, 2.0, record_every=50)
-        for S in traj.states:
+        for x in traj.records:
+            S = StateVector.from_stacked(x, g)
             m = S.mass
             d = (np.abs(S.u1 / m - eig.u1).sum()
                  + np.abs(S.u2 / m - eig.u2).sum()) * g.h
