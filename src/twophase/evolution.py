@@ -110,13 +110,13 @@ class MassBalanceReport:
 
 
 def _step_count(dt: float, T: float) -> int:
-    """ceil(T/dt) steps; ConfigurationError unless 0 < dt < inf,
-    0 <= T < inf and T/dt is finite."""
+    """ceil(T/dt) steps; ConfigurationError unless 0 < dt < inf and
+    0 <= T/dt <= 2^53."""
     if not 0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if not 0 <= T / dt < math.inf:
-        raise ConfigurationError(f"T must be >= 0 and T/dt finite, got "
-                                 f"T={T}, dt={dt}")
+    if not 0 <= T / dt <= 2 ** 53:
+        raise ConfigurationError(f"T must be >= 0 and T/dt at most 2^53, "
+                                 f"got T={T}, dt={dt}")
     return 0 if T == 0 else math.ceil(T / dt - 1e-12)
 
 
@@ -125,16 +125,18 @@ def _steps(gen: DiscreteGenerator, x: np.ndarray, dt: float, nsteps: int):
     from the stacked state x (dt already checked).
 
     The factor of I - dt*M is fetched once, before the first step (never
-    when nsteps is 0).  Each x is a fresh array, and its phase sums (dot
-    products with ones, one BLAS call each) double as the finiteness
-    check: a non-finite entry makes its sum non-finite.
+    when nsteps is 0), and certified once: StepSizeError unless
+    dt*s_A < 1, where (I - dt*M)^{-1} >= 0.  Each x is a fresh array, and
+    its phase sums (dot products with ones, one BLAS call each) double as
+    the finiteness check: a non-finite entry makes its sum non-finite.
     """
     if nsteps < 1:
         return
     try:
-        fact = gen.factorization(1.0 / dt, scale=1.0 / dt)
+        fact = gen.factorization(1.0 / dt, scale=1.0 / dt, above=True)
     except SpectralProximityError as exc:
-        raise StepSizeError(f"implicit step factorization failed at dt={dt:g}: {exc}")
+        raise StepSizeError(f"implicit step at dt={dt:g} needs dt*s_A < 1 "
+                            f"to keep states nonnegative: {exc}")
     n = gen.grid.n
     ones = np.ones(n)
     for _ in range(nsteps):
@@ -341,8 +343,8 @@ def evolve(gen: DiscreteGenerator, U0: StateVector, dt: float, T: float,
     Every number is that of the implicit steps, on either route of the
     module docstring: the randomized one where its rule holds, else the
     stepping loop, with one factor fetch per run, which writes each
-    record into a row of one array.  ConfigurationError before any step unless 0 < dt < inf,
-    0 <= T/dt < inf and record_every >= 1.
+    record into a row of one array.  ConfigurationError before any step
+    unless 0 < dt < inf, 0 <= T/dt <= 2^53 and record_every >= 1.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")

@@ -110,15 +110,17 @@ _KERNEL_KEYS = {
 
 def _number(value, field: str, integer: bool = False):
     """A scalar of the document as a finite float, or as an int when
-    ``integer`` (60.0 passes, 60.7 does not); ValidationError naming
-    ``field`` otherwise."""
+    ``integer`` (60.0 passes, 60.7 does not, nor does a count past 2^53,
+    where a JSON number no longer holds every whole number);
+    ValidationError naming ``field`` otherwise."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:
         x = math.inf
-    if not math.isfinite(x) or integer and not x.is_integer():
-        what = "a whole number" if integer else "a finite number"
+    if not math.isfinite(x) or integer and not (x.is_integer()
+                                                and abs(x) <= 2 ** 53):
+        what = "a whole number within 2^53" if integer else "a finite number"
         raise ValidationError(f"{field} must be {what}, got {value!r}",
                               field=field)
     return int(x) if integer else x

@@ -149,14 +149,18 @@ class _BandedFactor:
     A solve is one BLAS banded triangular solve (dtbsv) with L_b and the
     vectorised D^-1 (kept times ``scale``).  Above every block eigenvalue
     D^-1 >= 0 and L_b <= 0 off the diagonal, so a nonnegative rhs gives
-    a nonnegative x, with no negative rounding.  O(n) storage and work;
-    every solve goes through one interleave buffer, so one factor serves
-    one thread at a time.
+    a nonnegative x, with no negative rounding.  ``above`` says whether
+    lambda lies there: lambda - B is a Z-matrix (off-diagonal <= 0),
+    whose inverse is >= 0 exactly when each D_i^-1 is (Berman & Plemmons,
+    ch. 6).  O(n) storage and work; every solve goes through one
+    interleave buffer, so one factor serves one thread at a time.
     """
 
     def __init__(self, lam: float, blocks: tuple, inflow: np.ndarray,
                  scale: float):
-        i11, i12, i21, i22 = cell_inverse(lam, *blocks)
+        inv = cell_inverse(lam, *blocks)
+        self.above = bool(inv.min() >= 0)
+        i11, i12, i21, i22 = inv
         in1, in2 = inflow
         # LAPACK lower band storage, band[k, j] = L_b[j + k, j]: columns
         # 2i and 2i + 1 hold the block below the diagonal block of cell i
@@ -190,7 +194,10 @@ class _RankOneFactor:
     The rank-1 kernel beta = f g^T puts u v^T = h (f, 0) (g, 0)^T in the
     full generator.  By the Sherman-Morrison identity,
     x = y + w (v.y) / (1 - v.w) with y = scale (lambda - B)^{-1} rhs and
-    w = (lambda - B)^{-1} u; ``hf`` is h f / scale.
+    w = (lambda - B)^{-1} u; ``hf`` is h f / scale.  lambda lies above the
+    spectral bound of B + u v^T (``above``) exactly when it lies above
+    B's and the denominator 1 - v.w = 1 - phi(lambda) is > 0; the
+    inverse is then >= 0.
     """
 
     def __init__(self, base: _BandedFactor, hf: np.ndarray, g: np.ndarray,
@@ -203,6 +210,7 @@ class _RankOneFactor:
                 f"rank-1 correction of (lambda - full) is singular at "
                 f"lambda={lam:g} (1 - v.w = {denom:g})", lam=lam)
         blas = _blas()
+        self.above = base.above and denom > 0
         self._base, self._g, self._w = base, g, w / denom
         self._axpy, self._dot = blas.daxpy, blas.ddot
 
@@ -282,7 +290,8 @@ class DiscreteGenerator:
         b, c = self.coupling
         return a + self.kernel.diagonal() * self.grid.h, b, c, d
 
-    def factorization(self, lam: float, scale: float = 1.0):
+    def factorization(self, lam: float, scale: float = 1.0,
+                      above: bool = False):
         """Factor of (lambda*I - M) / scale.
 
         Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
@@ -295,7 +304,12 @@ class DiscreteGenerator:
         minimum-degree ordering of A + A^T.  Only the last (lambda,
         scale) factor is kept; a new key frees it first.
         SpectralProximityError when the shift makes the matrix (or the
-        correction) singular.
+        correction) singular and, with ``above``, unless lambda lies above
+        the spectral bound s_A, where (lambda - M)^{-1} >= 0: the banded
+        and rank-1 factors know it from their construction, a sparse LU
+        from one solve of the ones vector, positive exactly when lambda - M
+        (off-diagonal <= 0) is a nonsingular M-matrix.  Each factor is
+        certified once.
         """
         key = (float(lam), float(scale))
         if self._last_fact is None or self._last_fact[0] != key:
@@ -317,8 +331,19 @@ class DiscreteGenerator:
                     raise SpectralProximityError(
                         f"factorization of (lambda - full) failed at "
                         f"lambda={lam:g}: {exc}", lam=lam)
-            self._last_fact = (key, fact)
-        return self._last_fact[1]
+            self._last_fact = (key, fact, False)
+        fact, certified = self._last_fact[1:]
+        if above and not certified:
+            ok = getattr(fact, "above", None)
+            if ok is None:
+                x = fact.solve(np.ones(2 * self.grid.n))
+                ok = np.isfinite(x).all() and x.min() > 0
+            if not ok:
+                raise SpectralProximityError(
+                    f"lambda={lam:g} does not lie above the spectral bound "
+                    f"of the generator", lam=lam)
+            self._last_fact = (key, fact, True)
+        return fact
 
     def block_sweep(self, lam: float, rhs: np.ndarray, rescale: bool = False,
                     head: Optional[tuple] = None) -> np.ndarray:
@@ -491,8 +516,10 @@ def transport_sweep(dx: float, gamma, rate, src, coupling) -> np.ndarray:
         np.array([np.broadcast_to(x, n) for x in v], dtype=float)
         for v in (gamma, rate, src, coupling))
     inc = np.pad(rate * dx / gamma, ((0, 0), (0, 1)))
-    # decay[k][i] carries phase k's running sum from cell i to cell i + 1
-    decay = np.exp(-0.5 * (inc[:, :-1] + inc[:, 1:])).tolist()
+    # decay[k][i] carries phase k's running sum from cell i to cell i + 1;
+    # one past the float range reads +inf, which the caller reports
+    with np.errstate(over="ignore"):
+        decay = np.exp(-0.5 * (inc[:, :-1] + inc[:, 1:])).tolist()
     inv, half, src, coupling = (x.tolist() for x in
                                 (1.0 / gamma, 0.5 * dx / gamma, src, coupling))
     u1, u2 = [0.0] * n, [0.0] * n

@@ -11,6 +11,7 @@ from twophase.evolution import (evolve, ideal_invariance_probe, mass_balance,
                                 step_implicit)
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import DiscreteGenerator, StateVector, assemble
+from twophase.spectral import spectral_bound
 
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
@@ -146,6 +147,28 @@ STEP_KERNELS = {
 # the last: T/dt overflows to inf
 BAD_STEPS = [(-0.01, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
              (0.01, math.nan), (0.01, math.inf), (0.01, -1.0), (1e-320, 1.0)]
+
+
+class TestStepSize:
+    @pytest.mark.parametrize("kernel", [
+        5.0, {"form": "indicator", "relation": "s<y", "value": 20.0}])
+    def test_step_past_one_over_s_A_raises(self, kernel):
+        # (I - dt M)^{-1} >= 0 only for dt s_A < 1: at dt = 2/s_A the loop
+        # gave records with negative entries, on the rank-1 factor and
+        # the sparse LU alike
+        g, p, K, gen = make(n=50, kernel=kernel)
+        s = spectral_bound(gen).s
+        U0 = StateVector(np.zeros(g.n), np.ones(g.n), g)
+        for dt in (2 / s, 1.01 / s):
+            with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
+                evolve(gen, U0, dt, 40 / s, record_every=1)
+            with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
+                step_implicit(gen, U0, dt)
+            with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
+                ideal_invariance_probe(gen, ("phase2_only", 0.0), U0,
+                                       40 / s, dt)
+        traj = evolve(gen, U0, 0.99 / s, 40 / s, record_every=1)
+        assert traj.route == "steps" and traj.records.min() >= 0
 
 
 class TestEvolveLoop:

@@ -18,6 +18,7 @@ from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
                                 resolvent_direct, resolvent_transport_analytic,
                                 volterra_norm_sequence)
 from twophase.scenario import scenario_from_dict
+from twophase.spectral import spectral_bound
 
 from test_structure import dense_blocks, dense_recruitment_free
 
@@ -281,6 +282,27 @@ class TestDirectResolvent:
             op.factorization(1.0)
         assert len(builds) == 5
         assert splu_calls == []
+
+
+class TestAboveSpectralBound:
+    @pytest.mark.parametrize("kernel, factor", [
+        (0.0, "_BandedFactor"), (5.0, "_RankOneFactor"),
+        ({"form": "table", "values": [[5.0] * 40] * 40}, "SuperLU"),
+        ({"form": "indicator", "relation": "s<y", "value": 20.0},
+         "SuperLU")])
+    def test_factor_certifies_lambda_above_s_A(self, kernel, factor):
+        # (lambda - M)^{-1} >= 0 exactly above s_A: the banded factor
+        # knows it from its cell blocks, the rank-1 one from 1 - phi, a
+        # sparse LU from one solve of the ones vector
+        g, p, K, gen = make(n=40, kernel=kernel)
+        s = spectral_bound(gen).s
+        fact = gen.factorization(s + 0.01, above=True)
+        assert type(fact).__name__ == factor
+        with pytest.raises(SpectralProximityError, match="spectral bound"):
+            gen.factorization(s - 0.01, above=True)
+        # uncertified, the factor below s_A still solves
+        assert np.isfinite(gen.factorization(s - 0.01).solve(
+            np.ones(2 * g.n))).all()
 
 
 class TestBandedFactor:

@@ -671,6 +671,38 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"configuration error: {field}" in err and message in err
 
+    def test_step_past_one_over_s_A_exit_3(self, tmp_path, capsys):
+        # dt s_A = 1.87: the step loop's total mass read 1, -2.098, 2.191,
+        # ... and the report exited 0
+        doc = minimal_doc(kernel={"form": "constant", "value": 5.0},
+                          run={"dt": 1.0, "T": 40.0, "record_every": 1})
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc),
+                        "--out", str(out)]) == 3
+        assert "dt*s_A < 1" in capsys.readouterr().err
+        rep = json.loads((out / "minimal_report.json").read_text())
+        assert rep["complete"] is False and "dt*s_A < 1" in rep["error"]
+        assert not (out / "minimal_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("case", ["file_n", "flag_n", "flag_dt"])
+    def test_oversized_count_exit_2(self, tmp_path, capsys, case):
+        # numpy's "Maximum allowed size exceeded" exited 1 with a
+        # traceback, and for the step count left no partial report
+        doc = minimal_doc(run={"T": 0.5})
+        if case == "file_n":
+            doc["domain"]["n"] = 1e19
+        argv = {"file_n": ["report"],
+                "flag_n": ["report", "--n", "100000000000000000000"],
+                "flag_dt": ["simulate", "--dt", "1e-300"]}[case]
+        out = tmp_path / "o"
+        assert run_cli([*argv, write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        field = "T/dt" if case == "flag_dt" else "domain.n"
+        assert err.startswith("configuration error: ") and field in err
+        if case == "flag_dt":
+            rep = json.loads((out / "minimal_report.json").read_text())
+            assert rep["complete"] is False and "T/dt" in rep["error"]
+
     def test_dt_flag_nan_exit_2(self, tmp_path, capsys):
         assert run_cli(["report", write(tmp_path, minimal_doc()),
                         "--out", str(tmp_path / "o"), "--dt", "nan"]) == 2

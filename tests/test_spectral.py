@@ -671,6 +671,14 @@ class TestInfiniteProbe:
         assert len(calls) == 1
         assert r.norms == separate
 
+    def test_overflowing_decay_raises_without_warning(self):
+        # at lambda = -1e6 the transport decay passes the float range: it
+        # reads +inf, reported as an overflowed resolvent, with no
+        # RuntimeWarning (an error under the test settings)
+        g, p = tail_params(n=200, smax=20.0, c1=1.0)
+        with pytest.raises(IterationError, match="overflowed"):
+            sB_probe_infinite(p, -1e6, [10, 20])
+
     def test_truncation_below_two_cells_rejected(self):
         g, p = tail_params(n=100, smax=10.0)
         with pytest.raises(ConfigurationError, match="truncation 0.1 "):
