@@ -1,10 +1,15 @@
 """Implicit time stepping, trajectories, and evolution diagnostics.
 
 Backward Euler is the only integrator: each step applies
-(I - dt*M)^{-1}, which is entrywise nonnegative because the negated
-generator has M-matrix structure, so nonnegative data stays nonnegative
-unconditionally in dt.  ``evolve`` computes its k-step states by one of
-two routes, with the same numbers to rounding:
+(I - dt*M)^{-1}.  M has nonnegative off-diagonal entries, so that
+inverse is entrywise nonnegative, and keeps every nonnegative state
+nonnegative, exactly when dt*s_A < 1 (s_A the spectral bound of M);
+the stepping loop certifies it once per run and raises StepSizeError
+otherwise.  ``evolve`` records the states of every ``record_every``-th
+step and the last as the rows of one array, ``Trajectory.records``
+(row 0 the initial state), which ``mass_balance`` and
+``spectral.detect_AEG`` reduce over, and computes them by one of two
+routes, with the same numbers to rounding:
 
   * ``"steps"``: one solve per step.  ``step_implicit``, ``evolve`` and
     ``ideal_invariance_probe`` share one stepping loop, which fetches
