@@ -17,7 +17,6 @@ failure sets the exit code.
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import os
 import sys
@@ -75,7 +74,15 @@ def _load_scenario(args) -> Scenario:
     return scenario_from_dict(doc, name_hint=name_hint)
 
 
+# a sweep point costs a parse and a spectrum stage; the cap keeps the
+# list of values small and a tiny step from running for ever
+_MAX_POINTS = 2 ** 20
+
+
 def _parse_range(text: str) -> list:
+    """The points a, a + step, ... up to b (+ 1e-9 step) of ``a:b:step``;
+    ConfigurationError when there are more than ``_MAX_POINTS``, counted
+    before any is built."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -83,21 +90,21 @@ def _parse_range(text: str) -> list:
     if not (0 < step < math.inf and -math.inf < a <= b < math.inf):
         raise ConfigurationError(f"range must be finite and increasing, "
                                  f"got {text!r}")
-    vals = []
-    k = 0
-    while True:
-        v = a + k * step
-        if v > b + 1e-9 * step:
-            break
-        vals.append(v)
-        k += 1
-    return vals
+    last = (b - a) / step + 1e-9        # last point's index, unfloored
+    if not last < _MAX_POINTS:
+        raise ConfigurationError(f"range {text!r} has {last + 1:.7g} points, "
+                                 f"more than {_MAX_POINTS}")
+    # a + k*step grows with k, so the points are a prefix; the rounding
+    # of ``last`` leaves at most one more to test
+    return [v for v in (a + k * step for k in range(int(last) + 2))
+            if v <= b + 1e-9 * step]
 
 
 def _sweep_point(doc: dict, key: str, value: float):
-    local = copy.deepcopy(doc)
-    _set_path(local, key, value)
-    scn = scenario_from_dict(local)
+    """One sweep row; sets ``key`` on ``doc`` in place, since
+    ``scenario_from_dict`` keeps its own copy."""
+    _set_path(doc, key, value)
+    scn = scenario_from_dict(doc)
     sp = compute_spectrum(scn)
     return (value, sp.s_A, sp.lambda_star, sp.eps_bar, sp.gap)
 

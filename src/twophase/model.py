@@ -132,21 +132,23 @@ def _param(spec: dict, key: str, default: float) -> float:
     return _number(spec[key], key) if key in spec else default
 
 
-def _check_descriptor_keys(spec: dict, allowed: Optional[set]):
-    """ConfigurationError naming the keys of ``spec`` outside ``allowed``.
+def _check_keys(d: dict, allowed: Optional[set], where: str):
+    """ConfigurationError when ``d`` is not a mapping or has keys outside
+    ``allowed``, naming them and ``where`` they are.
 
     ``allowed`` is None for an expression, checked by its name, and for
     an unknown form or name, which the dispatch reports.
     """
-    unknown = sorted(set(spec) - allowed) if allowed is not None else ()
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {d!r}")
+    unknown = sorted(set(d) - allowed) if allowed is not None else ()
     if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {spec.get('form')!r} descriptor")
+        raise ConfigurationError(f"unknown key(s) {unknown} in {where}")
 
 
 def _expression(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     name = spec.get("name")
-    _check_descriptor_keys(spec, _EXPRESSION_KEYS.get(name))
+    _check_keys(spec, _EXPRESSION_KEYS.get(name), "'expression' descriptor")
     if name == "exp_decay":
         scale, rate = _param(spec, "scale", 1.0), _param(spec, "rate", 1.0)
         return lambda s: scale * np.exp(-rate * s)
@@ -215,7 +217,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
             vals = np.full(npts, float(vals))
     elif isinstance(spec, dict):
         form = spec.get("form")
-        _check_descriptor_keys(spec, _COEFFICIENT_KEYS.get(form))
+        _check_keys(spec, _COEFFICIENT_KEYS.get(form), f"{form!r} descriptor")
         if form == "constant":
             vals = np.full(npts, _number(_required(spec, "value"), "value"))
         elif form == "table":
@@ -492,7 +494,7 @@ def _kernel_form(spec: KernelSpec, grid: SizeGrid) -> tuple[dict, Optional[np.nd
         form = {"dense": np.array(spec(S, Y), dtype=float)}
     elif isinstance(spec, dict):
         kind = spec.get("form")
-        _check_descriptor_keys(spec, _KERNEL_KEYS.get(kind))
+        _check_keys(spec, _KERNEL_KEYS.get(kind), f"{kind!r} descriptor")
         scale = _param(spec, "scale", 1.0)
         if kind == "constant":
             value = _param(spec, "value", 1.0) * scale

@@ -153,32 +153,30 @@ def report_to_json(rep: RunReport) -> str:
     return f'{text[:-2]},\n  "peak_rss_kb": {json.dumps(_peak_rss_kb())}\n}}'
 
 
+def _constant(rate: np.ndarray) -> bool:
+    """Whether a sampled rate is constant to 1e-12 of max(1, its size)."""
+    return float(np.ptp(rate)) <= 1e-12 * max(1.0, float(np.abs(rate).max()))
+
 
 def _closed_forms(scn: Scenario, report: SpectralReport):
     """Attach the constant-tail closed forms when their hypotheses hold.
 
     The closed-form spectral bound needs an unbounded domain with a
     constant return rate c2; the gap lower bound additionally needs
-    constant positive c1 and mu.
+    constant positive c1 and mu, and returns that bound as its lambda*.
     """
     p = scn.params
-    if scn.grid.kind == FINITE:
+    if scn.grid.kind == FINITE or not _constant(p.c2):
         return
-    c2 = p.c2
-    if float(np.ptp(c2)) > 1e-12 * max(1.0, float(np.abs(c2).max())):
-        return
-    c2v = float(c2[0])
+    c2 = float(p.c2[0])
     l1 = float(p.c1[-1])      # tail value as the limit surrogate
     l_mu = float(p.mu[-1])
-    report.lambda_star = closed_form_sB(l1, c2v, l_mu)
-    const_c1 = float(np.ptp(p.c1)) <= 1e-12 * max(1.0, float(np.abs(p.c1).max()))
-    const_mu = float(np.ptp(p.mu)) <= 1e-12 * max(1.0, float(np.abs(p.mu).max()))
-    if const_c1 and const_mu and l1 > 0 and c2v > 0 and l_mu > 0:
+    if _constant(p.c1) and _constant(p.mu) and min(l1, c2, l_mu) > 0:
         int_beta1 = float(scn.kernel.beta1.sum() * scn.grid.h)
-        eps_bar, Delta, lam_star = spectral_gap_lower_bound(
-            l1, c2v, l_mu, int_beta1)
         report.eps_bar, report.Delta, report.lambda_star = \
-            eps_bar, Delta, lam_star
+            spectral_gap_lower_bound(l1, c2, l_mu, int_beta1)
+    else:
+        report.lambda_star = closed_form_sB(l1, c2, l_mu)
 
 
 def compute_spectrum(scn: Scenario) -> SpectralReport:

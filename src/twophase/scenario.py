@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .model import (FINITE, TRUNCATED_INFINITE, Kernel, ModelParams, SizeGrid,
-                    _number, build_grid, build_kernel, sample_coefficient,
-                    sample_params)
+                    _check_keys, _number, build_grid, build_kernel,
+                    sample_coefficient, sample_params)
 from .operators import StateVector
 
 _TOP_KEYS = {"name", "domain", "coefficients", "kernel", "run", "spectral",
@@ -36,15 +36,6 @@ _U0_KEYS = {"u1", "u2", "normalize"}
 
 DEFAULT_DT = 1e-3
 DEFAULT_T = 10.0
-
-
-def _check_keys(d: dict, allowed: set, where: str):
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{where} must be a mapping, got {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def _numbers(values, field: str) -> list:

@@ -14,8 +14,9 @@ Four independent routes to spectral information are provided:
         phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
         O(n) banded factor of lambda - B, with a bracket
         phi(lo) > 1 >= phi(hi);
-      - ``power``: shift-and-invert power iteration on certified shifts
-        for every other kernel, with a Collatz-Wielandt bracket;
+      - ``power``: shift-and-invert power iteration for every other
+        kernel, on shifts certified by the factor's own positivity test
+        (the implicit step's), with a Collatz-Wielandt bracket;
     both iterative routes open 1 above the generator's line-sum bound,
     which lies above its spectral bound;
   * closed-form expressions for the recruitment-free spectral bound and
@@ -116,23 +117,6 @@ class SpectralBound:
 
     def __iter__(self):
         return iter((self.s, self.eigfun))
-
-
-def _certificate(gen: DiscreteGenerator, lam: float) -> Optional[np.ndarray]:
-    """(lambda*I - M)^{-1} 1 when it is strictly positive, else None.
-
-    The full generator M has the Metzler sign pattern (nonnegative
-    off-diagonal), so lambda lies above its spectral bound exactly when
-    (lambda*I - M) is a nonsingular M-matrix, which holds iff this solve
-    returns a strictly positive vector.
-    """
-    try:
-        x = gen.factorization(lam).solve(np.ones(2 * gen.grid.n))
-    except SpectralProximityError:
-        return None
-    if not np.all(np.isfinite(x)) or x.min() <= 0:
-        return None
-    return x
 
 
 def _exact_bound(gen: DiscreteGenerator) -> tuple[float, np.ndarray]:
@@ -303,16 +287,19 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
     The first shift is ``gen.line_sum_bound()`` + 1.
-    Every shift passes the positivity certificate, so it lies above the
-    spectral bound and the resolvent's dominant eigenvalue belongs to the
-    Perron pair; a re-centred shift that fails it is rejected and the
-    next move goes halfway back toward the current shift.  Returns the
-    estimate, the final iterate and its Collatz-Wielandt bracket;
-    IterationError, carrying that bracket, when ``max_iter`` runs out or
-    the final iterate is not strictly positive.
+    Every shift is fetched as ``gen.factorization(sigma, above=True)``,
+    whose positivity certificate (the one the implicit step uses) places
+    it above the spectral bound, so the resolvent's dominant eigenvalue
+    belongs to the Perron pair; a re-centred shift that fails it is
+    rejected and the next move goes halfway back toward the current
+    shift.  Returns the estimate, the final iterate and its
+    Collatz-Wielandt bracket; IterationError, carrying that bracket, when
+    ``max_iter`` runs out or the final iterate is not strictly positive.
     """
     top = gen.line_sum_bound() + 1.0
-    if _certificate(gen, top) is None:
+    try:
+        gen.factorization(top, above=True)
+    except SpectralProximityError:
         raise NumericalError("positivity certificate failed at the "
                              "initial shift")
     n2 = 2 * gen.grid.n
@@ -339,9 +326,10 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
             target = lam + 1.0
             if target <= floor:
                 target = 0.5 * (floor + sigma)
-            if _certificate(gen, target) is not None:
+            try:
+                gen.factorization(target, above=True)
                 sigma = target
-            else:
+            except SpectralProximityError:
                 floor = max(floor, target)
     else:
         problem = f"did not settle in {max_iter} steps"
@@ -379,9 +367,10 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         estimates the eigenvalue as sigma - 1/theta (theta the Rayleigh
         quotient of the inverse) until successive estimates differ by
         less than ``tol``, and pulls the shift down to estimate + 1,
-        accepting only shifts that the positivity certificate places
-        above the bound; the bracket is the Collatz-Wielandt bracket of
-        the final iterate.
+        accepting only shifts that the factor's own positivity
+        certificate (``DiscreteGenerator.factorization`` with ``above``,
+        as for the implicit step) places above the bound; the bracket is
+        the Collatz-Wielandt bracket of the final iterate.
 
     The characteristic bracket opens from above, and the power iteration
     takes its first shift, at 1 above the line-sum bound of the full

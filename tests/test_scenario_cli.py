@@ -516,6 +516,17 @@ class TestCLI:
         assert "range must be finite and increasing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_range_with_too_many_points_exit_2(self, tmp_path, capsys):
+        # the points are counted before any is built: 1e300 of them
+        # would otherwise fill memory
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
+                        str(out), "--vary", "kernel.value", "0:1:1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: range '0:1:1e-300' has 1e+300 "
+                       "points, more than 1048576\n")
+        assert not out.exists()
+
     def test_sweep_through_scalar_exit_2(self, tmp_path, capsys):
         # mu is a number: the path fails once, before any point runs
         out = tmp_path / "o"

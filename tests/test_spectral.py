@@ -283,17 +283,50 @@ class TestCertifiedShifts:
         real = gen.factorization
         singular = []
 
-        def factorization(lam):
+        def factorization(lam, **kwargs):
             if lam != top and (not singular or lam == singular[0]):
                 singular.append(lam)
                 raise SpectralProximityError("Factor is exactly singular",
                                              lam=lam)
-            return real(lam)
+            return real(lam, **kwargs)
 
         monkeypatch.setattr(gen, "factorization", factorization)
         s, _ = spectral_bound(gen)
         assert len(singular) == 1 and singular[0] < 13.0
         assert s == pytest.approx(13.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kernel", ["table", "s<y"])
+    def test_every_solved_shift_was_certified(self, monkeypatch, kernel):
+        # each shift the power loop solves at was fetched before with
+        # above=True, so the factor's own certificate placed it above s_A
+        if kernel == "table":
+            # its first re-centred shift fails the certificate
+            g, p, K, gen = reducible_generator(table=True)
+        else:
+            g, p, K, gen = make(n=50, kernel={"form": "indicator",
+                                              "relation": "s<y", "value": 3.0})
+        real = DiscreteGenerator.factorization
+        certified, solved, uncertified = set(), [], []
+
+        class Recorded:
+            def __init__(self, fact, lam):
+                self.fact, self.lam = fact, lam
+
+            def solve(self, rhs):
+                solved.append(self.lam)
+                if self.lam not in certified:
+                    uncertified.append(self.lam)
+                return self.fact.solve(rhs)
+
+        def factorization(self, lam, scale=1.0, above=False):
+            fact = real(self, lam, scale, above)
+            if above:
+                certified.add(lam)
+            return Recorded(fact, lam)
+
+        monkeypatch.setattr(DiscreteGenerator, "factorization", factorization)
+        assert spectral_bound(gen).route == "power"
+        assert solved and uncertified == []
 
 
 def dense_phi(gen, lam):
@@ -551,9 +584,9 @@ class TestPowerRoute:
                 y[-1] = -abs(y[-1])
                 return y
 
-        def factorization(lam):
+        def factorization(lam, **kwargs):
             calls.append(lam)
-            fact = real(lam)
+            fact = real(lam, **kwargs)
             return fact if len(calls) == 1 else Flipped(fact)
 
         monkeypatch.setattr(gen, "factorization", factorization)
