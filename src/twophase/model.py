@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -34,32 +35,39 @@ TRUNCATED_INFINITE = "truncated_infinite"
 _DOMAIN_KINDS = (FINITE, TRUNCATED_INFINITE)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SizeGrid:
-    """Uniform mesh over [0, length] with n cells.
+    """Uniform mesh over [0, length] with n cells, fixed by its fields.
 
-    ``kind`` records whether ``length`` is a true maximal size or a
-    truncation of an unbounded domain (pure outflow at the right edge in
-    both cases; the distinction matters to the spectral classification).
+    ``kind`` tells a true maximal size from a truncation of an unbounded
+    domain.  The read-only ``edges`` (linspace(0, length, n + 1)),
+    ``centers`` and ``h = length / n`` are derived, so ``==`` compares meshes.
     """
 
     kind: str
     length: float
     n: int
-    edges: np.ndarray
-    centers: np.ndarray
-    h: float
 
-    def same_as(self, other: "SizeGrid") -> bool:
-        return (
-            self.kind == other.kind
-            and self.n == other.n
-            and self.length == other.length
-        )
+    @property
+    def h(self) -> float:
+        return self.length / self.n
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        return _readonly(np.linspace(0.0, self.length, self.n + 1))
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return _readonly(0.5 * (self.edges[:-1] + self.edges[1:]))
 
 
 def build_grid(kind: str, length: float, n: int) -> SizeGrid:
-    """Build a uniform size mesh.
+    """Check and build a uniform size mesh.
 
     ``kind`` is ``"finite"`` (length = maximal size m) or
     ``"truncated_infinite"`` (length = truncation S_max of an unbounded
@@ -71,13 +79,7 @@ def build_grid(kind: str, length: float, n: int) -> SizeGrid:
         raise ConfigurationError(f"domain length must be positive, got {length}")
     if n < 2:
         raise ConfigurationError(f"need at least 2 cells, got n={n}")
-    edges = np.linspace(0.0, float(length), n + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    h = float(length) / n
-    edges.setflags(write=False)
-    centers.setflags(write=False)
-    return SizeGrid(kind=kind, length=float(length), n=int(n), edges=edges,
-                    centers=centers, h=h)
+    return SizeGrid(kind, float(length), int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +240,7 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
         raise ConfigurationError(f"cannot interpret coefficient spec {spec!r}")
     if vals.shape != (npts,):
         raise ConfigurationError("coefficient sample has wrong length")
-    vals = vals.copy()
-    vals.setflags(write=False)
-    return vals
+    return _readonly(vals.copy())
 
 
 @dataclass(frozen=True)

@@ -488,7 +488,7 @@ def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGen
     The recruitment quadrature is B3[i, j] = beta(s_i, y_j) * h, placed
     in the phase-1/phase-1 position (newborns are active).
     """
-    if not (params.grid.same_as(grid) and kernel.grid.same_as(grid)):
+    if not params.grid == kernel.grid == grid:
         raise ConfigurationError("params and kernel must share the grid")
     edges = np.array([params.gamma1_edges, params.gamma2_edges]) / grid.h
     return DiscreteGenerator(
@@ -555,7 +555,7 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
 def resolvent_direct(gen: DiscreteGenerator, lam: float,
                      H: StateVector) -> StateVector:
     """Solve (lambda*I - M) U = H by direct factorization."""
-    if not H.grid.same_as(gen.grid):
+    if H.grid != gen.grid:
         raise ConfigurationError("state grid does not match the generator")
     fact = gen.factorization(lam)
     x = fact.solve(H.stacked())
