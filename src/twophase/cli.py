@@ -82,7 +82,7 @@ _MAX_POINTS = 2 ** 20
 def _parse_range(text: str) -> list:
     """The points a, a + step, ... up to b (+ 1e-9 step) of ``a:b:step``;
     ConfigurationError when there are more than ``_MAX_POINTS``, counted
-    before any is built."""
+    before any is built, or when two points round to one float."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -96,8 +96,12 @@ def _parse_range(text: str) -> list:
                                  f"more than {_MAX_POINTS}")
     # a + k*step grows with k, so the points are a prefix; the rounding
     # of ``last`` leaves at most one more to test
-    return [v for v in (a + k * step for k in range(int(last) + 2))
-            if v <= b + 1e-9 * step]
+    points = [v for v in (a + k * step for k in range(int(last) + 2))
+              if v <= b + 1e-9 * step]
+    if any(p == q for p, q in zip(points, points[1:])):
+        raise ConfigurationError(f"range {text!r} repeats points: its step "
+                                 f"is below the float spacing")
+    return points
 
 
 def _sweep_point(doc: dict, key: str, value: float):

@@ -361,8 +361,10 @@ class DiscreteGenerator:
         is then an M-matrix with a nonnegative inverse, so a nonnegative
         ``rhs`` and head give a nonnegative x, and an overflow reads +inf,
         never NaN.  With ``rescale`` the sweep returns a positive multiple
-        of x instead: whenever a cell passes 2^512, all entries so far,
-        the running sum and the rhs still to come are scaled by 2^-512.
+        of x instead: whenever a cell passes 2^512, the running sum and
+        the rhs still to come are scaled by 2^-512, and the entries so far
+        once at the end by the power of two they still need (at once for
+        a dense kernel, whose row product needs them at one scale).
         O(n) (a row product per cell for a dense kernel), with no LU, but
         one Python step per cell: the banded factor solves
         ``recruitment_free`` far faster, and the characteristic equation
@@ -385,6 +387,7 @@ class DiscreteGenerator:
         if K.factors is not None and K.relation != UPPER:
             f, g = (h * K.factors[0]).tolist(), [0.0] + K.factors[1].tolist()
         w = 1.0     # weight of the rhs: a power of two
+        events = []     # cells at which the sweep was rescaled
         for i in range(start, n):
             # a zero weight or coupling rate passes nothing on, even from
             # an overflowed phase (0 * inf would be NaN)
@@ -397,12 +400,17 @@ class DiscreteGenerator:
             p2 = (i21[i] and i21[i] * p) + i22[i] * q
             x1[i], x2[i] = p1, p2
             if rescale and (p1 > HUGE or p2 > HUGE):
-                x1[:i + 1] = [v * TINY for v in x1[:i + 1]]
-                x2[:i + 1] = [v * TINY for v in x2[:i + 1]]
-                p1, p2, acc, w = x1[i], x2[i], acc * TINY, w * TINY
-        x = np.zeros(2 * n)
-        x[:n], x[n:] = x1, x2
-        return x
+                if rows is None:    # cells so far take their share at the end
+                    events.append(i)
+                else:               # the row product needs them at one scale
+                    x1[:i + 1] = [v * TINY for v in x1[:i + 1]]
+                    x2[:i + 1] = [v * TINY for v in x2[:i + 1]]
+                p1, p2, acc, w = p1 * TINY, p2 * TINY, acc * TINY, w * TINY
+        x = np.array([x1, x2])
+        if events:  # cell j takes 2^-512 once per rescale at a cell >= j
+            later = len(events) - np.searchsorted(events, np.arange(n))
+            x = np.ldexp(x, -512 * later)
+        return x.ravel()
 
     def apply(self, x: np.ndarray, diag: Optional[np.ndarray] = None
               ) -> np.ndarray:

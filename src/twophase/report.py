@@ -29,8 +29,8 @@ from .model import FINITE
 from .operators import assemble
 from .scenario import Scenario
 from .spectral import (SpectralReport, closed_form_sB, detect_AEG,
-                       recruitment_free_bound, sB_probe_infinite,
-                       spectral_bound, spectral_gap_lower_bound)
+                       sB_probe_infinite, spectral_bound,
+                       spectral_gap_lower_bound)
 
 STAGES_ALL = ("criteria", "spectrum", "simulate")
 
@@ -187,28 +187,22 @@ def compute_spectrum(scn: Scenario) -> SpectralReport:
 
 def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
     bound = spectral_bound(gen, tol=scn.spectral_tol)
-    s_B = s_A_divergent = None
-    divergent = False
-    if scn.grid.kind == FINITE:
-        s_B_val = recruitment_free_bound(gen)
+    finite = scn.grid.kind == FINITE
+    s_A_divergent = None
+    if finite:
         # below this level the discrete value is a mesh artifact of an
-        # operator whose continuum spectrum is empty
+        # operator whose continuum spectrum is empty; the level adds the
         # max absolute row sum of the loss + coupling part B1 + B2
         bc_norm = float((gen.loss + gen.coupling).max())
-        threshold = -gen.params.gamma0 / scn.grid.h + bc_norm
-        if s_B_val < threshold:
-            divergent = True
-        else:
-            s_B = float(s_B_val)
-        s_A_divergent = bound.s < threshold
+        s_A_divergent = bound.s < -gen.params.gamma0 / scn.grid.h + bc_norm
+    # on [0, m] every recruitment-free mass leaves in finite time (gamma
+    # >= gamma0 > 0): that semigroup is nilpotent, its spectrum empty
     rep = SpectralReport(s_A=bound.s, eigfun=bound.eigfun,
-                         s_B_surrogate=s_B, s_B_divergent=divergent,
+                         s_B_surrogate=None, s_B_divergent=finite,
                          s_A_divergent=s_A_divergent,
                          s_A_route=bound.route, s_A_bracket=bound.bracket)
     _closed_forms(scn, rep)
-    if s_B is not None:
-        rep.gap = rep.s_A - s_B
-    elif rep.lambda_star is not None:
+    if rep.lambda_star is not None:
         rep.gap = rep.s_A - rep.lambda_star
     return rep
 

@@ -82,10 +82,12 @@ class SpectralReport:
 
     ``s_A_route`` names how ``s_A`` was obtained (``exact``,
     ``characteristic`` or ``power``) and ``s_A_bracket`` = (lo, hi)
-    holds it.  On a finite domain ``s_B_divergent`` and ``s_A_divergent``
-    record whether s_B and s_A lie below the level -gamma0/h + ||B1 + B2||
-    that only a mesh artifact of an empty continuum spectrum reaches;
-    ``s_A_divergent`` is None on other domains.
+    holds it.  On a finite domain ``s_B_divergent`` is true, since the
+    recruitment-free semigroup moves all mass out of [0, m] in finite
+    time and its spectrum is empty, and ``s_A_divergent`` records whether
+    s_A lies below the level -gamma0/h + ||B1 + B2|| that only a mesh
+    artifact of an empty continuum spectrum reaches; ``s_A_divergent``
+    is None on other domains.
     """
 
     s_A: float
@@ -456,8 +458,9 @@ def spectral_gap_lower_bound(c1: float, c2: float, mu: float,
         raise ConfigurationError(f"int_beta1 must be >= 0, got {int_beta1}")
     lambda_star = closed_form_sB(c1, c2, mu)
     a = 2.0 * lambda_star + c1 + c2 + mu - int_beta1
-    Delta = a * a + 4.0 * (lambda_star + c2) * int_beta1
-    assert Delta >= 0.0, "discriminant must be nonnegative for valid rates"
+    # lambda_star >= -c2 (P(-c2) = -c1*c2 <= 0) makes Delta >= 0, but
+    # lambda_star + c2 can round below zero
+    Delta = max(a * a + 4.0 * (lambda_star + c2) * int_beta1, 0.0)
     eps_bar = 0.5 * (-a + math.sqrt(Delta))
     return eps_bar, Delta, lambda_star
 

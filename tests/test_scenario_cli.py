@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
@@ -318,6 +319,32 @@ class TestCLI:
         assert checks["mass_conservation_class"]["reason"].startswith(
             "boundary outflow")
 
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_finite_s_B_is_divergent_without_rates(self, tmp_path, mu):
+        # with mu = c1 = c2 = 0 the mesh's s_B sits at -gamma0/h, but on
+        # [0, m] the recruitment-free spectrum is empty all the same
+        doc = minimal_doc(coefficients={"gamma1": 1.0, "gamma2": 1.0,
+                                        "mu": mu, "c1": 0.0, "c2": 0.0})
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
+        assert sp["s_B_divergent"] is True
+        assert sp["s_B_surrogate"] is None and sp["gap"] is None
+
+    def test_rounded_gap_bound_exit_0(self, tmp_path):
+        # lambda* + c2 rounds below zero: the discriminant is taken as 0
+        doc = minimal_doc(
+            domain={"kind": "truncated_infinite", "smax": 10.0, "n": 100},
+            coefficients={"gamma1": 1.0, "gamma2": 1.0, "mu": 2.5,
+                          "c1": 1e-20, "c2": 0.3},
+            kernel=0.219999999999998)
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
+        assert sp["Delta"] == 0.0 and math.isfinite(sp["eps_bar"])
+
     @pytest.mark.parametrize("kernel, predicted", [
         ({"form": "indicator", "relation": "s>y"}, "empty_spectrum"),
         ({"form": "constant", "value": 1.0}, "irreducible_gap_aeg")],
@@ -525,6 +552,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == ("configuration error: range '0:1:1e-300' has 1e+300 "
                        "points, more than 1048576\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rng", ["1e16:10000000000000008:1",
+                                     "1e20:1e20:1"])
+    def test_sweep_range_with_repeated_points_exit_2(self, tmp_path, capsys,
+                                                     rng):
+        # a step below the float spacing repeats points
+        out = tmp_path / "o"
+        assert run_cli(["sweep", write(tmp_path, minimal_doc()), "--out",
+                        str(out), "--vary", "kernel.value", rng]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: range {rng!r} repeats points: "
+                       f"its step is below the float spacing\n")
         assert not out.exists()
 
     def test_sweep_through_scalar_exit_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from twophase.spectral import (_restrict_params, characteristic_function,
                                recruitment_free_bound, sB_probe_infinite,
                                spectral_bound, spectral_gap_lower_bound)
 
-from test_operators import run_child
+from test_operators import demo_generator, run_child
 from test_structure import dense_recruitment_free
 
 
@@ -219,6 +220,40 @@ class TestExactRoute:
         assert s == pytest.approx(-n - 1.5 + math.sqrt(1.25), rel=1e-12)
         assert splu_calls == []
         assert eig.mass == pytest.approx(1.0)
+
+    # mortality 1 + 50 s puts the top cell block at s = 0, and the
+    # eigenvector spans far more than the float range
+    STEEP = dict(kernel={"form": "indicator", "relation": "s>y"},
+                 mu={"form": "expression", "name": "linear",
+                     "intercept": 1.0, "slope": 50.0})
+
+    def test_steep_sweep_rescales_in_linear_time(self):
+        # the sweep rescales every few dozen cells; rescaling every
+        # entry so far each time took 3.3 s here
+        g, p, K, gen = make(n=40000, **self.STEEP)
+        start = time.perf_counter()
+        bound = spectral_bound(gen)
+        assert time.perf_counter() - start < 1.0
+        x = bound.eigfun.stacked()
+        assert bound.route == "exact"
+        assert np.isfinite(x).all() and x.min() >= 0.0
+        assert bound.eigfun.mass == pytest.approx(1.0, rel=1e-14)
+
+    def test_deferred_rescale_matches_the_dense_sweep(self):
+        # the factor kernel scales each entry once at the end, the same
+        # kernel as a dense table rescales every entry so far at once
+        n = 500
+        g, p, K, gen = make(n=n, **self.STEEP)
+        kernel = table_of(self.STEEP["kernel"], n)
+        dense = make(n=n, **dict(self.STEEP, kernel=kernel))[3]
+        lam = block_eigenvalues(gen).max()
+        with np.errstate(over="ignore"):
+            raw = gen.block_sweep(lam, np.zeros(2 * n), head=(0, (1.0, 0.0)))
+        assert np.isinf(raw).any()      # the sweep does rescale
+        x = spectral_bound(gen).eigfun.stacked()
+        assert np.array_equal(x, spectral_bound(dense).eigfun.stacked())
+        # the head cell underflows once the last cells are scaled to floats
+        assert x[0] == 0.0 < x[n - 1]
 
     def test_lower_triangular_kernel_with_trailing_cells(self):
         n = 12
@@ -551,6 +586,19 @@ class TestCharacteristicRoute:
             assert not np.isnan(x).any()
 
 
+    def test_max_iter_raises_with_bracket(self):
+        # two Newton steps from the opening bracket [s_B, bound + 1] of
+        # the README demo leave s_A = -0.12976 inside it
+        g, gen = demo_generator()
+        with pytest.raises(IterationError, match="did not settle") as ei:
+            spectral_bound(gen, max_iter=2)
+        lo, hi = ei.value.bracket
+        assert lo == pytest.approx(-0.46536, abs=1e-5) and hi == 1.0
+        s_A = spectral_bound(gen).s
+        assert s_A == pytest.approx(-0.12976, abs=1e-5)
+        assert lo < s_A < hi
+
+
 class TestPowerRoute:
     def test_converged_iterate_gives_collatz_wielandt_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
@@ -647,6 +695,14 @@ class TestGapLowerBound:
         eps, Delta, lam = spectral_gap_lower_bound(1.0, 2.0, 1.0, 0.5)
         assert eps > 0
         assert abs(self.root_poly(eps, lam, 1.0, 2.0, 1.0, 0.5)) <= 1e-12
+
+    def test_rounded_lambda_star_gives_zero_discriminant(self):
+        # lambda* + c2 rounds below zero, so the discriminant does too;
+        # in exact arithmetic it is >= 0
+        eps, Delta, lam = spectral_gap_lower_bound(1e-20, 0.3, 2.5,
+                                                   2.1999999999999997)
+        assert lam + 0.3 < 0.0
+        assert Delta == 0.0 and math.isfinite(eps)
 
     def test_positive_iff_minorant_positive(self):
         rng = np.random.default_rng(7)
