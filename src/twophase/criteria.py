@@ -14,7 +14,11 @@ The weaker kernel_mixes_some (a single working cutoff suffices)
 characterizes non-emptiness of the spectrum and hence the spectral gap
 on finite domains.  All "almost everywhere" conditions are evaluated at
 mesh resolution; the verdict records the mesh width so the
-characterizations read "at mesh scale".
+characterizations read "at mesh scale".  Mixing is a support condition,
+read at the interior cell edges from the kernel's exact
+``Kernel.mixes_at``.  Every check reads the mesh of the coefficients
+(``params.grid``) and raises ConfigurationError when the kernel's
+differs.
 """
 
 from __future__ import annotations
@@ -79,7 +83,16 @@ def _supported(vals: np.ndarray) -> np.ndarray:
     return vals > SUPPORT_TOL * max(float(vals.max()), 0.0)
 
 
-def check_supports(params: ModelParams, grid: SizeGrid):
+def _same_mesh(kernel: Kernel, params: ModelParams) -> SizeGrid:
+    """The mesh of params; ConfigurationError when the kernel's differs."""
+    if kernel.grid != params.grid:
+        raise ConfigurationError(
+            f"kernel mesh {kernel.grid} differs from the coefficients' "
+            f"mesh {params.grid}")
+    return params.grid
+
+
+def check_supports(params: ModelParams):
     """Detected support endpoints of the transition rates.
 
     Returns (inf supp c1, sup supp c2) using the left edge of the first
@@ -88,67 +101,30 @@ def check_supports(params: ModelParams, grid: SizeGrid):
     """
     c1, c2 = np.flatnonzero(_supported(params.c1)), \
         np.flatnonzero(_supported(params.c2))
-    return (float(grid.edges[c1[0]]) if c1.size else None,
-            float(grid.edges[c2[-1] + 1]) if c2.size else None)
+    edges = params.grid.edges
+    return (float(edges[c1[0]]) if c1.size else None,
+            float(edges[c2[-1] + 1]) if c2.size else None)
 
 
-def _edge_mixing_integrals(kernel: Kernel, grid: SizeGrid) -> np.ndarray:
-    """I[k] = integral of beta over [0, edge_k] x [edge_k, length], k=1..n-1.
-
-    The double integral that must be positive for a cutoff at edge_k:
-    offspring below the cutoff, parents above it.
-    """
-    return kernel.cutoff_sums() * grid.h ** 2
-
-
-def check_kernel_mixing(kernel: Kernel, grid: SizeGrid,
-                    mode: str = "all_eps") -> tuple[bool, Optional[float]]:
-    """Evaluate the kernel-mixing condition at every interior cell edge.
-
-    mode="all_eps": true iff the mixing integral is positive at every
-    cutoff (witness = first failing cutoff).  mode="exists_eps": true iff
-    it is positive at some cutoff (witness = first working cutoff).
-    """
-    return _mixing(_edge_mixing_integrals(kernel, grid), grid, mode)
-
-
-def _mixing(I: np.ndarray, grid: SizeGrid, mode: str):
-    edges = grid.edges[1:-1]
-    pos = I > 0.0
-    if mode == "all_eps":
-        if pos.all():
-            return True, None
-        return False, float(edges[int(np.argmin(pos))])
-    if mode == "exists_eps":
-        if pos.any():
-            return True, float(edges[int(np.argmax(pos))])
-        return False, None
-    raise ConfigurationError(f"unknown mode {mode!r}")
-
-
-def compute_b1_b2(kernel: Kernel, params: ModelParams,
-                  grid: SizeGrid):
+def compute_b1_b2(kernel: Kernel, params: ModelParams):
     """Thresholds of the largest invariant product subspace.
 
     b1 is the smallest cutoff below which the kernel cannot place
     offspring; b2 the first size >= b1 at which the active-to-resting
-    rate switches on.  Both are found by a grid-edge scan.  Returns
-    (b1, b2, None) on success, or (None, None, reason) when one of the
-    two supporting hypotheses fails: the kernel must mix at every cutoff
-    above b1, and c1 must have some support in [b1, length].
+    rate switches on.  Both are found by a grid-edge scan of
+    ``Kernel.mixes_at``.  Returns (b1, b2, None) on success, or (None,
+    None, reason) when one of the two supporting hypotheses fails: the
+    kernel must mix at every cutoff above b1, and c1 must have some
+    support in [b1, length].
     """
-    return _b1_b2(_edge_mixing_integrals(kernel, grid), params, grid)
-
-
-def _b1_b2(I: np.ndarray, params: ModelParams, grid: SizeGrid):
-    edges = grid.edges[1:-1]
-    pos = I > 0.0
-    if not pos.any():
+    grid = _same_mesh(kernel, params)
+    edges, mixes = grid.edges[1:-1], kernel.mixes_at
+    if not mixes.any():
         return None, None, "kernel never mixes at any cutoff"
-    first = int(np.argmax(pos))
+    first = int(np.argmax(mixes))
     b1 = float(edges[first])
-    if not pos[first:].all():
-        bad = first + int(np.argmin(pos[first:]))
+    if not mixes[first:].all():
+        bad = first + int(np.argmin(mixes[first:]))
         return None, None, (f"kernel mixing fails above b1 at cutoff "
                             f"{edges[bad]:g}")
     idx = np.flatnonzero(_supported(params.c1) & (grid.centers >= b1))
@@ -158,8 +134,7 @@ def _b1_b2(I: np.ndarray, params: ModelParams, grid: SizeGrid):
     return b1, b2, None
 
 
-def classify_conservativity(kernel: Kernel, params: ModelParams,
-                            grid: SizeGrid):
+def classify_conservativity(kernel: Kernel, params: ModelParams):
     """Sign-classify the per-parent net birth/death margin.
 
     margin(y_j) = sum_i beta[i, j]*h - mu[j].  Returns the class
@@ -167,6 +142,7 @@ def classify_conservativity(kernel: Kernel, params: ModelParams,
     for truncated unbounded domains -- minima of mu and c2 over the
     final 10% of cells as liminf surrogates, with the window length.
     """
+    grid = _same_mesh(kernel, params)
     margin = kernel.column_sums() * grid.h - params.mu
     mmin, mmax = float(margin.min()), float(margin.max())
     if mmin >= -1e-12 and mmax <= 1e-12:
@@ -185,7 +161,7 @@ def classify_conservativity(kernel: Kernel, params: ModelParams,
     return cls, mmin, mmax, tail_mu, tail_c2, float(w * grid.h)
 
 
-def full_verdict(kernel: Kernel, params: ModelParams, grid: SizeGrid) -> Verdict:
+def full_verdict(kernel: Kernel, params: ModelParams) -> Verdict:
     """Compose all hypothesis checks into a predicted outcome class.
 
     Finite domain: all three support/mixing conditions give
@@ -195,21 +171,25 @@ def full_verdict(kernel: Kernel, params: ModelParams, grid: SizeGrid) -> Verdict
     subspace); no mixing at all gives an empty spectrum (pure decay
     under refinement).  Truncated unbounded domain: the prediction is
     conditioned on the conservativity class and the tail behavior of mu
-    and c2.
+    and c2.  ConfigurationError when the kernel and the coefficients
+    lie on different meshes.
     """
-    I = _edge_mixing_integrals(kernel, grid)
-    mixes_all, w_all = _mixing(I, grid, "all_eps")
-    mixes_some, w_some = _mixing(I, grid, "exists_eps")
-    inf_c1, sup_c2 = check_supports(params, grid)
+    grid = _same_mesh(kernel, params)
+    edges, mixes = grid.edges[1:-1], kernel.mixes_at
+    # witnesses: the first cutoff that fails, the first that works
+    mixes_all, mixes_some = bool(mixes.all()), bool(mixes.any())
+    w_all = None if mixes_all else float(edges[int(np.argmin(mixes))])
+    w_some = float(edges[int(np.argmax(mixes))]) if mixes_some else None
+    inf_c1, sup_c2 = check_supports(params)
     reaches_zero = inf_c1 is not None and inf_c1 <= grid.h * (1 + 1e-9)
     reaches_max = (sup_c2 is not None
                    and sup_c2 >= grid.length - grid.h * (1 + 1e-9))
     irreducible = mixes_all and reaches_zero and reaches_max
     b1 = b2 = blocked = None
     if mixes_some:
-        b1, b2, blocked = _b1_b2(I, params, grid)
+        b1, b2, blocked = compute_b1_b2(kernel, params)
     cls, mmin, mmax, tail_mu, tail_c2, tail_w = classify_conservativity(
-        kernel, params, grid)
+        kernel, params)
     weak_ok = kernel.dominator is not None
 
     if grid.kind == FINITE:

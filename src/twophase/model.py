@@ -338,9 +338,11 @@ class Kernel:
         with a relation: its box times its value, masked);
       * ``dense`` for tables and callables.
 
-    Exactly one of ``factors`` and ``dense`` is set.  ``dominator`` is
-    an optional grid function bounding beta(s, y) <= dominator(s) for
-    all y (sufficient condition for weak compactness of the recruitment
+    Exactly one of ``factors`` and ``dense`` is set.  ``mixes_at``, the
+    support test that the criteria and the generator's block structure
+    both read, is computed once per kernel.  ``dominator`` is an
+    optional grid function bounding beta(s, y) <= dominator(s) for all y
+    (sufficient condition for weak compactness of the recruitment
     operator).
     """
 
@@ -431,24 +433,30 @@ class Kernel:
         f, g = self.factors
         return f * g if self.relation is None else np.zeros(self.grid.n)
 
-    def cutoff_sums(self) -> np.ndarray:
-        """S[k-1] = sum of beta[i, j] over i < k <= j, for k = 1..n-1.
+    @cached_property
+    def mixes_at(self) -> np.ndarray:
+        """Read-only M[k-1] = whether some beta[i, j] > 0 with i < k <= j,
+        for the interior cell edges k = 1..n-1.
 
-        The kernel mass with offspring below the cell edge k and parents
-        above it; some S[k] > 0 exactly when the kernel mixes (some
-        beta[i, j] > 0 with i < j).
+        The kernel mixes at edge k when some offspring below it have
+        parents above it; it mixes at all exactly when some beta[i, j] > 0
+        with i < j.  A support test, exact, computed once per kernel: a
+        dense kernel compares the running maximum of each row's last
+        positive column with k (one boolean n x n temporary), factors
+        read where f > 0 and g > 0 (a nonnegative kernel's factors, see
+        ``_rank_one``), in O(n).
         """
+        k = np.arange(1, self.grid.n)
         if self.dense is not None:
-            # C[i, j] = sum of beta over rows <= i and cols >= j;
-            # S[k-1] = C[k-1, k]
-            C = np.cumsum(np.cumsum(self.dense, axis=0)[:, ::-1],
-                          axis=1)[:, ::-1]
-            return np.diagonal(C, offset=1).copy()
-        if self.relation == LOWER:
-            return np.zeros(self.grid.n - 1)
+            pos = self.dense > 0
+            last = np.where(pos.any(axis=1),
+                            self.grid.n - 1 - pos[:, ::-1].argmax(axis=1), -1)
+            return _readonly(np.maximum.accumulate(last)[:-1] >= k)
         # every pair i < k <= j lies above the diagonal, kept by "s<y"
-        f, g = self.factors
-        return np.cumsum(f)[:-1] * np.cumsum(g[::-1])[::-1][1:]
+        i, j = (np.flatnonzero(x > 0) for x in self.factors)
+        if self.relation == LOWER or not (i.size and j.size):
+            return _readonly(np.zeros(k.size, dtype=bool))
+        return _readonly((i[0] < k) & (k <= j[-1]))
 
     def _check_values(self):
         """ValidationError unless every kernel sample is finite and >= 0."""

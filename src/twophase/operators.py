@@ -266,11 +266,6 @@ class DiscreteGenerator:
         return replace(self, kernel=Kernel(self.grid, factors=(zero, zero)),
                        _last_fact=None)
 
-    @functools.cached_property
-    def _mixes(self) -> bool:
-        # O(n^2) for a dense kernel, so taken once
-        return bool(self.kernel.cutoff_sums().any())
-
     def cell_blocks(self) -> Optional[tuple[np.ndarray, ...]]:
         """2x2 diagonal cell blocks of a block lower triangular generator.
 
@@ -282,9 +277,10 @@ class DiscreteGenerator:
         union of the blocks'; None otherwise.  That holds exactly when
         the kernel does not mix (beta vanishes above the diagonal: no
         offspring is smaller than its parent), a test made once per
-        generator; ``recruitment_free`` always qualifies.
+        kernel (``Kernel.mixes_at``); ``recruitment_free`` always
+        qualifies.
         """
-        if self._mixes:
+        if self.kernel.mixes_at.any():
             return None
         a, d = -(self.outflow + self.loss)
         b, c = self.coupling

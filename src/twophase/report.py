@@ -198,8 +198,7 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
     # on [0, m] every recruitment-free mass leaves in finite time (gamma
     # >= gamma0 > 0): that semigroup is nilpotent, its spectrum empty
     rep = SpectralReport(s_A=bound.s, eigfun=bound.eigfun,
-                         s_B_surrogate=None, s_B_divergent=finite,
-                         s_A_divergent=s_A_divergent,
+                         s_B_divergent=finite, s_A_divergent=s_A_divergent,
                          s_A_route=bound.route, s_A_bracket=bound.bracket)
     _closed_forms(scn, rep)
     if rep.lambda_star is not None:
@@ -284,7 +283,7 @@ def _build_checks(rep: RunReport, traj) -> list:
             elif sp.gap is not None:
                 measured_gap = bool(sp.gap > 0)
             else:
-                reason = "no s_B surrogate or closed-form lambda_star"
+                reason = "no closed-form lambda_star"
         checks.append(_check("spectral_gap_presence", gap_predicted,
                              measured_gap, reason=reason))
         if v.predicted == NO_GAP:
@@ -333,7 +332,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
 
         if "criteria" in stages:
             t0 = time.perf_counter()
-            rep.verdict = full_verdict(scn.kernel, scn.params, scn.grid)
+            rep.verdict = full_verdict(scn.kernel, scn.params)
             rep.timings["criteria"] = time.perf_counter() - t0
 
         if "spectrum" in stages:
@@ -361,8 +360,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
                 fit = None
             if fit is not None:
                 rep.spectral = rep.spectral or SpectralReport(
-                    s_A=float("nan"), eigfun=None, s_B_surrogate=None,
-                    s_B_divergent=False)
+                    s_A=float("nan"), eigfun=None, s_B_divergent=False)
                 rep.spectral.aeg_fit = fit
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")

@@ -92,7 +92,6 @@ class SpectralReport:
 
     s_A: float
     eigfun: Optional[StateVector]
-    s_B_surrogate: Optional[float]      # None encodes the -inf marker
     s_B_divergent: bool
     s_A_divergent: Optional[bool] = None
     lambda_star: Optional[float] = None
@@ -448,8 +447,9 @@ def spectral_gap_lower_bound(c1: float, c2: float, mu: float,
     For constant c1, c2, mu > 0 and int_beta1 = integral of the uniform
     kernel minorant, returns (eps_bar, Delta, lambda_star) with
     eps_bar = (-a + sqrt(Delta))/2, a = 2*lambda_star + c1 + c2 + mu
-    - int_beta1 and Delta = a^2 + 4*(lambda_star + c2)*int_beta1.
-    eps_bar > 0 exactly when int_beta1 > 0.
+    - int_beta1 and Delta = a^2 + 4*(lambda_star + c2)*int_beta1, each
+    difference evaluated in a form that does not cancel.  eps_bar > 0
+    exactly when int_beta1 > 0.
     """
     for name, v in (("c1", c1), ("c2", c2), ("mu", mu)):
         if v <= 0 or not np.isfinite(v):
@@ -458,11 +458,20 @@ def spectral_gap_lower_bound(c1: float, c2: float, mu: float,
         raise ConfigurationError(f"int_beta1 must be >= 0, got {int_beta1}")
     lambda_star = closed_form_sB(c1, c2, mu)
     a = 2.0 * lambda_star + c1 + c2 + mu - int_beta1
-    # lambda_star >= -c2 (P(-c2) = -c1*c2 <= 0) makes Delta >= 0, but
-    # lambda_star + c2 can round below zero
-    Delta = max(a * a + 4.0 * (lambda_star + c2) * int_beta1, 0.0)
-    eps_bar = 0.5 * (-a + math.sqrt(Delta))
-    return eps_bar, Delta, lambda_star
+    # lambda_star + c2 is the positive root of y^2 + (mu - c2 + c1)*y
+    # - c1*c2 (the closed-form polynomial at x = y - c2), taken without
+    # the cancellation of the sum, so that Delta >= 0 in floating point
+    shifted = _positive_root(mu - c2 + c1, c1 * c2)
+    Delta = a * a + 4.0 * shifted * int_beta1
+    return _positive_root(a, shifted * int_beta1), Delta, lambda_star
+
+
+def _positive_root(b: float, c: float) -> float:
+    """The root (-b + sqrt(b^2 + 4c))/2 >= 0 of x^2 + b*x - c, c >= 0,
+    as 2c/(b + sqrt(b^2 + 4c)) when b > 0, where the difference would
+    cancel."""
+    d = math.sqrt(b * b + 4.0 * c)
+    return 2.0 * c / (b + d) if b > 0 else 0.5 * (-b + d)
 
 
 def duhamel_solve(params: ModelParams, lam: float, h1: np.ndarray,
@@ -501,10 +510,11 @@ def sB_probe_infinite(params: ModelParams, lam: float,
     Solves the coupled transport system with a fixed nonnegative source
     in [0, 1] once, on the largest truncation in ``smax_list`` (increasing,
     inside the sampled domain; ConfigurationError when the mesh cannot place
-    the source), and watches the L1 norm of each truncation's causal prefix:
-    ratios of successive truncations all <= 1.02 classify as
-    resolvent-bounded, all >= 1.2 as diverging, anything else as
-    inconclusive.
+    the source or two truncations hold the same number of cells, whose
+    ratio of exactly 1 would read as bounded), and watches the L1 norm of
+    each truncation's causal prefix: ratios of successive truncations all
+    <= 1.02 classify as resolvent-bounded, all >= 1.2 as diverging,
+    anything else as inconclusive.
     """
     smax_list = sorted(float(s) for s in smax_list)
     if len(smax_list) < 2:
@@ -521,6 +531,11 @@ def sB_probe_infinite(params: ModelParams, lam: float,
         if k < 2 or abs(k * grid.h - smax) > 1e-9 * max(smax, 1.0):
             raise ConfigurationError(f"truncation {smax:g} is not a whole "
                                      f"number (>= 2) of cells")
+    for i in range(len(ks) - 1):
+        if ks[i] == ks[i + 1]:
+            raise ConfigurationError(
+                f"truncations {smax_list[i]:g} and {smax_list[i + 1]:g} both "
+                f"hold {ks[i]} cells")
     sub = _restrict_params(params, ks[-1])
     src = (sub.grid.centers <= 1.0).astype(float)
     U = duhamel_solve(sub, lam, src, src)

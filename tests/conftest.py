@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 import twophase.operators
+from twophase.model import Kernel
 
 
 @pytest.fixture
@@ -14,6 +17,23 @@ def splu_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(twophase.operators, "splu", counting)
+    return calls
+
+
+@pytest.fixture
+def mixing_computations(monkeypatch):
+    """The list that gets the kernel of each ``Kernel.mixes_at``
+    computation of the test (the value is cached per kernel)."""
+    calls = []
+    real = Kernel.mixes_at.func
+
+    def counting(kernel):
+        calls.append(kernel)
+        return real(kernel)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(Kernel, "mixes_at")
+    monkeypatch.setattr(Kernel, "mixes_at", prop)
     return calls
 
 

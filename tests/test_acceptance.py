@@ -125,7 +125,7 @@ def test_criterion_04_mass_laws_and_no_gap_rate(capsys):
     # conservative with vanishing return rate: growth rate must vanish
     g, p, K, gen = make(n=600, m=30.0, kind="truncated_infinite", kernel=box,
                         c2={"form": "expression", "name": "exp_decay"})
-    v = full_verdict(K, p, g)
+    v = full_verdict(K, p)
     traj = evolve(gen, left_bump(g, 0.25), dt, 8.0, record_every=100)
     fit = detect_AEG(traj)
     nogap_ok = (v.predicted == "no_gap" and not fit.extinct
@@ -153,7 +153,7 @@ def test_criterion_05_irreducibility_iff_matrix(capsys):
         K = build_kernel(kernels[h1], g)
         p = sample_params(dict(gamma1=1.0, gamma2=1.0, mu=1.0,
                                c1=c1s[h2], c2=c2s[h3], gamma0=1.0), g)
-        v = full_verdict(K, p, g)
+        v = full_verdict(K, p)
         iff_ok &= v.irreducible == (h1 and h2 and h3)
 
     # the three counterexample invariant subspaces, one per broken condition
@@ -226,7 +226,7 @@ def test_criterion_08_reducible_subspace_growth(capsys):
         n=n,
         kernel={"form": "indicator", "s_lo": 0.2},
         c1={"form": "expression", "name": "indicator", "lo": 0.5, "hi": 1.0})
-    b1, b2, reason = compute_b1_b2(K, p, g)
+    b1, b2, reason = compute_b1_b2(K, p)
     tol = g.h * (1 + 1e-9)   # |b1 - 0.2| lands exactly on h
     b_ok = (reason is None and abs(b1 - 0.2) <= tol and abs(b2 - 0.5) <= tol)
 

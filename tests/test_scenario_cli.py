@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import stat
 import subprocess
@@ -330,10 +329,25 @@ class TestCLI:
                         str(out)]) == 0
         sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
         assert sp["s_B_divergent"] is True
-        assert sp["s_B_surrogate"] is None and sp["gap"] is None
+        assert "s_B_surrogate" not in sp and sp["gap"] is None
+
+    def test_report_on_table_kernel_computes_mixing_once(
+            self, tmp_path, mixing_computations):
+        # the verdict and the generator's block test read one mixes_at
+        # (the recruitment-free part's zero kernel takes its own)
+        doc = minimal_doc(domain={"kind": "finite", "m": 1.0, "n": 30},
+                          kernel={"form": "table",
+                                  "values": np.ones((30, 30)).tolist()},
+                          run={"dt": 0.01, "T": 0.1})
+        scn = scenario_from_dict(doc)
+        rep = twophase.report.run(scn, str(tmp_path))
+        assert rep.complete and rep.verdict.kernel_mixes_all
+        assert rep.spectral.s_A_route == "power"
+        assert [k is scn.kernel for k in mixing_computations].count(True) == 1
 
     def test_rounded_gap_bound_exit_0(self, tmp_path):
-        # lambda* + c2 rounds below zero: the discriminant is taken as 0
+        # lambda* + c2 would round below zero as a sum; the bound stays
+        # positive, a root of its polynomial
         doc = minimal_doc(
             domain={"kind": "truncated_infinite", "smax": 10.0, "n": 100},
             coefficients={"gamma1": 1.0, "gamma2": 1.0, "mu": 2.5,
@@ -343,7 +357,11 @@ class TestCLI:
         assert run_cli(["spectrum", write(tmp_path, doc), "--out",
                         str(out)]) == 0
         sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
-        assert sp["Delta"] == 0.0 and math.isfinite(sp["eps_bar"])
+        eps, lam = sp["eps_bar"], sp["lambda_star"]
+        ib1 = 0.219999999999998 * 10.0     # the kernel over [0, smax]
+        assert eps > 0
+        assert abs(eps * eps + eps * (2 * lam + 1e-20 + 0.3 + 2.5)
+                   - (lam + eps + 0.3) * ib1) <= 1e-12
 
     @pytest.mark.parametrize("kernel, predicted", [
         ({"form": "indicator", "relation": "s>y"}, "empty_spectrum"),
@@ -507,6 +525,19 @@ class TestCLI:
         d = json.loads((out / "minimal_report.json").read_text())
         assert not d["complete"]
         assert "source interval" in d["error"]
+
+    @pytest.mark.parametrize("smax_list", [[10, 10], [20, 20.000000001]])
+    def test_probe_with_repeated_truncation_exit_2(self, tmp_path, smax_list):
+        # two truncations of one cell count have a norm ratio of exactly
+        # 1, which would read as resolvent-bounded at lambda = -0.5 < s_B
+        doc = demo_doc(1.0)
+        doc["spectral"]["smax_list"] = smax_list
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc),
+                        "--out", str(out)]) == 2
+        d = json.loads((out / "demo_report.json").read_text())
+        assert not d["complete"]
+        assert "cells" in d["error"]
 
     @pytest.mark.parametrize("command, stage", [
         ("criteria", "full_verdict"), ("spectrum", "spectral_bound"),

@@ -696,13 +696,16 @@ class TestGapLowerBound:
         assert eps > 0
         assert abs(self.root_poly(eps, lam, 1.0, 2.0, 1.0, 0.5)) <= 1e-12
 
-    def test_rounded_lambda_star_gives_zero_discriminant(self):
-        # lambda* + c2 rounds below zero, so the discriminant does too;
-        # in exact arithmetic it is >= 0
-        eps, Delta, lam = spectral_gap_lower_bound(1e-20, 0.3, 2.5,
-                                                   2.1999999999999997)
-        assert lam + 0.3 < 0.0
-        assert Delta == 0.0 and math.isfinite(eps)
+    @pytest.mark.parametrize("c2, mu", [(0.3, 2.5), (2.5, 0.3)])
+    def test_rounded_lambda_star_keeps_eps_bar_positive(self, c2, mu):
+        # lambda* ~ -min(c2, mu): lambda* + c2 rounds below zero as a
+        # sum, though it is > 0 (about c1*c2/(mu - c2)); swapped, it is
+        # lambda* + mu that cancels, so lambda* + c2 may not be derived
+        # from it
+        ib1 = 2.1999999999999997
+        eps, Delta, lam = spectral_gap_lower_bound(1e-20, c2, mu, ib1)
+        assert Delta > 0 and eps > 0
+        assert abs(self.root_poly(eps, lam, 1e-20, c2, mu, ib1)) <= 1e-12
 
     def test_positive_iff_minorant_positive(self):
         rng = np.random.default_rng(7)

@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twophase.criteria import _edge_mixing_integrals, full_verdict
+from twophase.criteria import full_verdict
 from twophase.errors import SpectralProximityError, ValidationError
 from twophase.evolution import step_implicit
-from twophase.model import build_grid, build_kernel, sample_params
+from twophase.model import Kernel, build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, _RankOneFactor, assemble,
                                 resolvent_direct)
 from twophase.spectral import spectral_bound
@@ -65,6 +65,11 @@ def indicator_samples(spec, g):
     return spec.get("value", 1.0) * spec.get("scale", 1.0) * (kept & box)
 
 
+def mixing_oracle(beta):
+    # whether some offspring below edge k have parents above it
+    return [bool(beta[:k, k:].any()) for k in range(1, beta.shape[0])]
+
+
 class TestKernelStructure:
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_derived_quantities_match_dense_oracle(self, name):
@@ -80,10 +85,26 @@ class TestKernelStructure:
                            rtol=1e-14, atol=0)
         assert np.allclose(K.row_sums(), beta.sum(axis=1), rtol=1e-14, atol=0)
         assert np.array_equal(K.diagonal(), np.diag(beta))
-        cut = [beta[:k, k:].sum() for k in range(1, 37)]
-        assert np.allclose(K.cutoff_sums(), cut, rtol=1e-14, atol=0)
+        assert np.array_equal(K.mixes_at, mixing_oracle(beta))
         if K.dominator is not None:
             assert np.all(beta <= K.dominator[:, None])
+
+    @pytest.mark.parametrize("n", [2, 3, 37])
+    def test_mixes_at_matches_oracle_on_random_supports(self, n):
+        # sparse tables and masked factors, mostly zero, some all zero
+        g = build_grid("finite", 1.0, n)
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.02, 0.1, 0.5):
+            for _ in range(50):
+                K = Kernel(g, dense=rng.random((n, n))
+                           * (rng.random((n, n)) < density))
+                assert np.array_equal(K.mixes_at, mixing_oracle(K.beta))
+                f, y = (rng.random(n) * (rng.random(n) < 2 * density)
+                        for _ in range(2))
+                for relation in (None, "s>y", "s<y"):
+                    K = Kernel(g, factors=(f, y), relation=relation)
+                    assert np.array_equal(K.mixes_at, mixing_oracle(K.beta))
+        assert not K.mixes_at.flags.writeable
 
     def test_structured_forms_store_no_dense_array(self):
         g = build_grid("finite", 1.0, 37)
@@ -181,6 +202,7 @@ class TestGeneratorStructure:
         assert np.allclose(gen.full.toarray(), M, rtol=1e-15, atol=0)
         i = np.arange(n)
         mixes = bool(np.triu(K.beta, 1).any())
+        assert K.mixes_at.any() == mixes
         assert (gen.cell_blocks() is None) == mixes
         pairs = [(dense_recruitment_free(gen), gen.recruitment_free)]
         for D, op in pairs + ([] if mixes else [(M, gen)]):
@@ -193,9 +215,6 @@ class TestGeneratorStructure:
         assert gen.line_sum_bound() == pytest.approx(
             min(M.sum(axis=1).max(), M.sum(axis=0).max()), rel=0,
             abs=1e-14 * np.abs(M).sum(axis=1).max())
-        I = _edge_mixing_integrals(K, g)
-        assert np.array_equal(I > 0, [K.beta[:k, k:].any()
-                                      for k in range(1, n)])
 
     @pytest.mark.parametrize("name", ["lower", "upper", "lower_box",
                                       "upper_box"])
@@ -265,7 +284,7 @@ class TestGeneratorStructure:
                                    c2=1.0, gamma0=1.0), g)
             K = build_kernel(1.0, g)
             gen = assemble(p, K, g)
-            full_verdict(K, p, g)
+            full_verdict(K, p)
             U = StateVector(np.ones(n), np.zeros(n), g)
             return step_implicit(gen, U, 1e-3)
 
