@@ -260,8 +260,8 @@ class ModelParams:
     c2: np.ndarray
     gamma0: float
     # growth rates sampled at the n+1 cell edges, for the upwind flux
-    gamma1_edges: np.ndarray = None
-    gamma2_edges: np.ndarray = None
+    gamma1_edges: np.ndarray
+    gamma2_edges: np.ndarray
 
 
 def sample_params(specs: dict, grid: SizeGrid) -> ModelParams:

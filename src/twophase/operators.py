@@ -19,8 +19,9 @@ need the whole generator as one sparse matrix (``full``), built on first
 use and cached.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization
-and by the analytic transport formula (one O(n) forward sweep, shared
-with the recruitment-free probe).  The recruitment-free operator B
+and, for transport alone, by the analytic formula (one O(n) forward
+sweep of a midpoint quadrature, a check independent of the upwind
+discretisation).  The recruitment-free operator B
 (transport, loss and coupling) is a generator of its own,
 ``DiscreteGenerator.recruitment_free``, with a zero kernel.  In
 per-cell order (u1_i, u2_i) it is block lower bidiagonal with 2x2 cell
@@ -31,12 +32,13 @@ kernel (``Kernel.rank_one``) adds a Sherman-Morrison correction to that
 factor; the other kernels (tables, callables, factors masked by a
 relation) take a sparse LU (SuperLU) of lambda - M with a
 minimum-degree ordering of A + A^T.  A generator keeps only its last
-factor, which serves the repeated shifts of implicit steps, resolvents
-and eigensolves.  ``DiscreteGenerator.block_sweep`` solves a block
-lower triangular generator (B, or one whose kernel does not mix) by one
-pure-Python forward sweep over the cell blocks, with no factor at all:
-the exact eigenvectors come from it, and the characteristic equation
-falls back on it where the banded solve overflows.  scipy is imported
+factor, which serves the repeated shifts of implicit steps, resolvents,
+eigensolves and the truncation probe.  ``DiscreteGenerator.block_sweep``
+solves a block lower triangular generator (B, or one whose kernel does
+not mix) by one pure-Python forward sweep over the cell blocks, with no
+factor at all: the exact eigenvectors come from it, and the
+characteristic equation falls back on it where the banded solve
+overflows.  scipy is imported
 only by the code that builds ``full`` or factors it; the banded route
 loads scipy's compiled BLAS extension ``scipy.linalg._fblas`` alone,
 never the ``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
@@ -52,7 +54,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, IterationError, PreconditionError,
+from .errors import (ConfigurationError, PreconditionError,
                      SpectralProximityError)
 from .model import UPPER, Kernel, ModelParams, SizeGrid
 
@@ -502,44 +504,31 @@ def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGen
         coupling=np.array([params.c2, params.c1]))
 
 
-def transport_sweep(dx: float, gamma, rate, src, coupling) -> np.ndarray:
-    """Solve the coupled transport quadrature by one forward sweep.
+def transport_sweep(dx: float, gamma, rate, src) -> np.ndarray:
+    """Evaluate the transport quadrature by one forward sweep.
 
-    Each argument is a pair (phase 1, phase 2) of length-n arrays or
-    scalars.  Phase k solves u_k = T_k[src_k + coupling_k * u_other] with
-    T_k[r](s_i) = (1/gamma_k(s_i)) sum_{y_j <= s_i} w_j r(y_j)
-    exp(-int_{y_j}^{s_i} rate_k/gamma_k), the exponent by midpoint sums and
+    Each argument is a length-n array or a scalar.  Returns
+    u(s_i) = (1/gamma(s_i)) sum_{y_j <= s_i} w_j src(y_j)
+    exp(-int_{y_j}^{s_i} rate/gamma), the exponent by midpoint sums and
     w_j = dx, halved on the diagonal (the half weight keeps the quadrature
     error within the first-order upwind error band).  The weights are
-    causal, so one pass carrying the past as a running sum solves the
-    system exactly, with one 2x2 block from the diagonal term per cell;
-    IterationError where a block has no positive inverse.
+    causal, so one pass carries the past as a running sum; a decay past
+    the float range reads +inf.
     """
-    n = len(src[0])
-    gamma, rate, src, coupling = (
-        np.array([np.broadcast_to(x, n) for x in v], dtype=float)
-        for v in (gamma, rate, src, coupling))
-    inc = np.pad(rate * dx / gamma, ((0, 0), (0, 1)))
-    # decay[k][i] carries phase k's running sum from cell i to cell i + 1;
-    # one past the float range reads +inf, which the caller reports
+    n = len(src)
+    gamma, rate, src = (np.broadcast_to(np.asarray(x, dtype=float), n)
+                        for x in (gamma, rate, src))
+    inc = np.pad(rate * dx / gamma, (0, 1))
+    # decay[i] carries the running sum from cell i to cell i + 1
     with np.errstate(over="ignore"):
-        decay = np.exp(-0.5 * (inc[:, :-1] + inc[:, 1:])).tolist()
-    inv, half, src, coupling = (x.tolist() for x in
-                                (1.0 / gamma, 0.5 * dx / gamma, src, coupling))
-    u1, u2 = [0.0] * n, [0.0] * n
-    acc1 = acc2 = 0.0
+        decay = np.exp(-0.5 * (inc[:-1] + inc[1:])).tolist()
+    inv, half, src = (x.tolist() for x in (1.0 / gamma, 0.5 * dx / gamma, src))
+    u = [0.0] * n
+    acc = 0.0
     for i in range(n):
-        p = acc1 * inv[0][i] + half[0][i] * src[0][i]
-        q = acc2 * inv[1][i] + half[1][i] * src[1][i]
-        a, b = half[0][i] * coupling[0][i], half[1][i] * coupling[1][i]
-        if a * b >= 1.0:    # u1 = p + a*u2, u2 = q + b*u1 at this cell
-            raise IterationError(f"coupled transport block at cell {i} has "
-                                 f"no positive inverse (a*b = {a * b:g})")
-        u1[i] = (p + a * q) / (1.0 - a * b)
-        u2[i] = (q + b * p) / (1.0 - a * b)
-        acc1 = decay[0][i] * (acc1 + dx * (src[0][i] + coupling[0][i] * u2[i]))
-        acc2 = decay[1][i] * (acc2 + dx * (src[1][i] + coupling[1][i] * u1[i]))
-    return np.array([u1, u2])
+        u[i] = acc * inv[i] + half[i] * src[i]
+        acc = decay[i] * (acc + dx * src[i])
+    return np.array(u)
 
 
 def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
@@ -547,13 +536,13 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
     """Closed-form transport resolvent, evaluated by midpoint quadrature.
 
     Computes u(s_i) = (1/gamma(s_i)) * sum_{y_j <= s_i} h(y_j)
-    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j: the uncoupled case
-    of ``transport_sweep`` with rate lambda.
+    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j: ``transport_sweep``
+    with rate lambda, a discretisation independent of the upwind
+    generator's.
     """
     if np.any(np.asarray(gamma) <= 0):
         raise PreconditionError("gamma must be strictly positive")
-    return transport_sweep(grid.h, (gamma, gamma), (lam, lam),
-                           (h, 0.0), (0.0, 0.0))[0]
+    return transport_sweep(grid.h, gamma, lam, h)
 
 
 def resolvent_direct(gen: DiscreteGenerator, lam: float,

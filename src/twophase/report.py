@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import (EMPTY_SPECTRUM, GAP_ONLY, IRREDUCIBLE_GAP_AEG, NO_GAP,
-                       full_verdict)
+from .criteria import (EMPTY_SPECTRUM, GAP_ONLY, INCONCLUSIVE,
+                       IRREDUCIBLE_GAP_AEG, NO_GAP, full_verdict)
 from .errors import InsufficientDataError, TwophaseError
 from .evolution import evolve, mass_balance
 from .model import FINITE
@@ -284,6 +284,9 @@ def _build_checks(rep: RunReport, traj) -> list:
                 measured_gap = bool(sp.gap > 0)
             else:
                 reason = "no closed-form lambda_star"
+        if v.predicted == INCONCLUSIVE:
+            gap_predicted = None
+            reason = "inconclusive verdict: the criteria predict nothing"
         checks.append(_check("spectral_gap_presence", gap_predicted,
                              measured_gap, reason=reason))
         if v.predicted == NO_GAP:

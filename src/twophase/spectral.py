@@ -22,8 +22,9 @@ Four independent routes to spectral information are provided:
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
-    the recruitment-free spectrum on an unbounded domain by solving the
-    coupled transport system on growing truncations, one forward sweep for all;
+    the recruitment-free spectrum on an unbounded domain from the
+    resolvent of the generator's own B on growing truncations, one banded
+    solve for all;
   * a trajectory fit extracting the Malthusian rate and the profile
     convergence rate (asynchronous exponential growth detection).
 """
@@ -39,9 +40,9 @@ import numpy as np
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory, row_integrals
-from .model import ModelParams, build_grid
-from .operators import (DiscreteGenerator, StateVector, block_eigenvalues,
-                        transport_sweep)
+from .model import Kernel, ModelParams
+from .operators import (DiscreteGenerator, StateVector, assemble,
+                        block_eigenvalues)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -424,15 +425,18 @@ def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:
     Valid in the unbounded-domain regime with constant resting-phase
     return rate c2 and limits l1, l_mu of the transition and mortality
     rates at infinity: the bound is the larger root of
-    P(x) = x^2 + x*(l1 + c2 + l_mu) + l_mu*c2.
+    P(x) = x^2 + x*b + l_mu*c2, b = l1 + c2 + l_mu, taken as
+    -2*l_mu*c2/(b + sqrt(disc)), which does not cancel, with the
+    discriminant disc = (c2 - l_mu)^2 + l1*(l1 + 2*(c2 + l_mu)) >= 0 a
+    sum of nonnegative terms.
     """
     for name, v in (("l1", l1), ("c2", c2), ("l_mu", l_mu)):
         if v < 0 or not np.isfinite(v):
             raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
-    b = l1 + c2 + l_mu
-    disc = b * b - 4.0 * l_mu * c2
-    # disc = (l1 + (c2-l_mu))^2 + 2*l1*... >= (c2-l_mu)^2 >= 0 always
-    return 0.5 * (-b + math.sqrt(max(disc, 0.0)))
+    if l_mu * c2 == 0.0:    # P(0) = 0 and b >= 0: the larger root is 0
+        return 0.0
+    disc = (c2 - l_mu) ** 2 + l1 * (l1 + 2.0 * (c2 + l_mu))
+    return -2.0 * l_mu * c2 / (l1 + c2 + l_mu + math.sqrt(disc))
 
 
 def closed_form_poly(lam: float, l1: float, c2: float, l_mu: float) -> float:
@@ -474,47 +478,22 @@ def _positive_root(b: float, c: float) -> float:
     return 2.0 * c / (b + d) if b > 0 else 0.5 * (-b + d)
 
 
-def duhamel_solve(params: ModelParams, lam: float, h1: np.ndarray,
-                  h2: np.ndarray) -> StateVector:
-    """Solve the recruitment-free resolvent system by one forward sweep.
-
-    Solves u1 = T1[h1 + c2*u2], u2 = T2[h2 + c1*u1] exactly, with T1, T2
-    the quadratures of ``transport_sweep`` at decay rates lambda + mu + c1
-    and lambda + c2.  IterationError when a cell block has no positive
-    inverse or the solution overflows.
-    """
-    u = transport_sweep(params.grid.h, (params.gamma1, params.gamma2),
-                        (lam + params.mu + params.c1, lam + params.c2),
-                        (h1, h2), (params.c2, params.c1))
-    if not np.isfinite(u).all():
-        raise IterationError(
-            f"recruitment-free resolvent overflowed at lambda={lam:g}")
-    return StateVector(u[0], u[1], params.grid)
-
-
-def _restrict_params(params: ModelParams, k: int) -> ModelParams:
-    grid = params.grid
-    sub = build_grid(grid.kind, k * grid.h, k)
-    return ModelParams(grid=sub,
-                       gamma1=params.gamma1[:k], gamma2=params.gamma2[:k],
-                       mu=params.mu[:k], c1=params.c1[:k], c2=params.c2[:k],
-                       gamma0=params.gamma0,
-                       gamma1_edges=params.gamma1_edges[:k + 1],
-                       gamma2_edges=params.gamma2_edges[:k + 1])
-
-
 def sB_probe_infinite(params: ModelParams, lam: float,
                       smax_list) -> ProbeResult:
     """Classify lambda against the recruitment-free spectrum on [0, inf).
 
-    Solves the coupled transport system with a fixed nonnegative source
-    in [0, 1] once, on the largest truncation in ``smax_list`` (increasing,
-    inside the sampled domain; ConfigurationError when the mesh cannot place
-    the source or two truncations hold the same number of cells, whose
-    ratio of exactly 1 would read as bounded), and watches the L1 norm of
-    each truncation's causal prefix: ratios of successive truncations all
-    <= 1.02 classify as resolvent-bounded, all >= 1.2 as diverging,
-    anything else as inconclusive.
+    Solves (lambda - B) x = (src, src), B the generator's recruitment-free
+    operator on ``params`` and src the indicator of the cells in [0, 1],
+    once by B's banded factor, and watches the L1 norm of each
+    truncation's prefix of x: the banded solve is causal, so a prefix
+    equals the solve on that truncation, bit for bit.  ``smax_list`` is
+    increasing and inside the sampled domain; ConfigurationError when the
+    mesh cannot place the source or two truncations hold the same number
+    of cells, whose ratio of exactly 1 would read as bounded.  Ratios of
+    successive truncations all <= 1.02 classify as resolvent-bounded, all
+    >= 1.2 as diverging, anything else as inconclusive.
+    SpectralProximityError unless lambda lies above every cell block of
+    B, where x >= 0; IterationError when a prefix overflows.
     """
     smax_list = sorted(float(s) for s in smax_list)
     if len(smax_list) < 2:
@@ -536,11 +515,16 @@ def sB_probe_infinite(params: ModelParams, lam: float,
             raise ConfigurationError(
                 f"truncations {smax_list[i]:g} and {smax_list[i + 1]:g} both "
                 f"hold {ks[i]} cells")
-    sub = _restrict_params(params, ks[-1])
-    src = (sub.grid.centers <= 1.0).astype(float)
-    U = duhamel_solve(sub, lam, src, src)
-    a1, a2 = np.abs(U.u1), np.abs(U.u2)
-    norms = [float((a1[:k].sum() + a2[:k].sum()) * sub.grid.h) for k in ks]
+    zero = np.zeros(grid.n)
+    B = assemble(params, Kernel(grid, factors=(zero, zero)), grid)
+    src = (grid.centers <= 1.0).astype(float)
+    with np.errstate(all="ignore"):     # an overflow is reported below
+        x = B.factorization(lam, above=True).solve(np.concatenate([src, src]))
+        norms = [float((x[:k].sum() + x[grid.n:grid.n + k].sum()) * grid.h)
+                 for k in ks]
+    if not np.isfinite(norms).all():
+        raise IterationError(
+            f"recruitment-free resolvent overflowed at lambda={lam:g}")
     ratios = [norms[i + 1] / norms[i] if norms[i] > 0 else np.inf
               for i in range(len(norms) - 1)]
     if all(r <= 1.02 for r in ratios):

@@ -11,7 +11,6 @@ import pytest
 import twophase
 import twophase.cli
 import twophase.report
-import twophase.spectral
 from twophase.cli import main as cli_main
 from twophase.errors import ConfigurationError, ValidationError
 from twophase.evolution import evolve
@@ -393,6 +392,31 @@ class TestCLI:
             c = checks["empty_spectrum_refinement_divergence"]
             assert c["measured"] is True and c["status"] == "pass"
 
+    @pytest.mark.parametrize("smax, gap", [(10.0, -0.02706), (40.0, 0.08869)])
+    def test_inconclusive_verdict_judges_no_gap(self, tmp_path, smax, gap):
+        # kernel 0.3 on offspring in [0, 1] from every parent: the verdict
+        # is inconclusive, so the measured gap, whose sign moves with smax,
+        # has no prediction to pass or fail
+        doc = {"name": "tail",
+               "domain": {"kind": "truncated_infinite", "smax": smax,
+                          "n": int(round(smax / 0.05))},
+               "coefficients": {"gamma1": 1.0, "gamma2": 1.0, "mu": 1.0,
+                                "c1": 1.0, "c2": 1.0},
+               "kernel": {"form": "indicator", "value": 0.3,
+                          "s_lo": 0.0, "s_hi": 1.0}}
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        d = json.loads((out / "tail_report.json").read_text())
+        assert d["verdict"]["predicted"] == "inconclusive"
+        assert d["spectral"]["gap"] == pytest.approx(gap, abs=1e-5)
+        assert d["spectral"]["eps_bar"] == pytest.approx(0.09145, abs=1e-5)
+        c = {c["check"]: c for c in d["checks"]}["spectral_gap_presence"]
+        assert c["predicted"] is None and c["measured"] is (gap > 0)
+        assert c["status"] == "n/a"
+        assert c["reason"] == ("inconclusive verdict: the criteria predict "
+                               "nothing")
+
     def test_graded_growth_only_report(self, tmp_path):
         # rates graded over [0, 1] and a non-mixing kernel: the
         # eigenvector spans more than the float range, and the report
@@ -641,13 +665,13 @@ class TestCLI:
         # a sweep's CSV holds no probe, so its points solve none; a
         # spectrum on the same scenario still reports every probe lambda
         calls = []
-        real = twophase.spectral.duhamel_solve
+        real = twophase.report.sB_probe_infinite
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(twophase.spectral, "duhamel_solve", counting)
+        monkeypatch.setattr(twophase.report, "sB_probe_infinite", counting)
         doc = {"name": "probe_sweep",
                "domain": {"kind": "truncated_infinite", "smax": 40.0,
                           "n": 80},

@@ -5,16 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-import twophase.spectral
 from twophase.errors import (ConfigurationError, IterationError,
                              SpectralProximityError)
 from twophase.evolution import evolve
-from twophase.model import build_grid, build_kernel, sample_params
-from twophase.operators import DiscreteGenerator, StateVector, assemble
+from twophase.model import Kernel, build_grid, build_kernel, sample_params
+from twophase.operators import (DiscreteGenerator, StateVector, assemble,
+                                resolvent_direct)
 from twophase.scenario import scenario_from_dict
-from twophase.spectral import (_restrict_params, characteristic_function,
-                               closed_form_poly, closed_form_sB, detect_AEG,
-                               duhamel_solve,
+from twophase.spectral import (characteristic_function, closed_form_poly,
+                               closed_form_sB, detect_AEG,
                                recruitment_free_bound, sB_probe_infinite,
                                spectral_bound, spectral_gap_lower_bound)
 
@@ -655,6 +654,12 @@ class TestClosedForms:
         assert closed_form_sB(0.0, 3.0, 0.0) == 0.0
         assert closed_form_sB(2.0, 1.0, 0.0) == 0.0
 
+    def test_small_product_does_not_cancel(self):
+        # l_mu*c2 << b^2: 0.5*(-b + sqrt(b^2 - 4*l_mu*c2)) is 8.3e-8 off;
+        # the root is -c/b - c^2/b^3 + O(c^3) with c = 1e-10, b = 2 + c
+        lam = closed_form_sB(1.0, 1.0, 1e-10)
+        assert lam == pytest.approx(-4.999999999875e-11, rel=1e-15)
+
     def test_symmetric_unit_case(self):
         lam = closed_form_sB(1.0, 1.0, 1.0)
         assert lam == pytest.approx((-3 + math.sqrt(5)) / 2, abs=1e-14)
@@ -725,6 +730,12 @@ def tail_params(n=1000, smax=100.0, **over):
     return g, sample_params(spec, g)
 
 
+def recruitment_free(p):
+    """The recruitment-free generator B on the coefficients' mesh."""
+    zero = np.zeros(p.grid.n)
+    return assemble(p, Kernel(p.grid, factors=(zero, zero)), p.grid)
+
+
 class TestInfiniteProbe:
     def test_bounded_above_closed_form(self):
         g, p = tail_params()
@@ -743,33 +754,55 @@ class TestInfiniteProbe:
 
     @pytest.mark.parametrize("lam", [-1.5, -0.5, 0.5])
     def test_one_solve_gives_every_truncation(self, monkeypatch, lam):
-        # the sweep is causal, so the norms read off prefixes of one solve
-        # on the largest truncation equal separate solves, bit for bit
-        g, p = tail_params()
+        # the banded solve is causal, so the norms read off prefixes of one
+        # solve equal separate solves of each truncation's own B, bit for
+        # bit
+        g, p = tail_params(c1=0.5)
         smax_list = [25.0, 50.0, 100.0]
         separate = []
         for smax in smax_list:
-            sub = _restrict_params(p, int(round(smax / g.h)))
-            src = (sub.grid.centers <= 1.0).astype(float)
-            separate.append(duhamel_solve(sub, lam, src, src).norm1())
+            gk, pk = tail_params(n=int(round(smax / g.h)), smax=smax, c1=0.5)
+            x = recruitment_free(pk).factorization(lam).solve(
+                np.tile((gk.centers <= 1.0).astype(float), 2))
+            separate.append(float((x[:gk.n].sum() + x[gk.n:].sum()) * gk.h))
         calls = []
+        real = DiscreteGenerator.factorization
 
-        def counting(*args):
+        def counting(self, *args, **kwargs):
             calls.append(1)
-            return duhamel_solve(*args)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(twophase.spectral, "duhamel_solve", counting)
+        monkeypatch.setattr(DiscreteGenerator, "factorization", counting)
         r = sB_probe_infinite(p, lam, smax_list)
         assert len(calls) == 1
         assert r.norms == separate
 
-    def test_overflowing_decay_raises_without_warning(self):
-        # at lambda = -1e6 the transport decay passes the float range: it
-        # reads +inf, reported as an overflowed resolvent, with no
-        # RuntimeWarning (an error under the test settings)
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    def test_probe_solve_matches_direct_resolvent(self, lam):
+        # the largest truncation's norm is that of (lambda - B)^{-1}(src,
+        # src) by the generator's general resolvent route
+        g, p = tail_params(n=400, smax=40.0, c1=0.5)
+        src = (g.centers <= 1.0).astype(float)
+        U = resolvent_direct(recruitment_free(p), lam, StateVector(src, src, g))
+        r = sB_probe_infinite(p, lam, [20.0, 40.0])
+        assert r.norms[-1] == pytest.approx(U.norm1(), rel=1e-12)
+
+    def test_lambda_below_a_cell_block_rejected(self):
+        # at lambda = -1e6 (lambda - B)^{-1} is not >= 0: the factor's
+        # nonnegativity certificate fails, with no RuntimeWarning (an
+        # error under the test settings)
         g, p = tail_params(n=200, smax=20.0, c1=1.0)
-        with pytest.raises(IterationError, match="overflowed"):
+        with pytest.raises(SpectralProximityError, match="does not lie above"):
             sB_probe_infinite(p, -1e6, [10, 20])
+
+    def test_overflowing_decay_raises_without_warning(self):
+        # lambda = -15 lies above every cell block (at -20.38), but each
+        # cell multiplies the solution by about 3.72: past about 541 of
+        # the 800 cells it exceeds the float range, reported as an
+        # overflowed resolvent, with no RuntimeWarning
+        g, p = tail_params(n=800, smax=40.0, c1=1.0)
+        with pytest.raises(IterationError, match="overflowed"):
+            sB_probe_infinite(p, -15.0, [10, 20, 40])
 
     def test_truncation_below_two_cells_rejected(self):
         g, p = tail_params(n=100, smax=10.0)
@@ -778,49 +811,11 @@ class TestInfiniteProbe:
 
     def test_solution_nonincreasing_in_lambda(self):
         g, p = tail_params(n=300, smax=30.0, c1=0.5)
-        src = (g.centers <= 1.0).astype(float)
-        U1 = duhamel_solve(p, -0.2, src, src)
-        U2 = duhamel_solve(p, 0.3, src, src)
-        assert np.all(U1.u1 - U2.u1 >= -1e-12)
-        assert np.all(U1.u2 - U2.u2 >= -1e-12)
-
-    @pytest.mark.parametrize("lam", [-0.5, 0.5])
-    def test_duhamel_matches_dense_quadrature_solve(self, lam):
-        g = build_grid("truncated_infinite", 6.0, 60)
-        p = sample_params(dict(gamma1=lambda s: 1 + 0.5 * np.sin(s),
-                               gamma2=lambda s: 1.5 + 0.3 * np.cos(2 * s),
-                               mu=lambda s: 1 + 0.2 * s,
-                               c1=lambda s: 0.5 + 0.5 * np.exp(-s),
-                               c2=lambda s: 0.8 + 0.1 * s, gamma0=0.4), g)
-        n, dx = g.n, g.h
-        h1 = (g.centers <= 1.0).astype(float)
-        h2 = np.cos(g.centers) ** 2
-
-        def quadrature(rate, gamma):
-            # T[i, j] = w_j exp(-int_{y_j}^{s_i} rate/gamma) / gamma_i with
-            # midpoint sums in the exponent, w = dx below the diagonal and
-            # dx/2 on it
-            inc = rate * dx / gamma
-            psi = np.cumsum(inc) - 0.5 * inc
-            T = np.tril(np.exp(-np.tril(psi[:, None] - psi[None, :]))) * dx
-            T[np.diag_indices(n)] *= 0.5
-            return T / gamma[:, None]
-
-        T1 = quadrature(lam + p.mu + p.c1, p.gamma1)
-        T2 = quadrature(lam + p.c2, p.gamma2)
-        M = np.block([[np.eye(n), -T1 * p.c2], [-T2 * p.c1, np.eye(n)]])
-        dense = np.linalg.solve(M, np.concatenate([T1 @ h1, T2 @ h2]))
-        U = duhamel_solve(p, lam, h1, h2)
-        rel = np.abs(U.stacked() - dense).max() / np.abs(dense).max()
-        assert rel <= 1e-12
-
-    def test_strong_coupling_raises(self):
-        # a = b = h*c/(2 gamma) = 1.25: the half-weight diagonal block
-        # [[1, -a], [-b, 1]] has no positive inverse
-        g, p = tail_params(n=4, smax=10.0, c1=1.0)
-        src = np.ones(4)
-        with pytest.raises(IterationError):
-            duhamel_solve(p, 0.0, src, src)
+        B = recruitment_free(p)
+        src = np.tile((g.centers <= 1.0).astype(float), 2)
+        x1 = B.factorization(-0.2, above=True).solve(src)
+        x2 = B.factorization(0.3, above=True).solve(src)
+        assert np.all(x2 >= 0) and np.all(x1 >= x2)
 
     def test_source_outside_mesh_rejected(self):
         # h = 2.5 > 2: no cell center lies in the source interval [0, 1],
