@@ -32,8 +32,9 @@ kernel (``Kernel.rank_one``) adds a Sherman-Morrison correction to that
 factor; the other kernels (tables, callables, factors masked by a
 relation) take a sparse LU (SuperLU) of lambda - M with a
 minimum-degree ordering of A + A^T.  A generator keeps only its last
-factor, which serves the repeated shifts of implicit steps, resolvents,
-eigensolves and the truncation probe.  ``DiscreteGenerator.block_sweep``
+factor, which serves the repeated shifts of implicit steps, resolvents
+and eigensolves; the truncation probe factors B's cell blocks on the
+cells of its largest truncation alone.  ``DiscreteGenerator.block_sweep``
 solves a block lower triangular generator (B, or one whose kernel does
 not mix) by one pure-Python forward sweep over the cell blocks, with no
 factor at all: the exact eigenvectors come from it, and the
@@ -236,7 +237,6 @@ class DiscreteGenerator:
     """
 
     grid: SizeGrid
-    params: ModelParams
     kernel: Kernel
     outflow: np.ndarray
     inflow: np.ndarray
@@ -498,37 +498,10 @@ def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGen
         raise ConfigurationError("params and kernel must share the grid")
     edges = np.array([params.gamma1_edges, params.gamma2_edges]) / grid.h
     return DiscreteGenerator(
-        grid=grid, params=params, kernel=kernel,
+        grid=grid, kernel=kernel,
         outflow=edges[:, 1:], inflow=edges[:, 1:-1],
         loss=np.array([params.mu + params.c1, params.c2]),
         coupling=np.array([params.c2, params.c1]))
-
-
-def transport_sweep(dx: float, gamma, rate, src) -> np.ndarray:
-    """Evaluate the transport quadrature by one forward sweep.
-
-    Each argument is a length-n array or a scalar.  Returns
-    u(s_i) = (1/gamma(s_i)) sum_{y_j <= s_i} w_j src(y_j)
-    exp(-int_{y_j}^{s_i} rate/gamma), the exponent by midpoint sums and
-    w_j = dx, halved on the diagonal (the half weight keeps the quadrature
-    error within the first-order upwind error band).  The weights are
-    causal, so one pass carries the past as a running sum; a decay past
-    the float range reads +inf.
-    """
-    n = len(src)
-    gamma, rate, src = (np.broadcast_to(np.asarray(x, dtype=float), n)
-                        for x in (gamma, rate, src))
-    inc = np.pad(rate * dx / gamma, (0, 1))
-    # decay[i] carries the running sum from cell i to cell i + 1
-    with np.errstate(over="ignore"):
-        decay = np.exp(-0.5 * (inc[:-1] + inc[1:])).tolist()
-    inv, half, src = (x.tolist() for x in (1.0 / gamma, 0.5 * dx / gamma, src))
-    u = [0.0] * n
-    acc = 0.0
-    for i in range(n):
-        u[i] = acc * inv[i] + half[i] * src[i]
-        acc = decay[i] * (acc + dx * src[i])
-    return np.array(u)
 
 
 def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
@@ -536,13 +509,29 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
     """Closed-form transport resolvent, evaluated by midpoint quadrature.
 
     Computes u(s_i) = (1/gamma(s_i)) * sum_{y_j <= s_i} h(y_j)
-    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j: ``transport_sweep``
-    with rate lambda, a discretisation independent of the upwind
-    generator's.
+    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j, the exponent by
+    midpoint sums and w_j = dx, halved on the diagonal (the half weight
+    keeps the quadrature error within the first-order upwind error
+    band): a discretisation independent of the upwind generator's.  The
+    weights are causal, so one forward sweep carries the past as a
+    running sum; a decay past the float range reads +inf.
     """
     if np.any(np.asarray(gamma) <= 0):
         raise PreconditionError("gamma must be strictly positive")
-    return transport_sweep(grid.h, gamma, lam, h)
+    dx, n = grid.h, len(h)
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), n)
+    inc = np.pad(lam * dx / gamma, (0, 1))
+    # decay[i] carries the running sum from cell i to cell i + 1
+    with np.errstate(over="ignore"):
+        decay = np.exp(-0.5 * (inc[:-1] + inc[1:])).tolist()
+    inv, half, src = (x.tolist() for x in (1.0 / gamma, 0.5 * dx / gamma,
+                                           np.asarray(h, dtype=float)))
+    u = [0.0] * n
+    acc = 0.0
+    for i in range(n):
+        u[i] = acc * inv[i] + half[i] * src[i]
+        acc = decay[i] * (acc + dx * src[i])
+    return np.array(u)
 
 
 def resolvent_direct(gen: DiscreteGenerator, lam: float,

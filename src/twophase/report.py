@@ -194,7 +194,7 @@ def _spectrum_stage(scn: Scenario, gen) -> SpectralReport:
         # operator whose continuum spectrum is empty; the level adds the
         # max absolute row sum of the loss + coupling part B1 + B2
         bc_norm = float((gen.loss + gen.coupling).max())
-        s_A_divergent = bound.s < -gen.params.gamma0 / scn.grid.h + bc_norm
+        s_A_divergent = bound.s < -scn.params.gamma0 / scn.grid.h + bc_norm
     # on [0, m] every recruitment-free mass leaves in finite time (gamma
     # >= gamma0 > 0): that semigroup is nilpotent, its spectrum empty
     rep = SpectralReport(s_A=bound.s, eigfun=bound.eigfun,
@@ -344,7 +344,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             if scn.probe_lambdas and scn.smax_list \
                     and scn.grid.kind != FINITE:
                 rep.spectral.probe = [
-                    sB_probe_infinite(scn.params, lam, scn.smax_list)
+                    sB_probe_infinite(gen, lam, scn.smax_list)
                     for lam in scn.probe_lambdas]
             rep.timings["spectrum"] = time.perf_counter() - t0
 
@@ -363,7 +363,8 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
                 fit = None
             if fit is not None:
                 rep.spectral = rep.spectral or SpectralReport(
-                    s_A=float("nan"), eigfun=None, s_B_divergent=False)
+                    s_A=float("nan"), eigfun=None,
+                    s_B_divergent=scn.grid.kind == FINITE)
                 rep.spectral.aeg_fit = fit
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")

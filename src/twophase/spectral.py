@@ -23,8 +23,9 @@ Four independent routes to spectral information are provided:
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
     the recruitment-free spectrum on an unbounded domain from the
-    resolvent of the generator's own B on growing truncations, one banded
-    solve for all;
+    resolvent of the generator's own B on growing truncations: one banded
+    factor on the cells of the largest, each truncation a prefix of its
+    solve;
   * a trajectory fit extracting the Malthusian rate and the profile
     convergence rate (asynchronous exponential growth detection).
 """
@@ -40,8 +41,7 @@ import numpy as np
 from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory, row_integrals
-from .model import Kernel, ModelParams
-from .operators import (DiscreteGenerator, StateVector, assemble,
+from .operators import (DiscreteGenerator, StateVector, _BandedFactor,
                         block_eigenvalues)
 
 PROBE_BOUNDED = "resolvent-bounded"
@@ -478,27 +478,29 @@ def _positive_root(b: float, c: float) -> float:
     return 2.0 * c / (b + d) if b > 0 else 0.5 * (-b + d)
 
 
-def sB_probe_infinite(params: ModelParams, lam: float,
+def sB_probe_infinite(gen: DiscreteGenerator, lam: float,
                       smax_list) -> ProbeResult:
     """Classify lambda against the recruitment-free spectrum on [0, inf).
 
-    Solves (lambda - B) x = (src, src), B the generator's recruitment-free
-    operator on ``params`` and src the indicator of the cells in [0, 1],
-    once by B's banded factor, and watches the L1 norm of each
-    truncation's prefix of x: the banded solve is causal, so a prefix
-    equals the solve on that truncation, bit for bit.  ``smax_list`` is
-    increasing and inside the sampled domain; ConfigurationError when the
-    mesh cannot place the source or two truncations hold the same number
-    of cells, whose ratio of exactly 1 would read as bounded.  Ratios of
-    successive truncations all <= 1.02 classify as resolvent-bounded, all
-    >= 1.2 as diverging, anything else as inconclusive.
-    SpectralProximityError unless lambda lies above every cell block of
-    B, where x >= 0; IterationError when a prefix overflows.
+    Solves (lambda - B) x = (src, src), B = ``gen.recruitment_free`` and
+    src the indicator of the cells in [0, 1], on the first K cells, K
+    those of the largest truncation: one banded factor of B's cell
+    blocks and inflow on those cells alone.  It watches the L1 norm of
+    each truncation's prefix of x: the banded solve is causal, so a
+    prefix equals the solve on that truncation, bit for bit.
+    ``smax_list`` is increasing and inside the sampled domain;
+    ConfigurationError when the mesh cannot place the source or two
+    truncations hold the same number of cells, whose ratio of exactly 1
+    would read as bounded.  Ratios of successive truncations all <= 1.02
+    classify as resolvent-bounded, all >= 1.2 as diverging, anything else
+    as inconclusive.  SpectralProximityError unless lambda lies above
+    every cell block of the K cells, where x >= 0; IterationError when a
+    prefix overflows.
     """
     smax_list = sorted(float(s) for s in smax_list)
     if len(smax_list) < 2:
         raise ConfigurationError("need at least 2 truncations to classify")
-    grid = params.grid
+    grid = gen.grid
     if smax_list[-1] > grid.length + 1e-9:
         raise ConfigurationError("largest truncation exceeds the sampled domain")
     if grid.centers[0] > 1.0:
@@ -515,12 +517,17 @@ def sB_probe_infinite(params: ModelParams, lam: float,
             raise ConfigurationError(
                 f"truncations {smax_list[i]:g} and {smax_list[i + 1]:g} both "
                 f"hold {ks[i]} cells")
-    zero = np.zeros(grid.n)
-    B = assemble(params, Kernel(grid, factors=(zero, zero)), grid)
-    src = (grid.centers <= 1.0).astype(float)
+    K, B = ks[-1], gen.recruitment_free
+    fact = _BandedFactor(lam, tuple(v[:K] for v in B.cell_blocks()),
+                         B.inflow[:, :K - 1], 1.0)
+    if not fact.above:
+        raise SpectralProximityError(
+            f"lambda={lam:g} does not lie above the spectral bound of the "
+            f"recruitment-free operator on [0, {smax_list[-1]:g}]", lam=lam)
+    src = (grid.centers[:K] <= 1.0).astype(float)
     with np.errstate(all="ignore"):     # an overflow is reported below
-        x = B.factorization(lam, above=True).solve(np.concatenate([src, src]))
-        norms = [float((x[:k].sum() + x[grid.n:grid.n + k].sum()) * grid.h)
+        x = fact.solve(np.concatenate([src, src]))
+        norms = [float((x[:k].sum() + x[K:K + k].sum()) * grid.h)
                  for k in ks]
     if not np.isfinite(norms).all():
         raise IterationError(

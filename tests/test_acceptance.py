@@ -255,10 +255,11 @@ def test_criterion_09_infinite_domain_probe(capsys):
     g = build_grid("truncated_infinite", 100.0, 1000)
     p = sample_params(dict(gamma1=1.0, gamma2=1.0, mu=1.0, c1=0.0, c2=1.0,
                            gamma0=1.0), g)
+    gen = assemble(p, build_kernel(0.0, g), g)
     smax_list = [25.0, 50.0, 100.0]
-    r1 = sB_probe_infinite(p, -0.5, smax_list)
-    r2 = sB_probe_infinite(p, -1.5, smax_list)
-    r3 = sB_probe_infinite(p, 0.5, smax_list)
+    r1 = sB_probe_infinite(gen, -0.5, smax_list)
+    r2 = sB_probe_infinite(gen, -1.5, smax_list)
+    r3 = sB_probe_infinite(gen, 0.5, smax_list)
     ok = (r1.classification == "resolvent-bounded"
           and r2.classification == "diverging"
           and r3.classification == "resolvent-bounded")

@@ -83,6 +83,19 @@ class TestB1B2:
         assert reason is None
         assert b1 <= g.h and b2 <= g.h
 
+    def test_mixing_gap_above_b1_blocks(self):
+        # the box on s in [0, 0.2] x y in [0.3, 0.5] mixes across the
+        # cutoffs 0.02 .. 0.48 only: the first one is b1, and at 0.5 no
+        # parent above places offspring below
+        g = build_grid("finite", 1.0, 50)
+        K = build_kernel({"form": "indicator", "s_hi": 0.2, "y_lo": 0.3,
+                          "y_hi": 0.5}, g)
+        p = params_on(g)
+        reason = "kernel mixing fails above b1 at cutoff 0.5"
+        assert compute_b1_b2(K, p) == (None, None, reason)
+        v = full_verdict(K, p)
+        assert v.predicted == GAP_ONLY and v.b_blocked_by == reason
+
     def test_missing_c1_support_blocks(self):
         g = build_grid("finite", 1.0, 100)
         b1, b2, reason = compute_b1_b2(build_kernel(1.0, g),

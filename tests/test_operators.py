@@ -74,7 +74,7 @@ def graded_generator():
             "hi": 0.6, "value": 3.0},
         c2={"form": "expression", "name": "exp_decay", "scale": 2.0},
         gamma0=1.0), g)
-    return g, assemble(p, build_kernel(1.0, g), g)
+    return g, p, assemble(p, build_kernel(1.0, g), g)
 
 
 def stored_numbers(fact) -> int:
@@ -324,9 +324,9 @@ class TestBandedFactor:
     @pytest.mark.parametrize("name", ["just_above", "above",
                                       "implicit_step", "below"])
     def test_solve_matches_dense_solve(self, name, splu_calls):
-        g, gen = graded_generator()
+        g, p, gen = graded_generator()
         lam = self.shift(gen, name)
-        mat = lam * np.eye(2 * g.n) - dense_recruitment_free(gen)
+        mat = lam * np.eye(2 * g.n) - dense_recruitment_free(p)
         B = gen.recruitment_free
         if name == "below":     # every cell block stays invertible
             a, b, c, d = B.cell_blocks()
@@ -338,7 +338,7 @@ class TestBandedFactor:
         assert splu_calls == []
 
     def test_nonnegative_data_stay_nonnegative(self):
-        g, gen = graded_generator()
+        g, _, gen = graded_generator()
         rhs = np.random.default_rng(6).random(2 * g.n)
         rhs[::3] = 0.0
         for name in ("just_above", "above", "implicit_step"):

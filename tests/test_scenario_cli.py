@@ -330,6 +330,25 @@ class TestCLI:
         assert sp["s_B_divergent"] is True
         assert "s_B_surrogate" not in sp and sp["gap"] is None
 
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_simulate_only_s_B_divergent_follows_domain(self, tmp_path,
+                                                         finite):
+        # with no spectrum stage, the growth fit still fills a spectral
+        # record, whose s_B_divergent says what the spectrum stage would:
+        # true on a finite domain, false on the truncated demo
+        if finite:
+            doc = minimal_doc(kernel={"form": "constant", "value": 2.0},
+                              run={"dt": 1e-2, "T": 10.0, "record_every": 10})
+        else:
+            doc = demo_doc(2.0)
+        out = tmp_path / "o"
+        assert run_cli(["simulate", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        sp = json.loads((out / f"{doc['name']}_report.json").read_text()
+                        )["spectral"]
+        assert sp["s_A"] is None and sp["aeg_fit"] is not None
+        assert sp["s_B_divergent"] is finite
+
     def test_report_on_table_kernel_computes_mixing_once(
             self, tmp_path, mixing_computations):
         # the verdict and the generator's block test read one mixes_at

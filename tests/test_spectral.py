@@ -8,9 +8,9 @@ import pytest
 from twophase.errors import (ConfigurationError, IterationError,
                              SpectralProximityError)
 from twophase.evolution import evolve
-from twophase.model import Kernel, build_grid, build_kernel, sample_params
-from twophase.operators import (DiscreteGenerator, StateVector, assemble,
-                                resolvent_direct)
+from twophase.model import build_grid, build_kernel, sample_params
+from twophase.operators import (DiscreteGenerator, StateVector,
+                                _BandedFactor, assemble, resolvent_direct)
 from twophase.scenario import scenario_from_dict
 from twophase.spectral import (characteristic_function, closed_form_poly,
                                closed_form_sB, detect_AEG,
@@ -54,7 +54,7 @@ class TestSpectralBound:
         n = 8
         g, p, K, gen = make(n=n, mu=lambda s: 1 + s, c2=0.5,
                             gamma1=lambda s: 1 + 0.5 * s)
-        M = dense_recruitment_free(gen)
+        M = dense_recruitment_free(p)
         perm = np.arange(2 * n).reshape(2, n).T.ravel()   # interleave
         P = M[np.ix_(perm, perm)]
         for i in range(n):
@@ -84,12 +84,11 @@ class TestSpectralBound:
         assert min(eig.u1.min(), eig.u2.min()) >= -1e-12
 
 
-    def test_singular_initial_shift_is_nudged_off(self):
+    def test_pure_transport_bound_is_top_diagonal_entry(self):
         # lower-bidiagonal pure transport with gamma = 1 + s: the top
         # diagonal entry -gamma(edge_1)/h = -11 is the rightmost
-        # eigenvalue.  The kernel is zero, so the bound is read exactly
-        # off the cell blocks, with no shift on that eigenvalue, which
-        # would make a factorization singular
+        # eigenvalue.  The kernel is zero, so the exact route reads the
+        # bound off the cell blocks, with no factorization at all
         g, p, K, gen = make(n=10, kernel=0.0, mu=0.0, c1=0.0, c2=0.0,
                             gamma1=lambda s: 1 + s, gamma2=lambda s: 1 + s)
         assert gen.full.diagonal().max() == -11.0
@@ -149,11 +148,12 @@ NON_MIXING = {
 }
 
 
-def generator_times(gen, x):
-    # M x from the model formulas, O(n) for the structured kernels (a
-    # dense oracle takes 330 MB at n = 3200): factors kept on every
-    # pair, or only on j < i (s>y) or j > i (s<y)
-    g, p, K = gen.grid, gen.params, gen.kernel
+def generator_times(p, K, x):
+    # M x from the model formulas on the coefficients p and kernel K,
+    # O(n) for the structured kernels (a dense oracle takes 330 MB at
+    # n = 3200): factors kept on every pair, or only on j < i (s>y) or
+    # j > i (s<y)
+    g = p.grid
     n, h = g.n, g.h
     u1, u2 = x[:n], x[n:]
     y1 = -(p.gamma1_edges[1:] / h + p.mu + p.c1) * u1 + p.c2 * u2
@@ -187,7 +187,7 @@ class TestExactRoute:
         # the sweep reaches the last cell (from n = 800 on, the first
         # cells underflow: the vector spans more than the float range)
         assert x[n - 1] + x[-1] > 0
-        res = np.abs(generator_times(gen, x) - bound.s * x).max()
+        res = np.abs(generator_times(p, K, x) - bound.s * x).max()
         assert res <= 1e-12 * max(1.0, abs(bound.s)) * x.max()
         assert splu_calls == []
 
@@ -363,22 +363,22 @@ class TestCertifiedShifts:
         assert solved and uncertified == []
 
 
-def dense_phi(gen, lam):
-    # the characteristic function h g.[(lambda - B)^{-1}(f, 0)]_1 from a
-    # dense LAPACK solve
-    n = gen.grid.n
-    f, g = gen.kernel.factors
-    B = dense_recruitment_free(gen)
+def dense_phi(p, K, lam):
+    # the characteristic function h g.[(lambda - B)^{-1}(f, 0)]_1 of the
+    # coefficients p and rank-1 kernel K from a dense LAPACK solve
+    n = p.grid.n
+    f, g = K.factors
+    B = dense_recruitment_free(p)
     x = np.linalg.solve(lam * np.eye(2 * n) - B,
                         np.concatenate([f, np.zeros(n)]))
-    return gen.grid.h * g @ x[:n]
+    return p.grid.h * g @ x[:n]
 
 
-def dense_root(gen):
+def dense_root(gen, p):
     # bisection on the dense phi between s_B and the line-sum bound + 1
     lo, hi = recruitment_free_bound(gen), gen.line_sum_bound() + 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if dense_phi(gen, mid) > 1.0:
+        if dense_phi(p, gen.kernel, mid) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -524,7 +524,7 @@ class TestCharacteristicRoute:
         g, p, K, gen = make(**RANK_ONE[name])
         bound = spectral_bound(gen)
         assert bound.route == "characteristic"
-        root = dense_root(gen)
+        root = dense_root(gen, p)
         assert abs(bound.s - root) <= 1e-12 * abs(root)
         lo, hi = bound.bracket
         assert lo <= bound.s <= hi
@@ -533,8 +533,8 @@ class TestCharacteristicRoute:
         phi_lo = characteristic_function(gen, lo)[0]
         phi_hi = characteristic_function(gen, hi)[0]
         assert phi_lo > 1.0 >= phi_hi
-        assert phi_lo == pytest.approx(dense_phi(gen, lo), rel=1e-12)
-        assert phi_hi == pytest.approx(dense_phi(gen, hi), rel=1e-12)
+        assert phi_lo == pytest.approx(dense_phi(p, K, lo), rel=1e-12)
+        assert phi_hi == pytest.approx(dense_phi(p, K, hi), rel=1e-12)
         assert_eigenpair(gen, bound)
         assert splu_calls == []
 
@@ -549,6 +549,21 @@ class TestCharacteristicRoute:
         lo, hi = bound.bracket
         assert lo <= root <= hi and hi - lo <= 1e-10 * abs(hi)
         assert_eigenpair(gen, bound)
+
+    def test_kernel_blind_to_perron_vector_of_B(self):
+        # mu = 200 and c1 = c2 = 0 put s_B = -50 in phase 2 alone (phase 1
+        # sits at -250), where the kernel's parent factor g never looks:
+        # phi(s_B+) is about 4e-14 and g.x_B = 0, so the eigenvector is
+        # B's Perron vector itself, phase-2 cell 49 alone
+        g, p, K, gen = make(n=50, mu=200.0, c1=0.0, c2=0.0, kernel={
+            "form": "indicator", "s_hi": 0.2, "y_lo": 0.5, "value": 1.0})
+        assert recruitment_free_bound(gen) == -50.0
+        bound = spectral_bound(gen)
+        assert bound.route == "characteristic"
+        assert bound.s == -50.0 and bound.bracket == (-50.0, -50.0)
+        x = bound.eigfun.stacked()
+        assert np.flatnonzero(x).tolist() == [g.n + 49]
+        assert np.abs(gen.full @ x - bound.s * x).max() == 0.0
 
     @pytest.mark.parametrize("value", [1e-6, 1.0])
     def test_weak_recruitment_leaves_s_B(self, value):
@@ -723,95 +738,133 @@ class TestGapLowerBound:
                 <= 1e-10 * (1 + ib1 + c1 + c2 + mu) ** 2
 
 
-def tail_params(n=1000, smax=100.0, **over):
+def tail_generator(n=1000, smax=100.0, **over):
+    # a constant kernel on top: the probe reads only the generator's
+    # recruitment-free operator
     g = build_grid("truncated_infinite", smax, n)
     spec = dict(gamma1=1.0, gamma2=1.0, mu=1.0, c1=0.0, c2=1.0, gamma0=1.0)
     spec.update(over)
-    return g, sample_params(spec, g)
+    return g, assemble(sample_params(spec, g), build_kernel(1.0, g), g)
 
 
-def recruitment_free(p):
-    """The recruitment-free generator B on the coefficients' mesh."""
-    zero = np.zeros(p.grid.n)
-    return assemble(p, Kernel(p.grid, factors=(zero, zero)), p.grid)
+def drop_generator(drop):
+    # gamma1 = gamma2 = 1 below s = drop and 0.1 from there on, on [0, 40]
+    # at h = 0.05: the cell blocks have eigenvalues -20.38 and -22.62
+    # while their outflow edge lies below the drop and -2.38 and -4.62
+    # from there on
+    gamma = {"form": "table", "points": [[0.0, 1.0], [drop, 0.1]]}
+    return tail_generator(n=800, smax=40.0, gamma1=gamma, gamma2=gamma,
+                          c1=1.0, gamma0=0.1)
 
 
 class TestInfiniteProbe:
     def test_bounded_above_closed_form(self):
-        g, p = tail_params()
-        r = sB_probe_infinite(p, -0.5, [25, 50, 100])
+        g, gen = tail_generator()
+        r = sB_probe_infinite(gen, -0.5, [25, 50, 100])
         assert r.classification == "resolvent-bounded"
 
     def test_diverging_below_closed_form(self):
-        g, p = tail_params()
-        r = sB_probe_infinite(p, -1.5, [25, 50, 100])
+        g, gen = tail_generator()
+        r = sB_probe_infinite(gen, -1.5, [25, 50, 100])
         assert r.classification == "diverging"
 
     def test_positive_lambda_always_bounded(self):
-        g, p = tail_params(c1=0.3, mu=lambda s: 1 + 0.1 * np.sin(s) ** 2)
-        r = sB_probe_infinite(p, 0.5, [25, 50, 100])
+        g, gen = tail_generator(c1=0.3, mu=lambda s: 1 + 0.1 * np.sin(s) ** 2)
+        r = sB_probe_infinite(gen, 0.5, [25, 50, 100])
         assert r.classification == "resolvent-bounded"
 
     @pytest.mark.parametrize("lam", [-1.5, -0.5, 0.5])
     def test_one_solve_gives_every_truncation(self, monkeypatch, lam):
         # the banded solve is causal, so the norms read off prefixes of one
-        # solve equal separate solves of each truncation's own B, bit for
-        # bit
-        g, p = tail_params(c1=0.5)
+        # solve on the largest truncation's cells equal separate solves of
+        # each truncation's own B, bit for bit
+        g, gen = tail_generator(c1=0.5)
         smax_list = [25.0, 50.0, 100.0]
         separate = []
         for smax in smax_list:
-            gk, pk = tail_params(n=int(round(smax / g.h)), smax=smax, c1=0.5)
-            x = recruitment_free(pk).factorization(lam).solve(
+            gk, genk = tail_generator(n=int(round(smax / g.h)), smax=smax,
+                                      c1=0.5)
+            x = genk.recruitment_free.factorization(lam).solve(
                 np.tile((gk.centers <= 1.0).astype(float), 2))
             separate.append(float((x[:gk.n].sum() + x[gk.n:].sum()) * gk.h))
-        calls = []
-        real = DiscreteGenerator.factorization
+        sizes = []
+        real = _BandedFactor.__init__
 
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return real(self, *args, **kwargs)
+        def counting(self, lam, blocks, *args):
+            sizes.append(blocks[0].size)
+            real(self, lam, blocks, *args)
 
-        monkeypatch.setattr(DiscreteGenerator, "factorization", counting)
-        r = sB_probe_infinite(p, lam, smax_list)
-        assert len(calls) == 1
+        monkeypatch.setattr(_BandedFactor, "__init__", counting)
+        r = sB_probe_infinite(gen, lam, smax_list)
+        assert sizes == [1000]
         assert r.norms == separate
 
     @pytest.mark.parametrize("lam", [-0.5, 0.5])
     def test_probe_solve_matches_direct_resolvent(self, lam):
         # the largest truncation's norm is that of (lambda - B)^{-1}(src,
         # src) by the generator's general resolvent route
-        g, p = tail_params(n=400, smax=40.0, c1=0.5)
+        g, gen = tail_generator(n=400, smax=40.0, c1=0.5)
         src = (g.centers <= 1.0).astype(float)
-        U = resolvent_direct(recruitment_free(p), lam, StateVector(src, src, g))
-        r = sB_probe_infinite(p, lam, [20.0, 40.0])
+        U = resolvent_direct(gen.recruitment_free, lam,
+                             StateVector(src, src, g))
+        r = sB_probe_infinite(gen, lam, [20.0, 40.0])
         assert r.norms[-1] == pytest.approx(U.norm1(), rel=1e-12)
+
+    @pytest.mark.parametrize("lam, ratios", [(-0.2, [1.1807, 1.0291]),
+                                             (0.0, [1.0273, 1.0006])])
+    def test_ratios_between_thresholds_read_inconclusive(self, lam, ratios):
+        # unit rates on [0, 40]: the norms still grow at these lambda, by
+        # less than the diverging ratio 1.2 but, at the first step, more
+        # than the bounded 1.02
+        g, gen = tail_generator(n=800, smax=40.0, c1=1.0)
+        r = sB_probe_infinite(gen, lam, [10, 20, 40])
+        assert r.classification == "inconclusive"
+        assert r.ratios == pytest.approx(ratios, abs=1e-4)
+
+    @pytest.mark.parametrize("lam", [-5.0, -10.0, -15.0])
+    def test_blocks_past_largest_truncation_unread(self, lam):
+        # the blocks below lambda all lie past s = 25, which no truncation
+        # reads: the probe factors only the first 400 cells and classifies
+        g, gen = drop_generator(25.0)
+        r = sB_probe_infinite(gen, lam, [10, 20])
+        assert r.classification == "diverging"
+        assert min(r.ratios) > 1e20
+
+    @pytest.mark.parametrize("drop, smax_list", [(25.0, [10, 20, 40]),
+                                                 (20.0, [10, 20])])
+    def test_block_inside_largest_truncation_rejected(self, drop, smax_list):
+        # a block below lambda = -5 inside the cells of the largest
+        # truncation fails the certificate; with the drop at s = 20 that
+        # block is the last cell of [0, 20], whose outflow edge is s = 20
+        g, gen = drop_generator(drop)
+        with pytest.raises(SpectralProximityError, match="does not lie above"):
+            sB_probe_infinite(gen, -5.0, smax_list)
 
     def test_lambda_below_a_cell_block_rejected(self):
         # at lambda = -1e6 (lambda - B)^{-1} is not >= 0: the factor's
         # nonnegativity certificate fails, with no RuntimeWarning (an
         # error under the test settings)
-        g, p = tail_params(n=200, smax=20.0, c1=1.0)
+        g, gen = tail_generator(n=200, smax=20.0, c1=1.0)
         with pytest.raises(SpectralProximityError, match="does not lie above"):
-            sB_probe_infinite(p, -1e6, [10, 20])
+            sB_probe_infinite(gen, -1e6, [10, 20])
 
     def test_overflowing_decay_raises_without_warning(self):
         # lambda = -15 lies above every cell block (at -20.38), but each
         # cell multiplies the solution by about 3.72: past about 541 of
         # the 800 cells it exceeds the float range, reported as an
         # overflowed resolvent, with no RuntimeWarning
-        g, p = tail_params(n=800, smax=40.0, c1=1.0)
+        g, gen = tail_generator(n=800, smax=40.0, c1=1.0)
         with pytest.raises(IterationError, match="overflowed"):
-            sB_probe_infinite(p, -15.0, [10, 20, 40])
+            sB_probe_infinite(gen, -15.0, [10, 20, 40])
 
     def test_truncation_below_two_cells_rejected(self):
-        g, p = tail_params(n=100, smax=10.0)
+        g, gen = tail_generator(n=100, smax=10.0)
         with pytest.raises(ConfigurationError, match="truncation 0.1 "):
-            sB_probe_infinite(p, 0.0, [0.1, 10])
+            sB_probe_infinite(gen, 0.0, [0.1, 10])
 
     def test_solution_nonincreasing_in_lambda(self):
-        g, p = tail_params(n=300, smax=30.0, c1=0.5)
-        B = recruitment_free(p)
+        g, gen = tail_generator(n=300, smax=30.0, c1=0.5)
+        B = gen.recruitment_free
         src = np.tile((g.centers <= 1.0).astype(float), 2)
         x1 = B.factorization(-0.2, above=True).solve(src)
         x2 = B.factorization(0.3, above=True).solve(src)
@@ -820,9 +873,9 @@ class TestInfiniteProbe:
     def test_source_outside_mesh_rejected(self):
         # h = 2.5 > 2: no cell center lies in the source interval [0, 1],
         # so every truncation would see a zero source
-        g, p = tail_params(n=4, smax=10.0, c1=0.5, c2=0.5)
+        g, gen = tail_generator(n=4, smax=10.0, c1=0.5, c2=0.5)
         with pytest.raises(ConfigurationError, match="source interval"):
-            sB_probe_infinite(p, 0.0, [5, 10])
+            sB_probe_infinite(gen, 0.0, [5, 10])
 
 
 class TestDetectAEG:

@@ -169,7 +169,8 @@ def generator(spec, n=37, m=1.0, **over):
 
 def dense_blocks(g, p, K):
     # the four blocks written out densely from the model formulas:
-    # transport A, loss B1, coupling B2 and recruitment B3
+    # transport A, loss B1, coupling B2 and recruitment B3 (zero when K
+    # is None)
     n, h = g.n, g.h
     A, B1, B2, B3 = (np.zeros((2 * n, 2 * n)) for _ in range(4))
     for k, ge in enumerate((p.gamma1_edges, p.gamma2_edges)):
@@ -181,13 +182,15 @@ def dense_blocks(g, p, K):
     B1[n + i, n + i] = -p.c2
     B2[i, n + i] = p.c2
     B2[n + i, i] = p.c1
-    B3[:n, :n] = K.beta * h
+    if K is not None:
+        B3[:n, :n] = K.beta * h
     return A, B1, B2, B3
 
 
-def dense_recruitment_free(gen):
-    # B = A + B1 + B2 of a generator's inputs
-    return sum(dense_blocks(gen.grid, gen.params, gen.kernel)[:3])
+def dense_recruitment_free(p):
+    # B = A + B1 + B2 from the coefficients alone, independent of the
+    # generator's arrays
+    return sum(dense_blocks(p.grid, p, None)[:3])
 
 
 def dense_generator(g, p, K):
@@ -204,7 +207,7 @@ class TestGeneratorStructure:
         mixes = bool(np.triu(K.beta, 1).any())
         assert K.mixes_at.any() == mixes
         assert (gen.cell_blocks() is None) == mixes
-        pairs = [(dense_recruitment_free(gen), gen.recruitment_free)]
+        pairs = [(dense_recruitment_free(p), gen.recruitment_free)]
         for D, op in pairs + ([] if mixes else [(M, gen)]):
             a, b, c, d = op.cell_blocks()
             assert np.array_equal(a, D[i, i])
