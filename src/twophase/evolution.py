@@ -100,13 +100,13 @@ class Trajectory:
 
 @dataclass
 class MassBalanceReport:
-    """Per-step defect of the bulk mass identity.
+    """Per-record defect of the bulk mass identity.
 
-    ``drift[k]`` is the finite-difference mass derivative over step k
-    minus the recruitment-mortality source evaluated at the step's end
-    state.  For a closed system (no boundary loss) the backward-Euler
-    defect is solver roundoff; with outflow the drift equals minus the
-    boundary flux, which is reported separately.
+    ``drift[k]`` is the finite-difference mass derivative over record
+    stride k minus the recruitment-mortality source, less the boundary
+    outflow ``outflow[k]``, both evaluated at the stride's end state.
+    With one step per record this is the backward-Euler identity, and
+    the drift is solver roundoff.
     """
 
     drift: np.ndarray
@@ -391,13 +391,14 @@ def row_integrals(rows: np.ndarray, grid: SizeGrid) -> np.ndarray:
 
 
 def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassBalanceReport:
-    """Compare the mass derivative against the recruitment-mortality source.
+    """Compare the mass derivative against the source less the outflow.
 
-    The source at a state is sum_j (sum_i beta[i,j]*h - mu[j]) * u1[j] * h,
-    evaluated at the end of each step (matching backward Euler).  Requires
-    at least two records with a uniform stride, except that the last may
-    be shorter (the final record of a run whose stride does not divide
-    the step count).
+    The source at a state is sum_j (sum_i beta[i,j]*h - mu[j]) * u1[j] * h
+    and the outflow the flux gamma1*u1 + gamma2*u2 through the right
+    end, both evaluated at the end of each stride (matching backward
+    Euler).  Requires at least two records with a uniform stride, except
+    that the last may be shorter (the final record of a run whose stride
+    does not divide the step count).
     """
     if len(traj.records) < 2:
         raise InsufficientDataError("mass balance needs at least 2 records")
@@ -410,10 +411,10 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
     # per-parent net source rate: the integral of beta(., y) ds less mu
     net = kernel.column_sums() * h - params.mu
     ends = traj.records[1:]             # the state at each stride's end
-    drift = (np.diff(row_integrals(traj.records, traj.grid)) / steps
-             - ends[:, :n] @ net * h)
     outflow = (params.gamma1_edges[-1] * ends[:, n - 1]
                + params.gamma2_edges[-1] * ends[:, -1])
+    drift = (np.diff(row_integrals(traj.records, traj.grid)) / steps
+             - (ends[:, :n] @ net * h - outflow))
     return MassBalanceReport(drift=drift,
                              max_abs_drift=float(np.abs(drift).max()),
                              outflow=outflow)

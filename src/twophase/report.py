@@ -37,19 +37,20 @@ STAGES_ALL = ("criteria", "spectrum", "simulate")
 
 @dataclass
 class RunReport:
-    """Everything one pipeline invocation produced."""
+    """Everything one pipeline invocation produced, field by field the
+    members of its JSON report, in order; each stage fills its own."""
 
-    scenario_name: str
+    scenario: str
     scenario_echo: dict
-    verdict: Optional[object] = None
-    spectral: Optional[SpectralReport] = None
-    mass_report: Optional[object] = None
-    trajectory_files: list = field(default_factory=list)
-    simulate: Optional[dict] = None
-    timings: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
     complete: bool = False
     error: Optional[str] = None
+    verdict: Optional[object] = None
+    spectral: Optional[SpectralReport] = None
+    mass_balance: Optional[object] = None
+    trajectory_files: list = field(default_factory=list)
+    checks: list = field(default_factory=list)
+    simulate: Optional[dict] = None
+    timings: dict = field(default_factory=dict)
 
 
 def atomic_write_text(path: str, text: str):
@@ -134,20 +135,7 @@ def _peak_rss_kb() -> Optional[int]:
 
 
 def report_to_json(rep: RunReport) -> str:
-    doc = {
-        "scenario": rep.scenario_name,
-        "scenario_echo": _jsonable(rep.scenario_echo),
-        "complete": rep.complete,
-        "error": rep.error,
-        "verdict": _jsonable(rep.verdict),
-        "spectral": _jsonable(rep.spectral),
-        "mass_balance": _jsonable(rep.mass_report),
-        "trajectory_files": rep.trajectory_files,
-        "checks": _jsonable(rep.checks),
-        "simulate": _jsonable(rep.simulate),
-        "timings": _jsonable(rep.timings),
-    }
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(_jsonable(rep), indent=2, allow_nan=False)
     # the peak is read once the rest is serialised, so that it holds the
     # serialisation's transient, and appended as the last member
     return f'{text[:-2]},\n  "peak_rss_kb": {json.dumps(_peak_rss_kb())}\n}}'
@@ -234,21 +222,22 @@ def _check(name: str, predicted, measured, tol=None, reason=None,
     return entry
 
 
-def _rate_check(name: str, predicted: float, sp, exited) -> dict:
-    """Growth-rate fit against a predicted rate.
+def _rate_check(name: str, predicted: Optional[float], fit,
+                exited) -> dict:
+    """Growth-rate fit against a predicted rate (None when the spectrum
+    stage did not run).
 
     ``exited`` is the mass that left through the right end over the run
     and the initial mass; while the exit is below tol times the initial
     mass the run has not felt the truncation it is compared against.
     """
-    tol = RATE_TOL * max(1.0, abs(predicted))
-    fit = sp.aeg_fit if sp is not None else None
+    tol = RATE_TOL * max(1.0, abs(predicted or 0.0))
     reason = None
     if fit is None:
         reason = "no growth-rate fit"
     elif fit.extinct:
         reason = "extinct: the mass vanished in the fit window"
-    elif not math.isfinite(predicted):
+    elif predicted is None:
         reason = "spectrum stage not run"
     elif exited is not None and exited[0] < tol * exited[1]:
         reason = (f"pre-asymptotic: {exited[0]:.3g} of initial mass "
@@ -261,7 +250,8 @@ def _build_checks(rep: RunReport, traj) -> list:
     checks = []
     v = rep.verdict
     sp = rep.spectral
-    mb = rep.mass_report
+    mb = rep.mass_balance
+    fit = rep.simulate["aeg_fit"] if rep.simulate is not None else None
     # total boundary outflow (sum of outflow * record stride) and the
     # initial mass; a mass report implies a trajectory
     exited = None
@@ -290,28 +280,30 @@ def _build_checks(rep: RunReport, traj) -> list:
         checks.append(_check("spectral_gap_presence", gap_predicted,
                              measured_gap, reason=reason))
         if v.predicted == NO_GAP:
-            checks.append(_rate_check("vanishing_growth_rate", 0.0, sp,
+            checks.append(_rate_check("vanishing_growth_rate", 0.0, fit,
                                       exited))
         if v.predicted == EMPTY_SPECTRUM:
             checks.append(_check(
                 "empty_spectrum_refinement_divergence", True,
                 sp.s_A_divergent if sp is not None else None,
                 reason="spectrum stage not run" if sp is None else None))
-    if sp is not None and sp.aeg_fit is not None and not sp.aeg_fit.extinct:
-        checks.append(_rate_check("growth_rate_two_routes", sp.s_A, sp,
+    if fit is not None and not fit.extinct:
+        checks.append(_rate_check("growth_rate_two_routes",
+                                  sp.s_A if sp is not None else None, fit,
                                   exited))
     if mb is not None and v is not None:
-        # the drift is the defect of the closed-system mass identity: it
-        # vanishes to roundoff only without outflow and, unless births
-        # balance deaths, with one step per record
+        # the drift is the defect of the mass identity, exit flux
+        # included: with one step per record it is backward Euler's and
+        # vanishes to roundoff; a longer stride adds the quadrature error
+        # of the source and the outflow, which vanishes only when births
+        # balance deaths and no mass leaves
         tol = DRIFT_TOL * exited[1]
         reason = None
-        if mb.outflow.max() > tol:
-            reason = "boundary outflow: the drift includes the exit flux"
-        elif (v.conservativity != "neutral"
-              and len(traj.times) < len(traj.step_times)):
+        if (len(traj.times) < len(traj.step_times)
+                and (v.conservativity != "neutral"
+                     or mb.outflow.max() > tol)):
             reason = ("records span several steps: the drift includes the "
-                      "source quadrature error")
+                      "quadrature error of the source and the outflow")
         checks.append(_check("mass_conservation_class", v.conservativity,
                              mb.max_abs_drift, tol, reason, target=0.0))
     return checks
@@ -325,7 +317,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
     marked incomplete before the error propagates.
     """
     out_dir = out_dir or scn.out_dir or "."
-    rep = RunReport(scenario_name=scn.name, scenario_echo=scn.raw)
+    rep = RunReport(scenario=scn.name, scenario_echo=scn.raw)
     report_path = os.path.join(out_dir, f"{scn.name}_report.json")
     traj = None
     try:
@@ -352,20 +344,15 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
             t0 = time.perf_counter()
             U0 = scn.initial_state()
             traj = evolve(gen, U0, scn.dt, scn.T, scn.record_every)
-            rep.simulate = {"route": traj.route, "terms": traj.terms,
-                            "tail_bound": traj.tail_bound}
-            if len(traj.step_times) >= 2:
-                rep.mass_report = mass_balance(traj, scn.kernel, scn.params)
             try:    # detect_AEG alone decides whether the window fits
                 fit = detect_AEG(traj, eig_candidate=getattr(
                     rep.spectral, "eigfun", None))
             except InsufficientDataError:
                 fit = None
-            if fit is not None:
-                rep.spectral = rep.spectral or SpectralReport(
-                    s_A=float("nan"), eigfun=None,
-                    s_B_divergent=scn.grid.kind == FINITE)
-                rep.spectral.aeg_fit = fit
+            rep.simulate = {"route": traj.route, "terms": traj.terms,
+                            "tail_bound": traj.tail_bound, "aeg_fit": fit}
+            if len(traj.step_times) >= 2:
+                rep.mass_balance = mass_balance(traj, scn.kernel, scn.params)
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")
             write_trajectory_csv(traj_path, traj)

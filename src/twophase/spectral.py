@@ -57,6 +57,8 @@ class AEGFit:
     least-squares slope p of log(mass) under backward Euler estimates
     log(1/(1 - lambda*dt))/dt, so the generator eigenvalue is recovered
     as (1 - exp(-p*dt))/dt.  ``lambda0_raw`` keeps the uncorrected slope.
+    ``residual`` is the last record's L1 distance to the eigenfunction
+    candidate, both normalised to unit mass; None without a candidate.
     """
 
     lambda0_fit: Optional[float]
@@ -99,7 +101,6 @@ class SpectralReport:
     eps_bar: Optional[float] = None
     Delta: Optional[float] = None
     gap: Optional[float] = None
-    aeg_fit: Optional[AEGFit] = None
     probe: Optional[list] = None    # list of ProbeResult, one per lambda
     s_A_route: Optional[str] = None
     s_A_bracket: Optional[tuple] = None
@@ -292,15 +293,17 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     Every shift is fetched as ``gen.factorization(sigma, above=True)``,
     whose positivity certificate (the one the implicit step uses) places
     it above the spectral bound, so the resolvent's dominant eigenvalue
-    belongs to the Perron pair; a re-centred shift that fails it is
-    rejected and the next move goes halfway back toward the current
-    shift.  Returns the estimate, the final iterate and its
+    belongs to the Perron pair and (sigma - M)^{-1} >= 0 keeps the
+    positive start vector nonnegative; the certified factor is kept for
+    the solves.  A re-centred shift that fails it is rejected, the
+    current factor stays, and the next move goes halfway back toward the
+    current shift.  Returns the estimate, the final iterate and its
     Collatz-Wielandt bracket; IterationError, carrying that bracket, when
     ``max_iter`` runs out or the final iterate is not strictly positive.
     """
     top = gen.line_sum_bound() + 1.0
     try:
-        gen.factorization(top, above=True)
+        fact = gen.factorization(top, above=True)
     except SpectralProximityError:
         raise NumericalError("positivity certificate failed at the "
                              "initial shift")
@@ -309,7 +312,7 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     x = np.full(n2, 1.0 / n2)
     lam = problem = None
     for it in range(max_iter):
-        y = gen.factorization(sigma).solve(x)
+        y = fact.solve(x)
         theta = float(x @ y) / float(x @ x)
         if theta == 0 or not np.isfinite(theta):
             raise IterationError(
@@ -329,14 +332,12 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
             if target <= floor:
                 target = 0.5 * (floor + sigma)
             try:
-                gen.factorization(target, above=True)
+                fact = gen.factorization(target, above=True)
                 sigma = target
             except SpectralProximityError:
                 floor = max(floor, target)
     else:
         problem = f"did not settle in {max_iter} steps"
-    if x.sum() < 0:
-        x = -x
     if problem is None and x.min() <= 0:
         problem = "ended on an iterate that is not strictly positive"
     bracket = _collatz_wielandt(gen.full, x)
@@ -549,7 +550,9 @@ def detect_AEG(traj: Trajectory, eig_candidate: Optional[StateVector] = None) ->
 
     Uses the dense per-step mass series for the growth rate and the
     decimated profile records for the shape convergence; both fits use
-    the last half of the trajectory so the transient has died out.
+    the last half of the trajectory so the transient has died out.  The
+    profiles converge toward ``eig_candidate`` when given, else toward
+    the last record.
     """
     t = traj.step_times
     m = traj.step_masses
@@ -578,7 +581,8 @@ def detect_AEG(traj: Trajectory, eig_candidate: Optional[StateVector] = None) ->
     dists = row_integrals(np.abs(X[live] / masses[live, None] - ref),
                           traj.grid)
     dtimes = traj.times[rlo:][live]
-    residual = float(dists[-1]) if dists.size else None
+    residual = (float(dists[-1])
+                if eig_candidate is not None and dists.size else None)
     if eig_candidate is None and dists.size >= 2:
         # the reference is the final profile itself; drop its zero distance
         dists, dtimes = dists[:-1], dtimes[:-1]

@@ -119,6 +119,15 @@ class TestConservativity:
         assert cls == "super"
         assert mmin == pytest.approx(1.0)
 
+    def test_mixed(self):
+        # mu of 0.5 below s = 0.5 and 1.5 above against births of 1
+        g = build_grid("finite", 1.0, 50)
+        p = params_on(g, mu={"form": "table",
+                             "points": [[0.0, 0.5], [0.5, 1.5]]})
+        cls, mmin, mmax, *_ = classify_conservativity(build_kernel(1.0, g), p)
+        assert cls == "mixed"
+        assert mmin == pytest.approx(-0.5) and mmax == pytest.approx(0.5)
+
     def test_sub_with_decaying_tail(self):
         g = build_grid("truncated_infinite", 30.0, 300)
         K = build_kernel({"form": "indicator", "s_lo": 0.0, "s_hi": 1.0,

@@ -68,6 +68,17 @@ class TestSampleParams:
         with pytest.raises(ValidationError):
             const_params(g, gamma1=0.5, gamma0=1.0)
 
+    def test_gamma_below_bound_at_edge_only_rejected(self):
+        # on n = 2 both cell centers (0.25, 0.75) read 1; the edge at 0.5
+        # reads 0.5, which the transport flux uses
+        g = build_grid("finite", 1.0, 2)
+        gamma1 = {"form": "table", "points": [[0.0, 1.0], [0.5, 0.5],
+                                              [0.51, 1.0]]}
+        with pytest.raises(ValidationError) as ei:
+            const_params(g, gamma1=gamma1)
+        assert str(ei.value) == "gamma1 drops below gamma0=1 at edge 1 (s=0.5)"
+        assert ei.value.field == "gamma1" and ei.value.cell == 1
+
     def test_table_step_interpolation(self):
         g = build_grid("finite", 1.0, 4)
         p = const_params(g, mu={"form": "table",

@@ -30,15 +30,17 @@ def test_scenario_block_reports(tmp_path):
 
 
 def test_simulate_report_is_strict_json(tmp_path):
-    # the simulate stage alone has no s_A to predict the growth rate with:
-    # both read null
+    # the simulate stage alone writes no spectral record, and has no s_A
+    # to predict the growth rate with, nor an eigenfunction to measure
+    # the profile's residual against: all read null
     path = tmp_path / "demo.json"
     path.write_text(code_block("json"))
     name = json.loads(path.read_text())["name"]
     assert cli_main(["simulate", str(path), "--n", "60", "--dt", "0.01",
                      "--out", str(tmp_path)]) == 0
     doc = strict_json((tmp_path / f"{name}_report.json").read_text())
-    assert doc["spectral"]["s_A"] is None
+    assert doc["spectral"] is None
+    assert doc["simulate"]["aeg_fit"]["residual"] is None
     check, = doc["checks"]
     assert check["check"] == "growth_rate_two_routes"
     assert check["predicted"] is None and check["status"] == "n/a"

@@ -181,7 +181,7 @@ class TestReportJSON:
         # NaN and infinite floats, numpy scalars and array entries, in
         # every part of the report, including the echo and the timings
         rep = twophase.report.RunReport(
-            scenario_name="x", scenario_echo={"a": [float("nan"), 1.0]},
+            scenario="x", scenario_echo={"a": [float("nan"), 1.0]},
             timings={"t": float("inf")},
             checks=[{"predicted": np.float64("nan"), "ratios": [np.inf],
                      "norms": np.array([[1.0, np.nan]]),
@@ -195,7 +195,7 @@ class TestReportJSON:
     def test_peak_rss_reads_null_without_resource(self, monkeypatch):
         # the report holds the process's peak RSS where the platform has
         # the resource module, and null elsewhere
-        rep = twophase.report.RunReport(scenario_name="x", scenario_echo={})
+        rep = twophase.report.RunReport(scenario="x", scenario_echo={})
         doc = strict_json(twophase.report.report_to_json(rep))
         assert isinstance(doc["peak_rss_kb"], int) and doc["peak_rss_kb"] > 0
         monkeypatch.setitem(sys.modules, "resource", None)
@@ -315,7 +315,49 @@ class TestCLI:
             == (status == "pass")
         assert checks["spectral_gap_presence"]["status"] == "pass"
         assert checks["mass_conservation_class"]["reason"].startswith(
-            "boundary outflow")
+            "records span several steps")
+
+    @pytest.mark.parametrize("dt, record_every, status", [
+        (1e-2, 1, "pass"), (1e-3, 1, "pass"), (1e-2, 10, "n/a")])
+    def test_mass_check_judges_runs_that_lose_mass(self, tmp_path, dt,
+                                                   record_every, status):
+        # the drift adds the exit flux back: with one step per record it
+        # is backward Euler's mass identity, 4e-14 on the step loop (dt
+        # 1e-2) and 7e-13 on the randomized route (dt 1e-3), where it
+        # read about the outflow, up to 1.6; over ten steps per record it
+        # holds the quadrature error, 0.22 at dt 1e-2
+        doc = minimal_doc(run={"dt": dt, "T": 1.0,
+                               "record_every": record_every})
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        d = json.loads((out / "minimal_report.json").read_text())
+        assert d["simulate"]["route"] == ("steps" if dt == 1e-2
+                                          else "randomized")
+        assert max(d["mass_balance"]["outflow"]) > 0.9
+        c = {c["check"]: c for c in d["checks"]}["mass_conservation_class"]
+        assert c["predicted"] == "neutral" and c["status"] == status
+        if status == "pass":
+            assert c["measured"] <= 1e-12 <= c["tol"]
+        else:
+            assert c["measured"] == pytest.approx(0.2224, abs=1e-4)
+            assert c["reason"].startswith("records span several steps")
+
+    def test_closed_form_lambda_star_without_gap_bound(self, tmp_path):
+        # constant c2 on an unbounded domain gives the closed-form s_B as
+        # lambda*; a mu that is not constant leaves no gap bound
+        doc = minimal_doc(
+            domain={"kind": "truncated_infinite", "smax": 20.0, "n": 200},
+            kernel={"form": "indicator", "s_lo": 0.0, "s_hi": 1.0})
+        doc["coefficients"]["mu"] = {"form": "table",
+                                     "points": [[0.0, 2.0], [5.0, 1.0]]}
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
+        assert sp["lambda_star"] == -0.38196601125010515
+        assert sp["eps_bar"] is None and sp["Delta"] is None
+        assert sp["gap"] == pytest.approx(0.1045239715648617, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
     def test_finite_s_B_is_divergent_without_rates(self, tmp_path, mu):
@@ -331,11 +373,11 @@ class TestCLI:
         assert "s_B_surrogate" not in sp and sp["gap"] is None
 
     @pytest.mark.parametrize("finite", [True, False])
-    def test_simulate_only_s_B_divergent_follows_domain(self, tmp_path,
-                                                         finite):
-        # with no spectrum stage, the growth fit still fills a spectral
-        # record, whose s_B_divergent says what the spectrum stage would:
-        # true on a finite domain, false on the truncated demo
+    def test_simulate_only_report_has_no_spectral_record(self, tmp_path,
+                                                          finite):
+        # with no spectrum stage the report holds no spectral record: the
+        # growth fit is the simulate record's, with no eigenfunction to
+        # measure the residual against, and its check predicts nothing
         if finite:
             doc = minimal_doc(kernel={"form": "constant", "value": 2.0},
                               run={"dt": 1e-2, "T": 10.0, "record_every": 10})
@@ -344,10 +386,14 @@ class TestCLI:
         out = tmp_path / "o"
         assert run_cli(["simulate", write(tmp_path, doc), "--out",
                         str(out)]) == 0
-        sp = json.loads((out / f"{doc['name']}_report.json").read_text()
-                        )["spectral"]
-        assert sp["s_A"] is None and sp["aeg_fit"] is not None
-        assert sp["s_B_divergent"] is finite
+        d = json.loads((out / f"{doc['name']}_report.json").read_text())
+        assert d["spectral"] is None
+        fit = d["simulate"]["aeg_fit"]
+        assert fit["lambda0_fit"] is not None and fit["residual"] is None
+        check, = d["checks"]
+        assert check == {"check": "growth_rate_two_routes", "predicted": None,
+                         "measured": fit["lambda0_fit"], "tol": 1e-2,
+                         "status": "n/a", "reason": "spectrum stage not run"}
 
     def test_report_on_table_kernel_computes_mixing_once(
             self, tmp_path, mixing_computations):
@@ -492,7 +538,7 @@ class TestCLI:
         assert run_cli(["report", path, "--out", str(out)]) == 0
         d = json.loads((out / "minimal_report.json").read_text())
         assert d["complete"]
-        assert d["spectral"]["aeg_fit"] is None
+        assert d["simulate"]["aeg_fit"] is None
 
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_short_last_record_stride_accepted(self, tmp_path, command):
@@ -616,6 +662,24 @@ class TestCLI:
                         str(out), "--vary", "kernel.value", rng]) == 2
         assert "range must be finite and increasing" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, command, message", [
+        ("run", "dt", 0.0, "report", "dt must be positive"),
+        ("run", "T", -1.0, "report", "T must be >= 0"),
+        ("run", "record_every", 0, "report", "record_every must be >= 1"),
+        ("spectral", "tol", 0.0, "report", "tol must be positive"),
+        (None, None, None, "sweep", "range must be a:b:step, got '1:2'")])
+    def test_setting_out_of_range_exit_2_writes_nothing(
+            self, tmp_path, capsys, section, key, value, command, message):
+        doc = minimal_doc(run={"dt": 1e-2, "T": 1.0})
+        if section is not None:
+            doc.setdefault(section, {})[key] = value
+        argv = [command, write(tmp_path, doc), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--vary", "kernel.value", "1:2"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_range_with_too_many_points_exit_2(self, tmp_path, capsys):
         # the points are counted before any is built: 1e300 of them
@@ -875,7 +939,7 @@ class TestCLI:
         assert run_cli(["report", write(tmp_path, doc),
                         "--out", str(out)]) == 0
         d = json.loads((out / "minimal_report.json").read_text())
-        fit = d["spectral"]["aeg_fit"]
+        fit = d["simulate"]["aeg_fit"]
         checks = [c["check"] for c in d["checks"]]
         assert (fit is not None) == fitted
         assert ("growth_rate_two_routes" in checks) == fitted

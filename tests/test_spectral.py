@@ -631,11 +631,10 @@ class TestPowerRoute:
         assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
 
     def test_iterate_that_is_not_positive_raises(self, monkeypatch):
-        # every solve after the certificate at the first shift returns
-        # its last entry negated
+        # every solve on a factor the generator returns, once certified,
+        # gives its last entry negated
         g, p, K, gen = make(n=20, kernel=table_of(1.0, 20))
         real = gen.factorization
-        calls = []
 
         class Flipped:
             def __init__(self, fact):
@@ -647,9 +646,7 @@ class TestPowerRoute:
                 return y
 
         def factorization(lam, **kwargs):
-            calls.append(lam)
-            fact = real(lam, **kwargs)
-            return fact if len(calls) == 1 else Flipped(fact)
+            return Flipped(real(lam, **kwargs))
 
         monkeypatch.setattr(gen, "factorization", factorization)
         with pytest.raises(IterationError, match="not strictly positive") \

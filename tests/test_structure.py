@@ -232,6 +232,14 @@ class TestGeneratorStructure:
         assert spectral_bound(gen).route == (
             "power" if K.relation == "s<y" else "exact")
 
+    def test_power_route_solves_on_its_certified_factor(self, splu_calls):
+        # each accepted shift is factored once, with its certificate, and
+        # solved on until the next: a rejected re-centred shift does not
+        # evict the working factor
+        g, p, K, gen = generator(KERNEL_FORMS["table"])
+        assert spectral_bound(gen).route == "power"
+        assert len(splu_calls) == 4
+
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_line_sum_bound_lies_above_spectral_bound(self, name):
         g, p, K, gen = generator(KERNEL_FORMS[name])
