@@ -14,9 +14,8 @@ length 2n) as the sum of four parts:
 
 A generator keeps the per-cell arrays of the first three parts and the
 structured kernel, and applies M from them (``apply``, O(n) for every
-built-in kernel).  Only the general LU and the Collatz-Wielandt bracket
-need the whole generator as one sparse matrix (``full``), built on first
-use and cached.
+built-in kernel).  Only the general LU needs the whole generator as one
+sparse matrix (``full``), built on first use and cached.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization
 and, for transport alone, by the analytic formula (one O(n) forward
@@ -38,11 +37,11 @@ cells of its largest truncation alone.  ``DiscreteGenerator.block_sweep``
 solves a block lower triangular generator (B, or one whose kernel does
 not mix) by one pure-Python forward sweep over the cell blocks, with no
 factor at all: the exact eigenvectors come from it, and the
-characteristic equation falls back on it where the banded solve
-overflows.  scipy is imported
-only by the code that builds ``full`` or factors it; the banded route
-loads scipy's compiled BLAS extension ``scipy.linalg._fblas`` alone,
-never the ``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
+characteristic equation falls back on it, off its common path, where
+the banded solve overflows.  scipy is imported only by the code that
+builds ``full`` or factors it; the banded route loads scipy's compiled
+BLAS extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
+``scipy.linalg`` or ``scipy.sparse`` packages.
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ class DiscreteGenerator:
         """The full generator as one sparse matrix (u1 stacked over u2):
         ``recruitment_free`` plus the recruitment quadrature
         B3[i, j] = beta(s_i, y_j) * h in the phase-1/phase-1 position.
-        Built on first use, for the general LU and the Collatz-Wielandt
-        bracket; it materialises the n x n kernel."""
+        Built on first use, for the general LU alone; it materialises the
+        n x n kernel."""
         import scipy.sparse as sp
         a, b, c, d = self.recruitment_free.cell_blocks()
         in1, in2 = self.inflow
@@ -364,10 +363,10 @@ class DiscreteGenerator:
         once at the end by the power of two they still need (at once for
         a dense kernel, whose row product needs them at one scale).
         O(n) (a row product per cell for a dense kernel), with no LU, but
-        one Python step per cell: the banded factor solves
-        ``recruitment_free`` far faster, and the characteristic equation
-        comes here only where that solve overflows (its 0 * inf products
-        give NaN where this sweep passes nothing on).
+        one Python step per cell: the banded factor solves B far faster,
+        and the characteristic equation comes here only where that solve
+        overflows (its 0 * inf products give NaN where this sweep passes
+        nothing on), off the common path of ``spectral_bound``.
         """
         n, h, K = self.grid.n, self.grid.h, self.kernel
         x1, x2 = [0.0] * n, [0.0] * n

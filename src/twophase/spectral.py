@@ -16,7 +16,7 @@ Four independent routes to spectral information are provided:
         phi(lo) > 1 >= phi(hi);
       - ``power``: shift-and-invert power iteration for every other
         kernel, on shifts certified by the factor's own positivity test
-        (the implicit step's), with a Collatz-Wielandt bracket;
+        (the implicit step's), bracketed from its last solve;
     both iterative routes open 1 above the generator's line-sum bound,
     which lies above its spectral bound;
   * closed-form expressions for the recruitment-free spectral bound and
@@ -162,7 +162,7 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     products put NaN even into entries that stay finite, so the
     evaluation is redone by one forward sweep of B
     (``DiscreteGenerator.block_sweep``), which reads an overflow as +inf,
-    never NaN.
+    never NaN (most often at s_B+, see ``_characteristic_bound``).
     """
     f, g = gen.kernel.rank_one
     n, B = gen.grid.n, gen.recruitment_free
@@ -193,8 +193,11 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
     tol, and one evaluation just across it closes the bracket.  The
     eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
     nearer 1, redone as a forward sweep of ``gen.recruitment_free``
-    rescaled by powers of two where that solve overflowed.  If
-    phi(s_B+) <= 1, then s_A = s_B (see ``_boundary_eigenvector``).
+    rescaled by powers of two where that solve overflowed.  phi(s_B+),
+    whose solve often overflows, is solved once, when the loop first
+    bisects or ends while lo is still s_B: Newton steps land below the
+    root, so with none above s_B the first one bisects, phi(s_B+) <= 1
+    and s_A = s_B (see ``_boundary_eigenvector``).
     """
     s_B = recruitment_free_bound(gen)
     hi = gen.line_sum_bound() + 1.0
@@ -202,10 +205,8 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
     if phi_hi >= 1.0:
         raise NumericalError("characteristic function is not below 1 at "
                              "the initial shift")
-    phi_lo, x_lo = characteristic_function(gen, np.nextafter(s_B, math.inf))
-    if phi_lo <= 1.0:
-        return s_B, _boundary_eigenvector(gen, phi_lo, x_lo), (s_B, s_B)
-    lo = s_B
+    lo, phi_lo = s_B, None      # phi(s_B+) is solved only when needed
+    s_B_up = np.nextafter(s_B, math.inf)
     lam, phi, x, step = hi, phi_hi, x_hi, math.inf
     for _ in range(max_iter):
         if hi - lo <= tol * max(1.0, abs(hi)):
@@ -219,6 +220,10 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
             step = _newton_step(gen, lam, phi, x)
             nxt = lam + step
         if not lo < nxt < hi:
+            if phi_lo is None:      # is there a root above s_B at all?
+                phi_lo, x_lo = characteristic_function(gen, s_B_up)
+                if phi_lo <= 1.0:
+                    break
             nxt, step = 0.5 * (lo + hi), math.inf
             if not lo < nxt < hi:       # lo and hi are adjacent floats
                 break
@@ -232,6 +237,10 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
         raise IterationError(
             f"characteristic equation did not settle in {max_iter} steps: "
             f"s_A in [{lo:.12g}, {hi:.12g}]", estimate=hi, bracket=(lo, hi))
+    if phi_lo is None:
+        phi_lo, x_lo = characteristic_function(gen, s_B_up)
+    if phi_lo <= 1.0:
+        return s_B, _boundary_eigenvector(gen, phi_lo, x_lo), (s_B, s_B)
 
     def distance(p):
         return abs(math.log(p)) if p > 0 else math.inf
@@ -272,33 +281,20 @@ def _boundary_eigenvector(gen: DiscreteGenerator, phi: float,
     return x_B
 
 
-def _collatz_wielandt(M, x: np.ndarray) -> tuple[float, float]:
-    """Bracket min_i (Mx)_i/x_i <= s(M) <= max_i (Mx)_i/x_i for a Metzler M.
-
-    Taken on the nonnegative part of x: the lower end holds for any
-    nonnegative x != 0 (minimum over its support), the upper end only
-    for x > 0 and is infinite otherwise (Horn & Johnson, *Matrix
-    Analysis*, ch. 8).
-    """
-    x = np.clip(x, 0.0, None)
-    pos = x > 0
-    ratio = (M @ x)[pos] / x[pos]
-    return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
-
-
 def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
     """Shift-and-invert power iteration with certified shifts.
 
-    The first shift is ``gen.line_sum_bound()`` + 1.
-    Every shift is fetched as ``gen.factorization(sigma, above=True)``,
-    whose positivity certificate (the one the implicit step uses) places
-    it above the spectral bound, so the resolvent's dominant eigenvalue
-    belongs to the Perron pair and (sigma - M)^{-1} >= 0 keeps the
-    positive start vector nonnegative; the certified factor is kept for
-    the solves.  A re-centred shift that fails it is rejected, the
+    The first shift is ``gen.line_sum_bound()`` + 1.  Every shift is
+    fetched as ``gen.factorization(sigma, above=True)``, whose positivity
+    certificate (the one the implicit step uses) places it above the
+    spectral bound, so the resolvent's dominant eigenvalue belongs to the
+    Perron pair and (sigma - M)^{-1} >= 0 keeps the positive start vector
+    nonnegative; the certified factor is kept for the solves.  A re-centred shift that fails it is rejected, the
     current factor stays, and the next move goes halfway back toward the
-    current shift.  Returns the estimate, the final iterate and its
-    Collatz-Wielandt bracket; IterationError, carrying that bracket, when
+    current shift.  Returns the estimate, the final iterate and the
+    Collatz-Wielandt bracket of the last solve y = (sigma - M)^{-1} x:
+    min and max of y_i/x_i over x_i > 0 bound 1/(sigma - s_A), the max
+    only if x > 0; IterationError, carrying that bracket, when
     ``max_iter`` runs out or the final iterate is not strictly positive.
     """
     top = gen.line_sum_bound() + 1.0
@@ -320,7 +316,7 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
                 estimate=lam)
         lam_new = sigma - 1.0 / theta
         ynorm = float(np.abs(y).sum())
-        x = y / ynorm
+        prev, solved_at, x = x, sigma, y / ynorm
         if lam is not None and abs(lam_new - lam) < tol:
             lam = lam_new
             break
@@ -340,7 +336,11 @@ def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
         problem = f"did not settle in {max_iter} steps"
     if problem is None and x.min() <= 0:
         problem = "ended on an iterate that is not strictly positive"
-    bracket = _collatz_wielandt(gen.full, x)
+    pos = prev > 0
+    ratio = y[pos] / prev[pos]      # a zero ratio puts the lower end at -inf
+    r_lo, r_hi = float(ratio.min()), float(ratio.max())
+    bracket = (solved_at - 1.0 / r_lo if r_lo > 0 else -math.inf,
+               solved_at - 1.0 / r_hi if pos.all() else math.inf)
     if problem is not None:
         raise IterationError(
             f"power iteration {problem}: s_A in [{bracket[0]:.12g}, "
@@ -361,10 +361,11 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         whole matrix; the bracket is (s, s);
       * ``characteristic``: a mixing rank-1 kernel f g^T; s is the root
         above s_B of phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1
-        (s = s_B when phi(s_B+) <= 1), found by safeguarded Newton on
-        log phi from O(n) banded factors of lambda - B (a forward sweep
-        where the factor overflows), with no LU; the bracket (lo, hi)
-        has phi(lo) > 1 >= phi(hi) and hi - lo <= tol * max(1, |hi|);
+        (s = s_B when phi(s_B+) <= 1, solved only where needed), found by
+        safeguarded Newton on log phi from O(n) banded factors of
+        lambda - B (a forward sweep where the factor overflows), with no
+        LU; the bracket (lo, hi) has phi(lo) > 1 >= phi(hi) and
+        hi - lo <= tol * max(1, |hi|);
       * ``power``: every other kernel (tables, callables, ``s<y``), by
         shift-and-invert power iteration x <- (sigma - M)^{-1} x that
         estimates the eigenvalue as sigma - 1/theta (theta the Rayleigh
@@ -373,20 +374,20 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         accepting only shifts that the factor's own positivity
         certificate (``DiscreteGenerator.factorization`` with ``above``,
         as for the implicit step) places above the bound; the bracket is
-        the Collatz-Wielandt bracket of the final iterate.
+        the Collatz-Wielandt bracket of the last solve, not of M.
 
     The characteristic bracket opens from above, and the power iteration
     takes its first shift, at 1 above the line-sum bound of the full
     generator (``DiscreteGenerator.line_sum_bound``), which its Metzler
     sign pattern places above the spectral bound.  The options are
-    keyword-only; the recruitment-free bound s_B is
-    ``recruitment_free_bound``.
-    IterationError (with the bracket reached) when an iterative route
-    does not settle in ``max_iter`` steps or, for the power route, ends
-    on an iterate that is not strictly positive.
+    keyword-only (``max_iter`` >= 1); the recruitment-free bound s_B is
+    ``recruitment_free_bound``.  IterationError (with the bracket
+    reached) when an iterative route does not settle in ``max_iter``
+    steps or, for the power route, ends on an iterate that is not
+    strictly positive.
     """
-    if tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    if tol <= 0 or max_iter < 1:
+        raise ConfigurationError("tol must be positive, max_iter >= 1")
     if gen.cell_blocks() is not None:
         route = "exact"
         lam, x = _exact_bound(gen)

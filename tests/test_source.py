@@ -54,3 +54,31 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_no_unreferenced_private_functions():
+    # every module-level _name function or class is referenced in the
+    # package outside its own definition (called, imported or read as an
+    # attribute), so a helper that a change leaves without callers shows
+    paths = sorted(pathlib.Path(twophase.__file__).parent.glob("*.py"))
+    assert paths
+    statements = [(path.name, node) for path in paths
+                  for node in ast.parse(path.read_text(), str(path)).body]
+
+    def references(node) -> set:
+        names = _names_used(node)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name)
+        return names
+
+    refs = [(node, references(node)) for _, node in statements]
+    found = [f"{module}:{node.lineno} {node.name}"
+             for module, node in statements
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.endswith("__")
+             and not any(node.name in names for other, names in refs
+                         if other is not node)]
+    assert found == []

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from twophase import operators
 from twophase.errors import (ConfigurationError, IterationError,
                              SpectralProximityError)
 from twophase.evolution import evolve
@@ -500,10 +501,12 @@ class TestCharacteristicRoute:
         # the profile piles up at the right end of phase 2
         assert bound.eigfun.u2.argmax() == g.n - 1
 
-    def test_probe_sweep_points_sweep_at_most_once(self, monkeypatch,
-                                                    splu_calls):
-        # each point solves on banded factors; only the evaluation just
-        # above s_B, where the factor overflows, takes the sweep
+    @pytest.mark.parametrize("name", ["demo"] + [
+        f"probe_sweep_mu{mu}" for mu in PROBE_SWEEP_MU])
+    def test_common_path_never_sweeps(self, name, monkeypatch, splu_calls):
+        # every solve is banded: the solve just above s_B, which
+        # overflows into the sweep on these generators, is never made,
+        # since a Newton step moves lo off s_B before any bisection
         calls = []
         real = DiscreteGenerator.block_sweep
 
@@ -511,13 +514,18 @@ class TestCharacteristicRoute:
             calls.append(1)
             return real(self, *args, **kwargs)
 
+        if name == "demo":
+            gen = demo_generator()[1]
+        else:
+            gen = make(mu=float(name[len("probe_sweep_mu"):]),
+                       **PROBE_SWEEP)[3]
+        s_B = recruitment_free_bound(gen)
+        with np.errstate(over="ignore"):
+            assert math.isinf(sweep_phi(gen, np.nextafter(s_B, math.inf)))
         monkeypatch.setattr(DiscreteGenerator, "block_sweep", counting)
-        for mu in PROBE_SWEEP_MU:
-            g, p, K, gen = make(mu=mu, **PROBE_SWEEP)
-            calls.clear()
-            assert spectral_bound(gen).route == "characteristic"
-            assert len(calls) <= 1
-        assert splu_calls == []
+        bound = spectral_bound(gen)
+        assert bound.route == "characteristic" and bound.bracket[0] > s_B
+        assert calls == [] and splu_calls == []
 
     @pytest.mark.parametrize("name", sorted(RANK_ONE))
     def test_root_matches_dense_oracle(self, name, splu_calls):
@@ -564,6 +572,35 @@ class TestCharacteristicRoute:
         x = bound.eigfun.stacked()
         assert np.flatnonzero(x).tolist() == [g.n + 49]
         assert np.abs(gen.full @ x - bound.s * x).max() == 0.0
+
+    @pytest.mark.parametrize("name", ["blind", "weak_1e-06", "weak_1.0"])
+    def test_s_A_at_s_B_costs_one_solve_more(self, name, monkeypatch):
+        # the s_A = s_B cases of the two tests above and below: phi(s_B+)
+        # is solved once, when the first Newton step from the top leaves
+        # the bracket: 3 solves on 2 banded factors (phi and phi' at the
+        # top, phi at s_B+)
+        if name == "blind":
+            gen = make(n=50, mu=200.0, c1=0.0, c2=0.0, kernel={
+                "form": "indicator", "s_hi": 0.2, "y_lo": 0.5,
+                "value": 1.0})[3]
+        else:
+            gen = mu_step_generator(10, float(name[len("weak_"):]))[3]
+        counts = {"factors": 0, "solves": 0}
+
+        class Counting(operators._BandedFactor):
+            def __init__(self, *args):
+                counts["factors"] += 1
+                super().__init__(*args)
+
+            def solve(self, rhs):
+                counts["solves"] += 1
+                return super().solve(rhs)
+
+        monkeypatch.setattr(operators, "_BandedFactor", Counting)
+        s_B = recruitment_free_bound(gen)
+        bound = spectral_bound(gen)
+        assert bound.s == s_B and bound.bracket == (s_B, s_B)
+        assert counts == {"factors": 2, "solves": 3}
 
     @pytest.mark.parametrize("value", [1e-6, 1.0])
     def test_weak_recruitment_leaves_s_B(self, value):
@@ -613,7 +650,73 @@ class TestCharacteristicRoute:
         assert lo < s_A < hi
 
 
+def collatz_wielandt(M, x):
+    # min_i (Mx)_i/x_i <= s(M) <= max_i (Mx)_i/x_i for a Metzler M, on
+    # the nonnegative part of x: the lower end holds for any nonnegative
+    # x != 0 (minimum over its support), the upper end only for x > 0
+    # (Horn & Johnson, Matrix Analysis, ch. 8)
+    x = np.clip(x, 0.0, None)
+    pos = x > 0
+    ratio = (M @ x)[pos] / x[pos]
+    return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
+
+
+# the tier-1 power cases: a dense table, s<y, a mixing callable and the
+# reducible table
+POWER = {
+    "table": lambda: make(n=50, kernel=table_of(1.0, 50))[3],
+    "s<y": lambda: make(n=50, kernel={"form": "indicator",
+                                      "relation": "s<y", "value": 3.0})[3],
+    "callable": lambda: make(n=40, kernel=lambda s, y: 1.0 + s * y)[3],
+    "reducible": lambda: reducible_generator(table=True)[3],
+}
+
+
 class TestPowerRoute:
+    @pytest.mark.parametrize("name", sorted(POWER))
+    def test_bracket_from_last_solve_matches_generator_oracle(self, name):
+        # the bracket of the resolvent on the last solve agrees with the
+        # Collatz-Wielandt bracket of M on the final iterate
+        gen = POWER[name]()
+        bound = spectral_bound(gen)
+        assert bound.route == "power"
+        lo, hi = bound.bracket
+        ref = collatz_wielandt(gen.full, bound.eigfun.stacked())
+        assert lo == pytest.approx(ref[0], rel=1e-12, abs=0)
+        assert hi == pytest.approx(ref[1], rel=1e-12, abs=0)
+        assert lo <= bound.s <= hi
+        if name != "reducible":
+            assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
+
+    def test_zero_ratio_gives_infinite_lower_end(self, monkeypatch):
+        # a solve that puts an exact zero where the iterate is positive
+        # has a zero ratio, whose reciprocal would raise: the lower end
+        # reads -inf, with no warning
+        gen = POWER["table"]()
+        real = gen.factorization
+
+        class Zeroed:
+            def __init__(self, fact):
+                self.fact = fact
+
+            def solve(self, rhs):
+                y = self.fact.solve(rhs)
+                y[-1] = 0.0
+                return y
+
+        monkeypatch.setattr(gen, "factorization",
+                            lambda lam, **kwargs: Zeroed(real(lam, **kwargs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationError, match="did not settle") as ei:
+                spectral_bound(gen, max_iter=1)
+        lo, hi = ei.value.bracket
+        assert lo == -math.inf and math.isfinite(hi)
+
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            spectral_bound(POWER["table"](), max_iter=0)
+
     def test_converged_iterate_gives_collatz_wielandt_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
         bound = spectral_bound(gen)
