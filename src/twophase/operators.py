@@ -28,19 +28,18 @@ blocks, so lambda - B factors as L_b D with no fill and no pivoting: D
 the cell blocks, L_b unit lower banded, each solve one BLAS banded
 triangular solve (dtbsv) and a vectorised D^{-1}, O(n).  A rank-1
 kernel (``Kernel.rank_one``) adds a Sherman-Morrison correction to that
-factor; the other kernels (tables, callables, factors masked by a
-relation) take a sparse LU (SuperLU) of lambda - M with a
-minimum-degree ordering of A + A^T.  A generator keeps only its last
-factor, which serves the repeated shifts of implicit steps, resolvents
-and eigensolves; the truncation probe factors B's cell blocks on the
+factor; for the other kernels (tables, callables, factors masked by a
+relation) implicit steps and resolvents take a sparse LU (SuperLU) of
+lambda - M with a minimum-degree ordering of A + A^T, while every
+eigensolve solves on B's banded factors alone.  A generator keeps only
+its last factor; the truncation probe factors B's cell blocks on the
 cells of its largest truncation alone.  ``DiscreteGenerator.block_sweep``
 solves a block lower triangular generator (B, or one whose kernel does
-not mix) by one pure-Python forward sweep over the cell blocks, with no
-factor at all: the exact eigenvectors come from it, and the
-characteristic equation falls back on it, off its common path, where
-the banded solve overflows.  scipy is imported only by the code that
-builds ``full`` or factors it; the banded route loads scipy's compiled
-BLAS extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
+not mix) by one pure-Python forward sweep over the cell blocks: the
+exact eigenvectors come from it, and the characteristic route falls
+back on it where the banded solve overflows.  scipy is imported only
+to build ``full`` or factor it; the banded route loads scipy's BLAS
+extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
 ``scipy.linalg`` or ``scipy.sparse`` packages.
 """
 
@@ -298,8 +297,9 @@ class DiscreteGenerator:
         pivoting), B = ``recruitment_free``, plus a Sherman-Morrison
         correction when f is nonzero; every other kernel (tables,
         callables, masked factors) takes a sparse LU (SuperLU) with a
-        minimum-degree ordering of A + A^T.  Only the last (lambda,
-        scale) factor is kept; a new key frees it first.
+        minimum-degree ordering of A + A^T, for implicit steps and
+        resolvents: eigensolves factor ``recruitment_free`` alone.  Only
+        the last (lambda, scale) factor is kept; a new key frees it.
         SpectralProximityError when the shift makes the matrix (or the
         correction) singular and, with ``above``, unless lambda lies above
         the spectral bound s_A, where (lambda - M)^{-1} >= 0: the banded

@@ -9,16 +9,12 @@ Four independent routes to spectral information are provided:
         block lower triangular in per-cell order (no recruitment, or a
         kernel that does not mix), the eigenvector by the forward sweep
         ``DiscreteGenerator.block_sweep``;
-      - ``characteristic``: for a mixing rank-1 kernel beta = f g^T, the
-        root above s_B of the discrete characteristic equation
-        phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1, each phi one
-        O(n) banded factor of lambda - B, with a bracket
-        phi(lo) > 1 >= phi(hi);
-      - ``power``: shift-and-invert power iteration for every other
-        kernel, on shifts certified by the factor's own positivity test
-        (the implicit step's), bracketed from its last solve;
-    both iterative routes open 1 above the generator's line-sum bound,
-    which lies above its spectral bound;
+      - ``characteristic``: for every mixing kernel, the root above s_B
+        of rho(K(lambda)) = 1, K(lambda) = h beta [(lambda - B)^{-1}]_11
+        the next-generation operator (for a rank-1 kernel f g^T, rho is
+        the characteristic function phi), each evaluation O(n) banded
+        solves of lambda - B, with a bracket rho(K(lo)) > 1 >= rho(K(hi))
+        opening 1 above the generator's line-sum bound;
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
@@ -83,14 +79,13 @@ class ProbeResult:
 class SpectralReport:
     """Aggregated spectral quantities for one configuration.
 
-    ``s_A_route`` names how ``s_A`` was obtained (``exact``,
-    ``characteristic`` or ``power``) and ``s_A_bracket`` = (lo, hi)
-    holds it.  On a finite domain ``s_B_divergent`` is true, since the
-    recruitment-free semigroup moves all mass out of [0, m] in finite
-    time and its spectrum is empty, and ``s_A_divergent`` records whether
-    s_A lies below the level -gamma0/h + ||B1 + B2|| that only a mesh
-    artifact of an empty continuum spectrum reaches; ``s_A_divergent``
-    is None on other domains.
+    ``s_A_route`` names how ``s_A`` was obtained (``exact`` or
+    ``characteristic``) and ``s_A_bracket`` = (lo, hi) holds it.  On a
+    finite domain ``s_B_divergent`` is true, since the recruitment-free
+    semigroup moves all mass out of [0, m] in finite time and its
+    spectrum is empty, and ``s_A_divergent`` records whether s_A lies
+    below the level -gamma0/h + ||B1 + B2|| that only a mesh artifact of
+    an empty continuum spectrum reaches; it is None on other domains.
     """
 
     s_A: float
@@ -148,243 +143,250 @@ def _exact_bound(gen: DiscreteGenerator) -> tuple[float, np.ndarray]:
                                 head=(k, v))
 
 
+class _Radius:
+    """rho(K(lambda)): an estimate, bounds low <= rho <= high, and the
+    solve x = (lambda - B)^{-1}(v, 0) of the iterate v.  A plain class:
+    a dataclass would add about 0.5 ms to every import."""
+
+    __slots__ = ("rho", "low", "high", "x", "v")
+
+    def __init__(self, rho, low, high, x, v):
+        self.rho, self.low, self.high, self.x, self.v = rho, low, high, x, v
+
+
+def _solve_recruitment_free(gen: DiscreteGenerator, lam: float,
+                            rhs: np.ndarray) -> np.ndarray:
+    """(lambda - B)^{-1} rhs on the banded factor of B = ``recruitment_free``;
+    where that overflows (its 0 * inf puts NaN into finite entries too),
+    by one forward sweep (``block_sweep``), which reads +inf, never NaN."""
+    B = gen.recruitment_free
+    with np.errstate(all="ignore"):
+        x = B.factorization(lam).solve(rhs)
+    return x if np.isfinite(x).all() else B.block_sweep(lam, rhs)
+
+
 def characteristic_function(gen: DiscreteGenerator, lam: float,
                             rhs: Optional[np.ndarray] = None
                             ) -> tuple[float, np.ndarray]:
     """h g.x_1 and x = (lambda - B)^{-1} rhs for a rank-1 kernel f g^T.
 
     With the default rhs = (f, 0) the value is phi(lambda), the discrete
-    characteristic function; with rhs = (lambda - B)^{-1}(f, 0) it is
-    -phi'(lambda).  Valid for lambda above s_B, where phi is positive,
-    decreasing and log-convex.  x comes from the banded factor of
-    lambda - B (``gen.recruitment_free.factorization(lam)``, kept for the
-    next solve at the same lambda).  Where that overflows, its 0 * inf
-    products put NaN even into entries that stay finite, so the
-    evaluation is redone by one forward sweep of B
-    (``DiscreteGenerator.block_sweep``), which reads an overflow as +inf,
-    never NaN (most often at s_B+, see ``_characteristic_bound``).
+    characteristic function: the one nonzero eigenvalue of K(lambda) =
+    h f g^T [(lambda - B)^{-1}]_11, so rho(K(lambda)).  With
+    rhs = (lambda - B)^{-1}(f, 0) it is -phi'(lambda).  Valid for lambda
+    above s_B, where phi is positive, decreasing and log-convex.
     """
     f, g = gen.kernel.rank_one
-    n, B = gen.grid.n, gen.recruitment_free
+    n = gen.grid.n
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
-    with np.errstate(all="ignore"):
-        x = B.factorization(lam).solve(rhs)
-    if not np.isfinite(x).all():
-        x = B.block_sweep(lam, rhs)
+    x = _solve_recruitment_free(gen, lam, rhs)
     seen = g > 0        # cells g ignores add nothing, even where x is inf
     with np.errstate(over="ignore"):    # a sum past the float range is inf
         return gen.grid.h * float(g[seen] @ x[:n][seen]), x
 
 
+def _next_generation(gen: DiscreteGenerator, lam: float, v: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """K(lambda) v = h beta [(lambda - B)^{-1}(v, 0)]_1 and the solve x; a
+    row that reads an overflowed entry of x reads +inf."""
+    n = gen.grid.n
+    x = _solve_recruitment_free(gen, lam, np.concatenate([v, np.zeros(n)]))
+    over = np.isinf(x[:n])
+    with np.errstate(all="ignore"):
+        y = gen.grid.h * gen.kernel.apply(np.where(over, 0.0, x[:n]))
+        if over.any():
+            y[gen.kernel.apply(over * 1.0) > 0] = math.inf
+    y[np.isnan(y)] = 0.0    # 0 * inf, only in a row the kernel leaves empty
+    return y, x
+
+
+def _radius(gen: DiscreteGenerator, lam: float, v: np.ndarray,
+            max_iter: int) -> _Radius:
+    """rho(K(lambda)): phi for a rank-1 kernel, else power steps
+    v <- K v / max(K v) from v >= 0, which stay positive on the classes
+    of K that carry rho if the first v was positive on the row support.
+
+    Each step bounds rho below by the min of (K v)_i / v_i over v_i > 0
+    and, where K v vanishes wherever v does, above by the max (Collatz-
+    Wielandt; Horn & Johnson, ch. 8).  The steps stop once the best
+    bounds lie on one side of 1 within |rho - 1| / 100 of each other, so
+    that secant steps see rho, estimated as sum(K v) / sum(v), to 1%.  A
+    first stall turns them to K / max(K v) + I, which damps a K that
+    cycles (faint self-loops); a second stops them.  A reducible K stalls
+    the lower bound where its Perron vector vanishes: left <= 1 under an
+    estimate above, it is retaken with the entries that did not grow
+    zeroed.
+    """
+    if gen.kernel.rank_one is not None:
+        phi, x = characteristic_function(gen, lam)
+        return _Radius(phi, phi, phi, x, gen.kernel.rank_one[0])
+    low, high, damped = 0.0, math.inf, False
+    with np.errstate(over="ignore"):
+        for k in range(1, max_iter + 1):
+            y, x = _next_generation(gen, lam, v)
+            pos, top = v > 0, y.max()
+            ratio = y[pos] / v[pos]
+            rho, step_low = float(y.sum() / v.sum()), float(ratio.min())
+            step_high = math.inf if y[~pos].any() else float(ratio.max())
+            narrowed = min(high, step_high) - max(low, step_low)
+            if narrowed >= 0.999 * (high - low):     # a stall, or a cycle
+                if damped:
+                    break
+                damped = True
+            low, high = max(low, step_low), min(high, step_high)
+            sided = low > 1.0 or high <= 1.0
+            if (sided and high - low <= 0.01 * abs(rho - 1.0)
+                    or top == math.inf or k == max_iter):
+                break
+            v = y / top + v / v.max() if damped else y / top
+        w = np.where(y > v, v, 0.0)
+        if low <= 1.0 < rho and w.any():
+            kw = _next_generation(gen, lam, w)[0]
+            low = max(low, float((kw[w > 0] / w[w > 0]).min()))
+    return _Radius(rho, low, high, x, v)
+
+
 def _characteristic_bound(gen: DiscreteGenerator, tol: float,
                           max_iter: int):
-    """Root of phi(lambda) = 1 above s_B for a mixing rank-1 kernel.
+    """Root of rho(K(lambda)) = 1 above s_B for a mixing kernel.
 
-    A safeguarded Newton iteration on log phi (convex and decreasing)
-    inside the bracket [lo, hi] with phi(lo) > 1 >= phi(hi), which opens
-    at [s_B, ``gen.line_sum_bound()`` + 1], s_B from
-    ``recruitment_free_bound`` (the line-sum bound lies above s_A, so
-    phi < 1 there); every evaluation (one banded factor of lambda - B,
-    whose second solve gives phi') moves one end, a step that leaves the
-    bracket is a bisection, and the loop stops at
-    hi - lo <= tol * max(1, |hi|).  Once a Newton step falls well inside
-    the tolerance, the point it reached is the root to far better than
-    tol, and one evaluation just across it closes the bracket.  The
-    eigenvector is the solve (lambda - B)^{-1}(f, 0) at the end with phi
-    nearer 1, redone as a forward sweep of ``gen.recruitment_free``
-    rescaled by powers of two where that solve overflowed.  phi(s_B+),
-    whose solve often overflows, is solved once, when the loop first
-    bisects or ends while lo is still s_B: Newton steps land below the
-    root, so with none above s_B the first one bisects, phi(s_B+) <= 1
-    and s_A = s_B (see ``_boundary_eigenvector``).
+    The bracket [lo, hi] opens at [s_B, ``gen.line_sum_bound()`` + 1],
+    where rho < 1.  Each evaluation (``_radius``) moves lo where its lower
+    bound of rho exceeds 1 and hi where its upper bound is <= 1; the next
+    point is a ``_step``, a bisection where that leaves the bracket, and
+    the loop stops at hi - lo <= tol * max(1, |hi|).  A step well inside
+    the tolerance reached the root to far better than tol, and one
+    evaluation just across it closes the bracket.  The eigenvector is the
+    solve (lambda - B)^{-1}(v, 0) at the end with rho nearer 1, rescaled
+    by powers of two where it overflowed.  rho(K(s_B+)), whose solve often
+    overflows, is evaluated once, when the loop first bisects or ends
+    while lo is still s_B: an upper bound <= 1 there puts s_A = s_B
+    (``_boundary_eigenvector``).
     """
     s_B = recruitment_free_bound(gen)
-    hi = gen.line_sum_bound() + 1.0
-    phi_hi, x_hi = characteristic_function(gen, hi)
-    if phi_hi >= 1.0:
-        raise NumericalError("characteristic function is not below 1 at "
+    hi, prev, v = gen.line_sum_bound() + 1.0, None, None
+    if gen.kernel.rank_one is None:     # a first secant step from hi + 1
+        v = (gen.kernel.row_sums() > 0) * 1.0
+        far = _radius(gen, hi + 1.0, v, max_iter)
+        v, prev = far.v, (hi + 1.0, far.rho)
+    at_hi = _radius(gen, hi, v, max_iter)
+    if at_hi.high >= 1.0:
+        raise NumericalError("next-generation radius is not below 1 at "
                              "the initial shift")
-    lo, phi_lo = s_B, None      # phi(s_B+) is solved only when needed
+    lo, at_lo = s_B, None       # rho(K(s_B+)) is evaluated only when needed
     s_B_up = np.nextafter(s_B, math.inf)
-    lam, phi, x, step = hi, phi_hi, x_hi, math.inf
+    lam, at, step = hi, at_hi, math.inf
     for _ in range(max_iter):
         if hi - lo <= tol * max(1.0, abs(hi)):
             break
         width = tol * max(1.0, abs(lam))
         if abs(step) <= 0.25 * width:
-            # a Newton step this short left lambda on the root to far
-            # within tol: step just across it
-            nxt, step = lam + 0.5 * width * (1 if phi > 1 else -1), math.inf
+            # a step this short left lambda on the root to far within
+            # tol: step just across it
+            nxt, step = lam + 0.5 * width * (1 if at.rho > 1 else -1), math.inf
         else:
-            step = _newton_step(gen, lam, phi, x)
+            step = _step(gen, lam, at, prev)
             nxt = lam + step
         if not lo < nxt < hi:
-            if phi_lo is None:      # is there a root above s_B at all?
-                phi_lo, x_lo = characteristic_function(gen, s_B_up)
-                if phi_lo <= 1.0:
+            if at_lo is None:      # is there a root above s_B at all?
+                at_lo = _radius(gen, s_B_up, at.v, max_iter)
+                if at_lo.high <= 1.0:
                     break
             nxt, step = 0.5 * (lo + hi), math.inf
             if not lo < nxt < hi:       # lo and hi are adjacent floats
                 break
-        lam = nxt
-        phi, x = characteristic_function(gen, lam)
-        if phi > 1.0:
-            lo, phi_lo, x_lo = lam, phi, x
-        else:
-            hi, phi_hi, x_hi = lam, phi, x
+        prev, lam = (lam, at.rho), nxt
+        at = _radius(gen, lam, at.v, max_iter)
+        if at.low > 1.0:
+            lo, at_lo = lam, at
+        elif at.high <= 1.0:
+            hi, at_hi = lam, at
     else:
         raise IterationError(
             f"characteristic equation did not settle in {max_iter} steps: "
             f"s_A in [{lo:.12g}, {hi:.12g}]", estimate=hi, bracket=(lo, hi))
-    if phi_lo is None:
-        phi_lo, x_lo = characteristic_function(gen, s_B_up)
-    if phi_lo <= 1.0:
-        return s_B, _boundary_eigenvector(gen, phi_lo, x_lo), (s_B, s_B)
+    if at_lo is None:
+        at_lo = _radius(gen, s_B_up, at.v, max_iter)
+    if at_lo.high <= 1.0:
+        return (s_B, _boundary_eigenvector(gen, s_B_up, at_lo, max_iter),
+                (s_B, s_B))
 
     def distance(p):
         return abs(math.log(p)) if p > 0 else math.inf
-    lam, x = (lo, x_lo) if distance(phi_lo) < distance(phi_hi) else (hi, x_hi)
+    lam, at = ((lo, at_lo) if distance(at_lo.rho) < distance(at_hi.rho)
+               else (hi, at_hi))
+    x = at.x
     if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
-        rhs = np.concatenate([gen.kernel.rank_one[0], np.zeros(gen.grid.n)])
+        rhs = np.concatenate([at.v, np.zeros(gen.grid.n)])
         x = gen.recruitment_free.block_sweep(lam, rhs, rescale=True)
     return lam, x, (lo, hi)
 
 
-def _newton_step(gen: DiscreteGenerator, lam: float, phi: float,
-                 x: np.ndarray) -> float:
-    """Newton step on log phi from lambda, NaN when phi or phi' is not
-    finite and nonzero (x is the solve that gave phi; phi' is a second
-    solve on the same factor)."""
-    if not 0.0 < phi < math.inf:
+def _step(gen: DiscreteGenerator, lam: float, at: _Radius,
+          prev: Optional[tuple]) -> float:
+    """Newton step on log phi for a rank-1 kernel (phi' a second solve on
+    the factor of ``at``), else a secant step on log rho through ``prev``
+    = (lambda, rho); NaN where a rho or phi' is not finite and nonzero."""
+    r = at.rho
+    if not 0.0 < r < math.inf:
         return math.nan
-    dphi = -characteristic_function(gen, lam, x)[0]
-    if not -math.inf < dphi < 0.0:
+    if gen.kernel.rank_one is not None:
+        dphi = -characteristic_function(gen, lam, at.x)[0]
+        return -math.log(r) * r / dphi if -math.inf < dphi < 0.0 else math.nan
+    if prev is None or not 0.0 < prev[1] < math.inf:
         return math.nan
-    return -math.log(phi) * phi / dphi
+    d = math.log(r) - math.log(prev[1])
+    return -math.log(r) * (lam - prev[0]) / d if d else math.nan
 
 
-def _boundary_eigenvector(gen: DiscreteGenerator, phi: float,
-                          w: np.ndarray) -> np.ndarray:
-    """Nonnegative eigenvector for s_A = s_B when phi(s_B+) <= 1.
+def _boundary_eigenvector(gen: DiscreteGenerator, lam: float, at: _Radius,
+                          max_iter: int) -> np.ndarray:
+    """Nonnegative eigenvector for s_A = s_B from ``at``, at lambda = s_B+.
 
-    With x_B the Perron vector of B and w = (s_B+ - B)^{-1}(f, 0), the
-    vector x = alpha x_B + h w with alpha = (1 - phi)/(g.x_B1) solves
-    M x = s_B x, since h g.w_1 = phi; when g.x_B1 = 0, x_B itself does.
+    With x_B the Perron vector of B, M x = s_B x for x = alpha x_B + h w,
+    w = (lambda - B)^{-1}(f, 0), alpha = (1 - phi) / (g.x_B1) for a
+    rank-1 kernel, else for x_B + (lambda - B)^{-1}(z, 0) with
+    z = h beta x_B1 + K z (at most ``max_iter`` such steps); when
+    beta x_B1 = 0, x_B itself.
     """
     n = gen.grid.n
-    g = gen.kernel.rank_one[1]
     x_B = _exact_bound(gen.recruitment_free)[1]
-    seen = float(g @ x_B[:n])
-    if seen > 0 and np.isfinite(w).all():
-        return (1.0 - phi) / seen * x_B + gen.grid.h * w
-    return x_B
-
-
-def _power_bound(gen: DiscreteGenerator, tol: float, max_iter: int):
-    """Shift-and-invert power iteration with certified shifts.
-
-    The first shift is ``gen.line_sum_bound()`` + 1.  Every shift is
-    fetched as ``gen.factorization(sigma, above=True)``, whose positivity
-    certificate (the one the implicit step uses) places it above the
-    spectral bound, so the resolvent's dominant eigenvalue belongs to the
-    Perron pair and (sigma - M)^{-1} >= 0 keeps the positive start vector
-    nonnegative; the certified factor is kept for the solves.  A re-centred shift that fails it is rejected, the
-    current factor stays, and the next move goes halfway back toward the
-    current shift.  Returns the estimate, the final iterate and the
-    Collatz-Wielandt bracket of the last solve y = (sigma - M)^{-1} x:
-    min and max of y_i/x_i over x_i > 0 bound 1/(sigma - s_A), the max
-    only if x > 0; IterationError, carrying that bracket, when
-    ``max_iter`` runs out or the final iterate is not strictly positive.
-    """
-    top = gen.line_sum_bound() + 1.0
-    try:
-        fact = gen.factorization(top, above=True)
-    except SpectralProximityError:
-        raise NumericalError("positivity certificate failed at the "
-                             "initial shift")
-    n2 = 2 * gen.grid.n
-    sigma, floor = top, -math.inf    # certified shift, highest failed one
-    x = np.full(n2, 1.0 / n2)
-    lam = problem = None
-    for it in range(max_iter):
-        y = fact.solve(x)
-        theta = float(x @ y) / float(x @ x)
-        if theta == 0 or not np.isfinite(theta):
-            raise IterationError(
-                f"degenerate inverse iteration at shift {sigma:g}",
-                estimate=lam)
-        lam_new = sigma - 1.0 / theta
-        ynorm = float(np.abs(y).sum())
-        prev, solved_at, x = x, sigma, y / ynorm
-        if lam is not None and abs(lam_new - lam) < tol:
-            lam = lam_new
+    if gen.kernel.rank_one is not None:
+        seen = float(gen.kernel.rank_one[1] @ x_B[:n])
+        if seen > 0 and np.isfinite(at.x).all():
+            return (1.0 - at.rho) / seen * x_B + gen.grid.h * at.x
+        return x_B
+    z = b = gen.grid.h * gen.kernel.apply(x_B[:n])
+    for _ in range(max_iter):
+        y, x = _next_generation(gen, lam, z)
+        z, last = b + y, z
+        if np.array_equal(z, last):
             break
-        lam = lam_new
-        # re-center the shift once the estimate settles; keep a unit
-        # offset so the factorization stays well away from the spectrum
-        if sigma > lam + 10.0 or sigma < lam + 0.5:
-            target = lam + 1.0
-            if target <= floor:
-                target = 0.5 * (floor + sigma)
-            try:
-                fact = gen.factorization(target, above=True)
-                sigma = target
-            except SpectralProximityError:
-                floor = max(floor, target)
-    else:
-        problem = f"did not settle in {max_iter} steps"
-    if problem is None and x.min() <= 0:
-        problem = "ended on an iterate that is not strictly positive"
-    pos = prev > 0
-    ratio = y[pos] / prev[pos]      # a zero ratio puts the lower end at -inf
-    r_lo, r_hi = float(ratio.min()), float(ratio.max())
-    bracket = (solved_at - 1.0 / r_lo if r_lo > 0 else -math.inf,
-               solved_at - 1.0 / r_hi if pos.all() else math.inf)
-    if problem is not None:
-        raise IterationError(
-            f"power iteration {problem}: s_A in [{bracket[0]:.12g}, "
-            f"{bracket[1]:.12g}]", estimate=lam, bracket=bracket)
-    return lam, x, bracket
+    return x_B + x if np.isfinite(x).all() else x_B
 
 
 def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
                    max_iter: int = 500) -> SpectralBound:
     """Rightmost real eigenvalue and nonnegative eigenvector of the full
-    generator.
-
-    Three routes, chosen from the operator's structure:
+    generator, by one of two routes chosen from the operator's structure:
 
       * ``exact``: a generator that is block lower triangular in
         per-cell order (no recruitment, or a kernel that does not mix)
-        is solved from its 2x2 cell blocks, with no factorization of the
-        whole matrix; the bracket is (s, s);
-      * ``characteristic``: a mixing rank-1 kernel f g^T; s is the root
-        above s_B of phi(lambda) = h g.[(lambda - B)^{-1}(f, 0)]_1 = 1
-        (s = s_B when phi(s_B+) <= 1, solved only where needed), found by
-        safeguarded Newton on log phi from O(n) banded factors of
-        lambda - B (a forward sweep where the factor overflows), with no
-        LU; the bracket (lo, hi) has phi(lo) > 1 >= phi(hi) and
-        hi - lo <= tol * max(1, |hi|);
-      * ``power``: every other kernel (tables, callables, ``s<y``), by
-        shift-and-invert power iteration x <- (sigma - M)^{-1} x that
-        estimates the eigenvalue as sigma - 1/theta (theta the Rayleigh
-        quotient of the inverse) until successive estimates differ by
-        less than ``tol``, and pulls the shift down to estimate + 1,
-        accepting only shifts that the factor's own positivity
-        certificate (``DiscreteGenerator.factorization`` with ``above``,
-        as for the implicit step) places above the bound; the bracket is
-        the Collatz-Wielandt bracket of the last solve, not of M.
+        is solved from its 2x2 cell blocks; the bracket is (s, s);
+      * ``characteristic``: every mixing kernel.  The splitting
+        lambda - M = (lambda - B) - h beta is regular, so s is s_B or the
+        root above it of rho(K(lambda)) = 1, with the next-generation
+        operator K(lambda) = h beta [(lambda - B)^{-1}]_11: phi for a
+        rank-1 kernel, else bracketed by power steps on K, each one
+        banded solve of lambda - B and one kernel product, with no LU.
+        The bracket (lo, hi) has rho(K(lo)) > 1 >= rho(K(hi)) and
+        hi - lo <= tol * max(1, |hi|); it opens 1 above the line-sum bound
+        (``DiscreteGenerator.line_sum_bound``), which lies above s.
 
-    The characteristic bracket opens from above, and the power iteration
-    takes its first shift, at 1 above the line-sum bound of the full
-    generator (``DiscreteGenerator.line_sum_bound``), which its Metzler
-    sign pattern places above the spectral bound.  The options are
-    keyword-only (``max_iter`` >= 1); the recruitment-free bound s_B is
-    ``recruitment_free_bound``.  IterationError (with the bracket
-    reached) when an iterative route does not settle in ``max_iter``
-    steps or, for the power route, ends on an iterate that is not
-    strictly positive.
+    The options are keyword-only; ``max_iter`` >= 1 bounds the
+    evaluations and the power steps of each, and IterationError (with
+    the bracket reached) says it ran out.
     """
     if tol <= 0 or max_iter < 1:
         raise ConfigurationError("tol must be positive, max_iter >= 1")
@@ -392,12 +394,9 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         route = "exact"
         lam, x = _exact_bound(gen)
         bracket = (lam, lam)
-    elif gen.kernel.rank_one is not None:
+    else:
         route = "characteristic"
         lam, x, bracket = _characteristic_bound(gen, tol, max_iter)
-    else:
-        route = "power"
-        lam, x, bracket = _power_bound(gen, tol, max_iter)
     x = np.clip(x, 0.0, None)
     eig = StateVector.from_stacked(x, gen.grid)
     m = eig.mass

@@ -446,6 +446,28 @@ class TestBlasLoader:
             "                if m.split('.')[0] == 'scipy')\n"
             "assert loaded == ['scipy.linalg._fblas'], loaded\n")
 
+    def test_eigensolve_of_table_and_upper_kernels_loads_only_fblas(self):
+        # the characteristic route solves K(lambda) on banded factors of
+        # lambda - B for kernels that are not rank-1, with no sparse LU
+        run_child(
+            "import sys\n"
+            "import numpy as np\n"
+            "from twophase.model import build_grid, build_kernel, "
+            "sample_params\n"
+            "from twophase.operators import assemble\n"
+            "from twophase.spectral import spectral_bound\n"
+            "g = build_grid('finite', 1.0, 200)\n"
+            "p = sample_params(dict(gamma0=1.0, gamma1=1.0, gamma2=1.0,\n"
+            "    mu=1.0, c1=1.0, c2=1.0), g)\n"
+            "table = {'form': 'table', 'values': np.add.outer(\n"
+            "    g.centers, g.centers).tolist()}\n"
+            "for spec in (table, {'form': 'indicator', 'relation': 's<y'}):\n"
+            "    gen = assemble(p, build_kernel(spec, g), g)\n"
+            "    assert spectral_bound(gen).route == 'characteristic'\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy')\n"
+            "assert loaded == ['scipy.linalg._fblas'], loaded\n")
+
     def test_scipy_linalg_blas_first_is_reused(self):
         run_child(
             "import scipy.linalg.blas\n"

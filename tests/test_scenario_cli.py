@@ -406,8 +406,27 @@ class TestCLI:
         scn = scenario_from_dict(doc)
         rep = twophase.report.run(scn, str(tmp_path))
         assert rep.complete and rep.verdict.kernel_mixes_all
-        assert rep.spectral.s_A_route == "power"
+        assert rep.spectral.s_A_route == "characteristic"
         assert [k is scn.kernel for k in mixing_computations].count(True) == 1
+
+    def test_spectrum_on_mu_step_table_exit_0(self, tmp_path):
+        # a box of 0.01 on [0.5, 1]^2 given as a table, with mortality
+        # stepping from 0 to 50 at s = 0.3: the Perron vector vanishes on
+        # the cells below 0.5, and the bracket holds the rank-1 root
+        centers = (np.arange(60) + 0.5) / 60
+        box = 0.01 * np.outer(centers >= 0.5, centers >= 0.5)
+        doc = minimal_doc(domain={"kind": "finite", "m": 1.0, "n": 60},
+                          kernel={"form": "table", "values": box.tolist()})
+        doc["coefficients"]["mu"] = {"form": "table",
+                                     "points": [[0.0, 0.0], [0.3, 50.0]]}
+        out = tmp_path / "o"
+        assert run_cli(["spectrum", write(tmp_path, doc), "--out",
+                        str(out)]) == 0
+        sp = json.loads((out / "minimal_report.json").read_text())["spectral"]
+        assert sp["s_A_route"] == "characteristic"
+        lo, hi = sp["s_A_bracket"]
+        assert lo <= -29.25155186452381165 <= hi
+        assert hi - lo <= 1e-10 * abs(hi)
 
     def test_rounded_gap_bound_exit_0(self, tmp_path):
         # lambda* + c2 would round below zero as a sum; the bound stays

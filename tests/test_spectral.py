@@ -114,7 +114,8 @@ REDUCIBLE_BOX = {"form": "indicator", "s_hi": 0.2, "y_hi": 0.2,
 
 
 def table_of(spec, n):
-    # the same kernel values as a dense table, which takes the power route
+    # the same kernel values as a dense table, which no rank-1 formula
+    # reads: the characteristic route takes power steps on its K(lambda)
     beta = build_kernel(spec, build_grid("finite", 1.0, n)).beta
     return {"form": "table", "values": beta.tolist()}
 
@@ -276,12 +277,13 @@ class TestExactRoute:
         assert not np.any(x[:k]) and not np.any(x[n:n + k])
         assert x[k + 1:n].sum() + x[n + k + 1:].sum() > 0
 
-    def test_mixing_kernel_takes_power_route(self, splu_calls):
+    def test_mixing_table_takes_characteristic_route(self, splu_calls):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
-        s, eig = spectral_bound(gen)
-        assert splu_calls
+        bound = spectral_bound(gen)
+        assert bound.route == "characteristic"
+        assert splu_calls == []
         dense = np.linalg.eigvals(gen.full.toarray()).real.max()
-        assert s == pytest.approx(dense, rel=1e-8)
+        assert bound.s == pytest.approx(dense, rel=1e-8)
 
     def test_mixing_rank_one_kernel_takes_characteristic_route(
             self, splu_calls):
@@ -309,60 +311,6 @@ class TestCertifiedShifts:
         with pytest.raises(TypeError):
             spectral_bound(gen, "full")
 
-    def test_singular_shift_in_power_loop_is_rejected(self, monkeypatch):
-        # the first re-centred shift (about 4.31, below the bound 13) is
-        # made exactly singular, as splu reports it; the loop must stay
-        # on certified shifts and still find the top eigenvalue
-        g, p, K, gen = reducible_generator(table=True)
-        top = gen.line_sum_bound() + 1.0
-        real = gen.factorization
-        singular = []
-
-        def factorization(lam, **kwargs):
-            if lam != top and (not singular or lam == singular[0]):
-                singular.append(lam)
-                raise SpectralProximityError("Factor is exactly singular",
-                                             lam=lam)
-            return real(lam, **kwargs)
-
-        monkeypatch.setattr(gen, "factorization", factorization)
-        s, _ = spectral_bound(gen)
-        assert len(singular) == 1 and singular[0] < 13.0
-        assert s == pytest.approx(13.0, abs=1e-8)
-
-    @pytest.mark.parametrize("kernel", ["table", "s<y"])
-    def test_every_solved_shift_was_certified(self, monkeypatch, kernel):
-        # each shift the power loop solves at was fetched before with
-        # above=True, so the factor's own certificate placed it above s_A
-        if kernel == "table":
-            # its first re-centred shift fails the certificate
-            g, p, K, gen = reducible_generator(table=True)
-        else:
-            g, p, K, gen = make(n=50, kernel={"form": "indicator",
-                                              "relation": "s<y", "value": 3.0})
-        real = DiscreteGenerator.factorization
-        certified, solved, uncertified = set(), [], []
-
-        class Recorded:
-            def __init__(self, fact, lam):
-                self.fact, self.lam = fact, lam
-
-            def solve(self, rhs):
-                solved.append(self.lam)
-                if self.lam not in certified:
-                    uncertified.append(self.lam)
-                return self.fact.solve(rhs)
-
-        def factorization(self, lam, scale=1.0, above=False):
-            fact = real(self, lam, scale, above)
-            if above:
-                certified.add(lam)
-            return Recorded(fact, lam)
-
-        monkeypatch.setattr(DiscreteGenerator, "factorization", factorization)
-        assert spectral_bound(gen).route == "power"
-        assert solved and uncertified == []
-
 
 def dense_phi(p, K, lam):
     # the characteristic function h g.[(lambda - B)^{-1}(f, 0)]_1 of the
@@ -386,12 +334,12 @@ def dense_root(gen, p):
     return hi
 
 
-def mu_step_generator(n, value):
+def mu_step_generator(n, value, table=False):
     # mortality steps from 0 to 50 at s = 0.3 and the box kernel sits on
     # [0.5, 1]^2: s_B = -n comes from the cells below 0.3, which the
     # kernel never reaches
-    return make(n=n, kernel={"form": "indicator", "s_lo": 0.5, "y_lo": 0.5,
-                             "value": value},
+    kernel = {"form": "indicator", "s_lo": 0.5, "y_lo": 0.5, "value": value}
+    return make(n=n, kernel=table_of(kernel, n) if table else kernel,
                 mu={"form": "table", "points": [[0.0, 0.0], [0.3, 50.0]]})
 
 
@@ -549,29 +497,35 @@ class TestCharacteristicRoute:
     def test_mu_step_root(self):
         # the root in 60-digit arithmetic is -29.25155186452381165; a
         # dense double-precision solve puts it at -29.2515574 (the forward
-        # error of a strongly non-normal solve), and so did the power loop
-        g, p, K, gen = mu_step_generator(60, 0.01)
-        bound = spectral_bound(gen)
+        # error of a strongly non-normal solve).  The same kernel as a
+        # table takes power steps on K(lambda), which reads only the
+        # kernel's rows: the Perron vector vanishes on the cells below 0.5
         root = -29.25155186452381165
-        assert abs(bound.s - root) <= 1e-12 * abs(root)
-        lo, hi = bound.bracket
-        assert lo <= root <= hi and hi - lo <= 1e-10 * abs(hi)
-        assert_eigenpair(gen, bound)
+        for table in (False, True):
+            g, p, K, gen = mu_step_generator(60, 0.01, table)
+            bound = spectral_bound(gen)
+            assert bound.route == "characteristic"
+            assert abs(bound.s - root) <= 1e-12 * abs(root)
+            lo, hi = bound.bracket
+            assert lo <= root <= hi and hi - lo <= 1e-10 * abs(hi)
+            assert_eigenpair(gen, bound)
 
     def test_kernel_blind_to_perron_vector_of_B(self):
         # mu = 200 and c1 = c2 = 0 put s_B = -50 in phase 2 alone (phase 1
         # sits at -250), where the kernel's parent factor g never looks:
         # phi(s_B+) is about 4e-14 and g.x_B = 0, so the eigenvector is
-        # B's Perron vector itself, phase-2 cell 49 alone
-        g, p, K, gen = make(n=50, mu=200.0, c1=0.0, c2=0.0, kernel={
-            "form": "indicator", "s_hi": 0.2, "y_lo": 0.5, "value": 1.0})
-        assert recruitment_free_bound(gen) == -50.0
-        bound = spectral_bound(gen)
-        assert bound.route == "characteristic"
-        assert bound.s == -50.0 and bound.bracket == (-50.0, -50.0)
-        x = bound.eigfun.stacked()
-        assert np.flatnonzero(x).tolist() == [g.n + 49]
-        assert np.abs(gen.full @ x - bound.s * x).max() == 0.0
+        # B's Perron vector itself, phase-2 cell 49 alone; so too for the
+        # same kernel as a table
+        kernel = {"form": "indicator", "s_hi": 0.2, "y_lo": 0.5, "value": 1.0}
+        for spec in (kernel, table_of(kernel, 50)):
+            g, p, K, gen = make(n=50, mu=200.0, c1=0.0, c2=0.0, kernel=spec)
+            assert recruitment_free_bound(gen) == -50.0
+            bound = spectral_bound(gen)
+            assert bound.route == "characteristic"
+            assert bound.s == -50.0 and bound.bracket == (-50.0, -50.0)
+            x = bound.eigfun.stacked()
+            assert np.flatnonzero(x).tolist() == [g.n + 49]
+            assert np.abs(gen.full @ x - bound.s * x).max() == 0.0
 
     @pytest.mark.parametrize("name", ["blind", "weak_1e-06", "weak_1.0"])
     def test_s_A_at_s_B_costs_one_solve_more(self, name, monkeypatch):
@@ -602,15 +556,19 @@ class TestCharacteristicRoute:
         assert bound.s == s_B and bound.bracket == (s_B, s_B)
         assert counts == {"factors": 2, "solves": 3}
 
-    @pytest.mark.parametrize("value", [1e-6, 1.0])
-    def test_weak_recruitment_leaves_s_B(self, value):
+    @pytest.mark.parametrize("value, table", [
+        (1e-6, False), (1.0, False), (1e-6, True), (1.0, True)],
+        ids=["1e-06", "1.0", "1e-06-table", "1.0-table"])
+    def test_weak_recruitment_leaves_s_B(self, value, table):
         # phi(s_B+) = 0.55 * value <= 1: the recruitment cannot lift the
-        # bound, which stays exactly at s_B = -10
-        g, p, K, gen = mu_step_generator(10, value)
+        # bound, which stays exactly at s_B = -10; the table's K(s_B+) has
+        # the same one nonzero eigenvalue
+        g, p, K, gen = mu_step_generator(10, value, table)
         s_B = recruitment_free_bound(gen)
         assert s_B == -10.0
-        phi = characteristic_function(gen, np.nextafter(s_B, math.inf))[0]
-        assert phi == pytest.approx(0.55 * value, rel=0.01)
+        if not table:
+            phi = characteristic_function(gen, np.nextafter(s_B, math.inf))[0]
+            assert phi == pytest.approx(0.55 * value, rel=0.01)
         bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         assert bound.s == -10.0 and bound.bracket == (-10.0, -10.0)
@@ -661,57 +619,90 @@ def collatz_wielandt(M, x):
     return float(ratio.min()), float(ratio.max()) if pos.all() else math.inf
 
 
-# the tier-1 power cases: a dense table, s<y, a mixing callable and the
-# reducible table
+def indicator(s_lo, s_hi, y_lo, y_hi, value):
+    return {"form": "indicator", "s_lo": s_lo, "s_hi": s_hi, "y_lo": y_lo,
+            "y_hi": y_hi, "value": value}
+
+
+def boxes(m, *boxes):
+    # a table of indicator boxes (s_lo, s_hi, y_lo, y_hi, value) on
+    # finite [0, m], n = 100
+    g = build_grid("finite", m, 100)
+    return {"form": "table", "values": sum(
+        build_kernel(indicator(*box), g).beta for box in boxes).tolist()}
+
+
+# kernels that are not rank-1, which the characteristic route takes by
+# power steps on K(lambda): a dense table, s<y, a mixing callable and
+# the reducible table; boxes that K cycles between, its self-loops faint
+# (plain steps cycle without settling); and rows that read parents below
+# every row the kernel has, empty rows of K on its row support
 POWER = {
     "table": lambda: make(n=50, kernel=table_of(1.0, 50))[3],
     "s<y": lambda: make(n=50, kernel={"form": "indicator",
                                       "relation": "s<y", "value": 3.0})[3],
     "callable": lambda: make(n=40, kernel=lambda s, y: 1.0 + s * y)[3],
     "reducible": lambda: reducible_generator(table=True)[3],
+    "cycle": lambda: make(n=100, m=10.0, c1=0.0, kernel=boxes(
+        10.0, (2, 3, 6, 7, 5.0), (6, 7, 2, 3, 5.0)))[3],
+    "empty_rows": lambda: make(n=100, kernel=boxes(
+        1.0, (0.5, 0.6, 0.0, 0.1, 50.0), (0.2, 0.3, 0.8, 0.9, 30.0)))[3],
 }
+
+
+def two_boxes(first, second):
+    # finite [0, 1], n = 100, unit rates, a table of `first` on [0, 0.3]^2
+    # plus `second` on [0.6, 0.9]^2; the rank-1 box of each alone
+    pair = [(0.0, 0.3, 0.0, 0.3, first), (0.6, 0.9, 0.6, 0.9, second)]
+    return (make(n=100, kernel=boxes(1.0, *pair))[3],
+            [make(n=100, kernel=indicator(*box))[3] for box in pair])
+
+
+def holds_dense_eigenvalue(gen, bracket):
+    # whether LAPACK's rightmost eigenvalue of the dense generator lies in
+    # the bracket, up to LAPACK's own rounding (about eps * ||M|| times
+    # the eigenvalue's condition: 6e-14 on the s<y case, against a
+    # 40-digit determinant root)
+    s = np.linalg.eigvals(gen.full.toarray()).real.max()
+    slack = 1e-12 * max(1.0, abs(s))
+    return bracket[0] - slack <= s <= bracket[1] + slack
 
 
 class TestPowerRoute:
     @pytest.mark.parametrize("name", sorted(POWER))
-    def test_bracket_from_last_solve_matches_generator_oracle(self, name):
-        # the bracket of the resolvent on the last solve agrees with the
-        # Collatz-Wielandt bracket of M on the final iterate
+    def test_bracket_from_last_solve_matches_generator_oracle(
+            self, name, splu_calls):
+        # power steps on K(lambda) with no LU: a bracket within tol that
+        # overlaps the Collatz-Wielandt bracket of M on the eigenvector
         gen = POWER[name]()
         bound = spectral_bound(gen)
-        assert bound.route == "power"
+        assert bound.route == "characteristic" and splu_calls == []
         lo, hi = bound.bracket
-        ref = collatz_wielandt(gen.full, bound.eigfun.stacked())
-        assert lo == pytest.approx(ref[0], rel=1e-12, abs=0)
-        assert hi == pytest.approx(ref[1], rel=1e-12, abs=0)
         assert lo <= bound.s <= hi
+        assert hi - lo <= 1e-10 * max(1.0, abs(bound.s))
+        ref = collatz_wielandt(gen.full, bound.eigfun.stacked())
+        assert ref[0] <= hi and lo <= ref[1]
         if name != "reducible":
-            assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
+            assert holds_dense_eigenvalue(gen, bound.bracket)
 
-    def test_zero_ratio_gives_infinite_lower_end(self, monkeypatch):
-        # a solve that puts an exact zero where the iterate is positive
-        # has a zero ratio, whose reciprocal would raise: the lower end
-        # reads -inf, with no warning
-        gen = POWER["table"]()
-        real = gen.factorization
-
-        class Zeroed:
-            def __init__(self, fact):
-                self.fact = fact
-
-            def solve(self, rhs):
-                y = self.fact.solve(rhs)
-                y[-1] = 0.0
-                return y
-
-        monkeypatch.setattr(gen, "factorization",
-                            lambda lam, **kwargs: Zeroed(real(lam, **kwargs)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IterationError, match="did not settle") as ei:
-                spectral_bound(gen, max_iter=1)
-        lo, hi = ei.value.bracket
-        assert lo == -math.inf and math.isfinite(hi)
+    @pytest.mark.parametrize("first, second, dominant", [
+        (5.0, 20.0, 1), (10.0, 5.0, 0)], ids=["downstream", "upstream"])
+    def test_reducible_two_boxes_match_dominant_box(self, first, second,
+                                                    dominant):
+        # K(lambda) is block lower triangular, the upstream box feeding
+        # the downstream one, so s_A is that of the dominant box alone (a
+        # rank-1 root).  With the downstream box dominant, K's Perron
+        # vector vanishes on the upstream rows, whose ratios stall the
+        # lower bound until those entries are zeroed
+        gen, alone = two_boxes(first, second)
+        oracle = spectral_bound(alone[dominant])
+        assert oracle.route == "characteristic"
+        assert oracle.s == pytest.approx(
+            [-7.889542583446161, -2.576925687326286][dominant], rel=1e-12)
+        bound = spectral_bound(gen)
+        lo, hi = bound.bracket
+        assert lo <= oracle.bracket[1] and oracle.bracket[0] <= hi
+        assert hi - lo <= 1e-10 * max(1.0, abs(bound.s))
 
     def test_max_iter_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="max_iter"):
@@ -720,11 +711,10 @@ class TestPowerRoute:
     def test_converged_iterate_gives_collatz_wielandt_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
         bound = spectral_bound(gen)
-        assert bound.route == "power"
+        assert bound.route == "characteristic"
         lo, hi = bound.bracket
-        dense = np.linalg.eigvals(gen.full.toarray()).real.max()
-        assert lo <= dense <= hi and lo <= bound.s <= hi
-        assert hi - lo <= 1e-9 * abs(dense)
+        assert holds_dense_eigenvalue(gen, bound.bracket)
+        assert lo <= bound.s <= hi and hi - lo <= 1e-9 * abs(bound.s)
 
     def test_max_iter_raises_with_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
@@ -732,33 +722,6 @@ class TestPowerRoute:
             spectral_bound(gen, max_iter=2)
         lo, hi = ei.value.bracket
         assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
-
-    def test_iterate_that_is_not_positive_raises(self, monkeypatch):
-        # every solve on a factor the generator returns, once certified,
-        # gives its last entry negated
-        g, p, K, gen = make(n=20, kernel=table_of(1.0, 20))
-        real = gen.factorization
-
-        class Flipped:
-            def __init__(self, fact):
-                self.fact = fact
-
-            def solve(self, rhs):
-                y = self.fact.solve(rhs)
-                y[-1] = -abs(y[-1])
-                return y
-
-        def factorization(lam, **kwargs):
-            return Flipped(real(lam, **kwargs))
-
-        monkeypatch.setattr(gen, "factorization", factorization)
-        with pytest.raises(IterationError, match="not strictly positive") \
-                as ei:
-            spectral_bound(gen)
-        # the nonnegative part still bounds s_A from below
-        lo, hi = ei.value.bracket
-        assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max()
-        assert hi == math.inf
 
 
 class TestClosedForms:

@@ -223,22 +223,21 @@ class TestGeneratorStructure:
                                       "upper_box"])
     def test_masked_factors_take_sparse_lu(self, name, splu_calls):
         # factors kept on one side of the diagonal are not rank-1: the
-        # full generator factors through SuperLU, and the eigensolve of
-        # an s<y kernel, which mixes, stays on the power route
+        # full generator factors through SuperLU, while the eigensolve of
+        # an s<y kernel, which mixes, takes the characteristic route
         g, p, K, gen = generator(KERNEL_FORMS[name])
         assert K.factors is not None and K.rank_one is None
         gen.factorization(100.0)
         assert len(splu_calls) == 1
         assert spectral_bound(gen).route == (
-            "power" if K.relation == "s<y" else "exact")
+            "characteristic" if K.relation == "s<y" else "exact")
 
-    def test_power_route_solves_on_its_certified_factor(self, splu_calls):
-        # each accepted shift is factored once, with its certificate, and
-        # solved on until the next: a rejected re-centred shift does not
-        # evict the working factor
-        g, p, K, gen = generator(KERNEL_FORMS["table"])
-        assert spectral_bound(gen).route == "power"
-        assert len(splu_calls) == 4
+    @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+    def test_eigensolve_makes_no_splu_call(self, name, splu_calls):
+        # every route solves on banded factors of lambda - B or sweeps
+        g, p, K, gen = generator(KERNEL_FORMS[name])
+        spectral_bound(gen)
+        assert splu_calls == []
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_line_sum_bound_lies_above_spectral_bound(self, name):
