@@ -11,10 +11,8 @@ Four independent routes to spectral information are provided:
         ``DiscreteGenerator.block_sweep``;
       - ``characteristic``: for every mixing kernel, the root above s_B
         of rho(K(lambda)) = 1, K(lambda) = h beta [(lambda - B)^{-1}]_11
-        the next-generation operator (for a rank-1 kernel f g^T, rho is
-        the characteristic function phi), each evaluation O(n) banded
-        solves of lambda - B, with a bracket rho(K(lo)) > 1 >= rho(K(hi))
-        opening 1 above the generator's line-sum bound;
+        the next-generation operator (rho is the characteristic function
+        phi for a rank-1 kernel), from O(n) banded solves of lambda - B;
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
@@ -144,14 +142,15 @@ def _exact_bound(gen: DiscreteGenerator) -> tuple[float, np.ndarray]:
 
 
 class _Radius:
-    """rho(K(lambda)): an estimate, bounds low <= rho <= high, and the
-    solve x = (lambda - B)^{-1}(v, 0) of the iterate v.  A plain class:
-    a dataclass would add about 0.5 ms to every import."""
+    """rho(K(lambda)), bounds low <= rho <= high, the solve x of the
+    iterate v, and ``step(prev)`` toward rho = 1 from prev = (lambda, rho)
+    before.  Not a dataclass, which costs 0.5 ms per import."""
 
-    __slots__ = ("rho", "low", "high", "x", "v")
+    __slots__ = ("rho", "low", "high", "x", "v", "step")
 
-    def __init__(self, rho, low, high, x, v):
-        self.rho, self.low, self.high, self.x, self.v = rho, low, high, x, v
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
 
 
 def _solve_recruitment_free(gen: DiscreteGenerator, lam: float,
@@ -176,8 +175,7 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     rhs = (lambda - B)^{-1}(f, 0) it is -phi'(lambda).  Valid for lambda
     above s_B, where phi is positive, decreasing and log-convex.
     """
-    f, g = gen.kernel.rank_one
-    n = gen.grid.n
+    (f, g), n = gen.kernel.rank_one, gen.grid.n
     if rhs is None:
         rhs = np.concatenate([f, np.zeros(n)])
     x = _solve_recruitment_free(gen, lam, rhs)
@@ -202,102 +200,117 @@ def _next_generation(gen: DiscreteGenerator, lam: float, v: np.ndarray
 
 
 def _radius(gen: DiscreteGenerator, lam: float, v: np.ndarray,
-            max_iter: int) -> _Radius:
-    """rho(K(lambda)): phi for a rank-1 kernel, else power steps
-    v <- K v / max(K v) from v >= 0, which stay positive on the classes
-    of K that carry rho if the first v was positive on the row support.
+            steps) -> _Radius:
+    """rho(K(lambda)): phi with a Newton step on log phi for a rank-1
+    kernel, else power steps v <- K v / max(K v) from v >= 0 (positive on
+    the row support) with a secant step on log rho.
 
-    Each step bounds rho below by the min of (K v)_i / v_i over v_i > 0
-    and, where K v vanishes wherever v does, above by the max (Collatz-
-    Wielandt; Horn & Johnson, ch. 8).  The steps stop once the best
-    bounds lie on one side of 1 within |rho - 1| / 100 of each other, so
-    that secant steps see rho, estimated as sum(K v) / sum(v), to 1%.  A
-    first stall turns them to K / max(K v) + I, which damps a K that
-    cycles (faint self-loops); a second stops them.  A reducible K stalls
-    the lower bound where its Perron vector vanishes: left <= 1 under an
-    estimate above, it is retaken with the entries that did not grow
-    zeroed.
+    Each step bounds rho by the min and, where K v vanishes wherever v
+    does, the max of (K v)_i / v_i over v_i > 0 (Collatz-Wielandt),
+    widened by the rounding of K v, sums of nonnegative terms: 4 n eps.
+    The steps stop at bounds on one side of 1 within |rho - 1| / 100 of
+    each other, so that secant steps see rho = sum(K v) / sum(v) to 1%.
+    A first stall turns them to K / max(K v) + I, which damps a cycling
+    K, a second stops them.  A lower bound that stalls where a reducible
+    K's Perron vector vanishes is retaken with the entries that did not
+    grow zeroed.  Each product after the first draws on ``steps``.
     """
     if gen.kernel.rank_one is not None:
         phi, x = characteristic_function(gen, lam)
-        return _Radius(phi, phi, phi, x, gen.kernel.rank_one[0])
+
+        def newton(prev):
+            dphi = (-characteristic_function(gen, lam, x)[0]
+                    if 0.0 < phi < math.inf else math.nan)
+            return (-math.log(phi) * phi / dphi if -math.inf < dphi < 0.0
+                    else math.nan)
+        return _Radius(phi, phi, phi, x, gen.kernel.rank_one[0], newton)
+    slack = 4 * gen.grid.n * math.ulp(1.0)
     low, high, damped = 0.0, math.inf, False
     with np.errstate(over="ignore"):
-        for k in range(1, max_iter + 1):
+        while True:
             y, x = _next_generation(gen, lam, v)
             pos, top = v > 0, y.max()
             ratio = y[pos] / v[pos]
-            rho, step_low = float(y.sum() / v.sum()), float(ratio.min())
-            step_high = math.inf if y[~pos].any() else float(ratio.max())
-            narrowed = min(high, step_high) - max(low, step_low)
-            if narrowed >= 0.999 * (high - low):     # a stall, or a cycle
+            rho = float(y.sum() / v.sum())
+            step_low = float(ratio.min()) * (1 - slack)
+            step_high = (1 + slack) * (math.inf if y[~pos].any()
+                                       else float(ratio.max()))
+            if (min(high, step_high) - max(low, step_low)
+                    >= 0.999 * (high - low)):   # a stall, or a cycle
                 if damped:
                     break
                 damped = True
             low, high = max(low, step_low), min(high, step_high)
-            sided = low > 1.0 or high <= 1.0
-            if (sided and high - low <= 0.01 * abs(rho - 1.0)
-                    or top == math.inf or k == max_iter):
+            if ((low > 1 or high <= 1) and high - low <= 0.01 * abs(rho - 1)
+                    or top == math.inf or next(steps, None) is None):
                 break
             v = y / top + v / v.max() if damped else y / top
         w = np.where(y > v, v, 0.0)
-        if low <= 1.0 < rho and w.any():
+        if low <= 1.0 < rho and w.any() and next(steps, None) is not None:
             kw = _next_generation(gen, lam, w)[0]
-            low = max(low, float((kw[w > 0] / w[w > 0]).min()))
-    return _Radius(rho, low, high, x, v)
+            low = max(low, float((kw[w > 0] / w[w > 0]).min()) * (1 - slack))
+
+    def secant(prev):
+        finite = 0.0 < rho < math.inf and 0.0 < prev[1] < math.inf
+        d = math.log(rho) - math.log(prev[1]) if finite else 0.0
+        return -math.log(rho) * (lam - prev[0]) / d if d else math.nan
+    return _Radius(rho, low, high, x, v, secant)
 
 
 def _characteristic_bound(gen: DiscreteGenerator, tol: float,
                           max_iter: int):
     """Root of rho(K(lambda)) = 1 above s_B for a mixing kernel.
 
-    The bracket [lo, hi] opens at [s_B, ``gen.line_sum_bound()`` + 1],
-    where rho < 1.  Each evaluation (``_radius``) moves lo where its lower
-    bound of rho exceeds 1 and hi where its upper bound is <= 1; the next
-    point is a ``_step``, a bisection where that leaves the bracket, and
-    the loop stops at hi - lo <= tol * max(1, |hi|).  A step well inside
-    the tolerance reached the root to far better than tol, and one
-    evaluation just across it closes the bracket.  The eigenvector is the
-    solve (lambda - B)^{-1}(v, 0) at the end with rho nearer 1, rescaled
-    by powers of two where it overflowed.  rho(K(s_B+)), whose solve often
-    overflows, is evaluated once, when the loop first bisects or ends
-    while lo is still s_B: an upper bound <= 1 there puts s_A = s_B
-    (``_boundary_eigenvector``).
+    [lo, hi] opens at [s_B, ``gen.line_sum_bound()`` + 1], where rho < 1.
+    An evaluation (``_radius``) moves lo where its lower bound of rho
+    exceeds 1, hi where its upper bound is <= 1; its step, or a bisection
+    where that leaves [lo, hi], gives the next, until hi - lo is within
+    tol * max(1, |hi|) or the floor that rho's rounding allows.  The
+    eigenvector is the solve at the end with rho nearer 1.  s_A = s_B
+    where rho(K(s_B+)) <= 1, evaluated once the loop bisects or ends.
     """
-    s_B = recruitment_free_bound(gen)
-    hi, prev, v = gen.line_sum_bound() + 1.0, None, None
-    if gen.kernel.rank_one is None:     # a first secant step from hi + 1
-        v = (gen.kernel.row_sums() > 0) * 1.0
-        far = _radius(gen, hi + 1.0, v, max_iter)
+    s_B, steps = recruitment_free_bound(gen), iter(range(max_iter))
+    hi, v, prev = gen.line_sum_bound() + 1.0, None, None
+    if gen.kernel.rank_one is None:     # for a first secant step
+        far = _radius(gen, hi + 1.0, (gen.kernel.row_sums() > 0) * 1.0, steps)
         v, prev = far.v, (hi + 1.0, far.rho)
-    at_hi = _radius(gen, hi, v, max_iter)
+    at_hi = _radius(gen, hi, v, steps)
     if at_hi.high >= 1.0:
-        raise NumericalError("next-generation radius is not below 1 at "
-                             "the initial shift")
+        raise NumericalError("rho(K) is not below 1 at the initial shift")
     lo, at_lo = s_B, None       # rho(K(s_B+)) is evaluated only when needed
-    s_B_up = np.nextafter(s_B, math.inf)
-    lam, at, step = hi, at_hi, math.inf
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(hi)):
+    lam, at, step, s_B_up = hi, at_hi, math.inf, np.nextafter(s_B, math.inf)
+    slack, floor = 4 * gen.grid.n * math.ulp(1.0), 0.0     # as in _radius
+    for _ in steps:
+        if hi - lo <= max(tol * max(1.0, abs(hi)), floor):
             break
         width = tol * max(1.0, abs(lam))
-        if abs(step) <= 0.25 * width:
-            # a step this short left lambda on the root to far within
-            # tol: step just across it
-            nxt, step = lam + 0.5 * width * (1 if at.rho > 1 else -1), math.inf
-        else:
-            step = _step(gen, lam, at, prev)
+        sided, fresh = at.low > 1.0 or at.high <= 1.0, abs(step) > 0.25 * width
+        if fresh:
+            step = at.step(prev)
+        if fresh and (sided or abs(step) > 0.25 * width):
             nxt = lam + step
+        else:
+            # across the root toward the farther end; where rho is 1 within
+            # its rounding, by twice that over the slope of log rho through
+            # prev, then once more: the bracket stops at that floor
+            across = 0.5 * width
+            if not sided:
+                rise = abs(math.log(prev[1])) if 0 < prev[1] < math.inf else 0
+                across = (2 * slack * abs(lam - prev[0]) / rise if rise
+                          else 0.25 * width)
+                floor = max(floor, 2 * across)
+            nxt = lam + across * (1 if hi - lam > lam - lo else -1)
+            step = math.inf if sided else 0.0
         if not lo < nxt < hi:
             if at_lo is None:      # is there a root above s_B at all?
-                at_lo = _radius(gen, s_B_up, at.v, max_iter)
+                at_lo = _radius(gen, s_B_up, at.v, steps)
                 if at_lo.high <= 1.0:
                     break
             nxt, step = 0.5 * (lo + hi), math.inf
             if not lo < nxt < hi:       # lo and hi are adjacent floats
                 break
         prev, lam = (lam, at.rho), nxt
-        at = _radius(gen, lam, at.v, max_iter)
+        at = _radius(gen, lam, at.v, steps)
         if at.low > 1.0:
             lo, at_lo = lam, at
         elif at.high <= 1.0:
@@ -307,15 +320,11 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
             f"characteristic equation did not settle in {max_iter} steps: "
             f"s_A in [{lo:.12g}, {hi:.12g}]", estimate=hi, bracket=(lo, hi))
     if at_lo is None:
-        at_lo = _radius(gen, s_B_up, at.v, max_iter)
+        at_lo = _radius(gen, s_B_up, at.v, steps)
     if at_lo.high <= 1.0:
-        return (s_B, _boundary_eigenvector(gen, s_B_up, at_lo, max_iter),
-                (s_B, s_B))
-
-    def distance(p):
-        return abs(math.log(p)) if p > 0 else math.inf
-    lam, at = ((lo, at_lo) if distance(at_lo.rho) < distance(at_hi.rho)
-               else (hi, at_hi))
+        return s_B, _boundary_eigenvector(gen, s_B, at_lo, steps), (s_B, s_B)
+    lam, at = min((hi, at_hi), (lo, at_lo), key=lambda end: math.inf
+                  if end[1].rho <= 0 else abs(math.log(end[1].rho)))
     x = at.x
     if not np.isfinite(x).all():    # the solve overflowed: redo it scaled
         rhs = np.concatenate([at.v, np.zeros(gen.grid.n)])
@@ -323,47 +332,41 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
     return lam, x, (lo, hi)
 
 
-def _step(gen: DiscreteGenerator, lam: float, at: _Radius,
-          prev: Optional[tuple]) -> float:
-    """Newton step on log phi for a rank-1 kernel (phi' a second solve on
-    the factor of ``at``), else a secant step on log rho through ``prev``
-    = (lambda, rho); NaN where a rho or phi' is not finite and nonzero."""
-    r = at.rho
-    if not 0.0 < r < math.inf:
-        return math.nan
-    if gen.kernel.rank_one is not None:
-        dphi = -characteristic_function(gen, lam, at.x)[0]
-        return -math.log(r) * r / dphi if -math.inf < dphi < 0.0 else math.nan
-    if prev is None or not 0.0 < prev[1] < math.inf:
-        return math.nan
-    d = math.log(r) - math.log(prev[1])
-    return -math.log(r) * (lam - prev[0]) / d if d else math.nan
-
-
-def _boundary_eigenvector(gen: DiscreteGenerator, lam: float, at: _Radius,
-                          max_iter: int) -> np.ndarray:
-    """Nonnegative eigenvector for s_A = s_B from ``at``, at lambda = s_B+.
+def _boundary_eigenvector(gen: DiscreteGenerator, s_B: float, at: _Radius,
+                          steps) -> np.ndarray:
+    """Nonnegative eigenvector for s_A = s_B; ``at`` is at lambda = s_B+.
 
     With x_B the Perron vector of B, M x = s_B x for x = alpha x_B + h w,
     w = (lambda - B)^{-1}(f, 0), alpha = (1 - phi) / (g.x_B1) for a
-    rank-1 kernel, else for x_B + (lambda - B)^{-1}(z, 0) with
-    z = h beta x_B1 + K z (at most ``max_iter`` such steps); when
-    beta x_B1 = 0, x_B itself.
+    rank-1 kernel, else for x = x_B + (lambda - B)^{-1}(z, 0), z the sum
+    of d_0 = h beta x_B1, d_{k+1} = K d_k.  Where q_lo d_k <= K d_k <=
+    q_hi d_k, q_hi < 1, the rest lies between t(q_lo) d_k and t(q_hi) d_k,
+    t(q) = q / (1 - q): the sum ends at the midpoint once that is within
+    the rounding of z, at the rate of K's second eigenvalue, not rho(K);
+    its terms draw on ``steps``.  x_B when beta x_B1 = 0 or x overflows.
     """
-    n = gen.grid.n
-    x_B = _exact_bound(gen.recruitment_free)[1]
+    n, x_B = gen.grid.n, _exact_bound(gen.recruitment_free)[1]
     if gen.kernel.rank_one is not None:
         seen = float(gen.kernel.rank_one[1] @ x_B[:n])
         if seen > 0 and np.isfinite(at.x).all():
             return (1.0 - at.rho) / seen * x_B + gen.grid.h * at.x
         return x_B
-    z = b = gen.grid.h * gen.kernel.apply(x_B[:n])
-    for _ in range(max_iter):
-        y, x = _next_generation(gen, lam, z)
-        z, last = b + y, z
-        if np.array_equal(z, last):
-            break
-    return x_B + x if np.isfinite(x).all() else x_B
+    z = d = gen.grid.h * gen.kernel.apply(x_B[:n])
+    x_sum, lam = x_B, np.nextafter(s_B, math.inf)
+    while d.any():
+        y, x = _next_generation(gen, lam, d)
+        if not np.isfinite(x).all():
+            return x_B
+        x_sum, ratio = x_sum + x, y[d > 0] / d[d > 0]
+        q = ratio.min(), math.inf if y[d == 0].any() else ratio.max()
+        t = [r / (1.0 - r) for r in q] if q[1] < 1 else [0, math.inf]
+        if (t[1] - t[0]) * d.max() <= 4 * n * math.ulp(1.0) * z.max():
+            return x_sum + 0.5 * (t[0] + t[1]) * x
+        if next(steps, None) is None:
+            raise IterationError("eigenvector series for s_A = s_B did not "
+                                 "settle", estimate=s_B, bracket=(s_B, s_B))
+        z, d = z + y, y
+    return x_sum
 
 
 def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
@@ -376,17 +379,15 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
         is solved from its 2x2 cell blocks; the bracket is (s, s);
       * ``characteristic``: every mixing kernel.  The splitting
         lambda - M = (lambda - B) - h beta is regular, so s is s_B or the
-        root above it of rho(K(lambda)) = 1, with the next-generation
-        operator K(lambda) = h beta [(lambda - B)^{-1}]_11: phi for a
-        rank-1 kernel, else bracketed by power steps on K, each one
-        banded solve of lambda - B and one kernel product, with no LU.
-        The bracket (lo, hi) has rho(K(lo)) > 1 >= rho(K(hi)) and
-        hi - lo <= tol * max(1, |hi|); it opens 1 above the line-sum bound
-        (``DiscreteGenerator.line_sum_bound``), which lies above s.
+        root above it of rho(K(lambda)) = 1, K(lambda) = h beta
+        [(lambda - B)^{-1}]_11 the next-generation operator: phi for a
+        rank-1 kernel, else bracketed by power steps on K, each a banded
+        solve of lambda - B and a kernel product.  The bracket has
+        rho(K(lo)) > 1 >= rho(K(hi)), hi - lo <= tol * max(1, |hi|) or
+        the floor that rho's rounding allows (at large n).
 
-    The options are keyword-only; ``max_iter`` >= 1 bounds the
-    evaluations and the power steps of each, and IterationError (with
-    the bracket reached) says it ran out.
+    The options are keyword-only; ``max_iter`` >= 1 bounds evaluations and
+    power steps together, and IterationError carries the bracket reached.
     """
     if tol <= 0 or max_iter < 1:
         raise ConfigurationError("tol must be positive, max_iter >= 1")

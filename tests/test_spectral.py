@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twophase import operators
+from twophase import operators, spectral
 from twophase.errors import (ConfigurationError, IterationError,
                              SpectralProximityError)
 from twophase.evolution import evolve
@@ -557,12 +557,15 @@ class TestCharacteristicRoute:
         assert counts == {"factors": 2, "solves": 3}
 
     @pytest.mark.parametrize("value, table", [
-        (1e-6, False), (1.0, False), (1e-6, True), (1.0, True)],
-        ids=["1e-06", "1.0", "1e-06-table", "1.0-table"])
+        (1e-6, False), (1.0, False), (1.8, False), (1e-6, True),
+        (1.0, True), (1.8, True)],
+        ids=["1e-06", "1.0", "1.8", "1e-06-table", "1.0-table", "1.8-table"])
     def test_weak_recruitment_leaves_s_B(self, value, table):
         # phi(s_B+) = 0.55 * value <= 1: the recruitment cannot lift the
         # bound, which stays exactly at s_B = -10; the table's K(s_B+) has
-        # the same one nonzero eigenvalue
+        # the same one nonzero eigenvalue, 0.9986 at value 1.8, where the
+        # eigenvector's series z = h beta x_B1 + K z shrinks by that
+        # factor a term
         g, p, K, gen = mu_step_generator(10, value, table)
         s_B = recruitment_free_bound(gen)
         assert s_B == -10.0
@@ -573,6 +576,21 @@ class TestCharacteristicRoute:
         assert bound.route == "characteristic"
         assert bound.s == -10.0 and bound.bracket == (-10.0, -10.0)
         assert_eigenpair(gen, bound)
+
+    def test_boundary_series_that_does_not_settle_raises(self):
+        # two boxes on [0.5, 0.7]^2 and [0.8, 1]^2 under the mortality
+        # step, n = 20: K(s_B+) is block triangular with eigenvalues 0.985
+        # and 0.965, so the terms of the eigenvector's series approach
+        # K's Perron vector only as 0.98^k, too slowly for max_iter = 500
+        g = build_grid("finite", 1.0, 20)
+        beta = sum(build_kernel(indicator(lo, hi, lo, hi, value), g).beta
+                   for lo, hi, value in ((0.5, 0.7, 5.0), (0.8, 1.0, 4.9)))
+        g, p, K, gen = make(
+            n=20, kernel={"form": "table", "values": beta.tolist()},
+            mu={"form": "table", "points": [[0.0, 0.0], [0.3, 50.0]]})
+        with pytest.raises(IterationError, match="did not settle") as ei:
+            spectral_bound(gen)
+        assert ei.value.bracket == (-20.0, -20.0)
 
     def test_phi_above_s_B_on_demo_generator_reads_inf(self):
         # the README demo: the transport chain grows like 20 per cell just
@@ -658,16 +676,6 @@ def two_boxes(first, second):
             [make(n=100, kernel=indicator(*box))[3] for box in pair])
 
 
-def holds_dense_eigenvalue(gen, bracket):
-    # whether LAPACK's rightmost eigenvalue of the dense generator lies in
-    # the bracket, up to LAPACK's own rounding (about eps * ||M|| times
-    # the eigenvalue's condition: 6e-14 on the s<y case, against a
-    # 40-digit determinant root)
-    s = np.linalg.eigvals(gen.full.toarray()).real.max()
-    slack = 1e-12 * max(1.0, abs(s))
-    return bracket[0] - slack <= s <= bracket[1] + slack
-
-
 class TestPowerRoute:
     @pytest.mark.parametrize("name", sorted(POWER))
     def test_bracket_from_last_solve_matches_generator_oracle(
@@ -683,7 +691,33 @@ class TestPowerRoute:
         ref = collatz_wielandt(gen.full, bound.eigfun.stacked())
         assert ref[0] <= hi and lo <= ref[1]
         if name != "reducible":
-            assert holds_dense_eigenvalue(gen, bound.bracket)
+            assert lo <= np.linalg.eigvals(gen.full.toarray()).real.max() <= hi
+
+    def test_bracket_holds_high_precision_root(self):
+        # the root of det(lambda - M) on the s<y case's float matrix, by
+        # bisection in 40-digit arithmetic: a bound that certifies a side
+        # of 1 by a bare float comparison put hi 1.6e-15 below it
+        lo, hi = spectral_bound(POWER["s<y"]()).bracket
+        assert lo <= -1.2034656998597406705 <= hi
+
+    def test_power_steps_share_max_iter(self, monkeypatch):
+        # one budget of max_iter for the evaluations and the power steps
+        # together; the three evaluations outside the search loop make
+        # their first product on their own
+        products = []
+        real = spectral._next_generation
+
+        def counting(*args):
+            products.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "_next_generation", counting)
+        gen = POWER["s<y"]()
+        with pytest.raises(IterationError, match="did not settle") as ei:
+            spectral_bound(gen, max_iter=20)
+        assert len(products) <= 20 + 3
+        lo, hi = ei.value.bracket
+        assert lo <= spectral_bound(gen).s <= hi
 
     @pytest.mark.parametrize("first, second, dominant", [
         (5.0, 20.0, 1), (10.0, 5.0, 0)], ids=["downstream", "upstream"])
@@ -713,8 +747,9 @@ class TestPowerRoute:
         bound = spectral_bound(gen)
         assert bound.route == "characteristic"
         lo, hi = bound.bracket
-        assert holds_dense_eigenvalue(gen, bound.bracket)
-        assert lo <= bound.s <= hi and hi - lo <= 1e-9 * abs(bound.s)
+        dense = np.linalg.eigvals(gen.full.toarray()).real.max()
+        assert lo <= dense <= hi and lo <= bound.s <= hi
+        assert hi - lo <= 1e-9 * abs(dense)
 
     def test_max_iter_raises_with_bracket(self):
         g, p, K, gen = make(n=50, kernel=table_of(1.0, 50))
