@@ -14,10 +14,9 @@ routes, with the same numbers to rounding:
   * ``"steps"``: one solve per step.  ``step_implicit``, ``evolve`` and
     ``ideal_invariance_probe`` share one stepping loop, which fetches
     the generator's factor of I - dt*M (lambda = 1/dt folded in) once
-    per run and advances the stacked state (u1 over u2): for a rank-1
-    kernel a step is one banded triangular solve, a vectorised 2x2 block
-    inverse and an in-place Sherman-Morrison update, O(n) with no
-    negative rounding; other kernels take one sparse LU solve.
+    per run and advances the stacked state (u1 over u2) by banded solves
+    of I - dt*B, O(n) with no negative rounding: one and a Sherman-Morrison
+    update for a rank-1 kernel, one a term of a Neumann series for another.
   * ``"randomized"``: no solve at all.  With q = max(outflow + loss),
     P = I + M/q >= 0 and theta = q dt/(1 + q dt), backward Euler is a
     mixture of the powers of P, (I - dt M)^{-1} = (1 - theta) sum_j
@@ -153,7 +152,7 @@ def _steps(gen: DiscreteGenerator, x: np.ndarray, dt: float, nsteps: int):
 
 
 def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVector:
-    """One backward-Euler step: returns (I - dt*gen.full)^{-1} U.
+    """One backward-Euler step: returns (I - dt*M)^{-1} U.
 
     The result's components are views of one fresh array.  The step and
     its checks are those of ``evolve``; a run of steps is faster there,
@@ -259,25 +258,32 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(a, b, out=np.full(np.shape(b), np.inf), where=b > 0)
 
 
-def _cheaper(gen: DiscreteGenerator, J: int, nsteps: int, entries: int,
-             madds: int) -> bool:
+def _cheaper(gen: DiscreteGenerator, dt: float, J: int, nsteps: int,
+             entries: int, madds: int) -> bool:
     """Whether the randomized route (J products, ``entries`` weights,
     ``madds`` multiply-adds folding the records) is estimated to take no
-    longer than ``nsteps`` loop steps.
-
-    Microseconds per operation, fitted to timed ``evolve`` runs of both
-    routes with one BLAS thread on an Intel Xeon server core (numpy 2.4;
-    n = 40 .. 2000, q dt = 0.02 .. 0.5, 300 .. 8000 steps): a product 25
-    + 0.013 n, plus 4.5e-4 n^2 with a dense kernel; a step's weights 2,
-    plus 0.005 per entry; a multiply-add 2e-4; a loop step 12 + 0.024 n
-    with a rank-1 kernel (banded solve) and 18 + 9e-4 n^2 with any other
-    (sparse LU, whose factor fills the kernel's triangle).
+    longer than ``nsteps`` loop steps, by microseconds per operation
+    fitted to timed ``evolve`` runs of both routes (one BLAS thread, an
+    Intel Xeon server core, numpy 2.4; n = 40 .. 2000, q dt = 0.02 ..
+    0.5, 300 .. 8000 steps): a product 25 + 0.013 n, plus 4.5e-4 n^2 with
+    a dense kernel; a step's weights 2, plus 0.005 per entry; a
+    multiply-add 2e-4; a banded solve 12 + 0.024 n, a rank-1 kernel's
+    step.  Another kernel's step is a banded solve and a product per term
+    of its series, as many as ``next_generation_norm`` < 1 bounds; with
+    no such bound the randomized route is taken.
     """
     n = gen.grid.n
     product = 25 + 0.013 * n + (4.5e-4 * n * n
                                 if gen.kernel.dense is not None else 0.0)
-    step = (12 + 0.024 * n if gen.kernel.rank_one is not None
-            else 18 + 9e-4 * n * n)
+    step = 12 + 0.024 * n
+    if gen.kernel.rank_one is None:
+        # the series ends once norm^k / (1 - norm) is below 4 n eps
+        norm = gen.next_generation_norm(1.0 / dt)
+        if not norm < 1:
+            return True
+        tol = (1 - norm) * 4 * n * math.ulp(1.0)
+        terms = math.ceil(math.log(tol) / math.log(norm)) if norm else 0
+        step = (terms + 1) * (step + product)
     return (J * product + 2 * nsteps + 0.005 * entries + 2e-4 * madds
             <= nsteps * step)
 
@@ -317,7 +323,7 @@ def _randomized(gen: DiscreteGenerator, x: np.ndarray, dt: float,
     ends = hi[np.searchsorted(k1, rec)]
     held = rec.size * (J + 1)
     if held > 2 ** 19 or not _cheaper(
-            gen, J, nsteps, int(((k1 - k0 + 1) * (hi + 1)).sum())
+            gen, dt, J, nsteps, int(((k1 - k0 + 1) * (hi + 1)).sum())
             + held, int((ends + 1).sum()) * 2 * gen.grid.n):
         return None
     sums, states = _fold(gen, x, q - loss, q, J, ends,

@@ -361,7 +361,7 @@ class Kernel:
     @property
     def beta(self) -> np.ndarray:
         """The n x n kernel samples, materialized on each access for the
-        structured forms (a test oracle and the general factor route)."""
+        structured forms (a test oracle, as ``DiscreteGenerator.full``)."""
         if self.dense is not None:
             return self.dense
         i = np.arange(self.grid.n)

@@ -1,44 +1,32 @@
 """Discrete generator assembly and two independent resolvent routes.
 
-The full generator acts on the doubled state (u1 stacked over u2,
-length 2n) as the sum of four parts:
-
-  * transport: first-order conservative upwind discretization of
-    -d/ds(gamma u) with zero inflow at s=0 and free outflow on the right
-    (two decoupled lower-bidiagonal n x n blocks, one per phase);
-  * loss diagonal: -(mu + c1) on phase 1, -c2 on phase 2;
-  * phase coupling: +c2 from phase 2 into phase 1 and +c1 the other way
-    (cell-local, so two diagonal off-blocks);
-  * recruitment: midpoint quadrature of the birth kernel, acting on
-    phase 1 only.
-
-A generator keeps the per-cell arrays of the first three parts and the
-structured kernel, and applies M from them (``apply``, O(n) for every
-built-in kernel).  Only the general LU needs the whole generator as one
-sparse matrix (``full``), built on first use and cached.
+The full generator M acts on the doubled state (u1 stacked over u2,
+length 2n) as the sum of four parts: first-order conservative upwind
+transport of -d/ds(gamma u), zero inflow at s=0 and free outflow on the
+right (a lower-bidiagonal n x n block per phase); the loss diagonal,
+-(mu + c1) on phase 1 and -c2 on phase 2; the cell-local phase coupling,
++c2 into phase 1 and +c1 into phase 2; and the midpoint quadrature of
+the birth kernel, on phase 1 only.  A generator keeps the per-cell
+arrays of the first three parts and the structured kernel, and applies
+M from them (``apply``, O(n) for every built-in kernel); no solve builds
+M as a matrix.
 
 Resolvents (lambda*I - M)^{-1} are available by direct factorization
 and, for transport alone, by the analytic formula (one O(n) forward
 sweep of a midpoint quadrature, a check independent of the upwind
-discretisation).  The recruitment-free operator B
-(transport, loss and coupling) is a generator of its own,
-``DiscreteGenerator.recruitment_free``, with a zero kernel.  In
-per-cell order (u1_i, u2_i) it is block lower bidiagonal with 2x2 cell
-blocks, so lambda - B factors as L_b D with no fill and no pivoting: D
-the cell blocks, L_b unit lower banded, each solve one BLAS banded
-triangular solve (dtbsv) and a vectorised D^{-1}, O(n).  A rank-1
-kernel (``Kernel.rank_one``) adds a Sherman-Morrison correction to that
-factor; for the other kernels (tables, callables, factors masked by a
-relation) implicit steps and resolvents take a sparse LU (SuperLU) of
-lambda - M with a minimum-degree ordering of A + A^T, while every
-eigensolve solves on B's banded factors alone.  A generator keeps only
-its last factor; the truncation probe factors B's cell blocks on the
-cells of its largest truncation alone.  ``DiscreteGenerator.block_sweep``
-solves a block lower triangular generator (B, or one whose kernel does
-not mix) by one pure-Python forward sweep over the cell blocks: the
-exact eigenvectors come from it, and the characteristic route falls
-back on it where the banded solve overflows.  scipy is imported only
-to build ``full`` or factor it; the banded route loads scipy's BLAS
+discretisation).  The recruitment-free operator B (transport, loss and
+coupling), ``DiscreteGenerator.recruitment_free``, is block lower
+bidiagonal in per-cell order (u1_i, u2_i), so lambda - B factors with
+no fill and no pivoting, each solve one BLAS banded triangular solve
+(dtbsv) and a vectorised inverse of the 2x2 cell blocks, O(n).  Every
+factor of lambda - M solves on it: with a Sherman-Morrison correction
+for a rank-1 kernel, else by the Neumann series of the regular
+splitting lambda - M = (lambda - B) - h beta.  A generator keeps only
+its last factor.  ``DiscreteGenerator.block_sweep`` solves a block
+lower triangular generator (B, or one whose kernel does not mix) by one
+pure-Python forward sweep: the exact eigenvectors come from it, and the
+banded solves fall back on it where they overflow.  scipy is imported
+only to build the test oracle ``full``; every solve loads scipy's BLAS
 extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
 ``scipy.linalg`` or ``scipy.sparse`` packages.
 """
@@ -46,20 +34,17 @@ extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, PreconditionError,
+from .errors import (ConfigurationError, IterationError, PreconditionError,
                      SpectralProximityError)
 from .model import UPPER, Kernel, ModelParams, SizeGrid
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
 
 # forward sweeps that would overflow rescale by exact powers of 2
 HUGE, TINY = 2.0 ** 512, 2.0 ** -512
@@ -67,18 +52,13 @@ HUGE, TINY = 2.0 ** 512, 2.0 ** -512
 
 @functools.cache
 def _blas():
-    """scipy's f2py BLAS extension ``scipy.linalg._fblas``, loaded without
-    importing ``scipy`` or running ``scipy/linalg/__init__.py``.
-
-    ``scipy.linalg.blas`` re-exports this module's wrappers, but importing
-    it runs the whole ``scipy.linalg`` package (about 0.3 s, mostly
-    scipy's array-API layer pulling in ``numpy.f2py``), and even
-    ``import scipy`` alone costs about 20 ms; the extension is found from
-    the package's import spec and loads in a few ms.  It is entered in
-    ``sys.modules``, where a later ``import scipy.linalg`` finds it, so
-    both routes share one module (only the package attribute
-    ``scipy.linalg._fblas`` stays unset; scipy imports the name, never
-    reads the attribute).  Falls back to the plain import if the
+    """scipy's f2py BLAS extension ``scipy.linalg._fblas``, found from
+    scipy's import spec and loaded in a few ms, without importing
+    ``scipy`` (about 20 ms) or the ``scipy.linalg`` package (about 0.3 s,
+    mostly its array-API layer pulling in ``numpy.f2py``).  It is entered
+    in ``sys.modules``, where a later ``import scipy.linalg`` finds it
+    (only the package attribute ``scipy.linalg._fblas`` stays unset;
+    scipy never reads it).  Falls back to the plain import if the
     extension is not found on disk.
     """
     name = "scipy.linalg._fblas"
@@ -96,12 +76,6 @@ def _blas():
     module = sys.modules[name] = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def splu(A, **kwargs) -> "SuperLU":
-    """``scipy.sparse.linalg.splu``, imported on first use."""
-    from scipy.sparse.linalg import splu as _splu
-    return _splu(A, **kwargs)
 
 
 @dataclass
@@ -142,19 +116,16 @@ class StateVector:
 class _BandedFactor:
     """Solves (lambda - B) x = scale * rhs for the recruitment-free B.
 
-    In per-cell order (u1_i, u2_i), lambda - B is block lower bidiagonal:
-    the 2x2 cell blocks D_i = lambda - [[a_i, b_i], [c_i, d_i]] on the
-    diagonal and -diag(inflow_i) below.  It factors with no fill and no
-    pivoting as L_b D, with D = blockdiag(D_i) and L_b unit lower banded
-    (bandwidth 3) whose subdiagonal blocks are -diag(inflow_i) D_{i-1}^-1.
-    A solve is one BLAS banded triangular solve (dtbsv) with L_b and the
-    vectorised D^-1 (kept times ``scale``).  Above every block eigenvalue
-    D^-1 >= 0 and L_b <= 0 off the diagonal, so a nonnegative rhs gives
-    a nonnegative x, with no negative rounding.  ``above`` says whether
-    lambda lies there: lambda - B is a Z-matrix (off-diagonal <= 0),
-    whose inverse is >= 0 exactly when each D_i^-1 is (Berman & Plemmons,
-    ch. 6).  O(n) storage and work; every solve goes through one
-    interleave buffer, so one factor serves one thread at a time.
+    In per-cell order (u1_i, u2_i), lambda - B is block lower bidiagonal,
+    the cell blocks D_i = lambda - [[a_i, b_i], [c_i, d_i]] on the
+    diagonal and -diag(inflow_i) below: it factors with no fill and no
+    pivoting as L_b D, L_b unit lower banded (bandwidth 3).  A solve is
+    one BLAS dtbsv with L_b and the vectorised D^-1 (times ``scale``).
+    ``above``: lambda lies above every block eigenvalue, where D^-1 >= 0
+    and L_b <= 0 off the diagonal, so the Z-matrix lambda - B has an
+    inverse >= 0 (Berman & Plemmons, ch. 6) and a rhs >= 0 gives x >= 0.
+    O(n); every solve goes through one interleave buffer, so one factor
+    serves one thread at a time.
     """
 
     def __init__(self, lam: float, blocks: tuple, inflow: np.ndarray,
@@ -190,15 +161,12 @@ class _BandedFactor:
 
 class _RankOneFactor:
     """Solves (lambda - B - u v^T) x = scale * rhs around the banded
-    factor of lambda - B.
-
-    The rank-1 kernel beta = f g^T puts u v^T = h (f, 0) (g, 0)^T in the
-    full generator.  By the Sherman-Morrison identity,
-    x = y + w (v.y) / (1 - v.w) with y = scale (lambda - B)^{-1} rhs and
-    w = (lambda - B)^{-1} u; ``hf`` is h f / scale.  lambda lies above the
-    spectral bound of B + u v^T (``above``) exactly when it lies above
-    B's and the denominator 1 - v.w = 1 - phi(lambda) is > 0; the
-    inverse is then >= 0.
+    factor of lambda - B, u v^T = h (f, 0) (g, 0)^T for the rank-1 kernel
+    beta = f g^T, by the Sherman-Morrison identity x = y + w (v.y) /
+    (1 - v.w), y = scale (lambda - B)^{-1} rhs, w = (lambda - B)^{-1} u
+    (``hf`` is h f / scale).  lambda lies above the spectral bound
+    (``above``), where the inverse is >= 0, exactly when it lies above
+    B's and 1 - v.w = 1 - phi(lambda) > 0.
     """
 
     def __init__(self, base: _BandedFactor, hf: np.ndarray, g: np.ndarray,
@@ -222,6 +190,109 @@ class _RankOneFactor:
         return self._axpy(self._w, x, a=self._dot(self._g, x))
 
 
+class _SeriesFactor:
+    """Solves (lambda - M) x = scale * rhs, for a kernel that is not
+    rank-1, by ``_neumann_series`` from x_0 = scale (lambda - B)^{-1} rhs
+    and d = h beta x_0,1, a signed rhs's positive and negative parts
+    apart.  It is built above s_A alone: the series of the ones vector
+    ends (on a Collatz-Wielandt or norm bound below 1), and its sum x >=
+    (lambda - B)^{-1} 1 > 0 solves (lambda - M) x = 1, so the Z-matrix
+    lambda - M is a nonsingular M-matrix (Berman & Plemmons, ch. 6).
+    """
+
+    above, terms = True, 500    # each series ends within that many terms
+
+    def __init__(self, gen: "DiscreteGenerator", lam: float, scale: float):
+        self._gen, self._lam, self._scale = gen, lam, scale
+        self._norm = gen.next_generation_norm(lam)
+        try:
+            ok = (gen.recruitment_free.factorization(lam).above and
+                  np.isfinite(self.solve(np.ones(2 * gen.grid.n))).all())
+        except IterationError:
+            ok = False
+        if not ok:
+            raise SpectralProximityError(
+                f"lambda={lam:g} does not lie above the spectral bound of "
+                f"the generator: its Neumann series does not converge",
+                lam=lam)
+
+    def _sum(self, rhs: np.ndarray) -> np.ndarray:
+        gen, lam = self._gen, self._lam
+        x = _solve_recruitment_free(gen, lam, self._scale * rhs)
+        if np.isfinite(x).all():
+            d = gen.grid.h * gen.kernel.apply(x[:gen.grid.n])
+            x = _neumann_series(gen, lam, x, d, iter(range(self.terms)),
+                                self._norm)
+        return np.full(rhs.size, math.inf) if x is None else x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side of length 2n; the result is a
+        fresh array, not finite where a term overflows."""
+        if rhs.min() >= 0:
+            return self._sum(rhs)
+        return self._sum(np.maximum(rhs, 0)) - self._sum(np.maximum(-rhs, 0))
+
+
+def _solve_recruitment_free(gen: "DiscreteGenerator", lam: float,
+                            rhs: np.ndarray) -> np.ndarray:
+    """(lambda - B)^{-1} rhs on the banded factor of B = ``recruitment_free``;
+    where that overflows (its 0 * inf puts NaN into finite entries too),
+    by one forward sweep (``block_sweep``), which reads +inf, never NaN."""
+    B = gen.recruitment_free
+    with np.errstate(all="ignore"):
+        x = B.factorization(lam).solve(rhs)
+    return x if np.isfinite(x).all() else B.block_sweep(lam, rhs)
+
+
+def _next_generation(gen: "DiscreteGenerator", lam: float, v: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """K(lambda) v = h beta [(lambda - B)^{-1}(v, 0)]_1 and the solve x; a
+    row that reads an overflowed entry of x reads +inf."""
+    n = gen.grid.n
+    x = _solve_recruitment_free(gen, lam, np.concatenate([v, np.zeros(n)]))
+    over = np.isinf(x[:n])
+    with np.errstate(all="ignore"):
+        y = gen.grid.h * gen.kernel.apply(np.where(over, 0.0, x[:n]))
+        if over.any():
+            y[gen.kernel.apply(over * 1.0) > 0] = math.inf
+    y[np.isnan(y)] = 0.0    # 0 * inf, only in a row the kernel leaves empty
+    return y, x
+
+
+def _neumann_series(gen: "DiscreteGenerator", lam: float, x: np.ndarray,
+                    d: np.ndarray, steps, norm: float = math.inf
+                    ) -> Optional[np.ndarray]:
+    """x + sum_k (lambda - B)^{-1}(K^k d, 0), d >= 0, K = K(lambda) above
+    s_B: the series of the regular splitting lambda - M = (lambda - B) -
+    h beta (Varga, *Matrix Iterative Analysis*, ch. 3).  Where q_lo d_k <=
+    K d_k <= q_hi d_k < d_k, the rest lies between t(q_lo) and t(q_hi)
+    times term k, t(q) = q / (1 - q): it ends at the midpoint once that is
+    within 4 n eps of the sum of the d_k over 1 - q_hi, or, for a ``norm``
+    >= |K|_1 below 1, once |K d_k|_1 / (1 - norm) is within 4 n eps.
+    Terms after the first draw on ``steps``.  None where a term
+    overflows; IterationError where ``steps`` run out or q_lo passes 1.
+    """
+    slack = 4 * gen.grid.n * math.ulp(1.0)
+    z = d
+    while d.any():
+        y, term = _next_generation(gen, lam, d)
+        if not np.isfinite(term).all():
+            return None
+        pos = d > 0
+        x, ratio = x + term, y[pos] / d[pos]
+        q = ratio.min(), math.inf if y[~pos].any() else ratio.max()
+        t = [r / (1.0 - r) for r in q] if q[1] < 1 else [0, math.inf]
+        if (t[1] - t[0]) * d.max() <= slack * (1 + t[1]) * z.max() < math.inf:
+            return x + 0.5 * (t[0] + t[1]) * term
+        if y.sum() <= (1.0 - norm) * slack * z.sum():
+            return x
+        if q[0] * (1 - slack) >= 1 or next(steps, None) is None:
+            raise IterationError(f"the Neumann series of K(lambda) did not "
+                                 f"settle at lambda={lam:g}")
+        z, d = z + y, y
+    return x
+
+
 @dataclass
 class DiscreteGenerator:
     """Discrete generator kept as per-cell arrays, with factorized
@@ -230,8 +301,7 @@ class DiscreteGenerator:
     ``outflow[k]`` = gamma_k(edge_{i+1})/h and ``inflow[k]`` =
     gamma_k(edge_i)/h (cells 1..n-1) are the upwind rates of phase k,
     ``loss`` = (mu + c1, c2) the loss rates, and ``coupling`` = (c2, c1)
-    the rates into phase 1 from phase 2 and back.  The sparse ``full``
-    is built on first use.
+    the rates into phase 1 from phase 2 and back.
     """
 
     grid: SizeGrid
@@ -243,12 +313,10 @@ class DiscreteGenerator:
     _last_fact: Optional[tuple] = field(default=None, repr=False)
 
     @functools.cached_property
-    def full(self) -> "sp.csr_matrix":
-        """The full generator as one sparse matrix (u1 stacked over u2):
-        ``recruitment_free`` plus the recruitment quadrature
-        B3[i, j] = beta(s_i, y_j) * h in the phase-1/phase-1 position.
-        Built on first use, for the general LU alone; it materialises the
-        n x n kernel."""
+    def full(self):
+        """The full generator as one sparse matrix (u1 stacked over u2),
+        the recruitment quadrature B3[i, j] = beta(s_i, y_j) * h in the
+        phase-1/phase-1 position: an oracle only; no solve uses it."""
         import scipy.sparse as sp
         a, b, c, d = self.recruitment_free.cell_blocks()
         in1, in2 = self.inflow
@@ -267,18 +335,13 @@ class DiscreteGenerator:
                        _last_fact=None)
 
     def cell_blocks(self) -> Optional[tuple[np.ndarray, ...]]:
-        """2x2 diagonal cell blocks of a block lower triangular generator.
-
-        In per-cell (u1_i, u2_i) order the generator M has the diagonal
-        blocks [[a_i, b_i], [c_i, d_i]] = [[M[i, i], M[i, n+i]],
-        [M[n+i, i], M[n+i, n+i]]], read off the per-cell arrays.  Returns
-        (a, b, c, d) when no nonzero entry of M feeds a cell from a later
-        one, so that M is block lower triangular and its spectrum is the
-        union of the blocks'; None otherwise.  That holds exactly when
-        the kernel does not mix (beta vanishes above the diagonal: no
-        offspring is smaller than its parent), a test made once per
-        kernel (``Kernel.mixes_at``); ``recruitment_free`` always
-        qualifies.
+        """The 2x2 diagonal cell blocks (a, b, c, d), [[a_i, b_i], [c_i,
+        d_i]] = [[M[i, i], M[i, n+i]], [M[n+i, i], M[n+i, n+i]]], of a
+        generator that is block lower triangular in per-cell order, whose
+        spectrum is the union of the blocks'; None for any other.  That
+        holds exactly when the kernel does not mix (``Kernel.mixes_at``:
+        no offspring is smaller than its parent); ``recruitment_free``
+        always qualifies.
         """
         if self.kernel.mixes_at.any():
             return None
@@ -288,85 +351,65 @@ class DiscreteGenerator:
 
     def factorization(self, lam: float, scale: float = 1.0,
                       above: bool = False):
-        """Factor of (lambda*I - M) / scale.
-
-        Its ``solve(rhs)`` returns scale * (lambda - M)^{-1} rhs, so
-        ``scale`` = lambda = 1/dt applies the implicit step's
-        (I - dt*M)^{-1}.  A rank-1 kernel f g^T (``Kernel.rank_one``)
-        takes the fill-free banded factor of lambda - B (O(n), no
-        pivoting), B = ``recruitment_free``, plus a Sherman-Morrison
-        correction when f is nonzero; every other kernel (tables,
-        callables, masked factors) takes a sparse LU (SuperLU) with a
-        minimum-degree ordering of A + A^T, for implicit steps and
-        resolvents: eigensolves factor ``recruitment_free`` alone.  Only
-        the last (lambda, scale) factor is kept; a new key frees it.
-        SpectralProximityError when the shift makes the matrix (or the
-        correction) singular and, with ``above``, unless lambda lies above
-        the spectral bound s_A, where (lambda - M)^{-1} >= 0: the banded
-        and rank-1 factors know it from their construction, a sparse LU
-        from one solve of the ones vector, positive exactly when lambda - M
-        (off-diagonal <= 0) is a nonsingular M-matrix.  Each factor is
-        certified once.
+        """Factor of (lambda*I - M) / scale, whose ``solve(rhs)`` returns
+        scale * (lambda - M)^{-1} rhs (``scale`` = lambda = 1/dt applies
+        the implicit step's (I - dt*M)^{-1}).  Each solves on the banded
+        factor of lambda - B, B = ``recruitment_free``: alone for a rank-1
+        kernel f g^T with f = 0, with a Sherman-Morrison correction for
+        another, and by the Neumann series (``_SeriesFactor``) for every
+        other kernel.  Only the last (lambda, scale) factor is kept.  Each
+        answers ``above``: whether lambda lies above s_A, where
+        (lambda - M)^{-1} >= 0.  SpectralProximityError where the shift
+        makes the matrix (or the correction) singular, a series diverges,
+        or, with ``above``, lambda lies below s_A.
         """
         key = (float(lam), float(scale))
         if self._last_fact is None or self._last_fact[0] != key:
             self._last_fact = None
-            if self.kernel.rank_one is not None:
+            if self.kernel.rank_one is None:
+                fact = _SeriesFactor(self, lam, scale)
+            else:
                 f, g = self.kernel.rank_one
                 fact = _BandedFactor(lam, self.recruitment_free.cell_blocks(),
                                      self.inflow, scale)
                 if f.any():
                     fact = _RankOneFactor(fact, self.grid.h / scale * f, g,
                                           lam)
-            else:
-                import scipy.sparse as sp
-                mat = (sp.identity(2 * self.grid.n, format="csr") * float(lam)
-                       - self.full) / scale
-                try:
-                    fact = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                except RuntimeError as exc:
-                    raise SpectralProximityError(
-                        f"factorization of (lambda - full) failed at "
-                        f"lambda={lam:g}: {exc}", lam=lam)
-            self._last_fact = (key, fact, False)
-        fact, certified = self._last_fact[1:]
-        if above and not certified:
-            ok = getattr(fact, "above", None)
-            if ok is None:
-                x = fact.solve(np.ones(2 * self.grid.n))
-                ok = np.isfinite(x).all() and x.min() > 0
-            if not ok:
-                raise SpectralProximityError(
-                    f"lambda={lam:g} does not lie above the spectral bound "
-                    f"of the generator", lam=lam)
-            self._last_fact = (key, fact, True)
+            self._last_fact = (key, fact)
+        fact = self._last_fact[1]
+        if above and not fact.above:
+            raise SpectralProximityError(
+                f"lambda={lam:g} does not lie above the spectral bound "
+                f"of the generator", lam=lam)
         return fact
+
+    def next_generation_norm(self, lam: float) -> float:
+        """A bound of |K(lambda)|_1: h beta's largest column sum over the
+        gap between lambda and B's (lambda - B, a Z-matrix with column
+        sums >= the gap, has an inverse >= 0 with column sums <= 1/gap),
+        inf where that gap is not positive."""
+        gap = lam - float(self.recruitment_free.line_sums()[1].max())
+        born = self.grid.h * float(self.kernel.column_sums().max())
+        return born / gap if gap > 0 else math.inf
 
     def block_sweep(self, lam: float, rhs: np.ndarray, rescale: bool = False,
                     head: Optional[tuple] = None) -> np.ndarray:
-        """Solve (lambda - M) x = rhs by one forward sweep over the cells.
+        """Solve (lambda - M) x = rhs by one forward sweep over the cells,
+        for a kernel that does not mix (``cell_blocks``).
 
-        M is block lower triangular: a kernel that does not mix (see
-        ``cell_blocks``).  Cell i takes ``inflow[k][i-1]`` times phase k
-        of cell i - 1 and the recruitment h sum_{j < i} beta[i, j] x1_j:
-        h f_i times a running sum of g_j x1_j for factors (f, g) with no
-        relation or ``s>y``, a row product for a dense kernel, and
-        nothing for ``s<y``, which keeps no pair j < i.  With
-        ``head`` = (k, v), x is zero before cell k and v at cell k, and
-        the sweep fills the later cells.  lambda must lie above the
-        larger eigenvalue of every block swept; each block of lambda - M
-        is then an M-matrix with a nonnegative inverse, so a nonnegative
-        ``rhs`` and head give a nonnegative x, and an overflow reads +inf,
-        never NaN.  With ``rescale`` the sweep returns a positive multiple
-        of x instead: whenever a cell passes 2^512, the running sum and
-        the rhs still to come are scaled by 2^-512, and the entries so far
-        once at the end by the power of two they still need (at once for
-        a dense kernel, whose row product needs them at one scale).
-        O(n) (a row product per cell for a dense kernel), with no LU, but
-        one Python step per cell: the banded factor solves B far faster,
-        and the characteristic equation comes here only where that solve
-        overflows (its 0 * inf products give NaN where this sweep passes
-        nothing on), off the common path of ``spectral_bound``.
+        Cell i takes ``inflow[k][i-1]`` times phase k of cell i - 1 and
+        h sum_{j < i} beta[i, j] x1_j: h f_i times a running sum of
+        g_j x1_j for factors with no relation or ``s>y``, a row product
+        for a dense kernel, nothing for ``s<y``.  With ``head`` = (k, v),
+        x is zero before cell k and v at cell k.  Above every block
+        swept, a nonnegative ``rhs`` and head give x >= 0, and an overflow
+        reads +inf, never NaN (the banded solve's 0 * inf reads NaN).
+        With ``rescale`` it returns a positive multiple of x: whenever a
+        cell passes 2^512, the running sum and the rhs still to come are
+        scaled by 2^-512, and the entries so far by the power of two they
+        still need, at the end (at once for a dense kernel's row
+        product).  O(n), no LU, but a Python step per cell: the banded
+        solves come here only where they overflow.
         """
         n, h, K = self.grid.n, self.grid.h, self.kernel
         x1, x2 = [0.0] * n, [0.0] * n
@@ -468,14 +511,12 @@ def cell_inverse(lam: float, a, b, c, d) -> np.ndarray:
     """Entries (e11, e12, e21, e22) of (lambda - [[a, b], [c, d]])^{-1}
     for each 2x2 cell block with b*c >= 0, as a (4, n) array.
 
-    The determinant is taken as (lambda - larger)(lambda - smaller
-    eigenvalue), the gap to the larger one from ``block_eigenvalues``,
-    which never rounds below max(a, d): so lambda - a and lambda - d are
-    at least the gap, and above the computed eigenvalue the determinant
-    stays positive where (lambda - a)(lambda - d) - bc can round to zero
-    or below, and the inverse is nonnegative.  Below the eigenvalues it
-    is the determinant itself.  SpectralProximityError when lambda is an
-    eigenvalue of some block.
+    The determinant is (lambda - larger)(lambda - smaller eigenvalue),
+    the gap to the larger from ``block_eigenvalues``, which never rounds
+    below max(a, d): above it the determinant stays positive where
+    (lambda - a)(lambda - d) - bc can round to zero or below, and the
+    inverse is >= 0.  SpectralProximityError when lambda is an eigenvalue
+    of some block.
     """
     ea, ed = lam - a, lam - d
     gap = lam - block_eigenvalues(a, b, c, d)
@@ -535,7 +576,8 @@ def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
 
 def resolvent_direct(gen: DiscreteGenerator, lam: float,
                      H: StateVector) -> StateVector:
-    """Solve (lambda*I - M) U = H by direct factorization."""
+    """Solve (lambda*I - M) U = H on the generator's factor: at any
+    nonsingular lambda for a rank-1 kernel, above s_A for another."""
     if H.grid != gen.grid:
         raise ConfigurationError("state grid does not match the generator")
     fact = gen.factorization(lam)

@@ -3,23 +3,14 @@
 Four independent routes to spectral information are provided:
 
   * the rightmost eigenvalue and its nonnegative (Perron) eigenvector of
-    the full generator, with a bracket and the name of the route that
-    produced them:
-      - ``exact``: read off the 2x2 cell blocks when the generator is
-        block lower triangular in per-cell order (no recruitment, or a
-        kernel that does not mix), the eigenvector by the forward sweep
-        ``DiscreteGenerator.block_sweep``;
-      - ``characteristic``: for every mixing kernel, the root above s_B
-        of rho(K(lambda)) = 1, K(lambda) = h beta [(lambda - B)^{-1}]_11
-        the next-generation operator (rho is the characteristic function
-        phi for a rank-1 kernel), from O(n) banded solves of lambda - B;
+    the full generator, with a bracket and the name of its route,
+    ``exact`` or ``characteristic`` (``spectral_bound``);
   * closed-form expressions for the recruitment-free spectral bound and
     the spectral-gap lower bound in the constant-tail regime;
   * a truncation probe that classifies a real lambda as inside/outside
     the recruitment-free spectrum on an unbounded domain from the
-    resolvent of the generator's own B on growing truncations: one banded
-    factor on the cells of the largest, each truncation a prefix of its
-    solve;
+    resolvent of the generator's own B on growing truncations
+    (``sB_probe_infinite``);
   * a trajectory fit extracting the Malthusian rate and the profile
     convergence rate (asynchronous exponential growth detection).
 """
@@ -36,7 +27,8 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory, row_integrals
 from .operators import (DiscreteGenerator, StateVector, _BandedFactor,
-                        block_eigenvalues)
+                        _neumann_series, _next_generation,
+                        _solve_recruitment_free, block_eigenvalues)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -153,17 +145,6 @@ class _Radius:
             setattr(self, name, value)
 
 
-def _solve_recruitment_free(gen: DiscreteGenerator, lam: float,
-                            rhs: np.ndarray) -> np.ndarray:
-    """(lambda - B)^{-1} rhs on the banded factor of B = ``recruitment_free``;
-    where that overflows (its 0 * inf puts NaN into finite entries too),
-    by one forward sweep (``block_sweep``), which reads +inf, never NaN."""
-    B = gen.recruitment_free
-    with np.errstate(all="ignore"):
-        x = B.factorization(lam).solve(rhs)
-    return x if np.isfinite(x).all() else B.block_sweep(lam, rhs)
-
-
 def characteristic_function(gen: DiscreteGenerator, lam: float,
                             rhs: Optional[np.ndarray] = None
                             ) -> tuple[float, np.ndarray]:
@@ -182,21 +163,6 @@ def characteristic_function(gen: DiscreteGenerator, lam: float,
     seen = g > 0        # cells g ignores add nothing, even where x is inf
     with np.errstate(over="ignore"):    # a sum past the float range is inf
         return gen.grid.h * float(g[seen] @ x[:n][seen]), x
-
-
-def _next_generation(gen: DiscreteGenerator, lam: float, v: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """K(lambda) v = h beta [(lambda - B)^{-1}(v, 0)]_1 and the solve x; a
-    row that reads an overflowed entry of x reads +inf."""
-    n = gen.grid.n
-    x = _solve_recruitment_free(gen, lam, np.concatenate([v, np.zeros(n)]))
-    over = np.isinf(x[:n])
-    with np.errstate(all="ignore"):
-        y = gen.grid.h * gen.kernel.apply(np.where(over, 0.0, x[:n]))
-        if over.any():
-            y[gen.kernel.apply(over * 1.0) > 0] = math.inf
-    y[np.isnan(y)] = 0.0    # 0 * inf, only in a row the kernel leaves empty
-    return y, x
 
 
 def _radius(gen: DiscreteGenerator, lam: float, v: np.ndarray,
@@ -338,12 +304,9 @@ def _boundary_eigenvector(gen: DiscreteGenerator, s_B: float, at: _Radius,
 
     With x_B the Perron vector of B, M x = s_B x for x = alpha x_B + h w,
     w = (lambda - B)^{-1}(f, 0), alpha = (1 - phi) / (g.x_B1) for a
-    rank-1 kernel, else for x = x_B + (lambda - B)^{-1}(z, 0), z the sum
-    of d_0 = h beta x_B1, d_{k+1} = K d_k.  Where q_lo d_k <= K d_k <=
-    q_hi d_k, q_hi < 1, the rest lies between t(q_lo) d_k and t(q_hi) d_k,
-    t(q) = q / (1 - q): the sum ends at the midpoint once that is within
-    the rounding of z, at the rate of K's second eigenvalue, not rho(K);
-    its terms draw on ``steps``.  x_B when beta x_B1 = 0 or x overflows.
+    rank-1 kernel, else for the Neumann series of x_B and h beta x_B1
+    (``operators._neumann_series``), its terms drawing on ``steps``.  x_B
+    when beta x_B1 = 0 or x overflows.
     """
     n, x_B = gen.grid.n, _exact_bound(gen.recruitment_free)[1]
     if gen.kernel.rank_one is not None:
@@ -351,22 +314,13 @@ def _boundary_eigenvector(gen: DiscreteGenerator, s_B: float, at: _Radius,
         if seen > 0 and np.isfinite(at.x).all():
             return (1.0 - at.rho) / seen * x_B + gen.grid.h * at.x
         return x_B
-    z = d = gen.grid.h * gen.kernel.apply(x_B[:n])
-    x_sum, lam = x_B, np.nextafter(s_B, math.inf)
-    while d.any():
-        y, x = _next_generation(gen, lam, d)
-        if not np.isfinite(x).all():
-            return x_B
-        x_sum, ratio = x_sum + x, y[d > 0] / d[d > 0]
-        q = ratio.min(), math.inf if y[d == 0].any() else ratio.max()
-        t = [r / (1.0 - r) for r in q] if q[1] < 1 else [0, math.inf]
-        if (t[1] - t[0]) * d.max() <= 4 * n * math.ulp(1.0) * z.max():
-            return x_sum + 0.5 * (t[0] + t[1]) * x
-        if next(steps, None) is None:
-            raise IterationError("eigenvector series for s_A = s_B did not "
-                                 "settle", estimate=s_B, bracket=(s_B, s_B))
-        z, d = z + y, y
-    return x_sum
+    d = gen.grid.h * gen.kernel.apply(x_B[:n])
+    try:
+        x = _neumann_series(gen, np.nextafter(s_B, math.inf), x_B, d, steps)
+    except IterationError:
+        raise IterationError("eigenvector series for s_A = s_B did not "
+                             "settle", estimate=s_B, bracket=(s_B, s_B))
+    return x_B if x is None else x
 
 
 def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
@@ -380,11 +334,9 @@ def spectral_bound(gen: DiscreteGenerator, *, tol: float = 1e-10,
       * ``characteristic``: every mixing kernel.  The splitting
         lambda - M = (lambda - B) - h beta is regular, so s is s_B or the
         root above it of rho(K(lambda)) = 1, K(lambda) = h beta
-        [(lambda - B)^{-1}]_11 the next-generation operator: phi for a
-        rank-1 kernel, else bracketed by power steps on K, each a banded
-        solve of lambda - B and a kernel product.  The bracket has
-        rho(K(lo)) > 1 >= rho(K(hi)), hi - lo <= tol * max(1, |hi|) or
-        the floor that rho's rounding allows (at large n).
+        [(lambda - B)^{-1}]_11 the next-generation operator (phi for a
+        rank-1 kernel), with rho(K(lo)) > 1 >= rho(K(hi)) and hi - lo
+        <= tol * max(1, |hi|) or the floor that rho's rounding allows.
 
     The options are keyword-only; ``max_iter`` >= 1 bounds evaluations and
     power steps together, and IterationError carries the bracket reached.

@@ -14,7 +14,8 @@ from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
-                                _RankOneFactor, assemble, block_eigenvalues,
+                                _RankOneFactor, _SeriesFactor, assemble,
+                                block_eigenvalues,
                                 resolvent_direct, resolvent_transport_analytic,
                                 volterra_norm_sequence)
 from twophase.scenario import scenario_from_dict
@@ -216,32 +217,44 @@ class TestDirectResolvent:
             resolvent_direct(gen, -100.0, H)
 
     def test_factorization_fill_stays_near_matrix_size(self):
-        # README demo generator (n = 600) with its box kernel as a dense
-        # table, at the implicit step's shift 1/dt: the minimum-degree
-        # ordering keeps the LU factors within twice the nonzeros of
-        # lambda - M (a column ordering that ignores the bidiagonal
-        # structure fills ~14x)
-        g, gen = demo_generator(table=True)
-        lam = 1000.0
-        fact = gen.factorization(lam)
-        mat = sp.identity(2 * g.n, format="csr") * lam - gen.full
-        assert fact.L.nnz + fact.U.nnz <= 2 * mat.nnz
+        # README demo generator with its box kernel as a dense table, at
+        # the implicit step's shift 1/dt: the series factor holds no array
+        # of its own and solves on B's banded factor, with no fill: 16 n
+        # numbers (the band, the cell-block inverses and the interleave
+        # buffer with its two phase views), where the table holds n^2
+        lam, sizes = 1000.0, []
+        for n in (600, 1200):
+            g, gen = demo_generator(n, table=True)
+            fact = gen.factorization(lam)
+            assert isinstance(fact, _SeriesFactor)
+            assert stored_numbers(fact) == 0
+            sizes.append(stored_numbers(
+                gen.recruitment_free.factorization(lam)))
+            assert sizes[-1] <= 16 * n
+        assert sizes[1] == 2 * sizes[0]
 
-    def test_factorization_keeps_one_live_factor(self, splu_calls):
+    def test_factorization_keeps_one_live_factor(self, monkeypatch):
         # the generator keeps only its last factor: repeated shifts
         # factor once, and returning to an earlier shift factors again
         # the constant kernel 1 as a dense table
+        builds = []
+
+        class Counting(_SeriesFactor):
+            def __init__(self, *args):
+                builds.append(args[1])
+                super().__init__(*args)
+        monkeypatch.setattr(twophase.operators, "_SeriesFactor", Counting)
         g, p, K, gen = make(n=40, kernel={"form": "table",
                                           "values": np.ones((40, 40))})
         U = StateVector(np.ones(40), np.zeros(40), g)
         evolve(gen, U, 1e-2, 0.5)
-        assert len(splu_calls) == 1
+        assert len(builds) == 1
         gen.factorization(1.0)
         gen.factorization(2.0)
         gen.factorization(1.0)
-        assert len(splu_calls) == 4
+        assert len(builds) == 4
 
-    def test_banded_factor_stores_linear_size(self, splu_calls):
+    def test_banded_factor_stores_linear_size(self):
         # the demo generator with its rank-1 box kernel at the same shift:
         # the banded factor of lambda - B and the Sherman-Morrison vectors
         # hold O(n) numbers, within twice the nonzeros of lambda - M
@@ -254,10 +267,8 @@ class TestDirectResolvent:
             sizes.append(stored_numbers(fact))
             assert sizes[-1] <= 2 * mat.nnz
         assert sizes[1] == 2 * sizes[0]
-        assert splu_calls == []
 
-    def test_banded_factorization_keeps_one_live_factor(self, monkeypatch,
-                                                         splu_calls):
+    def test_banded_factorization_keeps_one_live_factor(self, monkeypatch):
         # one live factor per (lambda, scale) on the banded route too
         builds = []
 
@@ -281,28 +292,33 @@ class TestDirectResolvent:
                    gen.recruitment_free):
             op.factorization(1.0)
         assert len(builds) == 5
-        assert splu_calls == []
 
 
 class TestAboveSpectralBound:
     @pytest.mark.parametrize("kernel, factor", [
         (0.0, "_BandedFactor"), (5.0, "_RankOneFactor"),
-        ({"form": "table", "values": [[5.0] * 40] * 40}, "SuperLU"),
+        ({"form": "table", "values": [[5.0] * 40] * 40}, "_SeriesFactor"),
         ({"form": "indicator", "relation": "s<y", "value": 20.0},
-         "SuperLU")])
+         "_SeriesFactor")])
     def test_factor_certifies_lambda_above_s_A(self, kernel, factor):
         # (lambda - M)^{-1} >= 0 exactly above s_A: the banded factor
-        # knows it from its cell blocks, the rank-1 one from 1 - phi, a
-        # sparse LU from one solve of the ones vector
+        # knows it from its cell blocks, the rank-1 one from 1 - phi, the
+        # series factor from its series of the ones vector converging
         g, p, K, gen = make(n=40, kernel=kernel)
         s = spectral_bound(gen).s
         fact = gen.factorization(s + 0.01, above=True)
-        assert type(fact).__name__ == factor
+        assert type(fact).__name__ == factor and fact.above
         with pytest.raises(SpectralProximityError, match="spectral bound"):
             gen.factorization(s - 0.01, above=True)
-        # uncertified, the factor below s_A still solves
-        assert np.isfinite(gen.factorization(s - 0.01).solve(
-            np.ones(2 * g.n))).all()
+        below = np.ones(2 * g.n)
+        if factor == "_SeriesFactor":
+            # its series diverges below s_A, certified or not
+            with pytest.raises(SpectralProximityError,
+                               match="spectral bound"):
+                gen.factorization(s - 0.01)
+        else:
+            # uncertified, the factor below s_A still solves
+            assert np.isfinite(gen.factorization(s - 0.01).solve(below)).all()
 
 
 class TestBandedFactor:
@@ -323,7 +339,7 @@ class TestBandedFactor:
 
     @pytest.mark.parametrize("name", ["just_above", "above",
                                       "implicit_step", "below"])
-    def test_solve_matches_dense_solve(self, name, splu_calls):
+    def test_solve_matches_dense_solve(self, name):
         g, p, gen = graded_generator()
         lam = self.shift(gen, name)
         mat = lam * np.eye(2 * g.n) - dense_recruitment_free(p)
@@ -335,7 +351,6 @@ class TestBandedFactor:
         ref = np.linalg.solve(mat, rhs)
         x = B.factorization(lam).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert splu_calls == []
 
     def test_nonnegative_data_stay_nonnegative(self):
         g, _, gen = graded_generator()
@@ -398,9 +413,10 @@ def run_child(code: str):
 
 class TestBlasLoader:
     def test_loader_first_matches_scipy_linalg_blas(self):
-        # a banded step loads the BLAS extension alone; a table factor
-        # then imports scipy.linalg, which must reuse that module, and
-        # a banded step on a fresh generator is bit-identical
+        # a banded step loads the BLAS extension alone, and so does a
+        # table's series factor; a later import of scipy.linalg must
+        # reuse that module, and a banded step on a fresh generator is
+        # bit-identical
         run_child(
             "import sys\n"
             "import numpy as np\n"
@@ -423,7 +439,7 @@ class TestBlasLoader:
             "table = build_kernel({'form': 'table',\n"
             "                      'values': scn.kernel.beta}, g)\n"
             "assemble(scn.params, table, g).factorization(1000.0)\n"
-            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
             "import scipy.linalg.blas\n"
             "assert scipy.linalg.blas._fblas is _blas()\n"
             "fresh = gen()\n"

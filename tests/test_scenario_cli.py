@@ -1090,6 +1090,33 @@ class TestCLI:
         assert sim["route"] == "randomized" and 0 < sim["terms"] <= 1000
         assert 0 <= sim["tail_bound"] <= 2.0 ** -50
 
+    def test_simulate_loop_on_table_kernel_leaves_scipy_sparse_unimported(
+            self, tmp_path):
+        # 3000 records held at once send the run to the loop; a table's
+        # implicit steps sum the Neumann series on B's banded factor,
+        # with no sparse matrix and no sparse LU
+        doc = minimal_doc(name="tab",
+                          kernel={"form": "table", "values": [[3.0] * 100]
+                                  * 100},
+                          run={"dt": 2e-3, "T": 6.0, "record_every": 1})
+        doc["domain"]["n"] = 100
+        code = (
+            "import sys\n"
+            "from twophase.cli import main\n"
+            "scn, out = sys.argv[1:]\n"
+            "assert main(['simulate', scn, '--out', out]) == 0\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, write(tmp_path, doc),
+             str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        sim = strict_json((tmp_path / "o" / "tab_report.json").read_text())[
+            "simulate"]
+        assert sim["route"] == "steps" and sim["terms"] is None
+
     def test_artifacts_honour_umask(self, tmp_path):
         path = tmp_path / "o" / "a.txt"
         old = os.umask(0o022)

@@ -14,9 +14,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_sparse_lu():
+    # every solve runs on banded factors: no module imports
+    # scipy.sparse.linalg or names splu
+    paths = sorted(pathlib.Path(twophase.__file__).parent.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        names = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+        if "splu" in names or any(name.startswith("scipy.sparse.linalg")
+                                  for name in names):
+            found.append(path.name)
+    assert found == []
+
+
 def _names_used(tree) -> set:
     # every name read in the module, including those inside string
-    # annotations (forward references such as -> "SuperLU")
+    # annotations (forward references such as -> "sp.csr_matrix")
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):

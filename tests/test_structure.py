@@ -3,9 +3,9 @@
 Every built-in kernel form keeps rank-1 factors, on every cell pair or,
 with a relation, masked to the strict triangle below or above the
 diagonal; each derived quantity, the cell-block qualification, the
-rank-1 (Sherman-Morrison) factor and the sparse LU of the masked ones
-are checked here against formulas on the dense ``Kernel.beta`` and the
-dense generator, at n <= 60.
+rank-1 (Sherman-Morrison) factor and the Neumann-series factor of the
+masked ones and the dense kernels are checked here against formulas on
+the dense ``Kernel.beta`` and the dense generator, at n <= 60.
 """
 
 import tracemalloc
@@ -17,8 +17,8 @@ from twophase.criteria import full_verdict
 from twophase.errors import SpectralProximityError, ValidationError
 from twophase.evolution import step_implicit
 from twophase.model import Kernel, build_grid, build_kernel, sample_params
-from twophase.operators import (StateVector, _RankOneFactor, assemble,
-                                resolvent_direct)
+from twophase.operators import (StateVector, _RankOneFactor, _SeriesFactor,
+                                assemble, resolvent_direct)
 from twophase.spectral import spectral_bound
 
 # every built-in kernel form, plus the dense ones, for the oracle tests
@@ -221,23 +221,29 @@ class TestGeneratorStructure:
 
     @pytest.mark.parametrize("name", ["lower", "upper", "lower_box",
                                       "upper_box"])
-    def test_masked_factors_take_sparse_lu(self, name, splu_calls):
+    def test_masked_factors_take_the_series_factor(self, name):
         # factors kept on one side of the diagonal are not rank-1: the
-        # full generator factors through SuperLU, while the eigensolve of
-        # an s<y kernel, which mixes, takes the characteristic route
+        # full generator solves by the Neumann series on B's banded
+        # factor, certified above s_A, and raises below it, while the
+        # eigensolve of an s<y kernel, which mixes, takes the
+        # characteristic route
         g, p, K, gen = generator(KERNEL_FORMS[name])
         assert K.factors is not None and K.rank_one is None
-        gen.factorization(100.0)
-        assert len(splu_calls) == 1
-        assert spectral_bound(gen).route == (
+        assert isinstance(gen.factorization(100.0), _SeriesFactor)
+        bound = spectral_bound(gen)
+        assert bound.route == (
             "characteristic" if K.relation == "s<y" else "exact")
+        assert gen.factorization(bound.s + 0.5, above=True).above
+        with pytest.raises(SpectralProximityError, match="spectral bound"):
+            gen.factorization(bound.s - 0.5)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
-    def test_eigensolve_makes_no_splu_call(self, name, splu_calls):
-        # every route solves on banded factors of lambda - B or sweeps
+    def test_eigensolve_makes_no_splu_call(self, name):
+        # every route solves on banded factors of lambda - B or sweeps,
+        # and none builds the sparse generator, a test oracle only
         g, p, K, gen = generator(KERNEL_FORMS[name])
         spectral_bound(gen)
-        assert splu_calls == []
+        assert "full" not in vars(gen)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
     def test_line_sum_bound_lies_above_spectral_bound(self, name):
@@ -245,23 +251,32 @@ class TestGeneratorStructure:
         assert gen.line_sum_bound() >= spectral_bound(gen).s
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
-    @pytest.mark.parametrize("offset", [0.5, 100.0])
+    @pytest.mark.parametrize("offset", [0.5, 100.0, None])
     def test_factor_solve_matches_dense_solve(self, name, offset):
-        # a shift just above max(s_A, 0) and one of implicit-step size
-        # (the non-mixing generators are strongly non-normal: just above
-        # their s_A ~ -1/h any solve amplifies rounding far past 1e-12);
-        # rank-1 kernels with a nonzero offspring factor take the
-        # Sherman-Morrison route
+        # a shift just above max(s_A, 0), one of implicit-step size and
+        # (None) the implicit step 1/dt at dt = 0.99 / max(s_A, 1), so
+        # dt*s_A = 0.99 where s_A >= 1 (the table's); a nonnegative and
+        # a signed rhs, whose positive and negative parts a series factor
+        # sums apart.  (The non-mixing generators are strongly
+        # non-normal: just above their s_A ~ -1/h any solve amplifies
+        # rounding far past 1e-12.)  Rank-1 kernels with a nonzero
+        # offspring factor take the Sherman-Morrison route, the kernels
+        # that are not rank-1 the Neumann series
         g, p, K, gen = generator(KERNEL_FORMS[name])
         M = dense_generator(g, p, K)
-        lam = max(float(np.linalg.eigvals(M).real.max()), 0.0) + offset
+        if offset is None:
+            lam = max(spectral_bound(gen).s, 1.0) / 0.99
+        else:
+            lam = max(float(np.linalg.eigvals(M).real.max()), 0.0) + offset
         fact = gen.factorization(lam)
         assert isinstance(fact, _RankOneFactor) == (
             K.rank_one is not None and K.rank_one[0].any())
-        rhs = np.random.default_rng(11).random(2 * g.n)
-        ref = np.linalg.solve(lam * np.eye(2 * g.n) - M, rhs)
-        x = fact.solve(rhs)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert isinstance(fact, _SeriesFactor) == (K.rank_one is None)
+        rng = np.random.default_rng(11)
+        for rhs in (rng.random(2 * g.n), rng.random(2 * g.n) - 0.5):
+            ref = np.linalg.solve(lam * np.eye(2 * g.n) - M, rhs)
+            x = fact.solve(rhs)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_vanishing_sherman_morrison_denominator_raises(self):
         # pure transport at gamma = 1, h = 0.5 with beta = e_0 e_0^T:
