@@ -203,6 +203,8 @@ class _SeriesFactor:
     above, terms = True, 500    # each series ends within that many terms
 
     def __init__(self, gen: "DiscreteGenerator", lam: float, scale: float):
+        # a twin on the same arrays: no cycle through the memo keeps gen
+        gen = replace(gen, _last_fact=None)
         self._gen, self._lam, self._scale = gen, lam, scale
         self._norm = gen.next_generation_norm(lam)
         try:
@@ -272,8 +274,7 @@ def _neumann_series(gen: "DiscreteGenerator", lam: float, x: np.ndarray,
     Terms after the first draw on ``steps``.  None where a term
     overflows; IterationError where ``steps`` run out or q_lo passes 1.
     """
-    slack = 4 * gen.grid.n * math.ulp(1.0)
-    z = d
+    slack, z = 4 * gen.grid.n * math.ulp(1.0), d
     while d.any():
         y, term = _next_generation(gen, lam, d)
         if not np.isfinite(term).all():
@@ -385,9 +386,8 @@ class DiscreteGenerator:
 
     def next_generation_norm(self, lam: float) -> float:
         """A bound of |K(lambda)|_1: h beta's largest column sum over the
-        gap between lambda and B's (lambda - B, a Z-matrix with column
-        sums >= the gap, has an inverse >= 0 with column sums <= 1/gap),
-        inf where that gap is not positive."""
+        gap between lambda and B's (Z-matrix lambda - B has column sums >=
+        gap, so an inverse >= 0 with column sums <= 1/gap); else inf."""
         gap = lam - float(self.recruitment_free.line_sums()[1].max())
         born = self.grid.h * float(self.kernel.column_sums().max())
         return born / gap if gap > 0 else math.inf
