@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +255,21 @@ class TestDirectResolvent:
         gen.factorization(2.0)
         gen.factorization(1.0)
         assert len(builds) == 4
+
+    def test_series_factor_keeps_no_reference_cycle(self):
+        # the factor holds a twin of its generator, not the generator
+        # itself, so dropping the last reference frees the generator and
+        # its dense kernel at once, without the cyclic collector
+        g, p, K, gen = make(n=40, kernel={"form": "table",
+                                          "values": np.ones((40, 40))})
+        gen.factorization(1.0).solve(np.ones(2 * g.n))
+        ref = weakref.ref(gen)
+        gc.disable()
+        try:
+            del gen
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_banded_factor_stores_linear_size(self):
         # the demo generator with its rank-1 box kernel at the same shift:
