@@ -327,7 +327,6 @@ class TestAboveSpectralBound:
         assert type(fact).__name__ == factor and fact.above
         with pytest.raises(SpectralProximityError, match="spectral bound"):
             gen.factorization(s - 0.01, above=True)
-        below = np.ones(2 * g.n)
         if factor == "_SeriesFactor":
             # its series diverges below s_A, certified or not
             with pytest.raises(SpectralProximityError,
@@ -335,7 +334,8 @@ class TestAboveSpectralBound:
                 gen.factorization(s - 0.01)
         else:
             # uncertified, the factor below s_A still solves
-            assert np.isfinite(gen.factorization(s - 0.01).solve(below)).all()
+            assert np.isfinite(gen.factorization(s - 0.01).solve(
+                np.ones(2 * g.n))).all()
 
 
 class TestBandedFactor:
