@@ -8,13 +8,10 @@ growth."""
 from .criteria import Verdict, full_verdict
 from .errors import (ConfigurationError, NumericalError, TwophaseError,
                      ValidationError)
-from .evolution import (Trajectory, evolve, ideal_invariance_probe,
-                        mass_balance, step_implicit)
+from .evolution import Trajectory, evolve, mass_balance, step_implicit
 from .model import (Kernel, ModelParams, SizeGrid, build_grid, build_kernel,
                     sample_params)
-from .operators import (DiscreteGenerator, StateVector, VolterraOp, assemble,
-                        resolvent_direct, resolvent_transport_analytic,
-                        volterra_norm_sequence)
+from .operators import DiscreteGenerator, StateVector, assemble
 from .scenario import Scenario, parse_scenario, scenario_from_dict
 from .spectral import (AEGFit, SpectralReport, closed_form_sB, detect_AEG,
                        sB_probe_infinite, spectral_bound,

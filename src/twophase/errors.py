@@ -57,7 +57,3 @@ class IterationError(NumericalError):
 
 class InsufficientDataError(TwophaseError):
     """A diagnostic needs more trajectory records than were supplied."""
-
-
-class PreconditionError(TwophaseError):
-    """An operation's documented precondition does not hold for the inputs."""

@@ -11,12 +11,12 @@ step and the last as the rows of one array, ``Trajectory.records``
 ``spectral.detect_AEG`` reduce over, and computes them by one of two
 routes, with the same numbers to rounding:
 
-  * ``"steps"``: one solve per step.  ``step_implicit``, ``evolve`` and
-    ``ideal_invariance_probe`` share one stepping loop, which fetches
-    the generator's factor of I - dt*M (lambda = 1/dt folded in) once
-    per run and advances the stacked state (u1 over u2) by banded solves
-    of I - dt*B, O(n) with no negative rounding: one and a Sherman-Morrison
-    update for a rank-1 kernel, one a term of a Neumann series for another.
+  * ``"steps"``: one solve per step.  ``step_implicit`` and ``evolve``
+    share one stepping loop, which fetches the generator's factor of
+    I - dt*M (lambda = 1/dt folded in) once per run and advances the
+    stacked state (u1 over u2) by banded solves of I - dt*B, O(n) with
+    no negative rounding: one and a Sherman-Morrison update for a
+    rank-1 kernel, one a term of a Neumann series for another.
   * ``"randomized"``: no solve at all.  With q = max(outflow + loss),
     P = I + M/q >= 0 and theta = q dt/(1 + q dt), backward Euler is a
     mixture of the powers of P, (I - dt M)^{-1} = (1 - theta) sum_j
@@ -60,12 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, InsufficientDataError,
-                     PreconditionError, SpectralProximityError, StepSizeError)
+                     SpectralProximityError, StepSizeError)
 from .model import Kernel, ModelParams, SizeGrid
-from .operators import DiscreteGenerator, StateVector
-
-IDEAL_KINDS = ("both_min_size", "phase2_min_size", "phase2_only",
-               "product_min_sizes")
+from .operators import DiscreteGenerator, StateVector, _rounding_slack
 
 # the randomized route: relative L1 bounds on the terms it drops, the
 # a-priori one that fixes J and the a-posteriori one it checks
@@ -281,7 +278,7 @@ def _cheaper(gen: DiscreteGenerator, dt: float, J: int, nsteps: int,
         norm = gen.next_generation_norm(1.0 / dt)
         if not norm < 1:
             return True
-        tol = (1 - norm) * 4 * n * math.ulp(1.0)
+        tol = (1 - norm) * _rounding_slack(n)
         terms = math.ceil(math.log(tol) / math.log(norm)) if norm else 0
         step = (terms + 1) * (step + product)
     return (J * product + 2 * nsteps + 0.005 * entries + 2e-4 * madds
@@ -424,44 +421,3 @@ def mass_balance(traj: Trajectory, kernel: Kernel, params: ModelParams) -> MassB
     return MassBalanceReport(drift=drift,
                              max_abs_drift=float(np.abs(drift).max()),
                              outflow=outflow)
-
-
-def _outside_mask(kind: str, cut, gen: DiscreteGenerator) -> np.ndarray:
-    """Boolean mask of the stacked cells outside the ideal's support.
-
-    Phase 2 is supported above its cut in every kind; phase 1 above its
-    cut too (``both_min_size``, and ``product_min_sizes`` with
-    cut = (cut1, cut2)), everywhere (``phase2_min_size``) or nowhere
-    (``phase2_only``).
-    """
-    if kind not in IDEAL_KINDS:
-        raise ConfigurationError(f"unknown ideal kind {kind!r}")
-    cut1, cut2 = cut if kind == "product_min_sizes" else 2 * (float(cut),)
-    centers = gen.grid.centers
-    m1 = centers < cut1
-    if kind == "phase2_min_size":
-        m1[:] = False
-    elif kind == "phase2_only":
-        m1[:] = True
-    return np.concatenate([m1, centers < cut2])
-
-
-def ideal_invariance_probe(gen: DiscreteGenerator, ideal: tuple, U0: StateVector,
-                           T: float, dt: float) -> float:
-    """Evolve U0 and return the max mass leaking out of an invariant ideal.
-
-    ``ideal`` is (kind, cut) with kind one of ``both_min_size`` (both
-    densities vanish below ``cut``), ``phase2_min_size`` (resting density
-    vanishes below ``cut``), ``phase2_only`` (active density vanishes
-    everywhere, resting below ``cut``) or ``product_min_sizes`` (cut =
-    (cut1, cut2), each density vanishing below its own cut).  A tiny return value (<= 1e-10)
-    certifies discrete invariance of the corresponding subspace.
-    """
-    out, h = _outside_mask(*ideal, gen), gen.grid.h
-    nsteps = _step_count(dt, T)
-    if np.abs(U0.stacked()[out]).sum() * h > 1e-14:
-        raise PreconditionError("initial state does not lie in the declared ideal")
-    leak = 0.0
-    for x, _, _ in _steps(gen, U0.stacked(), dt, nsteps):
-        leak = max(leak, float(np.abs(x[out]).sum() * h))
-    return leak

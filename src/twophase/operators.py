@@ -1,4 +1,4 @@
-"""Discrete generator assembly and two independent resolvent routes.
+"""Discrete generator assembly and its factored resolvent.
 
 The full generator M acts on the doubled state (u1 stacked over u2,
 length 2n) as the sum of four parts: first-order conservative upwind
@@ -11,24 +11,22 @@ arrays of the first three parts and the structured kernel, and applies
 M from them (``apply``, O(n) for every built-in kernel); no solve builds
 M as a matrix.
 
-Resolvents (lambda*I - M)^{-1} are available by direct factorization
-and, for transport alone, by the analytic formula (one O(n) forward
-sweep of a midpoint quadrature, a check independent of the upwind
-discretisation).  The recruitment-free operator B (transport, loss and
-coupling), ``DiscreteGenerator.recruitment_free``, is block lower
-bidiagonal in per-cell order (u1_i, u2_i), so lambda - B factors with
-no fill and no pivoting, each solve one BLAS banded triangular solve
-(dtbsv) and a vectorised inverse of the 2x2 cell blocks, O(n).  Every
-factor of lambda - M solves on it: with a Sherman-Morrison correction
-for a rank-1 kernel, else by the Neumann series of the regular
-splitting lambda - M = (lambda - B) - h beta.  A generator keeps only
-its last factor.  ``DiscreteGenerator.block_sweep`` solves a block
-lower triangular generator (B, or one whose kernel does not mix) by one
-pure-Python forward sweep: the exact eigenvectors come from it, and the
-banded solves fall back on it where they overflow.  scipy is imported
-only to build the test oracle ``full``; every solve loads scipy's BLAS
-extension ``scipy.linalg._fblas`` alone, never the ``scipy``,
-``scipy.linalg`` or ``scipy.sparse`` packages.
+Resolvents (lambda*I - M)^{-1} solve on one factor,
+``DiscreteGenerator.factorization``.  The recruitment-free operator B
+(transport, loss and coupling), ``DiscreteGenerator.recruitment_free``,
+is block lower bidiagonal in per-cell order (u1_i, u2_i), so lambda - B
+factors with no fill and no pivoting, each solve one BLAS banded
+triangular solve (dtbsv) and a vectorised inverse of the 2x2 cell
+blocks, O(n).  Every factor of lambda - M solves on it: with a
+Sherman-Morrison correction for a rank-1 kernel, else by the Neumann
+series of the regular splitting lambda - M = (lambda - B) - h beta.  A
+generator keeps only its last factor.  ``DiscreteGenerator.block_sweep``
+solves a block lower triangular generator (B, or one whose kernel does
+not mix) by one pure-Python forward sweep: the exact eigenvectors come
+from it, and the banded solves fall back on it where they overflow.
+scipy is imported only to build the test oracle ``full``; every solve
+loads scipy's BLAS extension ``scipy.linalg._fblas`` alone, never the
+``scipy``, ``scipy.linalg`` or ``scipy.sparse`` packages.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, IterationError, PreconditionError,
-                     SpectralProximityError)
+from .errors import ConfigurationError, IterationError, SpectralProximityError
 from .model import UPPER, Kernel, ModelParams, SizeGrid
 
 # forward sweeps that would overflow rescale by exact powers of 2
@@ -95,10 +92,6 @@ class StateVector:
     @property
     def mass(self) -> float:
         return float((self.u1.sum() + self.u2.sum()) * self.grid.h)
-
-    def norm1(self) -> float:
-        """Discrete L1 norm ||u1||_1 + ||u2||_1."""
-        return float((np.abs(self.u1).sum() + np.abs(self.u2).sum()) * self.grid.h)
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.u1, self.u2])
@@ -261,6 +254,21 @@ def _next_generation(gen: "DiscreteGenerator", lam: float, v: np.ndarray
     return y, x
 
 
+def _rounding_slack(n: int) -> float:
+    """4 n eps: a bound on the relative rounding of a sum of at most n
+    nonnegative terms, such as an entry of K v for v >= 0."""
+    return 4 * n * math.ulp(1.0)
+
+
+def _collatz_wielandt(y: np.ndarray, v: np.ndarray) -> tuple:
+    """The Collatz-Wielandt ratio bounds (min, max) of y_i / v_i over v_i
+    > 0, for y = K v with K, v >= 0; the max is inf where y is positive
+    off v's support."""
+    pos = v > 0
+    ratio = y[pos] / v[pos]
+    return ratio.min(), math.inf if y[~pos].any() else ratio.max()
+
+
 def _neumann_series(gen: "DiscreteGenerator", lam: float, x: np.ndarray,
                     d: np.ndarray, steps, norm: float = math.inf
                     ) -> Optional[np.ndarray]:
@@ -274,14 +282,12 @@ def _neumann_series(gen: "DiscreteGenerator", lam: float, x: np.ndarray,
     Terms after the first draw on ``steps``.  None where a term
     overflows; IterationError where ``steps`` run out or q_lo passes 1.
     """
-    slack, z = 4 * gen.grid.n * math.ulp(1.0), d
+    slack, z = _rounding_slack(gen.grid.n), d
     while d.any():
         y, term = _next_generation(gen, lam, d)
         if not np.isfinite(term).all():
             return None
-        pos = d > 0
-        x, ratio = x + term, y[pos] / d[pos]
-        q = ratio.min(), math.inf if y[~pos].any() else ratio.max()
+        x, q = x + term, _collatz_wielandt(y, d)
         t = [r / (1.0 - r) for r in q] if q[1] < 1 else [0, math.inf]
         if (t[1] - t[0]) * d.max() <= slack * (1 + t[1]) * z.max() < math.inf:
             return x + 0.5 * (t[0] + t[1]) * term
@@ -542,81 +548,3 @@ def assemble(params: ModelParams, kernel: Kernel, grid: SizeGrid) -> DiscreteGen
         outflow=edges[:, 1:], inflow=edges[:, 1:-1],
         loss=np.array([params.mu + params.c1, params.c2]),
         coupling=np.array([params.c2, params.c1]))
-
-
-def resolvent_transport_analytic(lam: float, h: np.ndarray, gamma: np.ndarray,
-                                 grid: SizeGrid) -> np.ndarray:
-    """Closed-form transport resolvent, evaluated by midpoint quadrature.
-
-    Computes u(s_i) = (1/gamma(s_i)) * sum_{y_j <= s_i} h(y_j)
-    exp(-lambda * int_{y_j}^{s_i} dz/gamma(z)) * w_j, the exponent by
-    midpoint sums and w_j = dx, halved on the diagonal (the half weight
-    keeps the quadrature error within the first-order upwind error
-    band): a discretisation independent of the upwind generator's.  The
-    weights are causal, so one forward sweep carries the past as a
-    running sum; a decay past the float range reads +inf.
-    """
-    if np.any(np.asarray(gamma) <= 0):
-        raise PreconditionError("gamma must be strictly positive")
-    dx, n = grid.h, len(h)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), n)
-    inc = np.pad(lam * dx / gamma, (0, 1))
-    # decay[i] carries the running sum from cell i to cell i + 1
-    with np.errstate(over="ignore"):
-        decay = np.exp(-0.5 * (inc[:-1] + inc[1:])).tolist()
-    inv, half, src = (x.tolist() for x in (1.0 / gamma, 0.5 * dx / gamma,
-                                           np.asarray(h, dtype=float)))
-    u = [0.0] * n
-    acc = 0.0
-    for i in range(n):
-        u[i] = acc * inv[i] + half[i] * src[i]
-        acc = decay[i] * (acc + dx * src[i])
-    return np.array(u)
-
-
-def resolvent_direct(gen: DiscreteGenerator, lam: float,
-                     H: StateVector) -> StateVector:
-    """Solve (lambda*I - M) U = H on the generator's factor: at any
-    nonsingular lambda for a rank-1 kernel, above s_A for another."""
-    if H.grid != gen.grid:
-        raise ConfigurationError("state grid does not match the generator")
-    fact = gen.factorization(lam)
-    x = fact.solve(H.stacked())
-    if not np.all(np.isfinite(x)):
-        raise SpectralProximityError(
-            f"resolvent solve returned non-finite values at lambda={lam:g}",
-            lam=lam)
-    return StateVector.from_stacked(x, gen.grid)
-
-
-@dataclass(frozen=True)
-class VolterraOp:
-    """Cumulative-integral operator v(s) = k * int_0^s h(y) dy."""
-
-    k: float
-    grid: SizeGrid
-
-    def matrix(self) -> np.ndarray:
-        n, h = self.grid.n, self.grid.h
-        return self.k * h * np.tril(np.ones((n, n)))
-
-    def apply(self, h_fun: np.ndarray) -> np.ndarray:
-        return self.k * self.grid.h * np.cumsum(h_fun)
-
-
-def volterra_norm_sequence(V: VolterraOp, N: int) -> np.ndarray:
-    """Return the sequence ||V^m||_1^(1/m) for m = 1..N.
-
-    The operator 1-norm is taken with respect to the h-weighted discrete
-    L1 norm, which for the uniform mesh reduces to the max column sum of
-    the matrix.  V = k h L with L the lower triangle of ones, and the
-    first column of L^m sums to C(n+m-1, m) (hockey-stick identity), so
-    ||V^m||_1 = (|k| h)^m C(n+m-1, m) exactly; the binomial is summed in
-    log space.  The sequence is bounded by (k^m len^m / m!)^(1/m) up to
-    O(h) and decreases toward zero.
-    """
-    if N < 1:
-        raise ConfigurationError("N must be >= 1")
-    n, m = V.grid.n, np.arange(1, N + 1)
-    log_binom = np.cumsum(np.log((n - 1 + m) / m))
-    return abs(V.k) * V.grid.h * np.exp(log_binom / m)

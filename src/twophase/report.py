@@ -333,8 +333,7 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
         if "spectrum" in stages:
             t0 = time.perf_counter()
             rep.spectral = _spectrum_stage(scn, gen)
-            if scn.probe_lambdas and scn.smax_list \
-                    and scn.grid.kind != FINITE:
+            if scn.probe_lambdas:   # the scenario holds both lists then
                 rep.spectral.probe = [
                     sB_probe_infinite(gen, lam, scn.smax_list)
                     for lam in scn.probe_lambdas]

@@ -186,6 +186,16 @@ def scenario_from_dict(doc: dict, name_hint: str = "scenario") -> Scenario:
                              "spectral.probe_lambdas")
     if tol <= 0:
         raise ValidationError("tol must be positive", field="spectral.tol")
+    # a probe key that cannot run would silently do nothing
+    given = [key for key, values in (("smax_list", smax_list),
+                                     ("probe_lambdas", probe_lambdas))
+             if values]
+    if given and (kind == FINITE or len(given) == 1):
+        where = "on a finite domain" if kind == FINITE else "alone"
+        raise ValidationError(
+            f"spectral.{given[0]} does nothing {where}: the truncation "
+            f"probe needs spectral.smax_list and spectral.probe_lambdas on "
+            f"a truncated_infinite domain", field=f"spectral.{given[0]}")
 
     outs = doc.get("outputs", {})
     _check_keys(outs, _OUTPUT_KEYS, "outputs")

@@ -27,8 +27,9 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      IterationError, NumericalError, SpectralProximityError)
 from .evolution import Trajectory, row_integrals
 from .operators import (DiscreteGenerator, StateVector, _BandedFactor,
-                        _neumann_series, _next_generation,
-                        _solve_recruitment_free, block_eigenvalues)
+                        _collatz_wielandt, _neumann_series, _next_generation,
+                        _rounding_slack, _solve_recruitment_free,
+                        block_eigenvalues)
 
 PROBE_BOUNDED = "resolvent-bounded"
 PROBE_DIVERGING = "diverging"
@@ -190,17 +191,15 @@ def _radius(gen: DiscreteGenerator, lam: float, v: np.ndarray,
             return (-math.log(phi) * phi / dphi if -math.inf < dphi < 0.0
                     else math.nan)
         return _Radius(phi, phi, phi, x, gen.kernel.rank_one[0], newton)
-    slack = 4 * gen.grid.n * math.ulp(1.0)
+    slack = _rounding_slack(gen.grid.n)
     low, high, damped = 0.0, math.inf, False
     with np.errstate(over="ignore"):
         while True:
             y, x = _next_generation(gen, lam, v)
-            pos, top = v > 0, y.max()
-            ratio = y[pos] / v[pos]
+            top, (q_lo, q_hi) = y.max(), _collatz_wielandt(y, v)
             rho = float(y.sum() / v.sum())
-            step_low = float(ratio.min()) * (1 - slack)
-            step_high = (1 + slack) * (math.inf if y[~pos].any()
-                                       else float(ratio.max()))
+            step_low = float(q_lo) * (1 - slack)
+            step_high = (1 + slack) * float(q_hi)
             if (min(high, step_high) - max(low, step_low)
                     >= 0.999 * (high - low)):   # a stall, or a cycle
                 if damped:
@@ -214,7 +213,7 @@ def _radius(gen: DiscreteGenerator, lam: float, v: np.ndarray,
         w = np.where(y > v, v, 0.0)
         if low <= 1.0 < rho and w.any() and next(steps, None) is not None:
             kw = _next_generation(gen, lam, w)[0]
-            low = max(low, float((kw[w > 0] / w[w > 0]).min()) * (1 - slack))
+            low = max(low, float(_collatz_wielandt(kw, w)[0]) * (1 - slack))
 
     def secant(prev):
         finite = 0.0 < rho < math.inf and 0.0 < prev[1] < math.inf
@@ -245,7 +244,7 @@ def _characteristic_bound(gen: DiscreteGenerator, tol: float,
         raise NumericalError("rho(K) is not below 1 at the initial shift")
     lo, at_lo = s_B, None       # rho(K(s_B+)) is evaluated only when needed
     lam, at, step, s_B_up = hi, at_hi, math.inf, np.nextafter(s_B, math.inf)
-    slack, floor = 4 * gen.grid.n * math.ulp(1.0), 0.0     # as in _radius
+    slack, floor = _rounding_slack(gen.grid.n), 0.0
     for _ in steps:
         if hi - lo <= max(tol * max(1.0, abs(hi)), floor):
             break
@@ -391,11 +390,6 @@ def closed_form_sB(l1: float, c2: float, l_mu: float) -> float:
         return 0.0
     disc = (c2 - l_mu) ** 2 + l1 * (l1 + 2.0 * (c2 + l_mu))
     return -2.0 * l_mu * c2 / (l1 + c2 + l_mu + math.sqrt(disc))
-
-
-def closed_form_poly(lam: float, l1: float, c2: float, l_mu: float) -> float:
-    """Evaluate P(lam) = lam^2 + lam*(l1+c2+l_mu) + l_mu*c2."""
-    return lam * lam + lam * (l1 + c2 + l_mu) + l_mu * c2
 
 
 def spectral_gap_lower_bound(c1: float, c2: float, mu: float,

@@ -6,12 +6,13 @@ import pytest
 
 import twophase.operators
 from twophase.errors import (ConfigurationError, InsufficientDataError,
-                             PreconditionError, StepSizeError)
-from twophase.evolution import (evolve, ideal_invariance_probe, mass_balance,
-                                step_implicit)
+                             StepSizeError)
+from twophase.evolution import evolve, mass_balance, step_implicit
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import DiscreteGenerator, StateVector, assemble
 from twophase.spectral import spectral_bound
+
+from oracles import PreconditionError, ideal_invariance_probe
 
 
 def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):

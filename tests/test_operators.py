@@ -15,14 +15,13 @@ import twophase.operators
 from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
-from twophase.operators import (StateVector, VolterraOp, _BandedFactor,
-                                _RankOneFactor, _SeriesFactor, assemble,
-                                block_eigenvalues,
-                                resolvent_direct, resolvent_transport_analytic,
-                                volterra_norm_sequence)
+from twophase.operators import (StateVector, _BandedFactor, _RankOneFactor,
+                                _SeriesFactor, assemble, block_eigenvalues)
 from twophase.scenario import scenario_from_dict
 from twophase.spectral import spectral_bound
 
+from oracles import (VolterraOp, resolvent_transport_analytic,
+                     volterra_norm_sequence)
 from test_structure import dense_blocks, dense_recruitment_free
 
 
@@ -165,9 +164,10 @@ class TestAnalyticResolvent:
             p = sample_params(spec, g)
             gen = assemble(p, build_kernel(0.0, g), g)
             h = hfun(g.centers)
-            U = resolvent_direct(gen, lam, StateVector(h, np.zeros(n), g))
+            u1 = gen.factorization(lam).solve(
+                np.concatenate([h, np.zeros(n)]))[:n]
             ua = resolvent_transport_analytic(lam, h, p.gamma1, g)
-            errs.append(np.abs(U.u1 - ua).sum() * g.h)
+            errs.append(np.abs(u1 - ua).sum() * g.h)
         assert errs[0] <= 1.0 * (1.0 / 100)       # C * h with modest C
         assert errs[1] <= 0.65 * errs[0] + 1e-13  # ~halves under doubling
 
@@ -177,8 +177,9 @@ class TestAnalyticResolvent:
         spec = dict(gamma1=1.0, gamma2=1.0, mu=0.0, c1=0.0, c2=0.0, gamma0=1.0)
         p = sample_params(spec, g)
         gen = assemble(p, build_kernel(0.0, g), g)
-        U = resolvent_direct(gen, 1.0, StateVector(h, np.zeros(200), g))
-        assert np.abs(U.u1[g.centers < 0.5 - g.h]).max() <= 1e-14
+        u1 = gen.factorization(1.0).solve(
+            np.concatenate([h, np.zeros(200)]))[:200]
+        assert np.abs(u1[g.centers < 0.5 - g.h]).max() <= 1e-14
         ua = resolvent_transport_analytic(1.0, h, p.gamma1, g)
         assert np.abs(ua[g.centers < 0.5 - g.h]).max() <= 1e-14
 
@@ -187,16 +188,16 @@ class TestDirectResolvent:
     def test_decoupled_phase_stays_zero(self):
         g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
         H = StateVector(np.ones(100), np.zeros(100), g)
-        U = resolvent_direct(gen, 0.0, H)
-        assert np.all(U.u2 == 0)
+        x = gen.factorization(0.0).solve(H.stacked())
+        assert np.all(x[100:] == 0)
 
     def test_large_lambda_asymptotics(self):
         g, p, K, gen = make(n=50)
         rng = np.random.default_rng(0)
         H = StateVector(rng.random(50), rng.random(50), g)
         lam = 1e6
-        U = resolvent_direct(gen, lam, H)
-        rel = max(np.abs(U.u1 * lam - H.u1).max(), np.abs(U.u2 * lam - H.u2).max())
+        x = gen.factorization(lam).solve(H.stacked())
+        rel = np.abs(x * lam - H.stacked()).max()
         assert rel <= 1e-3
 
     def test_resolvent_positivity_random(self):
@@ -205,8 +206,8 @@ class TestDirectResolvent:
         lam = 1.0  # comfortably above the spectral bound (~ -0.27)
         for _ in range(100):
             H = StateVector(rng.random(60), rng.random(60), g)
-            U = resolvent_direct(gen, lam, H)
-            assert min(U.u1.min(), U.u2.min()) >= -1e-12
+            x = gen.factorization(lam).solve(H.stacked())
+            assert x.min() >= -1e-12
 
 
     def test_singular_shift_raises_proximity_error(self):
@@ -216,7 +217,7 @@ class TestDirectResolvent:
         g, p, K, gen = make(n=100, mu=0.0, c1=0.0, c2=0.0, kernel=0.0)
         H = StateVector(np.ones(100), np.ones(100), g)
         with pytest.raises(SpectralProximityError):
-            resolvent_direct(gen, -100.0, H)
+            gen.factorization(-100.0).solve(H.stacked())
 
     def test_factorization_fill_stays_near_matrix_size(self):
         # README demo generator with its box kernel as a dense table, at
@@ -395,7 +396,8 @@ class TestBandedFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpectralProximityError):
-                resolvent_direct(gen.recruitment_free, -100.0, H)
+                gen.recruitment_free.factorization(-100.0).solve(
+                    H.stacked())
 
 
 class TestRecruitmentFree:

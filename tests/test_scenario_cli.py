@@ -647,6 +647,25 @@ class TestCLI:
         assert not d["complete"]
         assert "cells" in d["error"]
 
+    @pytest.mark.parametrize("domain, spectral, field", [
+        (None, {"probe_lambdas": [-0.5, 0.5]}, "spectral.probe_lambdas"),
+        (None, {"smax_list": [10, 20, 30]}, "spectral.smax_list"),
+        ({"kind": "finite", "m": 30.0, "n": 600},
+         {"smax_list": [10, 20, 30], "probe_lambdas": [-0.5, 0.5]},
+         "spectral.smax_list")], ids=["no-smax", "no-lambdas", "finite"])
+    def test_probe_key_that_does_nothing_exit_2(self, tmp_path, capsys,
+                                                 domain, spectral, field):
+        # the probe needs both lists on an unbounded domain; where it
+        # cannot run, its keys would do nothing, as an unknown key would
+        doc = demo_doc(1.0)
+        doc["spectral"] = spectral
+        if domain is not None:
+            doc["domain"] = domain
+        assert run_cli(["spectrum", write(tmp_path, doc),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert (f"configuration error: {field} does nothing"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command, stage", [
         ("criteria", "full_verdict"), ("spectrum", "spectral_bound"),
         ("report", "evolve")])

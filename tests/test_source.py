@@ -78,10 +78,10 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_no_unreferenced_private_functions():
-    # every module-level _name function or class is referenced in the
-    # package outside its own definition (called, imported or read as an
-    # attribute), so a helper that a change leaves without callers shows
+def _unreferenced_definitions() -> list:
+    # (module, node) of every module-level function or class that nothing
+    # in the package references outside its own definition (called,
+    # imported, re-exported by __init__ or read as an attribute)
     paths = sorted(pathlib.Path(twophase.__file__).parent.glob("*.py"))
     assert paths
     statements = [(path.name, node) for path in paths
@@ -97,10 +97,28 @@ def test_no_unreferenced_private_functions():
         return names
 
     refs = [(node, references(node)) for _, node in statements]
+    return [(module, node) for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.endswith("__")
+            and not any(node.name in names for other, names in refs
+                        if other is not node)]
+
+
+def test_no_unreferenced_private_functions():
+    # every module-level _name function or class is referenced in the
+    # package outside its own definition, so a helper that a change
+    # leaves without callers shows
     found = [f"{module}:{node.lineno} {node.name}"
-             for module, node in statements
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and node.name.startswith("_") and not node.name.endswith("__")
-             and not any(node.name in names for other, names in refs
-                         if other is not node)]
+             for module, node in _unreferenced_definitions()
+             if node.name.startswith("_")]
+    assert found == []
+
+
+def test_no_unreferenced_public_functions():
+    # every public module-level function or class is referenced in the
+    # package or exported by __init__, so the package holds no code that
+    # only the tests call (test oracles live in tests/oracles.py)
+    found = [f"{module}:{node.lineno} {node.name}"
+             for module, node in _unreferenced_definitions()
+             if not node.name.startswith("_")]
     assert found == []

@@ -11,13 +11,14 @@ from twophase.errors import (ConfigurationError, IterationError,
 from twophase.evolution import evolve
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import (DiscreteGenerator, StateVector,
-                                _BandedFactor, assemble, resolvent_direct)
+                                _BandedFactor, assemble)
 from twophase.scenario import scenario_from_dict
-from twophase.spectral import (characteristic_function, closed_form_poly,
-                               closed_form_sB, detect_AEG,
-                               recruitment_free_bound, sB_probe_infinite,
-                               spectral_bound, spectral_gap_lower_bound)
+from twophase.spectral import (characteristic_function, closed_form_sB,
+                               detect_AEG, recruitment_free_bound,
+                               sB_probe_infinite, spectral_bound,
+                               spectral_gap_lower_bound)
 
+from oracles import closed_form_poly
 from test_operators import demo_generator, run_child
 from test_structure import dense_recruitment_free
 
@@ -896,10 +897,10 @@ class TestInfiniteProbe:
         # src) by the generator's general resolvent route
         g, gen = tail_generator(n=400, smax=40.0, c1=0.5)
         src = (g.centers <= 1.0).astype(float)
-        U = resolvent_direct(gen.recruitment_free, lam,
-                             StateVector(src, src, g))
+        x = gen.recruitment_free.factorization(lam).solve(
+            np.concatenate([src, src]))
         r = sB_probe_infinite(gen, lam, [20.0, 40.0])
-        assert r.norms[-1] == pytest.approx(U.norm1(), rel=1e-12)
+        assert r.norms[-1] == pytest.approx(np.abs(x).sum() * g.h, rel=1e-12)
 
     @pytest.mark.parametrize("lam, ratios", [(-0.2, [1.1807, 1.0291]),
                                              (0.0, [1.0273, 1.0006])])

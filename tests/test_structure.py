@@ -18,7 +18,7 @@ from twophase.errors import SpectralProximityError, ValidationError
 from twophase.evolution import step_implicit
 from twophase.model import Kernel, build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, _RankOneFactor, _SeriesFactor,
-                                assemble, resolvent_direct)
+                                assemble)
 from twophase.spectral import spectral_bound
 
 # every built-in kernel form, plus the dense ones, for the oracle tests
@@ -292,11 +292,11 @@ class TestGeneratorStructure:
         with pytest.raises(SpectralProximityError, match="rank-1"):
             gen.factorization(lam)
         H = StateVector(np.ones(4), np.ones(4), g)
-        with pytest.raises(SpectralProximityError):
-            resolvent_direct(gen, lam, H)
+        with pytest.raises(SpectralProximityError):    # no factor was kept
+            gen.factorization(lam).solve(H.stacked())
         # a shift off the singular one solves as the dense system does
         lam = -1.25
-        x = resolvent_direct(gen, lam, H).stacked()
+        x = gen.factorization(lam).solve(H.stacked())
         ref = np.linalg.solve(lam * np.eye(8) - dense_generator(g, p, K),
                               H.stacked())
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
