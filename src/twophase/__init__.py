@@ -8,7 +8,7 @@ growth."""
 from .criteria import Verdict, full_verdict
 from .errors import (ConfigurationError, NumericalError, TwophaseError,
                      ValidationError)
-from .evolution import Trajectory, evolve, mass_balance, step_implicit
+from .evolution import Trajectory, evolve, mass_balance
 from .model import (Kernel, ModelParams, SizeGrid, build_grid, build_kernel,
                     sample_params)
 from .operators import DiscreteGenerator, StateVector, assemble

@@ -17,12 +17,13 @@ failure sets the exit code.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 
 from .errors import ConfigurationError, NumericalError, TwophaseError
-from .report import compute_spectrum, write_sweep_csv
+from .report import compute_spectrum, write_csv
 from .report import run as run_pipeline
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 
@@ -128,11 +129,19 @@ def _cmd_sweep(args) -> int:
             failure = failure or exc
     out_dir = args.out or scn.out_dir or "."
     path = os.path.join(out_dir, f"{scn.name}_sweep.csv")
-    write_sweep_csv(path, key, rows)
+    write_csv(path, (key, "s_A", "lambda_star", "eps_bar", "gap"), rows)
     print(path)
     if failure is not None:
         raise failure
     return 0
+
+
+def entry() -> int:
+    """The console entry point: ``main`` with the heap that the imports
+    built frozen, so that no garbage collection, the one at exit
+    included, walks it again."""
+    gc.freeze()
+    return main()
 
 
 def main(argv=None) -> int:
@@ -165,4 +174,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -11,12 +11,12 @@ step and the last as the rows of one array, ``Trajectory.records``
 ``spectral.detect_AEG`` reduce over, and computes them by one of two
 routes, with the same numbers to rounding:
 
-  * ``"steps"``: one solve per step.  ``step_implicit`` and ``evolve``
-    share one stepping loop, which fetches the generator's factor of
-    I - dt*M (lambda = 1/dt folded in) once per run and advances the
-    stacked state (u1 over u2) by banded solves of I - dt*B, O(n) with
-    no negative rounding: one and a Sherman-Morrison update for a
-    rank-1 kernel, one a term of a Neumann series for another.
+  * ``"steps"``: one solve per step.  The stepping loop fetches the
+    generator's factor of I - dt*M (lambda = 1/dt folded in) once per
+    run and advances the stacked state (u1 over u2) by banded solves of
+    I - dt*B, O(n) with no negative rounding: one and a Sherman-Morrison
+    update for a rank-1 kernel, one a term of a Neumann series for
+    another.
   * ``"randomized"``: no solve at all.  With q = max(outflow + loss),
     P = I + M/q >= 0 and theta = q dt/(1 + q dt), backward Euler is a
     mixture of the powers of P, (I - dt M)^{-1} = (1 - theta) sum_j
@@ -146,18 +146,6 @@ def _steps(gen: DiscreteGenerator, x: np.ndarray, dt: float, nsteps: int):
         if not (math.isfinite(s1) and math.isfinite(s2)):
             raise StepSizeError(f"implicit step produced non-finite state at dt={dt:g}")
         yield x, s1, s2
-
-
-def step_implicit(gen: DiscreteGenerator, U: StateVector, dt: float) -> StateVector:
-    """One backward-Euler step: returns (I - dt*M)^{-1} U.
-
-    The result's components are views of one fresh array.  The step and
-    its checks are those of ``evolve``; a run of steps is faster there,
-    with one factor fetch and no state built per step.
-    """
-    nsteps = _step_count(dt, dt)        # 1, once dt is checked
-    x = next(_steps(gen, U.stacked(), dt, nsteps))[0]
-    return StateVector.from_stacked(x, gen.grid)
 
 
 def _terms(tb: float, K: int) -> int | None:

@@ -245,21 +245,20 @@ def sample_coefficient(spec: CoefficientSpec, grid: SizeGrid,
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Cell-center samples of the model rates on one grid.
+    """Samples of the model rates on one grid.
 
-    gamma1/gamma2 are growth rates (bounded below by gamma0 > 0),
-    mu is the mortality of the active phase, c1/c2 the phase transition
-    rates (active -> resting and back).
+    mu is the mortality of the active phase and c1/c2 the phase
+    transition rates (active -> resting and back), sampled at the cell
+    centers.  The growth rates gamma1/gamma2 (bounded below by gamma0 >
+    0) are kept at the n+1 cell edges, where the upwind flux reads them;
+    ``sample_params`` validates them at the centers too.
     """
 
     grid: SizeGrid
-    gamma1: np.ndarray
-    gamma2: np.ndarray
     mu: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     gamma0: float
-    # growth rates sampled at the n+1 cell edges, for the upwind flux
     gamma1_edges: np.ndarray
     gamma2_edges: np.ndarray
 
@@ -294,13 +293,12 @@ def sample_params(specs: dict, grid: SizeGrid) -> ModelParams:
                 raise ValidationError(
                     f"{name} is negative at cell {bad} (s={grid.centers[bad]:g})",
                     field=name, cell=bad)
-        else:
-            if np.any(vals < gamma0):
-                bad = int(np.flatnonzero(vals < gamma0)[0])
-                raise ValidationError(
-                    f"{name} drops below gamma0={gamma0:g} at cell {bad} "
-                    f"(s={grid.centers[bad]:g})", field=name, cell=bad)
-        sampled[name] = vals
+            sampled[name] = vals
+        elif np.any(vals < gamma0):     # growth rates: validated, not kept
+            bad = int(np.flatnonzero(vals < gamma0)[0])
+            raise ValidationError(
+                f"{name} drops below gamma0={gamma0:g} at cell {bad} "
+                f"(s={grid.centers[bad]:g})", field=name, cell=bad)
     edges = {}
     for name in ("gamma1", "gamma2"):
         vals = sample_coefficient(specs[name], grid, points=grid.edges)

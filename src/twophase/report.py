@@ -73,29 +73,17 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def write_trajectory_csv(path: str, traj):
-    rows = ["t,mass_total,mass_u1,mass_u2"]
+def write_csv(path: str, columns, rows):
+    """Write the numeric ``rows`` under a header of ``columns``, each
+    number as %.12g and None as an empty field."""
     # Python floats format faster than numpy scalars, and a tuple
     # %-formatted faster than an f-string, to the same text
-    rows += ["%.12g,%.12g,%.12g,%.12g" % row
-             for row in zip(traj.step_times.tolist(), traj.step_masses.tolist(),
-                            *traj.step_phase_masses.T.tolist())]
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def write_profile_csv(path: str, traj):
-    rows = ["s,u1,u2"]      # the last record, u1 and u2 by cell
-    rows += ["%.12g,%.12g,%.12g" % row
-             for row in zip(traj.grid.centers.tolist(),
-                            *traj.records[-1].reshape(2, -1).tolist())]
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def write_sweep_csv(path: str, key: str, rows: list):
-    out = [f"{key},s_A,lambda_star,eps_bar,gap"]
-    for r in rows:
-        out.append(",".join("" if v is None else f"{v:.12g}" for v in r))
-    atomic_write_text(path, "\n".join(out) + "\n")
+    fmt = ",".join(["%.12g"] * len(columns))
+    lines = [",".join(columns)]
+    lines += [fmt % row if None not in row
+              else ",".join("" if v is None else "%.12g" % v for v in row)
+              for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _jsonable(obj):
@@ -354,8 +342,14 @@ def run(scn: Scenario, out_dir: Optional[str] = None,
                 rep.mass_balance = mass_balance(traj, scn.kernel, scn.params)
             traj_path = os.path.join(out_dir, f"{scn.name}_trajectory.csv")
             prof_path = os.path.join(out_dir, f"{scn.name}_profile.csv")
-            write_trajectory_csv(traj_path, traj)
-            write_profile_csv(prof_path, traj)
+            write_csv(traj_path, ("t", "mass_total", "mass_u1", "mass_u2"),
+                      zip(traj.step_times.tolist(),
+                          traj.step_masses.tolist(),
+                          *traj.step_phase_masses.T.tolist()))
+            # the last record, u1 and u2 by cell
+            write_csv(prof_path, ("s", "u1", "u2"),
+                      zip(traj.grid.centers.tolist(),
+                          *traj.records[-1].reshape(2, -1).tolist()))
             rep.trajectory_files = [traj_path, prof_path]
             rep.timings["simulate"] = time.perf_counter() - t0
 

@@ -12,7 +12,8 @@ import pytest
 
 from twophase.criteria import compute_b1_b2, full_verdict
 from twophase.evolution import evolve
-from twophase.model import build_grid, build_kernel, sample_params
+from twophase.model import (build_grid, build_kernel, sample_coefficient,
+                            sample_params)
 from twophase.operators import StateVector, assemble
 from twophase.spectral import (closed_form_sB, detect_AEG, sB_probe_infinite,
                                spectral_bound, spectral_gap_lower_bound)
@@ -55,7 +56,8 @@ def test_criterion_01_resolvent_oracle_equivalence(capsys):
                 h = hfun(g.centers)
                 u1 = gen.factorization(lam).solve(
                     np.concatenate([h, np.zeros(n)]))[:n]
-                ua = resolvent_transport_analytic(lam, h, p.gamma1, g)
+                ua = resolvent_transport_analytic(
+                    lam, h, sample_coefficient(1.0, g), g)
                 errs.append(float(np.abs(u1 - ua).sum() * g.h))
             h400 = 1.0 / 400
             worst = max(worst, errs[0] / (0.5 * h400))

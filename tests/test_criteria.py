@@ -83,6 +83,11 @@ class TestB1B2:
         assert reason is None
         assert b1 <= g.h and b2 <= g.h
 
+    def test_kernel_that_never_mixes_blocks(self):
+        g = build_grid("finite", 1.0, 50)
+        assert compute_b1_b2(build_kernel(0.0, g), params_on(g)) == (
+            None, None, "kernel never mixes at any cutoff")
+
     def test_mixing_gap_above_b1_blocks(self):
         # the box on s in [0, 0.2] x y in [0.3, 0.5] mixes across the
         # cutoffs 0.02 .. 0.48 only: the first one is b1, and at 0.5 no

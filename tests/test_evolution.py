@@ -7,7 +7,7 @@ import pytest
 import twophase.operators
 from twophase.errors import (ConfigurationError, InsufficientDataError,
                              StepSizeError)
-from twophase.evolution import evolve, mass_balance, step_implicit
+from twophase.evolution import evolve, mass_balance
 from twophase.model import build_grid, build_kernel, sample_params
 from twophase.operators import DiscreteGenerator, StateVector, assemble
 from twophase.spectral import spectral_bound
@@ -22,6 +22,14 @@ def make(n=100, m=1.0, kind="finite", kernel=1.0, **over):
     p = sample_params(spec, g)
     K = build_kernel(kernel, g)
     return g, p, K, assemble(p, K, g)
+
+
+def step(gen, U, dt):
+    """One backward-Euler step, (I - dt*M)^{-1} U: a one-step run of
+    ``evolve``, which takes the stepping loop."""
+    traj = evolve(gen, U, dt, dt)
+    assert traj.route == "steps"
+    return StateVector.from_stacked(traj.records[-1], gen.grid)
 
 
 def left_bump(g, width=0.25):
@@ -39,10 +47,10 @@ class TestStepImplicit:
         m0 = U.mass
         # support needs ~0.5 time units to reach the boundary
         for _ in range(10):
-            U = step_implicit(gen, U, 1e-3)
+            U = step(gen, U, 1e-3)
         assert abs(U.mass - m0) <= 1e-12
         for _ in range(1000):
-            U = step_implicit(gen, U, 1e-3)
+            U = step(gen, U, 1e-3)
         assert U.mass < m0  # outflow has begun
 
     def test_positivity_100_random_steps(self):
@@ -50,14 +58,14 @@ class TestStepImplicit:
         rng = np.random.default_rng(3)
         U = StateVector(rng.random(60), rng.random(60), g)
         for _ in range(100):
-            U = step_implicit(gen, U, 0.01)
+            U = step(gen, U, 0.01)
             assert min(U.u1.min(), U.u2.min()) >= -1e-12
 
     def test_outflow_accounting(self):
         g, p, K, gen = make(kernel=0.0, mu=0.0, c1=0.0, c2=0.0)
         U = StateVector(np.ones(g.n), np.zeros(g.n), g)
         dt = 1e-3
-        V = step_implicit(gen, U, dt)
+        V = step(gen, U, dt)
         lost = U.mass - V.mass
         flux = p.gamma1_edges[-1] * V.u1[-1] * dt
         assert abs(lost - flux) <= 1e-10
@@ -70,7 +78,7 @@ class TestStepImplicit:
         U = StateVector(np.ones(20), np.zeros(20), g)
         U.u2[5] = np.inf
         with pytest.raises(StepSizeError, match="non-finite"):
-            step_implicit(gen, U, 1e-2)
+            step(gen, U, 1e-2)
 
 
 class TestEvolve:
@@ -164,7 +172,7 @@ class TestStepSize:
             with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
                 evolve(gen, U0, dt, 40 / s, record_every=1)
             with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
-                step_implicit(gen, U0, dt)
+                step(gen, U0, dt)
             with pytest.raises(StepSizeError, match=r"dt\*s_A < 1"):
                 ideal_invariance_probe(gen, ("phase2_only", 0.0), U0,
                                        40 / s, dt)
@@ -184,7 +192,7 @@ class TestEvolveLoop:
         U, states, sums = U0, [U0], [(np.dot(U0.u1, ones),
                                       np.dot(U0.u2, ones))]
         for k in range(1, 51):
-            U = step_implicit(gen, U, 1e-2)
+            U = step(gen, U, 1e-2)
             sums.append((np.dot(U.u1, ones), np.dot(U.u2, ones)))
             if k % record_every == 0 or k == 50:
                 states.append(U)
@@ -284,12 +292,12 @@ ROUTE_KERNELS = {
 
 
 def step_loop(gen, U0, dt, nsteps, record_every):
-    """The stacked records and per-step phase sums of nsteps calls of
-    step_implicit."""
+    """The stacked records and per-step phase sums of nsteps one-step
+    runs."""
     ones = np.ones(U0.grid.n)
     U, states, sums = U0, [U0.stacked()], [(U0.u1 @ ones, U0.u2 @ ones)]
     for k in range(1, nsteps + 1):
-        U = step_implicit(gen, U, dt)
+        U = step(gen, U, dt)
         sums.append((U.u1 @ ones, U.u2 @ ones))
         if k % record_every == 0 or k == nsteps:
             states.append(U.stacked())

@@ -40,7 +40,7 @@ class TestSampleParams:
     def test_constant_sampling(self):
         g = build_grid("finite", 1.0, 8)
         p = const_params(g)
-        for arr in (p.gamma1, p.gamma2, p.mu, p.c1, p.c2):
+        for arr in (p.gamma1_edges, p.gamma2_edges, p.mu, p.c1, p.c2):
             assert np.all(arr == 1.0)
 
     def test_indicator_sampling(self):

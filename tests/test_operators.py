@@ -14,7 +14,8 @@ import twophase
 import twophase.operators
 from twophase.errors import ConfigurationError, SpectralProximityError
 from twophase.evolution import evolve
-from twophase.model import build_grid, build_kernel, sample_params
+from twophase.model import (build_grid, build_kernel, sample_coefficient,
+                            sample_params)
 from twophase.operators import (StateVector, _BandedFactor, _RankOneFactor,
                                 _SeriesFactor, assemble, block_eigenvalues)
 from twophase.scenario import scenario_from_dict
@@ -166,7 +167,8 @@ class TestAnalyticResolvent:
             h = hfun(g.centers)
             u1 = gen.factorization(lam).solve(
                 np.concatenate([h, np.zeros(n)]))[:n]
-            ua = resolvent_transport_analytic(lam, h, p.gamma1, g)
+            ua = resolvent_transport_analytic(
+                lam, h, sample_coefficient(gfun, g), g)
             errs.append(np.abs(u1 - ua).sum() * g.h)
         assert errs[0] <= 1.0 * (1.0 / 100)       # C * h with modest C
         assert errs[1] <= 0.65 * errs[0] + 1e-13  # ~halves under doubling
@@ -180,7 +182,8 @@ class TestAnalyticResolvent:
         u1 = gen.factorization(1.0).solve(
             np.concatenate([h, np.zeros(200)]))[:200]
         assert np.abs(u1[g.centers < 0.5 - g.h]).max() <= 1e-14
-        ua = resolvent_transport_analytic(1.0, h, p.gamma1, g)
+        ua = resolvent_transport_analytic(1.0, h, sample_coefficient(1.0, g),
+                                          g)
         assert np.abs(ua[g.centers < 0.5 - g.h]).max() <= 1e-14
 
 
@@ -439,7 +442,7 @@ class TestBlasLoader:
         run_child(
             "import sys\n"
             "import numpy as np\n"
-            "from twophase.evolution import step_implicit\n"
+            "from twophase.evolution import evolve\n"
             "from twophase.model import build_kernel\n"
             "from twophase.operators import StateVector, _blas, assemble\n"
             "from twophase.scenario import scenario_from_dict\n"
@@ -453,7 +456,7 @@ class TestBlasLoader:
             "g = scn.grid\n"
             "U = StateVector((g.centers <= 7.5) * 1.0, np.zeros(g.n), g)\n"
             "gen = lambda: assemble(scn.params, scn.kernel, g)\n"
-            "first = step_implicit(gen(), U, 1e-3).stacked()\n"
+            "first = evolve(gen(), U, 1e-3, 1e-3).records[-1]\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "table = build_kernel({'form': 'table',\n"
             "                      'values': scn.kernel.beta}, g)\n"
@@ -462,7 +465,7 @@ class TestBlasLoader:
             "import scipy.linalg.blas\n"
             "assert scipy.linalg.blas._fblas is _blas()\n"
             "fresh = gen()\n"
-            "again = step_implicit(fresh, U, 1e-3).stacked()\n"
+            "again = evolve(fresh, U, 1e-3, 1e-3).records[-1]\n"
             "assert again.tobytes() == first.tobytes()\n"
             "band = fresh.factorization(1000.0, 1000.0)._base._band\n"
             "y = np.random.default_rng(3).random(2 * g.n)\n"

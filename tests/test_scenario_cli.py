@@ -159,12 +159,12 @@ class TestReportJSON:
         for t, m, (m1, m2) in zip(traj.step_times, traj.step_masses,
                                   traj.step_phase_masses):
             rows.append(f"{t:.12g},{m:.12g},{m1:.12g},{m2:.12g}")
+        twophase.report.run(scn, str(tmp_path), stages=("simulate",))
         path = tmp_path / "demo_trajectory.csv"
-        twophase.report.write_trajectory_csv(str(path), traj)
         assert path.read_text() == "\n".join(rows) + "\n"
 
     def test_profile_csv_equals_numpy_scalar_formatting(self, tmp_path):
-        # the profile writer formats Python floats too, to the same text
+        # the profile is written from Python floats too, to the same text
         scn = scenario_from_dict(demo_doc(T=0.5))
         gen = assemble(scn.params, scn.kernel, scn.grid)
         traj = evolve(gen, scn.initial_state(), scn.dt, scn.T)
@@ -172,9 +172,27 @@ class TestReportJSON:
         rows = ["s,u1,u2"]
         for s, a, b in zip(scn.grid.centers, U.u1, U.u2):
             rows.append(f"{s:.12g},{a:.12g},{b:.12g}")
+        twophase.report.run(scn, str(tmp_path), stages=("simulate",))
         path = tmp_path / "demo_profile.csv"
-        twophase.report.write_profile_csv(str(path), traj)
         assert path.read_text() == "\n".join(rows) + "\n"
+
+    def test_csv_writer_formats_as_f_strings(self, tmp_path):
+        # %-formatting gives the text of f"{v:.12g}" on signed zeros,
+        # infinities, nan, subnormals and random floats; None is an
+        # empty field
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e300, 1 / 3]
+        values = special + (rng.standard_normal(402)
+                            * 10.0 ** rng.integers(-320, 300, 402)).tolist()
+        rows = [tuple(values[i:i + 4]) for i in range(0, len(values), 4)]
+        rows += [(1.0, None, np.float64(2.5), None), (None,) * 4]
+        expect = ["a,b,c,d"] + [
+            ",".join("" if v is None else f"{v:.12g}" for v in row)
+            for row in rows]
+        path = tmp_path / "x.csv"
+        twophase.report.write_csv(str(path), ("a", "b", "c", "d"), rows)
+        assert path.read_text() == "\n".join(expect) + "\n"
 
 
     def test_non_finite_values_read_null(self):
@@ -984,6 +1002,21 @@ class TestCLI:
         if fitted:
             assert fit["lambda0_fit"] == pytest.approx(2.627, abs=1e-3)
 
+    def test_extinct_fit_makes_no_growth_rate_check(self, tmp_path):
+        # mortality 1e4 empties the domain long before T = 1: the fit
+        # reports extinction, and no rate is compared with s_A
+        doc = minimal_doc(domain={"kind": "finite", "m": 1.0, "n": 20},
+                          kernel=0.0, run={"dt": 1e-3, "T": 1.0})
+        doc["coefficients"].update(mu=1e4, c1=0.0, c2=0.0)
+        out = tmp_path / "o"
+        assert run_cli(["report", write(tmp_path, doc),
+                        "--out", str(out)]) == 0
+        d = json.loads((out / "minimal_report.json").read_text())
+        fit = d["simulate"]["aeg_fit"]
+        assert fit["extinct"] is True and fit["lambda0_fit"] is None
+        assert "growth_rate_two_routes" not in [c["check"]
+                                                for c in d["checks"]]
+
     def test_integral_float_cell_count_accepted(self):
         doc = minimal_doc()
         doc["domain"]["n"] = 60.0
@@ -1146,6 +1179,25 @@ class TestCLI:
         assert path.read_text() == "x\n"
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
         assert os.listdir(path.parent) == ["a.txt"]
+
+    def test_entry_freezes_the_heap(self, tmp_path):
+        # the console entry point freezes what the imports built, then
+        # runs main
+        path = write(tmp_path, minimal_doc())
+        code = ("import gc, sys\n"
+                "from twophase.cli import entry\n"
+                "code = entry()\n"
+                "assert gc.get_freeze_count() > 0\n"
+                "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(twophase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "criteria", path,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "minimal_report.json").exists()
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as ei:

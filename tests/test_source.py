@@ -122,3 +122,42 @@ def test_no_unreferenced_public_functions():
              for module, node in _unreferenced_definitions()
              if not node.name.startswith("_")]
     assert found == []
+
+
+# records that the report serialises field by field (``_jsonable``), so
+# each field is read by name there
+SERIALISED = {"RunReport", "Verdict", "SpectralReport", "ProbeResult",
+              "AEGFit", "MassBalanceReport", "StateVector", "SizeGrid"}
+
+
+def test_no_unread_dataclass_fields():
+    # every field of a dataclass that the report does not serialise is
+    # read as an attribute somewhere in the package, so a field that a
+    # change leaves unread shows
+    paths = sorted(pathlib.Path(twophase.__file__).parent.glob("*.py"))
+    assert paths
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in paths]
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name not in SERIALISED
+                    and any(_is_dataclass(d) for d in node.decorator_list)):
+                continue
+            found += [f"{module}:{stmt.lineno} {node.name}.{stmt.target.id}"
+                      for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in read]
+    assert found == []
+
+
+def _is_dataclass(decorator) -> bool:
+    # @dataclass or @dataclass(...)
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"

@@ -15,7 +15,7 @@ import pytest
 
 from twophase.criteria import full_verdict
 from twophase.errors import SpectralProximityError, ValidationError
-from twophase.evolution import step_implicit
+from twophase.evolution import evolve
 from twophase.model import Kernel, build_grid, build_kernel, sample_params
 from twophase.operators import (StateVector, _RankOneFactor, _SeriesFactor,
                                 assemble)
@@ -311,7 +311,8 @@ class TestGeneratorStructure:
             gen = assemble(p, K, g)
             full_verdict(K, p)
             U = StateVector(np.ones(n), np.zeros(n), g)
-            return step_implicit(gen, U, 1e-3)
+            return StateVector.from_stacked(
+                evolve(gen, U, 1e-3, 1e-3).records[-1], g)
 
         pipeline(50)       # imports scipy outside the traced window
         tracemalloc.start()
